@@ -41,10 +41,7 @@ from .oracles import (
     ToyOracle,
     chain_rule_slack,
     counting_conditional,
-    enumerate_b_set,
     named_correlation_set,
-    profile_of,
-    toy_complexity,
 )
 from .protocol import (
     Codeword,
@@ -52,6 +49,7 @@ from .protocol import (
     DecodingPlan,
     InfeasibleRatesError,
     RateVector,
+    check_rate_feasibility,
     conditional_profile,
     decode_full,
     decode_known_profile,
@@ -72,7 +70,6 @@ from .scenarios import (
     is_collinear,
     sample_collinear_triple,
     sample_dms,
-    validate_rate_region,
 )
 from .verification import (
     BFamily,

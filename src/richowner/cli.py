@@ -14,36 +14,34 @@ from fractions import Fraction
 
 from . import __version__
 from .bits import BitString
-from .construction import build_random_graph, construct_rich_owner_graph
 from .crt import HashScheme, isolation_probability
 from .experiments import (
     ConfigError,
     ExperimentConfig,
+    _resolve_rates,
+    build_graph,
     emit_report,
     report_json_text,
     run_experiment,
+    trials_csv_text,
     validate_report,
 )
-from .graphs import LabeledBipartiteGraph, SeededGraph, load_graph, save_graph
+from .graphs import LabeledBipartiteGraph, load_graph, save_graph
 from .oracles import CountingOracle, named_correlation_set
 from .protocol import (
     Codeword,
-    conditional_profile,
     decode_full,
     decode_known_profile,
     decode_membership,
     encode as protocol_encode,
-    rates_from_profile,
-    rates_violating_total,
-    RateVector,
 )
 from .rng import SeedStream, derive_seed
 from .scenarios import SourceDistribution, entropy_profile
+from .specs import FAMILIES, GRAPHS, SCENARIOS, key_values, parse_spec, spec_args
 from .verification import BFamily, check_prefix_extractor, rich_owner_fraction
 
 
-def _write_json(obj, path: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _write_text(text: str, path: str | None) -> None:
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -51,78 +49,53 @@ def _write_json(obj, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _write_json(obj, path: str | None) -> None:
+    _write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", path)
+
+
 def _load_graph_any(path: str) -> LabeledBipartiteGraph:
     """Load a binary graph file or rebuild one from a JSON descriptor."""
-    if path.endswith(".json"):
-        with open(path) as fh:
-            desc = json.load(fh)
-        kind = desc["kind"]
-        if kind == "pipeline":
-            g, _ = construct_rich_owner_graph(
-                desc["n"], desc["k"], Fraction(desc["delta"]), seed=desc["seed"],
-                max_retries=desc.get("max_retries", 10), c=desc.get("c", 4),
-            )
-            return g
-        if kind == "binning":
-            return SeededGraph(desc["n"], desc["k"], 0, desc["seed"])
-        if kind == "random":
-            return build_random_graph(
-                desc["n"], desc["k"], Fraction(desc["epsilon"]),
-                desc.get("c", 4), desc["seed"],
-            )
-        raise ConfigError(f"unknown graph descriptor kind {kind!r}")
-    return load_graph(path)
+    if not path.endswith(".json"):
+        return load_graph(path)
+    with open(path) as fh:
+        desc = json.load(fh)
+    missing = [k for k in ("kind", "n", "k", "seed") if k not in desc]
+    if missing:
+        raise ConfigError(f"graph descriptor {path}: missing key {missing[0]!r}")
+    # the remaining keys, except max_retries, are the kind's GRAPHS arguments
+    raw = {k: v for k, v in desc.items()
+           if k not in ("kind", "n", "k", "seed", "max_retries")}
+    params = spec_args(GRAPHS, desc["kind"], raw, path)
+    g, _, _ = build_graph(desc["kind"], desc["n"], desc["k"], desc["seed"], params,
+                          desc.get("max_retries", 10))
+    return g
 
 
 def _cmd_build_graph(args) -> int:
-    if args.kind == "pipeline":
-        g, report = construct_rich_owner_graph(
-            args.n, args.k, Fraction(args.delta), seed=args.seed,
-            max_retries=args.max_retries, c=args.c,
-        )
-        desc = {
-            "kind": "pipeline", "n": args.n, "k": args.k, "delta": args.delta,
+    params = {"delta": Fraction(args.delta), "epsilon": Fraction(args.epsilon), "c": args.c}
+    g, summary, report = build_graph(args.kind, args.n, args.k, args.seed, params,
+                                     args.max_retries)
+    if report is None:
+        save_graph(g, args.out)
+    else:
+        # A verified split graph has no binary form; store its rebuild recipe.
+        _write_json({
+            "kind": args.kind, "n": args.n, "k": args.k, "delta": args.delta,
             "seed": args.seed, "c": args.c, "max_retries": args.max_retries,
-        }
-        with open(args.out, "w") as fh:
-            json.dump(desc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        }, args.out)
         if args.report:
-            with open(args.report, "w") as fh:
-                fh.write(report.as_record() + "\n")
-        print(f"built pipeline graph n={args.n} k={args.k} m={g.m} "
-              f"gamma={report.gamma} retries={report.retries} -> {args.out}")
-        return 0
-    if args.kind == "random":
-        g = build_random_graph(args.n, args.k, Fraction(args.epsilon), args.c, args.seed)
-    else:  # binning
-        g = SeededGraph(args.n, args.k, 0, args.seed)
-    save_graph(g, args.out)
-    print(f"built {args.kind} graph n={g.n} m={g.m} D={g.degree} -> {args.out}")
+            _write_text(report.as_record() + "\n", args.report)
+    fields = " ".join(f"{key}={summary[key]}" for key in ("k", "m", "D", "gamma", "retries"))
+    print(f"built {args.kind} graph n={g.n} {fields} -> {args.out}")
     return 0
 
 
-def _parse_family(spec: str, seed: int) -> BFamily:
-    kind, _, rest = spec.partition(":")
-    args = {}
-    if rest:
-        for part in rest.split(","):
-            key, _, value = part.partition("=")
-            args[key.strip()] = int(value)
-    if kind == "exhaustive":
-        return BFamily(mode="exhaustive", min_size=args.get("min_size", 1),
-                       max_size=args.get("max_size"))
-    if kind == "all-of-size":
-        return BFamily(mode="all-of-size", size=args["size"])
-    if kind == "sampled":
-        return BFamily(mode="sampled", size=args["size"],
-                       count=args.get("count", 100), seed=args.get("seed", seed))
-    raise ConfigError(f"unknown family spec {spec!r}")
-
-
 def _cmd_verify_graph(args) -> int:
+    mode, params = parse_spec(args.family, FAMILIES)
+    if "seed" in params and params["seed"] is None:  # sampled families default to --seed
+        params["seed"] = args.seed
+    family = BFamily(mode=mode, **params)
     g = _load_graph_any(args.graph)
-    family = _parse_family(args.family, args.seed)
     if args.check == "extractor":
         report = check_prefix_extractor(g, Fraction(args.epsilon), family)
     else:
@@ -156,15 +129,9 @@ def _cmd_hash_audit(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    kind = args.scenario.partition(":")[0]
+    kind, params = parse_spec(args.scenario, SCENARIOS)
     if kind == "dms":
-        pairs = args.scenario.partition(":")[2]
-        mapping = {}
-        for part in pairs.split(","):
-            key, _, value = part.partition("=")
-            mapping[key.strip()] = Fraction(value)
-        dist = SourceDistribution.from_mapping(mapping)
-        values = entropy_profile(dist, args.n)
+        values = entropy_profile(SourceDistribution.from_mapping(params), args.n)
         _write_json({
             "scenario": args.scenario,
             "entropy_profile": {
@@ -206,14 +173,7 @@ def _cmd_decode(args) -> int:
         result = decode_membership(codewords, S, graphs)
     else:
         oracle = CountingOracle(S)
-        conds = conditional_profile(oracle, None)
-        if args.rates.startswith("profile+"):
-            slack = int(args.rates.removeprefix("profile+"))
-            rates = rates_from_profile(conds, slack, cap=S.n + slack)
-        elif args.rates.startswith("total-"):
-            rates = rates_violating_total(conds, int(args.rates.removeprefix("total-")))
-        else:
-            rates = RateVector(*(int(p) for p in args.rates.split(",")))
+        rates = _resolve_rates(args.rates, oracle, None, S.n)
         if args.decoder == "known-profile":
             result = decode_known_profile(
                 codewords, oracle.profile(), rates, oracle, graphs, slack=args.slack
@@ -226,12 +186,7 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    overrides = {}
-    for item in args.set or []:
-        if "=" not in item:
-            raise ConfigError(f"override must be key=value, got {item!r}")
-        key, _, value = item.partition("=")
-        overrides[key] = value
+    overrides = key_values(args.set or [], "--set")
     config = ExperimentConfig.load(args.config, overrides)
     report = run_experiment(config)
     if args.out:
@@ -256,20 +211,7 @@ def _cmd_report(args) -> int:
     if args.format == "json":
         _write_json(obj, args.out)
     else:
-        import csv as _csv
-        rows = obj["trials"]
-        out = sys.stdout if not args.out else open(args.out, "w")
-        try:
-            writer = _csv.writer(out, lineterminator="\n")
-            writer.writerow(["trial", "seed", "rates", "status", "correct",
-                             "steps", "survivors"])
-            for r in rows:
-                writer.writerow([r["trial"], r["seed"], r["rates"], r["status"],
-                                 int(r["correct"]), r["steps"],
-                                 "" if r["survivors"] is None else r["survivors"]])
-        finally:
-            if args.out:
-                out.close()
+        _write_text(trials_csv_text(obj["trials"]), args.out)
     return 0
 
 
@@ -282,8 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build-graph", help="build a graph and write it out")
-    p.add_argument("--kind", choices=("pipeline", "random", "binning"),
-                   default="pipeline")
+    p.add_argument("--kind", choices=tuple(GRAPHS), default="pipeline")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--delta", default="1/2")

@@ -13,13 +13,13 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from typing import Optional
 
 from . import __version__
 from .bits import BitString
-from .construction import build_random_graph, construct_rich_owner_graph
+from .construction import ConstructionReport, build_random_graph, construct_rich_owner_graph
 from .crt import HashScheme
 from .graphs import LabeledBipartiteGraph, SeededGraph
 from .oracles import (
@@ -40,17 +40,9 @@ from .protocol import (
     rates_violating_total,
 )
 from .rng import SeedStream, derive_seed
+from .specs import GRAPHS, ORACLES, SCENARIOS, ConfigError, key_values, parse_spec
 
 SEED_ENV_VAR = "RICHOWNER_SEED"
-
-_CONFIG_KEYS = {
-    "scenario", "oracle", "decoder", "rates", "graphs", "trials", "seed",
-    "slack", "max_retries", "step_budget",
-}
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -77,40 +69,28 @@ class ExperimentConfig:
         values: dict = {}
         if path:
             with open(path) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line or line.startswith("#"):
-                        continue
-                    if "=" not in line:
-                        raise ConfigError(f"malformed config line: {line!r}")
-                    key, _, val = line.partition("=")
-                    values[key.strip()] = val.strip()
-        for key, val in (overrides or {}).items():
-            values[key] = val
+                lines = [line.strip() for line in fh]
+            values = key_values(
+                [line for line in lines if line and not line.startswith("#")],
+                f"config {path}",
+            )
+        values.update(overrides or {})
         env = os.environ if env is None else env
         if env.get(SEED_ENV_VAR):
             values["seed"] = env[SEED_ENV_VAR]
-        unknown = set(values) - _CONFIG_KEYS
+        types = {f.name: type(f.default) for f in fields(cls)}
+        unknown = set(values) - set(types)
         if unknown:
             raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-        for int_key in ("trials", "seed", "slack", "max_retries", "step_budget"):
-            if int_key in values:
-                values[int_key] = int(values[int_key])
+        for key, val in values.items():
+            try:
+                values[key] = types[key](val)
+            except ValueError:
+                raise ConfigError(f"config key {key!r}: cannot parse {val!r}") from None
         return cls(**values)
 
     def as_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "oracle": self.oracle,
-            "decoder": self.decoder,
-            "rates": self.rates,
-            "graphs": self.graphs,
-            "trials": self.trials,
-            "seed": self.seed,
-            "slack": self.slack,
-            "max_retries": self.max_retries,
-            "step_budget": self.step_budget,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -123,10 +103,8 @@ class TrialRow:
     steps: int
     survivors: Optional[int]
 
-    def as_list(self) -> list:
-        return [self.trial, self.seed, self.rates, self.status,
-                int(self.correct), self.steps,
-                "" if self.survivors is None else self.survivors]
+
+TRIAL_COLUMNS = [f.name for f in fields(TrialRow)]
 
 
 @dataclass
@@ -142,32 +120,15 @@ class ExperimentReport:
             "config": self.config.as_dict(),
             "aggregates": self.aggregates,
             "graphs": self.graph_summaries,
-            "trials": [
-                {
-                    "trial": r.trial, "seed": r.seed, "rates": r.rates,
-                    "status": r.status, "correct": r.correct, "steps": r.steps,
-                    "survivors": r.survivors,
-                }
-                for r in self.rows
-            ],
+            "trials": [asdict(r) for r in self.rows],
         }
 
 
 # -- scenario/oracle/graph resolution -------------------------------------------
 
-def _parse_kv_args(rest: str) -> dict:
-    args = {}
-    if rest:
-        for part in rest.split(","):
-            key, _, value = part.partition("=")
-            args[key.strip()] = value.strip()
-    return args
-
-
 @dataclass
 class _Scenario:
     n: int
-    kind: str
     S: Optional[CorrelationSet] = None
     planted_width: int = 0
 
@@ -192,55 +153,36 @@ class _Scenario:
 
 
 def _resolve_scenario(spec: str) -> _Scenario:
-    kind, _, rest = spec.partition(":")
-    args = _parse_kv_args(rest)
-    if kind == "collinear":
-        q = int(args["q"])
-        return _Scenario(n=2 * q, kind=kind, S=named_correlation_set(f"collinear:q={q}"))
-    if kind in ("diagonal", "cube"):
-        S = named_correlation_set(spec)
-        return _Scenario(n=S.n, kind=kind, S=S)
-    if kind == "file":
-        if "=" in rest:
-            path, n = args["path"], int(args["n"])
-        else:
-            # bare form file:<path>; width inferred from the widest value
-            path, n = rest, None
-        if n is None:
-            probe = CorrelationSet.from_file(path, 63)
-            n = max(1, int(probe.members.max()).bit_length())
-        S = CorrelationSet.from_file(path, n)
-        return _Scenario(n=S.n, kind=kind, S=S)
+    kind, args = parse_spec(spec, SCENARIOS)
     if kind == "planted":
-        n = int(args.get("n", 8))
-        if n % 2:
+        if args["n"] % 2:
             raise ConfigError("planted scenario needs an even width")
-        return _Scenario(n=n, kind=kind, planted_width=n)
-    raise ConfigError(f"unknown scenario {spec!r}")
+        return _Scenario(n=args["n"], planted_width=args["n"])
+    S = named_correlation_set(spec)
+    return _Scenario(n=S.n, S=S)
 
 
 def _resolve_oracle(spec: str, scenario: _Scenario):
-    kind, _, rest = spec.partition(":")
-    args = _parse_kv_args(rest)
-    if kind == "counting":
-        if scenario.S is None:
-            raise ConfigError("counting oracle needs an enumerable scenario")
-        return CountingOracle(scenario.S)
+    kind, args = parse_spec(spec, ORACLES)
     if kind == "toy":
-        cfg = ToyMachineConfig(
-            max_len=int(args.get("L", 12)), step_budget=int(args.get("T", 200))
-        )
-        return ToyOracle(cfg)
-    raise ConfigError(f"unknown oracle {spec!r}")
+        return ToyOracle(ToyMachineConfig(max_len=args["L"], step_budget=args["T"]))
+    if scenario.S is None:
+        raise ConfigError("counting oracle needs an enumerable scenario")
+    return CountingOracle(scenario.S)
 
 
-def _resolve_rates(spec: str, oracle, triple, slack_default: int) -> RateVector:
+def _resolve_rates(spec: str, oracle, triple, n: int) -> RateVector:
+    """Rates from `profile+S` (profile rates plus slack S, each capped at
+    the string width plus S), `total-D` (balanced rates D short of the
+    triple requirement) or an explicit `a,b,c`.
+
+    The width is the triple's when a triple is given, otherwise n.
+    """
     if spec.startswith("profile+"):
         slack = int(spec.removeprefix("profile+"))
         conds = conditional_profile(oracle, triple)
-        n = triple[0].width if triple else None
-        cap = (n + slack) if n is not None else None
-        return rates_from_profile(conds, slack=slack, cap=cap)
+        width = triple[0].width if triple else n
+        return rates_from_profile(conds, slack=slack, cap=width + slack)
     if spec.startswith("total-"):
         deficit = int(spec.removeprefix("total-"))
         conds = conditional_profile(oracle, triple)
@@ -251,52 +193,54 @@ def _resolve_rates(spec: str, oracle, triple, slack_default: int) -> RateVector:
     raise ConfigError(f"cannot parse rates {spec!r}")
 
 
+def build_graph(kind: str, n: int, k: int, seed: int, params: dict,
+                max_retries: int) -> tuple[LabeledBipartiteGraph, dict,
+                                           Optional[ConstructionReport]]:
+    """One graph of a GRAPHS kind, its summary record, and for a verified
+    pipeline graph its construction report (None for the other kinds).
+
+    `params` holds the kind's spec arguments (delta and c for pipeline,
+    epsilon and c for random); max_retries bounds pipeline verification.
+    """
+    if kind == "pipeline":
+        g, report = construct_rich_owner_graph(
+            n, k, params["delta"], seed=seed, max_retries=max_retries, c=params["c"],
+        )
+        return g, {
+            "kind": kind, "k": k, "m": g.m, "gamma": report.gamma, "D": report.D,
+            "ell": report.ell, "retries": report.retries,
+        }, report
+    if kind == "binning":
+        g = SeededGraph(n, k, 0, seed)
+    else:
+        g = build_random_graph(n, k, params["epsilon"], params["c"], seed)
+    return g, {
+        "kind": kind, "k": k, "m": g.m, "gamma": 0, "D": g.degree, "ell": 1,
+        "retries": 0,
+    }, None
+
+
 class _GraphBank:
     """Builds and caches per-sender graphs keyed by their effective width."""
 
     def __init__(self, spec: str, n: int, seed: int, max_retries: int):
-        self.kind, _, rest = spec.partition(":")
-        self.args = _parse_kv_args(rest)
+        self.kind, self.params = parse_spec(spec, GRAPHS)
         self.n = n
         self.seed = seed
         self.max_retries = max_retries
         self.cache: dict = {}
         self.summaries: list = []
-        if self.kind not in ("pipeline", "binning", "random"):
-            raise ConfigError(f"unknown graph spec {spec!r}")
 
     def for_rate(self, sender: int, rate: int) -> LabeledBipartiteGraph:
         k = max(1, min(rate, self.n))
         key = (sender, k)
-        if key in self.cache:
-            return self.cache[key]
-        seed = derive_seed(self.seed, "graph", sender, k)
-        if self.kind == "pipeline":
-            delta = Fraction(self.args.get("delta", "1/2"))
-            g, report = construct_rich_owner_graph(
-                self.n, k, delta, seed=seed, max_retries=self.max_retries,
-                c=int(self.args.get("c", 4)),
-            )
-            self.summaries.append({
-                "sender": "ABC"[sender], "kind": "pipeline", "k": k,
-                "m": g.m, "gamma": report.gamma, "D": report.D,
-                "ell": report.ell, "retries": report.retries,
-            })
-        elif self.kind == "binning":
-            g = SeededGraph(self.n, k, 0, seed)
-            self.summaries.append({
-                "sender": "ABC"[sender], "kind": "binning", "k": k, "m": k,
-                "gamma": 0, "D": 1, "ell": 1, "retries": 0,
-            })
-        else:
-            epsilon = Fraction(self.args.get("epsilon", "1/4"))
-            g = build_random_graph(self.n, k, epsilon, int(self.args.get("c", 4)), seed)
-            self.summaries.append({
-                "sender": "ABC"[sender], "kind": "random", "k": k, "m": g.m,
-                "gamma": 0, "D": g.degree, "ell": 1, "retries": 0,
-            })
-        self.cache[key] = g
-        return g
+        if key not in self.cache:
+            seed = derive_seed(self.seed, "graph", sender, k)
+            g, summary, _ = build_graph(self.kind, self.n, k, seed, self.params,
+                                        self.max_retries)
+            self.summaries.append({"sender": "ABC"[sender], **summary})
+            self.cache[key] = g
+        return self.cache[key]
 
 
 # -- the runner -------------------------------------------------------------------
@@ -321,7 +265,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     for t in range(config.trials):
         trial_seed = derive_seed(config.seed, "trial", t)
         triple = scenario.triple(trial_seed)
-        rates = _resolve_rates(config.rates, oracle, triple, config.slack)
+        rates = _resolve_rates(config.rates, oracle, triple, scenario.n)
         graphs = [bank.for_rate(i, rates[i]) for i in range(3)]
         codewords = [
             encode(graphs[i], triple[i], scheme, derive_seed(trial_seed, "enc", i),
@@ -379,19 +323,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 # -- emission ----------------------------------------------------------------------
 
-CSV_COLUMNS = ["trial", "seed", "rates", "status", "correct", "steps", "survivors"]
-
-
 def report_json_text(report: ExperimentReport) -> str:
     return json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
 
 
-def report_csv_text(report: ExperimentReport) -> str:
+def trials_csv_text(trials: list[dict]) -> str:
+    """One CSV row per trial record (as in a JSON report), booleans as 0/1."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for row in report.rows:
-        writer.writerow(row.as_list())
+    writer.writerow(TRIAL_COLUMNS)
+    for t in trials:
+        writer.writerow([int(t[c]) if c == "correct" else t[c] for c in TRIAL_COLUMNS])
     return buf.getvalue()
 
 
@@ -400,7 +342,7 @@ def emit_report(report: ExperimentReport, fmt: str, path: str) -> None:
     if fmt == "json":
         text = report_json_text(report)
     elif fmt == "csv":
-        text = report_csv_text(report)
+        text = trials_csv_text(report.to_json()["trials"])
     else:
         raise ConfigError(f"unknown report format {fmt!r}")
     try:
@@ -419,7 +361,7 @@ REPORT_SCHEMA = {
         "version": {"type": "string"},
         "config": {
             "type": "object",
-            "required": sorted(_CONFIG_KEYS),
+            "required": sorted(f.name for f in fields(ExperimentConfig)),
         },
         "aggregates": {
             "type": "object",
@@ -433,10 +375,7 @@ REPORT_SCHEMA = {
             "type": "array",
             "items": {
                 "type": "object",
-                "required": [
-                    "trial", "seed", "rates", "status", "correct", "steps",
-                    "survivors",
-                ],
+                "required": TRIAL_COLUMNS,
             },
         },
     },

@@ -140,10 +140,6 @@ class LabeledBipartiteGraph:
         xi = _as_left_int(self, x)
         return [self.neighbor_int(xi, lab) for lab in range(self.degree)]
 
-    def neighbors_multiset(self, x) -> Counter:
-        """Multiset of all degree-many neighbors of x, as BitStrings."""
-        return Counter(BitString(self.m, v) for v in self.neighbor_values(x))
-
     def neighbor_set(self, x) -> frozenset:
         """Distinct right-node values adjacent to x (cached)."""
         xi = _as_left_int(self, x)
@@ -165,11 +161,6 @@ class LabeledBipartiteGraph:
         """Edges from members of B landing on z, counted with multiplicity."""
         zi = _as_right_int(self, z)
         return sum(self.edge_multiplicity(x, zi) for x in B)
-
-    def distinct_b_neighbors(self, z, B: Iterable) -> int:
-        """Distinct members of B adjacent to z (ownership counting)."""
-        zi = _as_right_int(self, z)
-        return sum(1 for x in B if zi in self.neighbor_set(x))
 
     # -- payload membership (decoder-facing) -------------------------------
 
@@ -378,18 +369,6 @@ class SplitGraph(LabeledBipartiteGraph):
             if xi % p == residue:
                 total += self.base_multiplicities(xi).get(z0, 0)
         return total
-
-    def distinct_b_neighbors(self, z, B: Iterable) -> int:
-        i, residue, z0 = self.parse_payload(z)
-        if i >= self.ell:
-            return 0
-        p = int(self.primes[i])
-        count = 0
-        for x in B:
-            xi = _as_left_int(self, x)
-            if xi % p == residue and z0 in self.base.neighbor_set(xi):
-                count += 1
-        return count
 
     def describe(self) -> str:
         return f"split(ell={self.ell},base={self.base.describe()})"

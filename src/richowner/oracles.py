@@ -22,12 +22,13 @@ encoding.  Literal overhead is 6 bits (opcode + length nibble).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from .bits import BitString
+from .specs import SCENARIOS, ConfigError, parse_spec
 
 SUBSETS = ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2))
 COORD_NAMES = "ABC"
@@ -248,6 +249,8 @@ class CorrelationSet:
         members = np.asarray(members, dtype=np.int64).reshape(-1, 3)
         if members.size == 0:
             raise ValueError("correlation set must be nonempty")
+        if 3 * n > 63:
+            raise ValueError(f"width n={n} too large: triples pack into 63 bits (n <= 21)")
         if members.min() < 0 or members.max() >= (1 << n):
             raise ValueError(f"member coordinate out of range for n={n}")
         self.n = n
@@ -291,7 +294,8 @@ class CorrelationSet:
         return self.members[mask]
 
     @classmethod
-    def from_file(cls, path: str, n: int) -> "CorrelationSet":
+    def from_file(cls, path: str, n: Optional[int]) -> "CorrelationSet":
+        """Hex triples, one per line; n=None takes the width of the widest value."""
         rows = []
         with open(path) as fh:
             for line in fh:
@@ -302,6 +306,8 @@ class CorrelationSet:
                 if len(parts) != 3:
                     raise ValueError(f"expected 3 hex fields per line, got {line!r}")
                 rows.append([int(p, 16) for p in parts])
+        if n is None:
+            n = max(1, max((v for row in rows for v in row), default=0).bit_length())
         return cls(n, rows)
 
     @classmethod
@@ -319,22 +325,18 @@ class CorrelationSet:
 
 
 def named_correlation_set(spec: str) -> CorrelationSet:
-    """Families by name: collinear:q=Q, diagonal:n=N, cube:n=N."""
-    kind, _, rest = spec.partition(":")
-    args = {}
-    if rest:
-        for part in rest.split(","):
-            key, _, value = part.partition("=")
-            args[key.strip()] = int(value)
+    """Sets by spec: collinear:q=Q, diagonal:n=N, cube:n=N, file:<path>."""
+    kind, args = parse_spec(spec, SCENARIOS)
     if kind == "collinear":
         from .scenarios import collinear_members
-        q = args["q"]
-        return CorrelationSet(2 * q, collinear_members(q))
+        return CorrelationSet(2 * args["q"], collinear_members(args["q"]))
     if kind == "diagonal":
         return CorrelationSet.diagonal(args["n"])
     if kind == "cube":
         return CorrelationSet.cube(args["n"])
-    raise ValueError(f"unknown correlation family {spec!r}")
+    if kind == "file":
+        return CorrelationSet.from_file(args["path"], args["n"])
+    raise ConfigError(f"scenario {spec!r} has no explicit member set")
 
 
 def counting_conditional(S: CorrelationSet, V, W,
@@ -407,47 +409,6 @@ ComplexityOracle = Union[ToyOracle, CountingOracle]
 
 
 # -- shared operations ----------------------------------------------------------
-
-def toy_complexity(x, cfg: ToyMachineConfig, side_input=None) -> Optional[int]:
-    """Shortest-program length for x under cfg; None means 'exceeds L'."""
-    return ToyOracle(cfg).complexity(x, side_input)
-
-
-def profile_of(oracle: ComplexityOracle, triple) -> ComplexityProfile:
-    return oracle.profile(triple)
-
-
-@dataclass
-class BSetStream:
-    items: list[BitString]
-    complete: bool
-    note: str
-
-
-def enumerate_b_set(oracle: ComplexityOracle, bound: int, *, n: int = None,
-                    target: int = 0, known=None, payloads=None) -> BSetStream:
-    """Candidate strings whose conditional complexity is within the bound.
-
-    Cardinality never exceeds 2^(bound+1).  For the toy oracle the stream
-    is complete relative to its (L, T) budgets only, and the note says so.
-    """
-    known = dict(known or {})
-    payloads = list(payloads or [])  # entries (coord, payload BitString, graph)
-    if isinstance(oracle, ToyOracle):
-        if n is None:
-            raise ValueError("toy enumeration needs the target width n")
-        items = oracle.candidates(
-            n, list(known.values()), [p for _, p, _ in payloads], bound
-        )
-        return BSetStream(
-            items=items,
-            complete=bound <= oracle.cfg.max_len,
-            note=(f"complete relative to budgets L={oracle.cfg.max_len}, "
-                  f"T={oracle.cfg.step_budget}"),
-        )
-    items = oracle.candidates(target, known, payloads, bound)
-    return BSetStream(items=items, complete=True, note="exact fiber enumeration")
-
 
 def chain_rule_slack(oracle: ComplexityOracle, triple) -> int:
     """Worst |C(V u W) - C(W) - C(x_V | x_W)| over disjoint non-empty V, W.

@@ -67,31 +67,35 @@ class RateVector:
         return self.n_a + self.n_b + self.n_c
 
 
+def _complement(V: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(i for i in (0, 1, 2) if i not in V)
+
+
+def profile_conditionals(profile: ComplexityProfile) -> dict[tuple[int, ...], int]:
+    """C(x_V | x_complement) for every non-empty V, by subtraction."""
+    return {V: profile.conditional(V, _complement(V)) for V in SUBSETS}
+
+
 def conditional_profile(oracle, triple) -> dict[tuple[int, ...], int]:
-    """Direct conditionals C(x_V | x_complement) for every non-empty V."""
-    out = {}
-    for V in SUBSETS:
-        complement = tuple(i for i in (0, 1, 2) if i not in V)
-        if complement:
-            if isinstance(oracle, ToyOracle):
-                out[V] = oracle.conditional(V, complement, triple)
-            else:
-                out[V] = oracle.profile(triple).conditional(V, complement)
-        else:
-            profile = oracle.profile(triple)
-            out[V] = profile.value(V)
-    return out
+    """C(x_V | x_complement) for every non-empty V.
+
+    The toy machine measures each proper conditional directly, with the
+    complement strings as side input; the counting oracle's conditionals
+    come from one profile.
+    """
+    if isinstance(oracle, ToyOracle):
+        full = (0, 1, 2)
+        out = {V: oracle.conditional(V, _complement(V), triple)
+               for V in SUBSETS if V != full}
+        out[full] = oracle.profile(triple).value(full)
+        return out
+    return profile_conditionals(oracle.profile(triple))
 
 
 def _conds_from(profile_or_conds) -> dict[tuple[int, ...], int]:
     if isinstance(profile_or_conds, Mapping):
         return {subset_key(k): v for k, v in profile_or_conds.items()}
-    profile = profile_or_conds
-    out = {}
-    for V in SUBSETS:
-        complement = tuple(i for i in (0, 1, 2) if i not in V)
-        out[V] = profile.conditional(V, complement) if complement else profile.value(V)
-    return out
+    return profile_conditionals(profile_or_conds)
 
 
 def rates_from_profile(profile_or_conds, slack: int,
@@ -124,16 +128,15 @@ def rates_violating_total(profile_or_conds, deficit: int) -> RateVector:
     return RateVector(*(base + (1 if i < extra else 0) for i in range(3)))
 
 
-def check_rate_feasibility(profile: ComplexityProfile, rates: RateVector,
-                           slack: int) -> list[tuple[int, ...]]:
-    """Subsets whose inequality fails by more than the slack."""
-    violated = []
-    for V in SUBSETS:
-        complement = tuple(i for i in (0, 1, 2) if i not in V)
-        cond = profile.conditional(V, complement) if complement else profile.value(V)
-        if sum(rates[i] for i in V) < cond - slack:
-            violated.append(V)
-    return violated
+def check_rate_feasibility(profile_or_conds, rates, slack: int) -> list[tuple[int, ...]]:
+    """Subsets V whose inequality sum(rates[V]) >= C(V | complement) fails
+    by more than the slack, in canonical subset order.
+
+    `profile_or_conds` is a ComplexityProfile or a mapping of conditionals;
+    `rates` any 3-sequence.  Slack 0 is the exact rate region.
+    """
+    conds = _conds_from(profile_or_conds)
+    return [V for V in SUBSETS if sum(rates[i] for i in V) < conds[V] - slack]
 
 
 # -- codewords -----------------------------------------------------------------

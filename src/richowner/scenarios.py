@@ -1,8 +1,8 @@
 """Input generators and information-theoretic baselines.
 
 Collinear point triples over GF(2^q), discrete memoryless bit-triple
-sources, entropy profiles, the rate-region validator, and the pigeonhole
-converse audit for encoder/decoder tables.
+sources, entropy profiles, and the pigeonhole converse audit for
+encoder/decoder tables.
 """
 
 from __future__ import annotations
@@ -76,23 +76,6 @@ def gf_mul(a: FieldElement, b: FieldElement) -> FieldElement:
         if x & top:
             x ^= poly
     return FieldElement(a.q, res)
-
-
-def gf_pow(a: FieldElement, e: int) -> FieldElement:
-    res = FieldElement(a.q, 1)
-    base = a
-    while e:
-        if e & 1:
-            res = gf_mul(res, base)
-        base = gf_mul(base, base)
-        e >>= 1
-    return res
-
-
-def gf_inv(a: FieldElement) -> FieldElement:
-    if a.value == 0:
-        raise FieldError("zero has no inverse")
-    return gf_pow(a, (1 << a.q) - 2)
 
 
 def _mul_table(q: int) -> np.ndarray:
@@ -274,37 +257,6 @@ def entropy_profile(dist: SourceDistribution, n: int) -> tuple[float, ...]:
     for coords in SUBSETS:
         out.append(n * _entropy(dist.marginal(coords).values()))
     return tuple(out)
-
-
-# -- rate-region validation ----------------------------------------------------
-
-def _seven_values(profile) -> tuple:
-    if hasattr(profile, "values7"):
-        return profile.values7()
-    values = tuple(profile)
-    if len(values) != 7:
-        raise ValueError("need the 7 subset values")
-    return values
-
-
-def validate_rate_region(rates, profile) -> tuple[bool, list[tuple[int, ...]]]:
-    """Check all 7 subset inequalities sum(rates[V]) >= C(V | complement).
-
-    `rates` is any 3-sequence (or RateVector); `profile` a ComplexityProfile
-    or plain 7-tuple in canonical subset order.  Returns (ok, violated
-    subsets).  Conditioning is by subtraction from the full triple value.
-    """
-    values = _seven_values(profile)
-    by_subset = dict(zip(SUBSETS, values))
-    triple = by_subset[(0, 1, 2)]
-    r = tuple(rates)
-    violated = []
-    for V in SUBSETS:
-        complement = tuple(i for i in (0, 1, 2) if i not in V)
-        conditional = triple - (by_subset[complement] if complement else 0)
-        if sum(r[i] for i in V) < conditional:
-            violated.append(V)
-    return (not violated, violated)
 
 
 # -- pigeonhole converse audit ---------------------------------------------------

@@ -167,9 +167,9 @@ def test_criterion_06_membership_decoding():
     oracle = CountingOracle(S)
     conds = conditional_profile(oracle, None)
     rates = rates_from_profile(conds, slack=2, cap=2 * q)
-    from richowner.scenarios import validate_rate_region
-    ok, _ = validate_rate_region(tuple(rates), oracle.profile())
-    assert ok, "derived rates must satisfy every subset inequality"
+    from richowner.protocol import check_rate_feasibility
+    violated = check_rate_feasibility(oracle.profile(), rates, 0)
+    assert not violated, "derived rates must satisfy every subset inequality"
     graphs = [
         construct_rich_owner_graph(
             2 * q, max(1, min(r, 2 * q)), Fraction(1, 2),

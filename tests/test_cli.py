@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from richowner.cli import main
 from richowner.graphs import load_graph
 
@@ -133,3 +135,49 @@ class TestExperimentAndReport:
     def test_error_reported_cleanly(self, capsys):
         assert run_cli("experiment", "--set", "bogus=1") == 2
         assert "bogus" in capsys.readouterr().err
+
+
+@pytest.fixture
+def decode_inputs(tmp_path):
+    g = tmp_path / "g.bin"
+    assert run_cli("build-graph", "--kind", "binning", "--n", "4", "--k", "3",
+                   "--seed", "7", "--out", str(g)) == 0
+    cws = tmp_path / "cws.json"
+    cws.write_text("[]")
+    desc = tmp_path / "desc.json"
+    desc.write_text('{"n": 4, "k": 2, "seed": 1}')
+    return str(g), str(cws), str(desc)
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["profile", "--scenario", "collinear"], "'q'"),
+    (["experiment", "--set", "scenario=collinear"], "'q'"),
+    (["verify-graph", "--graph", "{g}", "--check", "extractor",
+      "--family", "sampled:count=3"], "'size'"),
+    (["verify-graph", "--graph", "{g}", "--check", "extractor",
+      "--family", "all-of-size"], "'size'"),
+    (["decode", "--codewords", "{cws}", "--graphs", "{g},{g},{g}",
+      "--scenario", "collinear:q=2", "--decoder", "known-profile",
+      "--rates", "1,2"], "rates '1,2'"),
+    (["experiment", "--set", "graphs=pipeline:detla=1/2", "--set", "trials=1"],
+     "'detla'"),
+    (["encode", "--graph", "{desc}", "--input", "a", "--width", "4"], "'kind'"),
+], ids=["profile-scenario", "experiment-scenario", "family-sampled",
+        "family-all-of-size", "decode-rates", "graphs-typo", "descriptor-kind"])
+def test_bad_spec_is_a_clean_error(argv, key, decode_inputs, capsys):
+    g, cws, desc = decode_inputs
+    capsys.readouterr()
+    assert run_cli(*(a.format(g=g, cws=cws, desc=desc) for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+
+
+def test_report_csv_matches_experiment_csv(tmp_path):
+    config = ["--set", "scenario=collinear:q=2", "--set", "graphs=binning",
+              "--set", "trials=4", "--set", "seed=5"]
+    report, direct, converted = (tmp_path / name for name in ("r.json", "e.csv", "r.csv"))
+    assert run_cli("experiment", *config, "--out", str(report)) == 0
+    assert run_cli("experiment", *config, "--format", "csv", "--out", str(direct)) == 0
+    assert run_cli("report", "--input", str(report), "--format", "csv",
+                   "--out", str(converted)) == 0
+    assert converted.read_bytes() == direct.read_bytes()

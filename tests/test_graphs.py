@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,21 +54,25 @@ class TestNeighbor:
             g.neighbor(bs("01"), 4)
 
 
+def neighbors_multiset(g, x) -> Counter:
+    return Counter(BitString(g.m, v) for v in g.neighbor_values(x))
+
+
 class TestNeighborsMultiset:
     def test_degree_one_singleton(self):
         g = random_table_graph(2, 3, 0, seed=1)
         for x in range(4):
-            ms = g.neighbors_multiset(x)
+            ms = neighbors_multiset(g, x)
             assert sum(ms.values()) == 1
 
     def test_all_to_one_multiplicity(self):
         g = all_to_one_graph(2, 2, 2)
-        assert g.neighbors_multiset(bs("01")) == {BitString(2, 0): 4}
+        assert neighbors_multiset(g, bs("01")) == {BitString(2, 0): 4}
 
     def test_cardinality_equals_degree(self):
         g = random_table_graph(3, 2, 4, seed=5)
         for x in range(8):
-            assert sum(g.neighbors_multiset(x).values()) == g.degree
+            assert sum(neighbors_multiset(g, x).values()) == g.degree
 
 
 class TestBDegree:

@@ -12,11 +12,8 @@ from richowner.oracles import (
     ToyOracle,
     chain_rule_slack,
     counting_conditional,
-    enumerate_b_set,
     named_correlation_set,
-    profile_of,
     run_toy_program,
-    toy_complexity,
 )
 
 
@@ -85,37 +82,37 @@ class TestToyMachine:
     def test_literal_upper_bound(self):
         cfg = ToyMachineConfig(max_len=14, step_budget=100)
         for x in (bs("1"), bs("0110"), bs("10110100")):
-            c = toy_complexity(x, cfg)
+            c = ToyOracle(cfg).complexity(x)
             assert c is not None and c <= len(x) + 6
 
     def test_repeat_beats_literal_on_32_zeros(self):
         cfg = ToyMachineConfig(max_len=17, step_budget=100)
-        c = toy_complexity(BitString(32, 0), cfg)
+        c = ToyOracle(cfg).complexity(BitString(32, 0))
         assert c is not None and c < 32 + 6
 
     def test_copy_program_for_conditional(self):
         cfg = ToyMachineConfig(max_len=12, step_budget=100)
         x = bs("10110100")
-        assert toy_complexity(x, cfg, side_input=x) == 6  # opcode + index nibble
+        assert ToyOracle(cfg).complexity(x, x) == 6  # opcode + index nibble
 
     def test_exceeds_budget_marker(self):
         cfg = ToyMachineConfig(max_len=8, step_budget=100)
-        assert toy_complexity(bs("10110100"), cfg) is None
+        assert ToyOracle(cfg).complexity(bs("10110100")) is None
 
     def test_step_budget_abandons(self):
         # doubling beyond the step budget must not produce an output
         cfg_tight = ToyMachineConfig(max_len=20, step_budget=10)
         cfg_loose = ToyMachineConfig(max_len=20, step_budget=2000)
         x = BitString(32, 0)
-        assert toy_complexity(x, cfg_tight) is None
-        assert toy_complexity(x, cfg_loose) is not None
+        assert ToyOracle(cfg_tight).complexity(x) is None
+        assert ToyOracle(cfg_loose).complexity(x) is not None
 
     def test_antitone_in_budgets(self):
         x = BitString(16, 0)
-        base = toy_complexity(x, ToyMachineConfig(max_len=16, step_budget=200))
+        base = ToyOracle(ToyMachineConfig(max_len=16, step_budget=200)).complexity(x)
         assert base is not None
         for L, T in ((17, 200), (16, 400), (20, 1000)):
-            c = toy_complexity(x, ToyMachineConfig(max_len=L, step_budget=T))
+            c = ToyOracle(ToyMachineConfig(max_len=L, step_budget=T)).complexity(x)
             assert c is not None and c <= base
 
     def test_matches_reference_interpreter(self):
@@ -159,23 +156,22 @@ class TestToyProfilesAndSets:
 
     def test_enumerate_bound_zero(self):
         cfg = ToyMachineConfig(max_len=10, step_budget=100)
-        stream = enumerate_b_set(ToyOracle(cfg), 0, n=0)
-        assert stream.items == [BitString(0, 0)]  # empty program prints ""
+        items = ToyOracle(cfg).candidates(0, [], [], 0)
+        assert items == [BitString(0, 0)]  # empty program prints ""
 
     def test_enumerate_cardinality_bound(self):
         cfg = ToyMachineConfig(max_len=12, step_budget=200)
         oracle = ToyOracle(cfg)
         for bound in (6, 8, 10, 12):
-            stream = enumerate_b_set(oracle, bound, n=4)
-            assert len(stream.items) <= (1 << (bound + 1))
+            items = oracle.candidates(4, [], [], bound)
+            assert len(items) <= (1 << (bound + 1))
 
     def test_enumerate_matches_string_set(self):
         cfg = ToyMachineConfig(max_len=12, step_budget=200)
         oracle = ToyOracle(cfg)
-        stream = enumerate_b_set(oracle, 12, n=8)
-        assert set(stream.items) == set(oracle.string_set(8))
-        assert len(stream.items) == 16  # the half-period strings
-        assert not stream.complete or "budget" not in stream.note or stream.note
+        items = oracle.candidates(8, [], [], 12)
+        assert set(items) == set(oracle.string_set(8))
+        assert len(items) == 16  # the half-period strings
 
     def test_wide_side_components_cannot_help(self):
         cfg = ToyMachineConfig(max_len=12, step_budget=200)
@@ -230,8 +226,8 @@ class TestCountingOracle:
 
     def test_enumerate_full_cube(self):
         S = CorrelationSet.cube(3)
-        stream = enumerate_b_set(CountingOracle(S), 3, target=0)
-        assert len(stream.items) == 8 and stream.complete
+        items = CountingOracle(S).candidates(0, {}, [], 3)
+        assert [x.value for x in items] == list(range(8))  # the whole fiber
 
 
 class TestChainRule:
@@ -273,6 +269,27 @@ class TestCorrelationSet:
         assert S.contains((1, 2, 3))
         assert not S.contains((1, 2, 4))
 
+    def test_file_spec_forms(self, tmp_path):
+        path = tmp_path / "set.txt"
+        path.write_text("01 02 03\n0a 0b 0c\n")
+        inferred = named_correlation_set(f"file:{path}")
+        assert inferred.n == 4 and len(inferred) == 2  # widest value 0xc
+        explicit = named_correlation_set(f"file:path={path},n=8")
+        assert explicit.n == 8 and explicit.contains((10, 11, 12))
+        assert named_correlation_set(f"file:path={path}").n == 4
+
+    def test_width_beyond_int64_packing_rejected(self):
+        top = (1 << 24) - 1
+        with pytest.raises(ValueError, match="n=24"):
+            CorrelationSet(24, [(top, top, top), (0, 1, 2)])
+
+    def test_widest_packable_member_found(self):
+        top = (1 << 21) - 1
+        S = CorrelationSet(21, [(top, top, top), (0, 1, 2), (top, 0, top)])
+        assert S.contains((top, top, top))
+        assert S.contains((top, 0, top))
+        assert not S.contains((top, top, top - 1))
+
     def test_members_deduplicated_and_sorted(self):
         S = CorrelationSet(2, [(1, 1, 1), (0, 1, 2), (1, 1, 1)])
         assert len(S) == 2
@@ -286,7 +303,7 @@ class TestCorrelationSet:
 
     def test_profile_of_helper(self):
         S = CorrelationSet.diagonal(3)
-        assert profile_of(CountingOracle(S), None).values7() == (3,) * 7
+        assert CountingOracle(S).profile(None).values7() == (3,) * 7
 
 
 class TestProfileType:

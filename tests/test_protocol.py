@@ -8,6 +8,7 @@ from richowner.construction import construct_rich_owner_graph
 from richowner.crt import HashScheme, HashTag
 from richowner.graphs import SeededGraph, TableGraph, all_to_one_graph
 from richowner.oracles import (
+    SUBSETS,
     ComplexityProfile,
     CorrelationSet,
     CountingOracle,
@@ -17,6 +18,7 @@ from richowner.protocol import (
     Codeword,
     InfeasibleRatesError,
     RateVector,
+    check_rate_feasibility,
     conditional_profile,
     decode_full,
     decode_known_profile,
@@ -88,8 +90,20 @@ class TestRates:
         oracle = CountingOracle(named_correlation_set("collinear:q=3"))
         profile = oracle.profile()
         rates = rates_from_profile(conditional_profile(oracle, None), slack=2)
-        from richowner.scenarios import validate_rate_region
-        assert validate_rate_region(tuple(rates), profile)[0]
+        assert check_rate_feasibility(profile, rates, 0) == []
+
+    def test_counting_conditionals_use_one_profile(self):
+        oracle = CountingOracle(named_correlation_set("collinear:q=2"))
+        calls = []
+        profile = oracle.profile
+        oracle.profile = lambda triple=None: calls.append(triple) or profile(triple)
+        triple = oracle.S.triple_at(5)
+        conds = conditional_profile(oracle, triple)
+        assert len(calls) == 1
+        p = profile()
+        for V in SUBSETS:
+            complement = tuple(i for i in range(3) if i not in V)
+            assert conds[V] == p.value((0, 1, 2)) - (p.value(complement) if complement else 0)
 
     def test_cap_applied(self):
         conds = {(0,): 10, (1,): 10, (2,): 10, (0, 1): 20, (0, 2): 20,

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from richowner.bits import BitString, bs
-from richowner.oracles import SUBSETS, CountingOracle, named_correlation_set
+from richowner.oracles import SUBSETS, ComplexityProfile, CountingOracle, named_correlation_set
+from richowner.protocol import check_rate_feasibility
 from richowner.scenarios import (
     FieldElement,
     SourceDistribution,
@@ -12,14 +13,12 @@ from richowner.scenarios import (
     collinear_members,
     converse_bound_check,
     entropy_profile,
-    gf_inv,
     gf_mul,
     int_to_point,
     is_collinear,
     point_to_int,
     sample_collinear_triple,
     sample_dms,
-    validate_rate_region,
 )
 from richowner.rng import SeedStream
 
@@ -52,8 +51,8 @@ class TestField:
                     assert (gf_mul(a, b + c).value
                             == (gf_mul(a, b) + gf_mul(a, c)).value)
         for a in els[1:]:
-            inv = gf_inv(a)
-            assert gf_mul(a, inv).value == 1
+            inverses = [b for b in els if gf_mul(a, b).value == 1]
+            assert len(inverses) == 1
 
 
 class TestCollinear:
@@ -208,11 +207,10 @@ class TestRateRegion:
 
     def test_examples(self):
         profile = self.profile()
-        ok, violated = validate_rate_region((4, 4, 2), profile)
-        assert ok and not violated
-        ok, violated = validate_rate_region((2, 2, 2), profile)
-        assert not ok and (0, 1, 2) in violated
-        ok, violated = validate_rate_region((10, 0, 0), profile)
+        assert check_rate_feasibility(profile, (4, 4, 2), 0) == []
+        violated = check_rate_feasibility(profile, (2, 2, 2), 0)
+        assert (0, 1, 2) in violated
+        violated = check_rate_feasibility(profile, (10, 0, 0), 0)
         assert set(violated) == {(1,), (2,), (1, 2)}
 
     def test_monotone_in_rates(self):
@@ -220,16 +218,15 @@ class TestRateRegion:
         stream = SeedStream(5)
         for _ in range(300):
             rates = [stream.randrange(11) for _ in range(3)]
-            ok, _ = validate_rate_region(rates, profile)
-            if ok:
+            if not check_rate_feasibility(profile, rates, 0):
                 for i in range(3):
                     bumped = list(rates)
                     bumped[i] += 1
-                    assert validate_rate_region(bumped, profile)[0]
+                    assert not check_rate_feasibility(profile, bumped, 0)
 
     def test_accepts_plain_tuples(self):
-        ok, violated = validate_rate_region((1, 1, 1), (1, 1, 1, 2, 2, 2, 3))
-        assert ok
+        profile = ComplexityProfile((1, 1, 1, 2, 2, 2, 3))
+        assert check_rate_feasibility(profile, (1, 1, 1), 0) == []
 
 
 class TestConverse:
