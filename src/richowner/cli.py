@@ -21,7 +21,7 @@ from .experiments import (
     _resolve_rates,
     build_graph,
     emit_report,
-    report_json_text,
+    report_text,
     run_experiment,
     trials_csv_text,
     validate_report,
@@ -173,10 +173,11 @@ def _cmd_decode(args) -> int:
         result = decode_membership(codewords, S, graphs)
     else:
         oracle = CountingOracle(S)
-        rates = _resolve_rates(args.rates, oracle, None, S.n)
-        if args.decoder == "known-profile":
+        profile = oracle.profile() if args.decoder == "known-profile" else None
+        rates = _resolve_rates(args.rates, oracle, None, S.n, profile)
+        if profile is not None:
             result = decode_known_profile(
-                codewords, oracle.profile(), rates, oracle, graphs, slack=args.slack
+                codewords, profile, rates, oracle, graphs, slack=args.slack
             )
         else:
             result = decode_full(codewords, rates, oracle, graphs, n=S.n,
@@ -193,7 +194,7 @@ def _cmd_experiment(args) -> int:
         emit_report(report, args.format, args.out)
         print(f"wrote {args.format} report -> {args.out}")
     else:
-        sys.stdout.write(report_json_text(report))
+        sys.stdout.write(report_text(report, args.format))
     agg = report.aggregates
     print(f"trials={agg['trials']} successes={agg['successes']} "
           f"success_rate={agg['success_rate']}", file=sys.stderr)

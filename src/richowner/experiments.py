@@ -23,6 +23,7 @@ from .construction import ConstructionReport, build_random_graph, construct_rich
 from .crt import HashScheme
 from .graphs import LabeledBipartiteGraph, SeededGraph
 from .oracles import (
+    ComplexityProfile,
     CorrelationSet,
     CountingOracle,
     ToyMachineConfig,
@@ -171,21 +172,23 @@ def _resolve_oracle(spec: str, scenario: _Scenario):
     return CountingOracle(scenario.S)
 
 
-def _resolve_rates(spec: str, oracle, triple, n: int) -> RateVector:
+def _resolve_rates(spec: str, oracle, triple, n: int,
+                   profile: Optional[ComplexityProfile] = None) -> RateVector:
     """Rates from `profile+S` (profile rates plus slack S, each capped at
     the string width plus S), `total-D` (balanced rates D short of the
     triple requirement) or an explicit `a,b,c`.
 
     The width is the triple's when a triple is given, otherwise n.
+    `profile`, when given, is oracle.profile(triple), already computed.
     """
     if spec.startswith("profile+"):
         slack = int(spec.removeprefix("profile+"))
-        conds = conditional_profile(oracle, triple)
+        conds = conditional_profile(oracle, triple, profile)
         width = triple[0].width if triple else n
         return rates_from_profile(conds, slack=slack, cap=width + slack)
     if spec.startswith("total-"):
         deficit = int(spec.removeprefix("total-"))
-        conds = conditional_profile(oracle, triple)
+        conds = conditional_profile(oracle, triple, profile)
         return rates_violating_total(conds, deficit)
     parts = spec.split(",")
     if len(parts) == 3:
@@ -265,7 +268,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     for t in range(config.trials):
         trial_seed = derive_seed(config.seed, "trial", t)
         triple = scenario.triple(trial_seed)
-        rates = _resolve_rates(config.rates, oracle, triple, scenario.n)
+        profile = oracle.profile(triple) if config.decoder == "known-profile" else None
+        rates = _resolve_rates(config.rates, oracle, triple, scenario.n, profile)
         graphs = [bank.for_rate(i, rates[i]) for i in range(3)]
         codewords = [
             encode(graphs[i], triple[i], scheme, derive_seed(trial_seed, "enc", i),
@@ -276,7 +280,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         if config.decoder == "membership":
             result = decode_membership(codewords, scenario.S, graphs)
         elif config.decoder == "known-profile":
-            profile = oracle.profile(triple)
             result = decode_known_profile(
                 codewords, profile, rates, oracle, graphs,
                 slack=config.slack, step_budget=config.step_budget,
@@ -337,14 +340,18 @@ def trials_csv_text(trials: list[dict]) -> str:
     return buf.getvalue()
 
 
-def emit_report(report: ExperimentReport, fmt: str, path: str) -> None:
-    """Write the report; JSON carries aggregates, CSV one row per trial."""
+def report_text(report: ExperimentReport, fmt: str) -> str:
+    """The report as JSON (with aggregates) or as CSV (one row per trial)."""
     if fmt == "json":
-        text = report_json_text(report)
-    elif fmt == "csv":
-        text = trials_csv_text(report.to_json()["trials"])
-    else:
-        raise ConfigError(f"unknown report format {fmt!r}")
+        return report_json_text(report)
+    if fmt == "csv":
+        return trials_csv_text(report.to_json()["trials"])
+    raise ConfigError(f"unknown report format {fmt!r}")
+
+
+def emit_report(report: ExperimentReport, fmt: str, path: str) -> None:
+    """Write the report_text of the given format to path."""
+    text = report_text(report, fmt)
     try:
         with open(path, "w") as fh:
             fh.write(text)

@@ -1,22 +1,22 @@
 """Encoding and staged decoding.
 
 Senders compress by naming a random neighbor of their string in a per-rate
-graph, plus a residue fingerprint of the string itself.  The receiver runs
-a catalog of staged reconstruction pipelines concurrently: each pipeline
-recovers one string at a time by enumerating an oracle candidate set at a
-derived bound and keeping the unique candidate that owns the observed
-payload.  The first pipeline whose completed triple matches all three
-fingerprints wins; ties break to the lowest branch index.
+graph, plus a residue fingerprint of the string itself.  The receiver holds
+a catalog of staged reconstruction pipelines (branches): each recovers one
+string at a time by enumerating an oracle candidate set at a derived bound
+and keeping the unique candidate that owns the observed payload.  Of the
+branches whose triple matches all three fingerprints, the one with the
+fewest enumeration steps wins; ties break to the lowest branch index.
 
-Branch scheduling is round-robin with a per-branch step quantum.  The
-implementation runs branches to completion sequentially and selects the
-winner by (steps, branch index), which reproduces the interleaved schedule
-exactly because branches are pure and share no state.
+Branches are pure, so each distinct branch runs once, to completion, with
+stage results shared through a memo.  A step budget does not bound this
+work: winners over the per-lane cap are dropped afterwards.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import permutations
 from typing import Mapping, Optional, Sequence
 
@@ -76,20 +76,24 @@ def profile_conditionals(profile: ComplexityProfile) -> dict[tuple[int, ...], in
     return {V: profile.conditional(V, _complement(V)) for V in SUBSETS}
 
 
-def conditional_profile(oracle, triple) -> dict[tuple[int, ...], int]:
+def conditional_profile(oracle, triple,
+                        profile: Optional[ComplexityProfile] = None) -> dict[tuple[int, ...], int]:
     """C(x_V | x_complement) for every non-empty V.
 
     The toy machine measures each proper conditional directly, with the
     complement strings as side input; the counting oracle's conditionals
-    come from one profile.
+    come from one profile.  `profile`, when given, is oracle.profile(triple),
+    already computed by the caller.
     """
+    if profile is None:
+        profile = oracle.profile(triple)
     if isinstance(oracle, ToyOracle):
         full = (0, 1, 2)
         out = {V: oracle.conditional(V, _complement(V), triple)
                for V in SUBSETS if V != full}
-        out[full] = oracle.profile(triple).value(full)
+        out[full] = profile.value(full)
         return out
-    return profile_conditionals(oracle.profile(triple))
+    return profile_conditionals(profile)
 
 
 def _conds_from(profile_or_conds) -> dict[tuple[int, ...], int]:
@@ -200,11 +204,47 @@ class DecodingPlan:
     slack: int
     branches: tuple[Branch, ...]
 
-    def signature(self) -> tuple:
-        return tuple(
-            (s.target, s.known, s.payload_conds, s.bound)
-            for b in self.branches for s in b.stages
-        )
+
+# The branch catalog, as (name, lead, stages) with each stage given as
+# (target, known, payload_conds).  Only a branch's first stage can take its
+# bound from the profile: `lead` indexes the plan signature (_signature) for
+# that bound, or is None when the first stage is bounded by its target's
+# rate plus slack, like every later stage.
+_CATALOG = (
+    *(("chain-" + "ABC"[i] + "ABC"[j] + "ABC"[k], i,
+       ((i, (), ()), (j, (i,), ()), (k, tuple(sorted((i, j))), ())))
+      for i, j, k in permutations((0, 1, 2))),
+    ("helper-B", None, ((1, (), (0,)), (0, (1,), ()), (2, (0, 1), ()))),
+    ("helper-C", None, ((2, (), (0,)), (0, (2,), ()), (1, (0, 2), ()))),
+    ("joint-BC", None, ((1, (), (0, 2)), (2, (1,), (0,)), (0, (1, 2), ()))),
+    ("joint-CB", None, ((2, (), (0, 1)), (1, (2,), (0,)), (0, (1, 2), ()))),
+    # Pair-arithmetic helpers: bound C(x_t | p_A) by C(A,t) - n_A + slack.
+    ("pair-arith-B", 3, ((1, (), (0,)), (0, (1,), ()), (2, (0, 1), ()))),
+    ("pair-arith-C", 4, ((2, (), (0,)), (0, (2,), ()), (1, (0, 2), ()))),
+)
+_LEAD_FORMULAS = ("C(t)+slack",) * 3 + ("C(A,t)-n_A+slack",) * 2
+
+
+def _signature(a, b, c, ab, ac, n_a: int, slack: int) -> tuple:
+    """What a plan takes from its profile: the opener bounds C(t) + slack
+    for t = A, B, C and the pair-arithmetic bounds max(C(A,t) - n_A + slack, 0)
+    for t = B, C.  Elementwise on integers or numpy arrays."""
+    return (a + slack, b + slack, c + slack,
+            np.maximum(ab - n_a + slack, 0), np.maximum(ac - n_a + slack, 0))
+
+
+def _branch(entry, signature, rates: RateVector, slack: int) -> Branch:
+    """A catalog entry at the bounds of a plan with the given signature;
+    bounds clamp at 0."""
+    name, lead, stages = entry
+    built = []
+    for t, known, conds in stages:
+        if lead is not None and not built:
+            bound, formula = signature[lead], _LEAD_FORMULAS[lead]
+        else:
+            bound, formula = rates[t] + slack, "n_t+slack"
+        built.append(Stage(t, known, conds, max(int(bound), 0), formula))
+    return Branch(name, tuple(built))
 
 
 def derive_decoding_bounds(profile: ComplexityProfile, rates: RateVector,
@@ -221,46 +261,10 @@ def derive_decoding_bounds(profile: ComplexityProfile, rates: RateVector,
     violated = check_rate_feasibility(profile, rates, slack)
     if violated:
         raise InfeasibleRatesError(violated)
-
-    def clamp(v: int) -> int:
-        return max(v, 0)
-
-    def opener(t: int) -> Stage:
-        return Stage(t, (), (), clamp(profile.value((t,)) + slack), "C(t)+slack")
-
-    def chained(t: int, known: tuple[int, ...],
-                payloads: tuple[int, ...] = ()) -> Stage:
-        return Stage(t, known, payloads, clamp(rates[t] + slack), "n_t+slack")
-
-    branches = []
-    order_names = {0: "A", 1: "B", 2: "C"}
-    for perm in permutations((0, 1, 2)):
-        i, j, k = perm
-        branches.append(Branch(
-            name="chain-" + "".join(order_names[t] for t in perm),
-            stages=(opener(i), chained(j, (i,)), chained(k, tuple(sorted((i, j))))),
-        ))
-    branches.append(Branch("helper-B", (
-        chained(1, (), (0,)), chained(0, (1,)), chained(2, (0, 1)),
-    )))
-    branches.append(Branch("helper-C", (
-        chained(2, (), (0,)), chained(0, (2,)), chained(1, (0, 2)),
-    )))
-    branches.append(Branch("joint-BC", (
-        chained(1, (), (0, 2)), chained(2, (1,), (0,)), chained(0, (1, 2)),
-    )))
-    branches.append(Branch("joint-CB", (
-        chained(2, (), (0, 1)), chained(1, (2,), (0,)), chained(0, (1, 2)),
-    )))
-    # Pair-arithmetic helpers: bound C(x_t | p_A) by C(A,t) - n_A + slack.
-    for t, name in ((1, "pair-arith-B"), (2, "pair-arith-C")):
-        bound = clamp(profile.value(tuple(sorted((0, t)))) - rates[0] + slack)
-        branches.append(Branch(name, (
-            Stage(t, (), (0,), bound, "C(A,t)-n_A+slack"),
-            chained(0, (t,)),
-            chained(3 - t, tuple(sorted((0, t)))),
-        )))
-    return DecodingPlan(rates=rates, slack=slack, branches=tuple(branches))
+    signature = _signature(*profile.values[:5], rates[0], slack)
+    return DecodingPlan(rates=rates, slack=slack, branches=tuple(
+        _branch(entry, signature, rates, slack) for entry in _CATALOG
+    ))
 
 
 # -- decode results ------------------------------------------------------------
@@ -294,29 +298,19 @@ class DecodeResult:
 
 # -- staged decoding -----------------------------------------------------------
 
-class _StageCache:
-    """Memoizes stage and branch runs for one fixed codeword triple.
-
-    Results are pure functions of the stage signatures and the codewords,
-    so caching never changes outcomes, and logical step counts are charged
-    identically on hits.
-    """
-
-    def __init__(self):
-        self.data: dict = {}
-        self.branches: dict = {}
-
-
 def _recover(stage: Stage, recovered: dict[int, BitString],
              codewords: Sequence[Codeword], oracle, graphs, n: int,
-             cache: _StageCache) -> tuple[Optional[BitString], int]:
+             memo: dict) -> tuple[Optional[BitString], int]:
     """One stage: enumerate the candidate set, keep the unique payload owner.
 
-    Returns (recovered string or None, enumeration steps charged).
+    Returns (recovered string or None, enumeration steps charged).  `memo`
+    holds stage results for one codeword triple; they are pure functions of
+    the stage and the strings it conditions on, so a hit is charged the
+    same steps as a fresh run.
     """
     known_vals = tuple((c, recovered[c]) for c in stage.known)
     key = (stage.target, known_vals, stage.payload_conds, stage.bound)
-    hit = cache.data.get(key)
+    hit = memo.get(key)
     if hit is not None:
         return hit
     if isinstance(oracle, CountingOracle):
@@ -338,29 +332,21 @@ def _recover(stage: Stage, recovered: dict[int, BitString],
     matches = [x for x in candidates if g.payload_consistent(x, payload)]
     steps = len(candidates)
     result = (matches[0] if len(matches) == 1 else None, steps)
-    cache.data[key] = result
+    memo[key] = result
     return result
 
 
 def _run_branch(branch: Branch, codewords, oracle, graphs, n: int,
-                cache: _StageCache) -> tuple[Optional[tuple], int]:
-    key = tuple((s.target, s.known, s.payload_conds, s.bound) for s in branch.stages)
-    hit = cache.branches.get(key)
-    if hit is not None:
-        return hit
+                memo: dict) -> tuple[Optional[tuple], int]:
     recovered: dict[int, BitString] = {}
     steps = 0
-    result = None
     for stage in branch.stages:
-        x, cost = _recover(stage, recovered, codewords, oracle, graphs, n, cache)
+        x, cost = _recover(stage, recovered, codewords, oracle, graphs, n, memo)
         steps += cost
         if x is None:
-            break
+            return None, steps
         recovered[stage.target] = x
-    else:
-        result = (recovered[0], recovered[1], recovered[2])
-    cache.branches[key] = (result, steps)
-    return result, steps
+    return (recovered[0], recovered[1], recovered[2]), steps
 
 
 def _tags_match(codewords: Sequence[Codeword], triple) -> bool:
@@ -375,24 +361,24 @@ def decode_known_profile(
     rates: RateVector,
     oracle,
     graphs: Sequence[LabeledBipartiteGraph],
-    plan: Optional[DecodingPlan] = None,
     branches: Optional[Sequence[str]] = None,
     step_budget: Optional[int] = None,
     slack: int = 2,
-    _cache: Optional[_StageCache] = None,
 ) -> DecodeResult:
-    """Run the branch catalog; first tag-matching triple wins.
+    """Run the branch catalog at the profile's bounds; among branches whose
+    triple matches all three fingerprints, the fewest steps win, ties to
+    the lowest branch index.
 
-    Winner selection is by (completion steps, branch index), the completion
-    order of a fair round-robin interleaving; a returned triple always
-    satisfies all three fingerprints.  `branches` optionally restricts the
-    catalog by name (e.g. to demonstrate that one pipeline suffices).
+    Every branch runs to completion.  With a step budget, a branch whose
+    steps exceed the per-branch cap step_budget // branches + 1 is dropped
+    afterwards, so the budget filters results but does not bound work.
+    `branches` optionally restricts the catalog by name (e.g. to
+    demonstrate that one pipeline suffices).
     """
     if any(cw.tag is None for cw in codewords):
         raise ValueError("staged decoding requires fingerprint tags")
-    if plan is None:
-        plan = derive_decoding_bounds(profile, rates, slack=slack)
-    cache = _cache or _StageCache()
+    plan = derive_decoding_bounds(profile, rates, slack=slack)
+    memo: dict = {}
     n = graphs[0].n
     lanes = [
         (idx, b) for idx, b in enumerate(plan.branches)
@@ -404,7 +390,7 @@ def decode_known_profile(
     best = None  # (steps, idx, name, triple)
     max_steps = 0
     for idx, branch in lanes:
-        triple, steps = _run_branch(branch, codewords, oracle, graphs, n, cache)
+        triple, steps = _run_branch(branch, codewords, oracle, graphs, n, memo)
         max_steps = max(max_steps, steps)
         if per_branch_cap is not None and steps > per_branch_cap:
             continue
@@ -419,62 +405,43 @@ def decode_known_profile(
 
 # -- profile search (decoder without the profile) --------------------------------
 
-_PLAN_CACHE: dict = {}
+def _representative_profiles(rates: RateVector, slack: int, cap: int) -> np.ndarray:
+    """One least admissible profile per plan signature, in rank order.
 
+    Admissible profiles have entries in {0..cap}, are monotone and
+    subadditive up to slack, and meet the rate region up to slack.  Rows
+    (A, B, C, AB, AC, BC, ABC) come sorted lexicographically, which is the
+    rank order of their plans.
 
-def _candidate_plans(rates: RateVector, slack: int, cap: int) -> list[tuple[tuple, DecodingPlan]]:
-    """Deduplicated plans over all admissible candidate profiles.
-
-    Profiles run over {0..cap}^7 filtered by monotonicity and subadditivity
-    (with slack); many profiles induce the same plan, and decoding is a pure
-    function of the plan, so each distinct plan runs once, represented by
-    its lexicographically least profile.
-
-    A profile reaches the plan only through the three opener bounds and the
-    two pair-arithmetic bounds, plus the feasibility gate, so deduplication
-    happens on that 5-tuple before any plan object is built.
+    Every inequality on C(ABC) is an upper bound, so C(ABC) may take its
+    least value max(AB, AC, BC); the two bounds involving BC then bound BC
+    from below, which leaves a filter over the grid of (A, B, C, AB, AC).
     """
-    key = (tuple(rates), slack, cap)
-    cached = _PLAN_CACHE.get(key)
-    if cached is not None:
-        return cached
     n_a, n_b, n_c = rates
-    reps: dict[tuple, tuple] = {}
-    rng = range(cap + 1)
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                for ab in range(max(a, b), min(a + b + slack, cap) + 1):
-                    arith_b = max(ab - n_a + slack, 0)
-                    for ac in range(max(a, c), min(a + c + slack, cap) + 1):
-                        arith_c = max(ac - n_a + slack, 0)
-                        sig_head = (a + slack, b + slack, c + slack, arith_b, arith_c)
-                        if sig_head in reps:
-                            continue
-                        for bc in range(max(b, c), min(b + c + slack, cap) + 1):
-                            lo = max(ab, ac, bc)
-                            hi = min(min(ab + c, ac + b, bc + a) + slack, cap)
-                            for abc in range(lo, hi + 1):
-                                # feasibility: sum(rates[V]) >= C(V|comp) - slack
-                                if (n_a < abc - bc - slack or
-                                        n_b < abc - ac - slack or
-                                        n_c < abc - ab - slack or
-                                        n_a + n_b < abc - c - slack or
-                                        n_a + n_c < abc - b - slack or
-                                        n_b + n_c < abc - a - slack or
-                                        n_a + n_b + n_c < abc - slack):
-                                    continue
-                                reps[sig_head] = (a, b, c, ab, ac, bc, abc)
-                                break
-                            if sig_head in reps:
-                                break
-    plans = []
-    for values in sorted(reps.values()):
-        plan = derive_decoding_bounds(ComplexityProfile(values), rates, slack)
-        plans.append((values, plan))
-    ordered = sorted(plans, key=lambda item: item[0])
-    _PLAN_CACHE[key] = ordered
-    return ordered
+    s = slack
+    a, b, c, ab, ac = np.ogrid[0:cap + 1, 0:cap + 1, 0:cap + 1, 0:cap + 1, 0:cap + 1]
+    top = np.maximum(ab, ac)
+    # bounds on C(ABC) without bc: subadditivity over AB+C and AC+B, the
+    # cap, and the rate-region inequalities for B, C, AB, AC, BC and ABC
+    upper = reduce(np.minimum, (ab + c + s, ac + b + s, cap, n_b + ac + s,
+                                n_c + ab + s, n_a + n_b + c + s, n_a + n_c + b + s,
+                                n_b + n_c + a + s, n_a + n_b + n_c + s))
+    # C(ABC) <= bc + a + s (subadditivity) and C(ABC) <= bc + n_a + s (rate of A)
+    gap = np.minimum(a, n_a) + s
+    least_bc = np.maximum(np.maximum(b, c), top - gap)
+    admissible = (
+        (np.maximum(a, b) <= ab) & (ab <= a + b + s)
+        & (np.maximum(a, c) <= ac) & (ac <= a + c + s)
+        & (top <= upper) & (gap >= 0)
+        & (least_bc <= np.minimum(b + c + s, upper))
+    )
+    points = np.nonzero(admissible)  # lexicographic order
+    bc = np.broadcast_to(least_bc, admissible.shape)[points]
+    a, b, c, ab, ac = points
+    profiles = np.stack([a, b, c, ab, ac, bc, np.maximum(np.maximum(ab, ac), bc)], axis=1)
+    signatures = np.stack(_signature(a, b, c, ab, ac, n_a, s), axis=1)
+    _, first = np.unique(signatures, axis=0, return_index=True)
+    return profiles[np.sort(first)]
 
 
 def decode_full(
@@ -486,34 +453,54 @@ def decode_full(
     slack: int = 2,
     step_budget: int = 10_000_000,
 ) -> DecodeResult:
-    """Profile search: one known-profile subroutine per candidate profile.
+    """Profile search: decode without the profile, under every admissible
+    candidate profile with entries in {0..n+slack}.
 
-    Candidate profiles with entries in {0..n+slack} pass monotonicity and
-    subadditivity filters; subroutines run under a global round-robin step
-    budget and the first tag-matching triple wins, ties resolved toward the
-    lexicographically lowest profile.
+    Profiles that yield the same plan are grouped by signature and ranked
+    by the least one (_representative_profiles); each distinct branch of
+    all plans runs once, to completion.  Per plan the winner is the
+    tag-matching branch with the fewest steps, ties to the lowest branch
+    index.  Plan winners above the per-plan cap step_budget // plans + 1 are
+    dropped afterwards; of the rest the fewest steps win, ties to the lowest
+    rank.  On failure, steps is the largest per-plan step count, where a
+    plan without a match counts its largest branch.
     """
-    plans = _candidate_plans(rates, slack, n + slack)
+    profiles = _representative_profiles(rates, slack, n + slack)
+    plans = len(profiles)
     if not plans:
         return DecodeResult(status="fail", reason="no admissible candidate profile")
-    cache = _StageCache()
-    per_lane_cap = step_budget // len(plans) + 1
-    best = None  # (steps, rank, result)
-    max_steps = 0
-    for rank, (_values, plan) in enumerate(plans):
-        result = decode_known_profile(
-            codewords, None, rates, oracle, graphs, plan=plan, _cache=cache
-        )
-        max_steps = max(max_steps, result.steps)
-        if result.steps > per_lane_cap:
-            continue
-        if result.ok:
-            if best is None or (result.steps, rank) < (best[0], best[1]):
-                best = (result.steps, rank, result)
-    if best is None:
-        return DecodeResult(status="fail", steps=max_steps,
+    if any(cw.tag is None for cw in codewords):
+        raise ValueError("staged decoding requires fingerprint tags")
+    signatures = np.stack(_signature(*profiles.T[:5], rates[0], slack), axis=1)
+    memo: dict = {}
+
+    def run(idx: int, plan: int) -> tuple[Optional[tuple], int]:
+        branch = _branch(_CATALOG[idx], signatures[plan], rates, slack)
+        return _run_branch(branch, codewords, oracle, graphs, graphs[0].n, memo)
+
+    steps = np.empty((plans, len(_CATALOG)), dtype=np.int64)
+    matched = np.empty(steps.shape, dtype=bool)
+    for idx, (_, lead, _) in enumerate(_CATALOG):
+        # plans share this branch iff they share its lead bound
+        key = signatures[:, lead] if lead is not None else np.zeros(plans)
+        _, first, version = np.unique(key, return_index=True, return_inverse=True)
+        runs = [run(idx, plan) for plan in first]
+        steps[:, idx] = np.array([cost for _, cost in runs])[version]
+        matched[:, idx] = np.array(
+            [t is not None and _tags_match(codewords, t) for t, _ in runs])[version]
+    never = np.iinfo(np.int64).max
+    masked = np.where(matched, steps, never)
+    ok = matched.any(axis=1)
+    plan_steps = np.where(ok, masked.min(axis=1), steps.max(axis=1))
+    eligible = ok & (plan_steps <= step_budget // plans + 1)
+    if not eligible.any():
+        return DecodeResult(status="fail", steps=int(plan_steps.max()),
                             reason="profile search exhausted without a tag match")
-    return best[2]
+    rank = int(np.where(eligible, plan_steps, never).argmin())
+    idx = int(masked[rank].argmin())
+    triple, _ = run(idx, rank)  # a memo hit
+    return DecodeResult(status="ok", triple=triple, branch=_CATALOG[idx][0],
+                        steps=int(plan_steps[rank]))
 
 
 # -- membership decoding ---------------------------------------------------------

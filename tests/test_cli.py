@@ -3,6 +3,7 @@ import json
 import pytest
 
 from richowner.cli import main
+from richowner.experiments import ExperimentConfig, emit_report, run_experiment
 from richowner.graphs import load_graph
 
 
@@ -181,3 +182,15 @@ def test_report_csv_matches_experiment_csv(tmp_path):
     assert run_cli("report", "--input", str(report), "--format", "csv",
                    "--out", str(converted)) == 0
     assert converted.read_bytes() == direct.read_bytes()
+
+
+def test_experiment_csv_without_out_goes_to_stdout(tmp_path, capsys):
+    overrides = {"scenario": "collinear:q=2", "graphs": "binning", "trials": "4",
+                 "seed": "5"}
+    capsys.readouterr()
+    assert run_cli("experiment", *(f"--set={k}={v}" for k, v in overrides.items()),
+                   "--format", "csv") == 0
+    printed = capsys.readouterr().out
+    path = tmp_path / "e.csv"
+    emit_report(run_experiment(ExperimentConfig.load(None, overrides)), "csv", str(path))
+    assert printed.encode() == path.read_bytes()

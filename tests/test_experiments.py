@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -11,6 +12,7 @@ from richowner.experiments import (
     run_experiment,
     validate_report,
 )
+from richowner.oracles import CountingOracle
 
 
 BASE = dict(
@@ -72,6 +74,19 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert report.aggregates["trials"] == 4
         assert report.aggregates["successes"] >= 3
+
+    def test_known_profile_trial_computes_one_profile(self, monkeypatch):
+        calls = []
+        profile = CountingOracle.profile
+        monkeypatch.setattr(CountingOracle, "profile", lambda self, triple=None:
+                            calls.append(triple) or profile(self, triple))
+        cfg = ExperimentConfig(**{**BASE, "decoder": "known-profile",
+                                  "graphs": "binning", "trials": 5, "seed": 3})
+        text = report_json_text(run_experiment(cfg))
+        assert len(calls) == 5
+        # sha256 of the report as produced with two profiles per trial
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "a847c3d10a688a0fb823eace53d3aac8c6f99d426803a54d6451bfedf50b7ce6")
 
     def test_planted_scenario_with_toy_oracle(self):
         cfg = ExperimentConfig(

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from richowner.bits import BitString, bs
 from richowner.construction import construct_rich_owner_graph
@@ -28,6 +30,7 @@ from richowner.protocol import (
     rates_from_profile,
     rates_violating_total,
 )
+from richowner.protocol import _representative_profiles
 from richowner.rng import SeedStream, derive_seed
 
 SCHEME4 = HashScheme(4, 3, Fraction(1, 16))
@@ -296,6 +299,141 @@ class TestDecodeFull:
         tampered = [cws[0], cws[1], Codeword("C", cws[2].payload, bad)]
         result = decode_full(tampered, RateVector(1, 1, 1), oracle, graphs, n=4)
         assert not result.ok
+
+
+def _reference_profiles(rates, slack, cap):
+    """Least admissible profile per plan signature, by a 7-deep search.
+
+    Loops run in lexicographic order, so the first admissible profile found
+    for a signature is its least; the result is sorted, i.e. in rank order.
+    """
+    n_a, n_b, n_c = rates
+    reps = {}
+    span = range(cap + 1)
+    for a, b, c in product(span, repeat=3):
+        for ab in range(max(a, b), min(a + b + slack, cap) + 1):
+            for ac in range(max(a, c), min(a + c + slack, cap) + 1):
+                signature = (a + slack, b + slack, c + slack,
+                             max(ab - n_a + slack, 0), max(ac - n_a + slack, 0))
+                if signature in reps:
+                    continue
+                for bc in range(max(b, c), min(b + c + slack, cap) + 1):
+                    top = min(ab + c, ac + b, bc + a) + slack
+                    for abc in range(max(ab, ac, bc), min(top, cap) + 1):
+                        # sum(rates[V]) >= C(V | complement) - slack for every V
+                        if (n_a >= abc - bc - slack and n_b >= abc - ac - slack
+                                and n_c >= abc - ab - slack
+                                and n_a + n_b >= abc - c - slack
+                                and n_a + n_c >= abc - b - slack
+                                and n_b + n_c >= abc - a - slack
+                                and n_a + n_b + n_c >= abc - slack):
+                            reps[signature] = (a, b, c, ab, ac, bc, abc)
+                            break
+                    if signature in reps:
+                        break
+    return sorted(reps.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(rates=st.tuples(*[st.integers(0, 6)] * 3), slack=st.integers(0, 3),
+       cap=st.integers(0, 7))
+def test_representative_profiles_match_brute_force(rates, slack, cap):
+    got = [tuple(row) for row in
+           _representative_profiles(RateVector(*rates), slack, cap).tolist()]
+    assert got == _reference_profiles(rates, slack, cap)
+    for values in got:
+        assert check_rate_feasibility(ComplexityProfile(values), rates, slack) == []
+
+
+def _planted_set(n):
+    """Every planted triple of width n: two half-period strings shared
+    among the coordinates by one of four patterns."""
+    half = n // 2
+    periodic = [(w << half) | w for w in range(1 << half)]
+    patterns = ((0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 0))
+    return CorrelationSet(n, [tuple((u, v)[i] for i in p)
+                              for u, v in product(periodic, repeat=2) for p in patterns])
+
+
+def _plan_by_plan(cws, rates, oracle, graphs, n, slack, step_budget):
+    """decode_full's selection rule, one decode_known_profile per plan."""
+    profiles = _reference_profiles(rates, slack, n + slack)
+    cap = step_budget // len(profiles) + 1
+    best, max_steps = None, 0
+    for rank, values in enumerate(profiles):
+        result = decode_known_profile(cws, ComplexityProfile(values), rates, oracle,
+                                      graphs, slack=slack)
+        max_steps = max(max_steps, result.steps)
+        if result.ok and result.steps <= cap and (
+                best is None or (result.steps, rank) < best[:2]):
+            best = (result.steps, rank, result)
+    if best is None:
+        return ("fail", None, None, max_steps)
+    return ("ok", best[2].triple, best[2].branch, best[2].steps)
+
+
+class TestDecodeFullMatchesPlanByPlan:
+    n, slack = 4, 0
+
+    @pytest.fixture(scope="class")
+    def planted(self):
+        S = _planted_set(self.n)
+        return S, CountingOracle(S)
+
+    def _cases(self, S):
+        for rates in ((2, 2, 2), (1, 4, 1), (2, 3, 1)):
+            for t in range(3):
+                seed = derive_seed(5, t)
+                triple = S.triple_at(SeedStream(seed).randrange(len(S)))
+                graphs = [SeededGraph(self.n, self.n, 0, seed=derive_seed(seed, "g", i))
+                          for i in range(3)]
+                cws = _encode_triple(triple, graphs, SCHEME4, seed)
+                yield RateVector(*rates), triple, graphs, cws
+
+    def _both(self, cws, rates, oracle, graphs, step_budget=10_000_000):
+        full = decode_full(cws, rates, oracle, graphs, n=self.n, slack=self.slack,
+                           step_budget=step_budget)
+        want = _plan_by_plan(cws, rates, oracle, graphs, self.n, self.slack, step_budget)
+        assert (full.status, full.triple, full.branch, full.steps) == want
+        return full
+
+    def test_planted_trials(self, planted):
+        S, oracle = planted
+        outcomes = set()
+        for rates, triple, graphs, cws in self._cases(S):
+            full = self._both(cws, rates, oracle, graphs)
+            outcomes.add(full.branch)
+        # failures, rate-bounded winners and profile-bounded (chain) winners
+        assert None in outcomes and "joint-BC" in outcomes
+        assert any(b and b.startswith("chain-") for b in outcomes)
+
+    def test_tampered_tags(self, planted):
+        S, oracle = planted
+        for k, (rates, triple, graphs, cws) in enumerate(self._cases(S)):
+            cw = cws[k % 3]
+            bad = HashTag(cw.tag.prime, (cw.tag.residue + 1) % cw.tag.prime)
+            tampered = list(cws)
+            tampered[k % 3] = Codeword(cw.sender, cw.payload, bad)
+            assert not self._both(tampered, rates, oracle, graphs).ok
+
+    def test_budget_cap_drops_the_winner(self, planted):
+        S, oracle = planted
+        dropped = 0
+        for rates, triple, graphs, cws in self._cases(S):
+            full = self._both(cws, rates, oracle, graphs)
+            if not full.ok:
+                continue
+            plans = len(_representative_profiles(rates, self.slack, self.n + self.slack))
+            # the per-plan cap budget // plans + 1 keeps a winner at the cap
+            # and drops it one step below
+            at_cap = self._both(cws, rates, oracle, graphs,
+                                step_budget=(full.steps - 1) * plans)
+            assert (at_cap.status, at_cap.steps) == ("ok", full.steps)
+            capped = self._both(cws, rates, oracle, graphs,
+                                step_budget=(full.steps - 2) * plans)
+            assert not capped.ok
+            dropped += 1
+        assert dropped >= 3
 
 
 class TestDecodeMembership:
