@@ -101,6 +101,8 @@ def _cmd_verify_graph(args) -> int:
     else:
         report = rich_owner_fraction(g, family, args.k, Fraction(args.delta))
     _write_json(report.to_json(), args.out)
+    if report.passed is None:  # inconclusive certificate
+        return 3
     return 0 if report.passed else 1
 
 
@@ -237,7 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report")
     p.set_defaults(func=_cmd_build_graph)
 
-    p = sub.add_parser("verify-graph", help="audit a graph property")
+    p = sub.add_parser("verify-graph", help="audit a graph property",
+                       description="Exit status: 0 pass, 1 fail, 2 error, "
+                                   "3 inconclusive rich-owner certificate.")
     p.add_argument("--graph", required=True)
     p.add_argument("--check", choices=("extractor", "richness"), required=True)
     p.add_argument("--epsilon", default="1/4")

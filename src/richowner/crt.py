@@ -10,6 +10,7 @@ authentication: no cryptographic guarantees.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -105,7 +106,8 @@ def colliding_prime_indices(u1, u2, primes: Sequence[int]) -> list[int]:
     diff = abs(_as_int(u1) - _as_int(u2))
     if diff == 0:
         return list(range(len(primes)))
-    return [i for i, p in enumerate(primes) if p <= diff and diff % p == 0]
+    hi = bisect_right(primes, diff)  # primes ascend; none above diff divides it
+    return [i for i in range(hi) if diff % primes[i] == 0]
 
 
 def isolation_probability(u1, distractors: Iterable, scheme: HashScheme) -> Fraction:

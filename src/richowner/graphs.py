@@ -27,7 +27,8 @@ import numpy as np
 from .bits import BitString
 from .rng import raw_block, stream_value
 
-# Edge tables are materialized only below this many entries.
+# Edge tables and bulk adjacency matrices are materialized only up to this
+# many entries.
 TABLE_CAP = 1 << 24
 # neighbor_values refuses to expand absurdly wide multisets.
 MULTISET_CAP = 1 << 22
@@ -112,6 +113,7 @@ class LabeledBipartiteGraph:
         self.degree = degree
         self.params = params or GraphParams(n=n, m=m, d=self._pow2_d(degree))
         self._neighbor_sets: dict[int, frozenset] = {}
+        self._multiplicities: dict[int, Counter] = {}
 
     @staticmethod
     def _pow2_d(degree: int) -> Optional[int]:
@@ -151,16 +153,19 @@ class LabeledBipartiteGraph:
 
     # -- degree queries ---------------------------------------------------
 
-    def edge_multiplicity(self, x, z) -> int:
-        """Number of labels from x landing on z."""
+    def multiplicities(self, x) -> Counter:
+        """Counter z -> number of labels from x landing on z (cached)."""
         xi = _as_left_int(self, x)
-        zi = _as_right_int(self, z)
-        return sum(1 for v in self.neighbor_values(xi) if v == zi)
+        cached = self._multiplicities.get(xi)
+        if cached is None:
+            cached = Counter(self.neighbor_values(xi))
+            self._multiplicities[xi] = cached
+        return cached
 
     def b_degree(self, z, B: Iterable) -> int:
         """Edges from members of B landing on z, counted with multiplicity."""
         zi = _as_right_int(self, z)
-        return sum(self.edge_multiplicity(x, zi) for x in B)
+        return sum(self.multiplicities(x)[zi] for x in B)
 
     # -- payload membership (decoder-facing) -------------------------------
 
@@ -171,15 +176,21 @@ class LabeledBipartiteGraph:
         return zi in self.neighbor_set(xi)
 
     def payload_consistent_bulk(self, xs: np.ndarray, payload) -> np.ndarray:
+        """payload_consistent for every left node in xs.
+
+        Reads a cached 2^n x 2^m adjacency matrix when it has at most
+        TABLE_CAP cells, and checks node by node otherwise.
+        """
         zi = _as_right_int(self, payload)
+        if (1 << (self.n + self.m)) > TABLE_CAP:
+            return np.fromiter((self.payload_consistent(int(x), zi) for x in xs),
+                               dtype=bool, count=len(xs))
         mask = self._has_right_matrix()
         return mask[xs, zi]
 
     def _has_right_matrix(self) -> np.ndarray:
         cached = getattr(self, "_has_right", None)
         if cached is None:
-            if self.m > 20 or self.n > 16:
-                raise GraphError("graph too wide for bulk adjacency matrix")
             cached = np.zeros((1 << self.n, 1 << self.m), dtype=bool)
             for x in range(1 << self.n):
                 cached[x, list(self.neighbor_set(x))] = True
@@ -214,11 +225,6 @@ class TableGraph(LabeledBipartiteGraph):
     def neighbor_values(self, x) -> list[int]:
         xi = _as_left_int(self, x)
         return self.table[xi].tolist()
-
-    def edge_multiplicity(self, x, z) -> int:
-        xi = _as_left_int(self, x)
-        zi = _as_right_int(self, z)
-        return int(np.count_nonzero(self.table[xi] == zi))
 
     def describe(self) -> str:
         digest = hashlib.blake2b(self.table.tobytes(), digest_size=8).hexdigest()
@@ -296,7 +302,6 @@ class SplitGraph(LabeledBipartiteGraph):
         self.primes = np.asarray(primes, dtype=np.int64)
         self.s = s
         self.delta = delta
-        self._mult_cache: dict[int, Counter] = {}
 
     @property
     def k(self) -> int:
@@ -316,15 +321,6 @@ class SplitGraph(LabeledBipartiteGraph):
         y, i = divmod(label, self.ell)
         z = self.base.neighbor_int(x, y)
         return self.split_node(i, x % int(self.primes[i]), z)
-
-    def base_multiplicities(self, x) -> Counter:
-        """Counter z -> number of base labels from x landing on z (cached)."""
-        xi = _as_left_int(self, x)
-        cached = self._mult_cache.get(xi)
-        if cached is None:
-            cached = Counter(self.base.neighbor_values(xi))
-            self._mult_cache[xi] = cached
-        return cached
 
     def neighbor_values(self, x) -> list[int]:
         if self.degree > MULTISET_CAP:
@@ -351,24 +347,12 @@ class SplitGraph(LabeledBipartiteGraph):
         ok = (xs % int(self.primes[i])) == residue
         return ok & self.base.payload_consistent_bulk(xs, z)
 
-    def edge_multiplicity(self, x, z) -> int:
-        xi = _as_left_int(self, x)
-        i, residue, z0 = self.parse_payload(z)
-        if i >= self.ell or xi % int(self.primes[i]) != residue:
-            return 0
-        return self.base_multiplicities(xi).get(z0, 0)
-
     def b_degree(self, z, B: Iterable) -> int:
         i, residue, z0 = self.parse_payload(z)
         if i >= self.ell:
             return 0
         p = int(self.primes[i])
-        total = 0
-        for x in B:
-            xi = _as_left_int(self, x)
-            if xi % p == residue:
-                total += self.base_multiplicities(xi).get(z0, 0)
-        return total
+        return self.base.b_degree(z0, [x for x in B if _as_left_int(self, x) % p == residue])
 
     def describe(self) -> str:
         return f"split(ell={self.ell},base={self.base.describe()})"

@@ -23,7 +23,7 @@ encoding.  Literal overhead is 6 bits (opcode + length nibble).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -270,10 +270,6 @@ class CorrelationSet:
         idx = np.searchsorted(self._packed, packed)
         return idx < len(self._packed) and self._packed[idx] == packed
 
-    def triples(self) -> Iterable[tuple[BitString, BitString, BitString]]:
-        for row in self.members:
-            yield tuple(BitString(self.n, int(v)) for v in row)
-
     def triple_at(self, index: int) -> tuple[BitString, BitString, BitString]:
         return tuple(BitString(self.n, int(v)) for v in self.members[index])
 
@@ -405,12 +401,9 @@ class CountingOracle:
         return out[: 1 << (bound + 1)]
 
 
-ComplexityOracle = Union[ToyOracle, CountingOracle]
-
-
 # -- shared operations ----------------------------------------------------------
 
-def chain_rule_slack(oracle: ComplexityOracle, triple) -> int:
+def chain_rule_slack(oracle: ToyOracle | CountingOracle, triple) -> int:
     """Worst |C(V u W) - C(W) - C(x_V | x_W)| over disjoint non-empty V, W.
 
     Identically 0 for the counting oracle, whose conditionals are defined

@@ -516,15 +516,7 @@ def decode_membership(codewords: Sequence[Codeword], S: CorrelationSet,
     mask = np.ones(len(S.members), dtype=bool)
     for coord in range(3):
         payload = codewords[coord].payload
-        g = graphs[coord]
-        try:
-            mask &= g.payload_consistent_bulk(S.members[:, coord], payload)
-        except GraphError:
-            col = S.members[:, coord]
-            mask &= np.fromiter(
-                (g.payload_consistent(int(v), payload) for v in col),
-                dtype=bool, count=len(col),
-            )
+        mask &= graphs[coord].payload_consistent_bulk(S.members[:, coord], payload)
         if not mask.any():
             break
     if mask.any():

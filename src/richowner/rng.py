@@ -96,7 +96,3 @@ class SeedStream:
             v = self.bits(width) if width else 0
             if v < n:
                 return v
-
-    def fraction(self) -> float:
-        """Uniform float in [0, 1) with 53 random bits."""
-        return self.bits(53) / (1 << 53)

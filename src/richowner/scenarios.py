@@ -268,9 +268,6 @@ class ConverseVerdict:
     best_coin: int
     witness: Optional[tuple[int, int]] = None  # two strings sharing a codeword
 
-    def is_witness(self) -> bool:
-        return self.witness is not None
-
 
 def converse_bound_check(
     encoder_tables: Sequence[Mapping[int, BitString]],

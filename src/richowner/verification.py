@@ -10,7 +10,13 @@ that fixes scope: exhaustive for n <= 4, all sets of one size while the
 binomial count stays enumerable, seeded random families otherwise.  For
 all-of-size families too large to enumerate, small-regime richness is
 decided by a sound pairwise-damage certificate that covers every set of
-that size exactly; reports state which route was taken.
+that size exactly, or reported inconclusive when the union bound is too
+weak and no witness set fails; reports state which route was taken.
+
+Both regimes of rich ownership and the certificate's pairwise damage bound
+read one kernel, _slot_loads, which tallies a node's edge slots by its own
+multiplicity and the other members' load on each endpoint; it is the only
+place here that reads the layout of a split graph.
 
 All pass/fail decisions use exact rational arithmetic; no floating point.
 """
@@ -18,6 +24,7 @@ All pass/fail decisions use exact rational arithmetic; no floating point.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -34,6 +41,7 @@ from .graphs import (
     TableGraph,
 )
 from .construction import prefix_merge
+from .crt import colliding_prime_indices
 from .rng import SeedStream, derive_seed
 
 # Largest number of sets an all-of-size family will enumerate one by one.
@@ -174,7 +182,7 @@ class VerificationReport:
     epsilon: Optional[Fraction]
     mode: str
     checked: int
-    passed: bool
+    passed: Optional[bool]  # None: the certificate was inconclusive
     worst_error: Optional[Fraction] = None
     min_rich_fraction: Optional[Fraction] = None
     certified: bool = False
@@ -297,92 +305,59 @@ def classify_owner(g: LabeledBipartiteGraph, B: Iterable, x, k: int,
     xi = _as_int_set(g, [x], "left")[0]
     if xi not in members:
         raise GraphError(f"node {xi} not a member of B")
+    tally = _slot_loads(g, xi, [o for o in members if o != xi])
     small = len(members) <= (1 << k)
     if small:
-        frac = _owned_fraction_small(g, members, xi)
         threshold = 1
+        good = sum(count for (_, load), count in tally.items() if load == 0)
     else:
         threshold = large_regime_threshold(delta, len(members), g.degree, k)
-        frac = _behaved_fraction_large(g, members, xi, threshold)
-    node = BitString(g.n, xi)
+        good = sum(count for (own, load), count in tally.items()
+                   if own + load <= threshold)
+    frac = Fraction(good, g.degree)
     return OwnerClassification(
-        node=node, regime="small" if small else "large",
+        node=BitString(g.n, xi), regime="small" if small else "large",
         rich=frac >= 1 - delta, owned_fraction=frac, threshold_used=threshold,
     )
 
 
-def _owned_fraction_small(g, members: list[int], xi: int) -> Fraction:
-    others = [o for o in members if o != xi]
+def _slot_loads(g: LabeledBipartiteGraph, xi: int, others: Sequence[int]) -> Counter:
+    """Tally xi's edge slots by (own, load), the one ownership kernel.
+
+    For a slot of xi landing on right node z, `own` counts xi's edges on z
+    and `load` counts the edges of `others` on z.  A split graph is read
+    through its base graph: slot (y, i) lands on (i, xi mod p_i, base z),
+    which another node shares only at the prime indices where it collides
+    with xi.  Any other graph is the one-index case where every pair
+    collides.  Indices with the same set of colliders have the same loads,
+    so the work grows with xi's distinct base endpoints and the number of
+    such groups, not with ell.
+    """
     if isinstance(g, SplitGraph):
-        return _owned_fraction_small_split(g, others, xi)
-    owned = 0
-    other_sets = [g.neighbor_set(o) for o in others]
-    for z in g.neighbor_values(xi):
-        if all(z not in s for s in other_sets):
-            owned += 1
-    return Fraction(owned, g.degree)
-
-
-def _collider_indices(g: SplitGraph, xi: int, other: int) -> np.ndarray:
-    """Prime indices i where xi and other share a residue mod p_i."""
-    diff = abs(xi - other)
-    if diff == 0:
-        return np.arange(g.ell)
-    hi = int(np.searchsorted(g.primes, diff, side="right"))
-    if hi == 0:
-        return np.empty(0, dtype=np.int64)
-    head = g.primes[:hi]
-    return np.flatnonzero(diff % head == 0)
-
-
-def _owned_fraction_small_split(g: SplitGraph, others: list[int], xi: int) -> Fraction:
-    mult = g.base_multiplicities(xi)
-    bad_by_z: dict[int, set[int]] = {}
-    for o in others:
-        idxs = _collider_indices(g, xi, o)
-        if len(idxs) == 0:
+        base, ell = g.base, g.ell
+        collisions = [colliding_prime_indices(xi, o, g.primes) for o in others]
+    else:
+        base, ell = g, 1
+        collisions = [(0,)] * len(others)
+    spoilers: dict[int, list[int]] = {}
+    for o, indices in zip(others, collisions):
+        for i in indices:
+            spoilers.setdefault(i, []).append(o)
+    groups = Counter(tuple(group) for group in spoilers.values())
+    groups[()] += ell - len(spoilers)
+    own = base.multiplicities(xi)
+    tally: Counter = Counter()
+    for group, indices in groups.items():
+        if not indices:
             continue
-        shared = g.base.neighbor_set(o)
-        for z in mult:
-            if z in shared:
-                bad_by_z.setdefault(z, set()).update(int(i) for i in idxs)
-    owned = 0
-    for z, count in mult.items():
-        owned += count * (g.ell - len(bad_by_z.get(z, ())))
-    return Fraction(owned, g.degree)
-
-
-def _behaved_fraction_large(g, members: list[int], xi: int, threshold: int) -> Fraction:
-    if isinstance(g, SplitGraph):
-        return _behaved_fraction_large_split(g, members, xi, threshold)
-    totals: dict[int, int] = {}
-    for o in members:
-        for v in g.neighbor_values(o):
-            totals[v] = totals.get(v, 0) + 1
-    behaved = sum(1 for z in g.neighbor_values(xi) if totals[z] <= threshold)
-    return Fraction(behaved, g.degree)
-
-
-def _behaved_fraction_large_split(g: SplitGraph, members: list[int], xi: int,
-                                  threshold: int) -> Fraction:
-    mult = g.base_multiplicities(xi)
-    others = [o for o in members if o != xi]
-    collisions = {o: set(int(i) for i in _collider_indices(g, xi, o)) for o in others}
-    union_bad = sorted(set().union(*collisions.values()) if collisions else set())
-    behaved = 0
-    for z, count in mult.items():
-        base_load = mult[z]
-        clean_ok = base_load <= threshold
-        good = (g.ell - len(union_bad)) if clean_ok else 0
-        for i in union_bad:
-            load = base_load + sum(
-                g.base_multiplicities(o).get(z, 0)
-                for o in others if i in collisions[o]
-            )
-            if load <= threshold:
-                good += 1
-        behaved += count * good
-    return Fraction(behaved, g.degree)
+        load = dict.fromkeys(own, 0)
+        for o in group:
+            other = base.multiplicities(o)
+            for z in load:
+                load[z] += other.get(z, 0)
+        for z, count in own.items():
+            tally[count, load[z]] += count * indices
+    return tally
 
 
 # -- family-level richness audits ---------------------------------------------
@@ -396,7 +371,9 @@ def rich_owner_fraction(g: LabeledBipartiteGraph, family: BFamily, k: int,
     large to enumerate is decided by the pairwise-damage certificate, which
     lower-bounds every member's owned fraction in *any* set of that size;
     when the certificate holds, every set of the family passes with rich
-    fraction 1 and the report says so.
+    fraction 1 and the report says so.  When it does not hold, a failing
+    witness set fails the audit; with no witness the report is
+    inconclusive: passed and min_rich_fraction are None.
     """
     delta = Fraction(delta)
     total = family.set_count(g.n)
@@ -414,6 +391,11 @@ def rich_owner_fraction(g: LabeledBipartiteGraph, family: BFamily, k: int,
     return _richness_by_certificate(g, family, k, delta, total)
 
 
+def _rich_fraction(g, B: Sequence[int], k: int, delta: Fraction) -> Fraction:
+    rich = sum(1 for x in B if classify_owner(g, B, x, k, delta).rich)
+    return Fraction(rich, len(B))
+
+
 def _richness_by_enumeration(g, family: BFamily, k: int,
                              delta: Fraction) -> VerificationReport:
     checked = 0
@@ -421,8 +403,7 @@ def _richness_by_enumeration(g, family: BFamily, k: int,
     failures = []
     passed = True
     for B in family.iter_sets(g.n):
-        rich = sum(1 for x in B if classify_owner(g, B, x, k, delta).rich)
-        frac = Fraction(rich, len(B))
+        frac = _rich_fraction(g, B, k, delta)
         checked += 1
         if min_frac is None or frac < min_frac:
             min_frac = frac
@@ -437,43 +418,41 @@ def _richness_by_enumeration(g, family: BFamily, k: int,
     )
 
 
-def node_damage_bound(g: SplitGraph, xi: int, other: int) -> int:
+def node_damage_bound(g: LabeledBipartiteGraph, xi: int, other: int) -> int:
     """Upper bound on the edge slots of xi that `other` can spoil.
 
-    A slot (y, i) is spoiled only when the base endpoint of y is shared
-    with `other` and p_i divides xi - other, so shared_edges times the
-    number of colliding prime indices bounds the damage (overlaps between
-    several spoilers only make the union bound safer).
+    These are the slots of xi whose endpoint `other` loads; overlaps
+    between several spoilers only make the union bound safer.
     """
-    idxs = _collider_indices(g, xi, other)
-    if len(idxs) == 0:
-        return 0
-    shared_nodes = g.base.neighbor_set(other)
-    mult = g.base_multiplicities(xi)
-    shared_edges = sum(count for z, count in mult.items() if z in shared_nodes)
-    return shared_edges * len(idxs)
+    return sum(count for (_, load), count in _slot_loads(g, xi, [other]).items()
+               if load)
 
 
 def _richness_by_certificate(g: SplitGraph, family: BFamily, k: int,
                              delta: Fraction, total: int) -> VerificationReport:
+    """Union-bound certificate over every set of the family's size.
+
+    Passes when no node can lose more than delta of its slots to its
+    size - 1 worst spoilers.  Otherwise the worst set of each uncertified
+    node (up to 50) is checked as a witness: a failing witness fails the
+    audit, and with none the report is inconclusive (passed None).
+    """
     N = 1 << g.n
     size = family.size
     slots = g.degree
     allowance = delta * slots
-    uncertified = []
+    ranked_spoilers = {}
     worst_lb: Optional[Fraction] = None
     for xi in range(N):
-        damages = sorted(
-            (node_damage_bound(g, xi, o) for o in range(N) if o != xi),
-            reverse=True,
-        )
-        worst_damage = sum(damages[: size - 1])
+        damage = {o: node_damage_bound(g, xi, o) for o in range(N) if o != xi}
+        ranked = sorted(damage, key=damage.get, reverse=True)[: size - 1]
+        worst_damage = sum(damage[o] for o in ranked)
         lb = 1 - Fraction(worst_damage, slots)
         if worst_lb is None or lb < worst_lb:
             worst_lb = lb
         if worst_damage > allowance:
-            uncertified.append(xi)
-    if not uncertified:
+            ranked_spoilers[xi] = ranked
+    if not ranked_spoilers:
         return VerificationReport(
             graph_id=g.graph_id(), kind="rich-owner", k=k, delta=delta,
             epsilon=None, mode=f"{family.mode}:certified", checked=total,
@@ -484,24 +463,23 @@ def _richness_by_certificate(g: SplitGraph, family: BFamily, k: int,
             ],
         )
     # Certificate failed for some nodes; try to exhibit a concrete failing set.
-    failures = []
-    for xi in uncertified[:50]:
-        ranked = sorted(
-            (o for o in range(N) if o != xi),
-            key=lambda o: node_damage_bound(g, xi, o),
-            reverse=True,
-        )
-        B = tuple(sorted([xi] + ranked[: size - 1]))
-        rich = sum(1 for x in B if classify_owner(g, B, x, k, delta).rich)
-        frac = Fraction(rich, len(B))
+    failures, failing = [], []
+    for xi, ranked in list(ranked_spoilers.items())[:50]:
+        B = tuple(sorted([xi] + ranked))
+        frac = _rich_fraction(g, B, k, delta)
         if frac < 1 - delta:
+            failing.append(frac)
             failures.append({"B_descriptor": _descr(B), "rich_fraction": str(frac)})
     return VerificationReport(
         graph_id=g.graph_id(), kind="rich-owner", k=k, delta=delta, epsilon=None,
-        mode=f"{family.mode}:certified", checked=total, passed=False,
-        min_rich_fraction=worst_lb, certified=False, failures=failures,
+        mode=f"{family.mode}:certified", checked=total,
+        passed=False if failures else None,
+        min_rich_fraction=min(failing, default=None), certified=False,
+        failures=failures,
         notes=[
-            f"certificate inconclusive for {len(uncertified)} nodes; "
-            f"{len(failures)} adversarial witnesses confirmed"
+            f"certificate inconclusive for {len(ranked_spoilers)} nodes; "
+            f"{len(failures)} adversarial witnesses confirmed",
+            f"union bound: every node keeps owned fraction >= {worst_lb} "
+            f"in every set of size {size}, short of the {1 - delta} required",
         ],
     )

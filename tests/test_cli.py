@@ -40,6 +40,30 @@ class TestBuildAndVerify:
         assert code == 0
         assert json.loads(report.read_text())["passed"]
 
+    def test_inconclusive_certificate_exits_3(self, tmp_path, monkeypatch):
+        # A split graph whose union bound is too weak while no witness set
+        # fails; a lowered enumeration cap sends its size-4 family through
+        # the certificate.
+        import numpy as np
+        from fractions import Fraction
+
+        from richowner import cli, verification
+        from richowner.construction import split_edges
+        from richowner.graphs import TableGraph
+
+        table = np.random.default_rng(0).integers(0, 4, size=(16, 2), dtype=np.uint64)
+        g = split_edges(TableGraph(4, 2, table), s=1, delta=Fraction(1, 2))
+        monkeypatch.setattr(cli, "_load_graph_any", lambda path: g)
+        monkeypatch.setattr(verification, "ENUM_CAP", 1000)
+        report = tmp_path / "rich.json"
+        code = run_cli("verify-graph", "--graph", "split", "--check", "richness",
+                       "--delta", "1/2", "--k", "2",
+                       "--family", "all-of-size:size=4", "--out", str(report))
+        assert code == 3
+        obj = json.loads(report.read_text())
+        assert obj["passed"] is None and obj["min_rich_fraction"] is None
+        assert obj["mode"] == "all-of-size:certified"
+
 
 class TestHashAuditAndProfile:
     def test_hash_audit(self, tmp_path):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -102,6 +103,20 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert all(g["kind"] == "binning" and g["D"] == 1
                    for g in report.graph_summaries)
+
+    @pytest.mark.parametrize("decoder", ["known-profile", "full"])
+    def test_staged_decoders_past_width_16(self, decoder, tmp_path):
+        rng = random.Random(5)
+        path = tmp_path / "triples.txt"
+        path.write_text("".join(
+            " ".join(format(rng.randrange(1 << 17), "x") for _ in range(3)) + "\n"
+            for _ in range(40)))
+        cfg = ExperimentConfig(**{**BASE, "scenario": f"file:path={path},n=17",
+                                  "graphs": "binning", "decoder": decoder,
+                                  "trials": 3})
+        aggregates = run_experiment(cfg).aggregates
+        assert aggregates["trials"] == 3 and aggregates["wrong_answers"] == 0
+        assert aggregates["successes"] >= 1
 
     def test_bad_decoder_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,4 +1,5 @@
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -92,10 +93,14 @@ class TestBDegree:
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10_000), st.lists(st.integers(0, 7), max_size=8, unique=True))
-def test_handshake_property(seed, B):
+@given(st.integers(0, 10_000), st.lists(st.integers(0, 7), max_size=8, unique=True),
+       st.sampled_from([None, (1, Fraction(1)), (1, Fraction(1, 2)),
+                        (2, Fraction(1)), (2, Fraction(1, 2))]))
+def test_handshake_property(seed, B, split):
     g = random_table_graph(3, 2, 2, seed=seed)
-    assert sum(g.b_degree(z, B) for z in range(4)) == len(B) * g.degree
+    if split is not None:
+        g = split_edges(g, *split)
+    assert sum(g.b_degree(z, B) for z in range(1 << g.m)) == len(B) * g.degree
 
 
 class TestParams:
@@ -210,3 +215,12 @@ class TestSplitGraph:
         bulk = g.payload_consistent_bulk(xs, payload)
         scalar = [g.payload_consistent(int(x), payload) for x in xs]
         assert bulk.tolist() == scalar
+
+    def test_bulk_over_matrix_cap_checks_node_by_node(self):
+        # 2^(17+8) cells exceed TABLE_CAP: no adjacency matrix is built.
+        g = SeededGraph(17, 8, 1, seed=4)
+        xs = np.array([0, 5, 99_999, (1 << 17) - 1], dtype=np.int64)
+        for payload in (g.neighbor_int(5, 0), g.neighbor_int(99_999, 1), 0):
+            bulk = g.payload_consistent_bulk(xs, payload)
+            assert bulk.tolist() == [g.payload_consistent(int(x), payload) for x in xs]
+        assert not hasattr(g, "_has_right")

@@ -4,8 +4,13 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from richowner.construction import build_random_graph, construct_rich_owner_graph
+from richowner.construction import (
+    build_random_graph,
+    construct_rich_owner_graph,
+    split_edges,
+)
 from richowner.graphs import TableGraph, all_to_one_graph, complete_graph
 from richowner.verification import (
     BFamily,
@@ -14,6 +19,7 @@ from richowner.verification import (
     classify_owner,
     extractor_error,
     large_regime_threshold,
+    node_damage_bound,
     rich_owner_fraction,
     worst_extractor_error,
 )
@@ -212,3 +218,100 @@ class TestExtractorImpliesRichness:
                         if classify_owner(merged, B, x, k=k_prime, delta=delta).rich
                     )
                     assert Fraction(rich, len(B)) >= 1 - delta
+
+
+class TestInconclusiveCertificate:
+    FAMILY = BFamily(mode="all-of-size", size=4)
+
+    def test_weak_union_bound_is_inconclusive_not_failed(self):
+        # The union bound is too weak on this graph, yet every one of the
+        # 1820 sets of size 4 passes when enumerated.
+        table = np.random.default_rng(0).integers(0, 4, size=(16, 2), dtype=np.uint64)
+        g = split_edges(TableGraph(4, 2, table), s=1, delta=Fraction(1, 2))
+        certified = _richness_by_certificate(
+            g, self.FAMILY, k=2, delta=Fraction(1, 2), total=1820)
+        assert certified.passed is None and not certified.certified
+        assert certified.min_rich_fraction is None and not certified.failures
+        assert certified.to_json()["passed"] is None
+        assert any("union bound" in note for note in certified.notes)
+        enumerated = rich_owner_fraction(g, self.FAMILY, k=2, delta=Fraction(1, 2))
+        assert enumerated.passed and enumerated.min_rich_fraction == 1
+        assert enumerated.checked == 1820
+
+    def test_confirmed_witness_fails_with_its_rich_fraction(self):
+        table = np.random.default_rng(0).integers(0, 4, size=(16, 1), dtype=np.uint64)
+        g = split_edges(TableGraph(4, 2, table), s=1, delta=Fraction(1))
+        certified = _richness_by_certificate(
+            g, self.FAMILY, k=2, delta=Fraction(1, 2), total=1820)
+        assert certified.passed is False and certified.failures
+        assert certified.min_rich_fraction == min(
+            Fraction(f["rich_fraction"]) for f in certified.failures)
+        enumerated = rich_owner_fraction(g, self.FAMILY, k=2, delta=Fraction(1, 2))
+        assert not enumerated.passed
+        assert enumerated.min_rich_fraction <= certified.min_rich_fraction
+
+
+# -- the ownership kernel against per-slot brute force -------------------------
+
+def reference_classification(g, B, x, k, delta):
+    """(regime, rich, owned fraction, threshold) from expanded neighbor lists."""
+    values = {o: g.neighbor_values(o) for o in B}
+    if len(B) <= 1 << k:
+        threshold = 1
+        good = sum(1 for z in values[x]
+                   if not any(z in values[o] for o in B if o != x))
+    else:
+        threshold = math.ceil(Fraction(2) / delta ** 2 * len(B) * g.degree / (1 << k))
+        good = sum(1 for z in values[x]
+                   if sum(values[o].count(z) for o in B) <= threshold)
+    frac = Fraction(good, g.degree)
+    return ("small" if len(B) <= 1 << k else "large", frac >= 1 - delta, frac,
+            threshold)
+
+
+def reference_damage(g, x, other):
+    spoiled = set(g.neighbor_values(other))
+    return sum(1 for z in g.neighbor_values(x) if z in spoiled)
+
+
+@st.composite
+def graphs_with_splits(draw, ns=st.integers(1, 4), ms=st.integers(1, 3)):
+    n = draw(ns)
+    m = draw(ms)
+    degree = draw(st.integers(1, 8))
+    row = st.lists(st.integers(0, (1 << m) - 1), min_size=degree, max_size=degree)
+    rows = draw(st.lists(row, min_size=1 << n, max_size=1 << n))
+    g = TableGraph(n, m, np.array(rows, dtype=np.uint64))
+    split = draw(st.sampled_from(
+        [None, (1, Fraction(1)), (1, Fraction(1, 2)), (2, Fraction(1)), (2, Fraction(1, 2))]))
+    return g if split is None else split_edges(g, *split)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_ownership_kernel_matches_brute_force(data):
+    g = data.draw(graphs_with_splits())
+    B = sorted(data.draw(st.lists(st.integers(0, (1 << g.n) - 1), min_size=1,
+                                  unique=True)))
+    for x in B:
+        # the large-regime threshold binds only for delta near 1 and k >= 2
+        for k in (1, 2, 3):
+            for delta in (Fraction(1, 2), Fraction(7, 10), Fraction(1)):
+                cls = classify_owner(g, B, x, k, delta)
+                assert (cls.regime, cls.rich, cls.owned_fraction,
+                        cls.threshold_used) == reference_classification(g, B, x, k, delta)
+        for o in B:
+            if o != x:
+                assert node_damage_bound(g, x, o) == reference_damage(g, x, o)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_large_regime_at_a_binding_threshold(data):
+    # One right bit piles the load near the k = 2, delta = 1 threshold |B| D / 2.
+    g = data.draw(graphs_with_splits(ns=st.just(4), ms=st.just(1)))
+    B = sorted(data.draw(st.lists(st.integers(0, 15), min_size=5, unique=True)))
+    for x in B:
+        cls = classify_owner(g, B, x, 2, Fraction(1))
+        assert (cls.regime, cls.rich, cls.owned_fraction,
+                cls.threshold_used) == reference_classification(g, B, x, 2, Fraction(1))
