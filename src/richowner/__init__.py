@@ -15,7 +15,6 @@ from .bits import BitString, bs
 from .graphs import (
     GraphParams,
     LabeledBipartiteGraph,
-    MergedGraph,
     SeededGraph,
     SplitGraph,
     TableGraph,
@@ -29,7 +28,6 @@ from .construction import (
     ConstructionReport,
     build_random_graph,
     construct_rich_owner_graph,
-    prefix_merge,
     split_edges,
 )
 from .crt import HashScheme, HashTag, crt_hash, draw_hash_tag, isolation_probability
@@ -77,7 +75,5 @@ from .verification import (
     VerificationReport,
     check_prefix_extractor,
     classify_owner,
-    extractor_error,
     rich_owner_fraction,
-    worst_extractor_error,
 )

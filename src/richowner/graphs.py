@@ -2,12 +2,14 @@
 
 Every left node carries the same number of outgoing labeled edges
 (multi-edges allowed: several labels may land on one right node).  Graphs
-come in four flavors:
+come in three flavors:
 
 * TableGraph   -- explicit edge table, exhaustively auditable.
 * SeededGraph  -- per-edge counter hash, evaluated on demand.
-* MergedGraph  -- right nodes truncated to a prefix of the base graph.
 * SplitGraph   -- each base edge fanned out through residue fingerprints.
+
+`edge_table` is the one bulk accessor: the (2^n, D) table of right-node
+values, or None for a graph that has none within TABLE_CAP entries.
 
 All graphs are immutable after construction; internal caches are populated
 lazily and never change observable behavior, so instances are safe to share
@@ -142,6 +144,11 @@ class LabeledBipartiteGraph:
         xi = _as_left_int(self, x)
         return [self.neighbor_int(xi, lab) for lab in range(self.degree)]
 
+    def edge_table(self) -> Optional[np.ndarray]:
+        """The (2^n, D) array of right-node values: a table graph's own
+        table, a seeded graph's within TABLE_CAP entries, None otherwise."""
+        return None
+
     def neighbor_set(self, x) -> frozenset:
         """Distinct right-node values adjacent to x (cached)."""
         xi = _as_left_int(self, x)
@@ -192,8 +199,12 @@ class LabeledBipartiteGraph:
         cached = getattr(self, "_has_right", None)
         if cached is None:
             cached = np.zeros((1 << self.n, 1 << self.m), dtype=bool)
-            for x in range(1 << self.n):
-                cached[x, list(self.neighbor_set(x))] = True
+            table = self.edge_table()
+            if table is not None:
+                cached[np.arange(1 << self.n)[:, None], table] = True
+            else:
+                for x in range(1 << self.n):
+                    cached[x, list(self.neighbor_set(x))] = True
             self._has_right = cached
         return cached
 
@@ -226,6 +237,9 @@ class TableGraph(LabeledBipartiteGraph):
         xi = _as_left_int(self, x)
         return self.table[xi].tolist()
 
+    def edge_table(self) -> np.ndarray:
+        return self.table
+
     def describe(self) -> str:
         digest = hashlib.blake2b(self.table.tobytes(), digest_size=8).hexdigest()
         return f"table(n={self.n},m={self.m},D={self.degree},h={digest})"
@@ -244,38 +258,22 @@ class SeededGraph(LabeledBipartiteGraph):
     def neighbor_int(self, x: int, label: int) -> int:
         return stream_value(self.seed, x * self.degree + label) >> (64 - self.m)
 
-    def to_table(self) -> TableGraph:
+    def edge_table(self) -> Optional[np.ndarray]:
         size = (1 << self.n) * self.degree
         if size > TABLE_CAP:
-            raise GraphError(f"graph with {size} edges exceeds table cap")
+            return None
         raw = raw_block(self.seed, 0, size) >> np.uint64(64 - self.m)
-        table = raw.reshape(1 << self.n, self.degree)
+        return raw.reshape(1 << self.n, self.degree)
+
+    def to_table(self) -> TableGraph:
+        table = self.edge_table()
+        if table is None:
+            raise GraphError(f"graph with {(1 << self.n) * self.degree} edges "
+                             "exceeds table cap")
         return TableGraph(self.n, self.m, table, seed=self.seed, params=self.params)
 
     def describe(self) -> str:
         return f"seeded(n={self.n},m={self.m},D={self.degree},seed={self.seed})"
-
-
-class MergedGraph(LabeledBipartiteGraph):
-    """Prefix view: right nodes truncated to the leading m' bits."""
-
-    def __init__(self, base: LabeledBipartiteGraph, m_prime: int):
-        if not 1 <= m_prime <= base.m:
-            raise GraphError(f"need 1 <= m' <= {base.m}, got {m_prime}")
-        if isinstance(base, MergedGraph):
-            base = base.base
-        super().__init__(base.n, m_prime, base.degree, None)
-        self.base = base
-        self._shift = base.m - m_prime
-
-    def neighbor_int(self, x: int, label: int) -> int:
-        return self.base.neighbor_int(x, label) >> self._shift
-
-    def neighbor_values(self, x) -> list[int]:
-        return [v >> self._shift for v in self.base.neighbor_values(x)]
-
-    def describe(self) -> str:
-        return f"merged(m'={self.m},base={self.base.describe()})"
 
 
 class SplitGraph(LabeledBipartiteGraph):

@@ -27,25 +27,21 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .bits import BitString
-from .graphs import (
-    GraphError,
-    LabeledBipartiteGraph,
-    SeededGraph,
-    SplitGraph,
-    TableGraph,
-)
-from .construction import prefix_merge
+from .graphs import TABLE_CAP, GraphError, LabeledBipartiteGraph, SplitGraph
 from .crt import colliding_prime_indices
 from .rng import SeedStream, derive_seed
 
 # Largest number of sets an all-of-size family will enumerate one by one.
 ENUM_CAP = 60_000
+# Cells per temporary array of the edge-density product: small blocks keep
+# the audit's peak memory at that of the family's set tuples.
+BLOCK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -77,7 +73,7 @@ class BFamily:
         size = 1 << k
         if n <= 4:
             return cls(mode="exhaustive")
-        if n <= 8 and size <= 16 and math.comb(1 << n, size) <= ENUM_CAP:
+        if math.comb(1 << n, size) <= ENUM_CAP:
             return cls(mode="all-of-size", size=size)
         return cls(mode="sampled", size=size, count=128, seed=seed)
 
@@ -129,50 +125,6 @@ def _as_int_set(g, nodes, side: str) -> list[int]:
     return out
 
 
-def extractor_error(g: LabeledBipartiteGraph, B: Iterable, A: Iterable) -> Fraction:
-    """| |E(B,A)| / (|B| D) - |A| / |R| |, exactly."""
-    b = _as_int_set(g, B, "left")
-    if not b:
-        raise GraphError("B must be nonempty")
-    a = set(_as_int_set(g, A, "right"))
-    edges = sum(1 for x in b for v in g.neighbor_values(x) if v in a)
-    return abs(Fraction(edges, len(b) * g.degree) - Fraction(len(a), 1 << g.m))
-
-
-def _value_matrix(g: LabeledBipartiteGraph) -> Optional[np.ndarray]:
-    if isinstance(g, TableGraph):
-        return g.table
-    if isinstance(g, SeededGraph):
-        try:
-            return g.to_table().table
-        except GraphError:
-            return None
-    return None
-
-
-def worst_extractor_error(g: LabeledBipartiteGraph, B: Sequence[int],
-                          values: Optional[np.ndarray] = None) -> Fraction:
-    """Worst edge-density deviation over every right set A, exactly.
-
-    The maximum of |density(A) - |A|/|R|| over all A is the total-variation
-    distance between the edge-endpoint distribution of B and uniform, i.e.
-    (1/2) * sum_z |density(z) - 1/|R||; computed in integer arithmetic.
-    """
-    R = 1 << g.m
-    if values is None:
-        values = _value_matrix(g)
-    if values is not None:
-        hist = np.bincount(values[np.asarray(B, dtype=np.int64)].ravel(), minlength=R)
-    else:
-        hist = np.zeros(R, dtype=np.int64)
-        for x in B:
-            for v in g.neighbor_values(x):
-                hist[v] += 1
-    edges = len(B) * g.degree
-    dev = np.abs(hist.astype(object) * R - edges)
-    return Fraction(int(dev.sum()), 2 * edges * R)
-
-
 @dataclass
 class VerificationReport:
     graph_id: str
@@ -209,63 +161,90 @@ class VerificationReport:
         }
 
 
-def _per_node_histograms(g: LabeledBipartiteGraph,
-                         values: Optional[np.ndarray]) -> np.ndarray:
-    """counts[x, z] = number of labels from x landing on z."""
-    R = 1 << g.m
-    N = 1 << g.n
-    if values is not None:
-        offsets = (np.arange(N, dtype=np.int64)[:, None] << g.m) | values.astype(np.int64)
-        return np.bincount(offsets.ravel(), minlength=N * R).reshape(N, R)
-    counts = np.zeros((N, R), dtype=np.int64)
-    for x in range(N):
-        for v in g.neighbor_values(x):
-            counts[x, v] += 1
-    return counts
+def _endpoint_counts(g: LabeledBipartiteGraph) -> np.ndarray:
+    """counts[x, z] = number of labels from x landing on z, at full width."""
+    N, R = 1 << g.n, 1 << g.m
+    if N * R > TABLE_CAP:
+        raise GraphError(f"endpoint-count table of 2^{g.n} x 2^{g.m} cells "
+                         "exceeds the table cap")
+    table = g.edge_table()
+    if table is None:
+        return np.array([np.bincount(g.neighbor_values(x), minlength=R)
+                         for x in range(N)], dtype=np.int64)
+    offsets = table.astype(np.int64)
+    offsets += np.arange(N, dtype=np.int64)[:, None] << g.m
+    return np.bincount(offsets.ravel(), minlength=N * R).reshape(N, R)
+
+
+def _size_groups(family: BFamily, n: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """(size, positions in sorted order, one row of members per set) for
+    each size among the family's distinct sets."""
+    sets = sorted(set(family.iter_sets(n)))
+    sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+    groups = []
+    for size in np.unique(sizes).tolist():
+        positions = np.flatnonzero(sizes == size)
+        members = np.fromiter(chain.from_iterable(sets[i] for i in positions.tolist()),
+                              dtype=np.int32, count=size * len(positions))
+        groups.append((size, positions, members.reshape(-1, size)))
+    return groups
 
 
 def check_prefix_extractor(g: LabeledBipartiteGraph, epsilon,
                            family: BFamily) -> VerificationReport:
     """Check the edge-density property of every prefix width k' <= k.
 
-    For each k', the graph is merged to width k' and every family set of
-    size >= 2^k' is checked against every right set (via the exact
-    total-variation identity).  Failures are recorded, not raised.
+    At width k' every family set B of size >= 2^k' is checked against every
+    right set, where right nodes sharing their leading k' bits are merged.
+    The worst deviation over all right sets is the total-variation distance
+    between B's edge endpoints and uniform, dev / den with dev =
+    sum_z |hist(z) 2^k' - |B| D| and den = 2 |B| D 2^k'.  Failures are
+    recorded in k' order, then sorted set order; they are not raised.
+
+    One endpoint-count table at the full width serves every k' by folding
+    adjacent columns.  Per width and set size, one set-incidence x counts
+    product gives every dev, compared with floor(epsilon den) in integers;
+    a Fraction is built only for the worst error and the reported failures.
     """
     epsilon = Fraction(epsilon)
-    k = g.m
+    N, D = 1 << g.n, g.degree
+    counts = _endpoint_counts(g)
+    groups = _size_groups(family, g.n)
     checked = 0
     worst: Optional[Fraction] = None
     failures = []
     passed = True
-    sets = sorted(set(family.iter_sets(g.n)))
-    for k_prime in range(1, k + 1):
-        merged = prefix_merge(g, k_prime)
-        counts = _per_node_histograms(merged, _value_matrix(merged))
+    for k_prime in range(1, g.m + 1):
         R = 1 << k_prime
-        threshold = 1 << k_prime
-        for B in sets:
-            if len(B) < threshold:
+        folded = counts.reshape(N, R, -1).sum(axis=2)
+        failing = []
+        for size, positions, members in groups:
+            if size < R:
                 continue
-            hist = counts[np.asarray(B, dtype=np.int64)].sum(axis=0)
-            edges = len(B) * g.degree
-            if edges * R < (1 << 62):
-                dev = int(np.abs(hist * R - edges).sum())
-            else:
-                dev = sum(abs(int(h) * R - edges) for h in hist)
-            err = Fraction(dev, 2 * edges * R)
-            checked += 1
+            den = 2 * size * D * R
+            # dev lies in [0, den]: the clamp keeps any epsilon's limit in int64
+            limit = max(-1, min(epsilon.numerator * den // epsilon.denominator, den))
+            devs = np.empty(len(members), dtype=np.int64)
+            step = max(1, BLOCK_CELLS // max(N, R))
+            for lo in range(0, len(members), step):
+                block = members[lo:lo + step]
+                incidence = np.zeros((len(block), N), dtype=np.int64)
+                incidence[np.arange(len(block))[:, None], block] = 1
+                devs[lo:lo + step] = np.abs((incidence @ folded) * R - size * D).sum(axis=1)
+            checked += len(devs)
+            err = Fraction(int(devs.max()), den)
             if worst is None or err > worst:
                 worst = err
-            if err > epsilon:
+            bad = np.flatnonzero(devs > limit)
+            if bad.size:
                 passed = False
-                if len(failures) < 20:
-                    failures.append(
-                        {"k_prime": k_prime, "B_descriptor": _descr(B),
-                         "worst_error": str(err)}
-                    )
+            failing += [(int(positions[b]), _descr(members[b].tolist()),
+                         Fraction(int(devs[b]), den)) for b in bad[: 20 - len(failures)]]
+        for _, descriptor, err in sorted(failing)[: 20 - len(failures)]:
+            failures.append({"k_prime": k_prime, "B_descriptor": descriptor,
+                             "worst_error": str(err)})
     return VerificationReport(
-        graph_id=g.graph_id(), kind="prefix-extractor", k=k, delta=None,
+        graph_id=g.graph_id(), kind="prefix-extractor", k=g.m, delta=None,
         epsilon=epsilon, mode=family.mode, checked=checked, passed=passed,
         worst_error=worst, failures=failures,
     )
@@ -305,13 +284,23 @@ def classify_owner(g: LabeledBipartiteGraph, B: Iterable, x, k: int,
     xi = _as_int_set(g, [x], "left")[0]
     if xi not in members:
         raise GraphError(f"node {xi} not a member of B")
+    return _classify(g, members, xi, k, delta, _set_threshold(g, len(members), k, delta))
+
+
+def _set_threshold(g: LabeledBipartiteGraph, size: int, k: int, delta: Fraction) -> int:
+    """1 in the small regime (size <= 2^k), the congestion threshold otherwise."""
+    if size <= (1 << k):
+        return 1
+    return large_regime_threshold(delta, size, g.degree, k)
+
+
+def _classify(g: LabeledBipartiteGraph, members: Sequence[int], xi: int, k: int,
+              delta: Fraction, threshold: int) -> OwnerClassification:
     tally = _slot_loads(g, xi, [o for o in members if o != xi])
     small = len(members) <= (1 << k)
     if small:
-        threshold = 1
         good = sum(count for (_, load), count in tally.items() if load == 0)
     else:
-        threshold = large_regime_threshold(delta, len(members), g.degree, k)
         good = sum(count for (own, load), count in tally.items()
                    if own + load <= threshold)
     frac = Fraction(good, g.degree)
@@ -392,8 +381,10 @@ def rich_owner_fraction(g: LabeledBipartiteGraph, family: BFamily, k: int,
 
 
 def _rich_fraction(g, B: Sequence[int], k: int, delta: Fraction) -> Fraction:
-    rich = sum(1 for x in B if classify_owner(g, B, x, k, delta).rich)
-    return Fraction(rich, len(B))
+    members = sorted(set(_as_int_set(g, B, "left")))
+    threshold = _set_threshold(g, len(members), k, delta)
+    rich = sum(1 for x in members if _classify(g, members, x, k, delta, threshold).rich)
+    return Fraction(rich, len(members))
 
 
 def _richness_by_enumeration(g, family: BFamily, k: int,

@@ -65,6 +65,13 @@ class TestBuildAndVerify:
         assert obj["mode"] == "all-of-size:certified"
 
 
+    def test_split_over_cap_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "g.json"
+        assert run_cli("build-graph", "--kind", "pipeline", "--n", "5", "--k", "3",
+                       "--delta", "1/4", "--seed", "1", "--out", str(out)) == 2
+        assert "ell=20971520" in capsys.readouterr().err
+        assert not out.exists()
+
 class TestHashAuditAndProfile:
     def test_hash_audit(self, tmp_path):
         out = tmp_path / "audit.json"

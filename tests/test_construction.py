@@ -2,17 +2,16 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from richowner.bits import BitString
+from richowner import construction
 from richowner.construction import (
     ConstructionError,
     build_random_graph,
     construct_rich_owner_graph,
     required_left_degree,
-    prefix_merge,
     split_count,
     split_edges,
 )
-from richowner.graphs import SplitGraph, TableGraph, all_to_one_graph
+from richowner.graphs import TABLE_CAP, GraphError, SplitGraph, TableGraph, all_to_one_graph
 from richowner.rng import derive_seed
 from richowner.verification import BFamily, classify_owner, rich_owner_fraction
 
@@ -43,48 +42,6 @@ class TestBuildRandomGraph:
             build_random_graph(4, 2, Fraction(1, 2), 0, seed=0)
 
 
-class TestPrefixMerge:
-    def test_identity_at_full_width(self):
-        g = build_random_graph(4, 3, Fraction(1, 2), 1, seed=3)
-        assert prefix_merge(g, 3) is g
-
-    def test_truncation(self):
-        table = np.array([[0b1010, 0b1011], [0b0110, 0b1100]], dtype=np.uint64)
-        g = TableGraph(1, 4, table)
-        merged = prefix_merge(g, 2)
-        assert merged.neighbor_int(0, 0) == 0b10
-        assert merged.neighbor_int(0, 1) == 0b10
-        assert merged.neighbor_int(1, 0) == 0b01
-        assert merged.degree == g.degree
-
-    @pytest.mark.parametrize("n,m", [(4, 4), (6, 5)])
-    def test_exhaustive_prefix_sweep(self, n, m):
-        g = build_random_graph(n, m, Fraction(1), 1, seed=n * 10 + m)
-        for m_prime in range(1, m + 1):
-            merged = prefix_merge(g, m_prime)
-            for x in range(1 << n):
-                for y in range(g.degree):
-                    full = BitString(m, g.neighbor_int(x, y))
-                    assert merged.neighbor_int(x, y) == full.prefix(m_prime).value
-
-    def test_prefix_compatibility(self):
-        g = build_random_graph(6, 6, Fraction(1), 1, seed=77)
-        for m1 in range(1, 7):
-            for m2 in range(1, m1 + 1):
-                a = prefix_merge(prefix_merge(g, m1), m2)
-                b = prefix_merge(g, m2)
-                for x in (0, 7, 63):
-                    for y in (0, 1, g.degree - 1):
-                        assert a.neighbor_int(x, y) == b.neighbor_int(x, y)
-
-    def test_rejects_bad_width(self):
-        g = build_random_graph(4, 3, Fraction(1), 1, seed=0)
-        with pytest.raises(Exception):
-            prefix_merge(g, 0)
-        with pytest.raises(Exception):
-            prefix_merge(g, 4)
-
-
 class TestSplitEdges:
     def test_split_count(self):
         assert split_count(5, 2, Fraction(1)) == 10
@@ -112,6 +69,22 @@ class TestSplitEdges:
             split_edges(base, 0, Fraction(1, 2))
         with pytest.raises(Exception):
             split_edges(base, 1, Fraction(3, 2))
+
+    def test_split_count_over_cap_raises_before_sieving(self, monkeypatch):
+        def sieve(t):
+            raise AssertionError(f"sieved {t} primes")
+
+        monkeypatch.setattr(construction, "primes_first", sieve)
+        base = all_to_one_graph(3, 2, 1)
+        with pytest.raises(GraphError, match=f"ell={3 * TABLE_CAP}"):
+            split_edges(base, TABLE_CAP, Fraction(1))
+
+    @pytest.mark.parametrize("delta,ell", [(Fraction(1, 8), 2_684_354_560),
+                                           (Fraction(1, 4), 20_971_520)])
+    def test_pipeline_split_over_cap_raises(self, delta, ell):
+        # Verification passes; the split would need ell primes.
+        with pytest.raises(GraphError, match=f"ell={ell}"):
+            construct_rich_owner_graph(5, 3, delta, seed=1)
 
 
 class TestPipeline:
@@ -156,6 +129,21 @@ class TestPipeline:
             except ConstructionError:
                 pass
         assert wins >= 9
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_full_width_default_family_is_the_one_full_set(self, n):
+        family = BFamily.default_for(n, n, seed=3)
+        assert list(family.iter_sets(n)) == [tuple(range(1 << n))]
+        # 128 seeded draws of a size-2^n set all give the one full set, so
+        # the audit, its set count and the retries match the sampled family.
+        seed = derive_seed(41, n)
+        sampled = BFamily(mode="sampled", size=1 << n, count=128,
+                          seed=derive_seed(seed, "verify-family"))
+        _, default = construct_rich_owner_graph(n, n, Fraction(1, 2), seed=seed)
+        _, explicit = construct_rich_owner_graph(n, n, Fraction(1, 2), seed=seed,
+                                                 family=sampled)
+        assert default.verified_B_count == explicit.verified_B_count == n
+        assert default.retries == explicit.retries
 
     def test_small_b_members_classified_rich(self):
         g, _ = construct_rich_owner_graph(4, 2, Fraction(7, 10), seed=5)

@@ -216,6 +216,22 @@ class TestSplitGraph:
         scalar = [g.payload_consistent(int(x), payload) for x in xs]
         assert bulk.tolist() == scalar
 
+    def test_bulk_from_edge_table_at_width_17(self):
+        # 2^(17+7) cells: the adjacency matrix is filled from the edge table.
+        g = SeededGraph(17, 7, 1, seed=4)
+        xs = np.random.default_rng(17).integers(0, 1 << 17, size=300)
+        for payload in (g.neighbor_int(5, 0), g.neighbor_int(99_999, 1), 0, 127):
+            bulk = g.payload_consistent_bulk(xs, payload)
+            assert bulk.tolist() == [g.payload_consistent(int(x), payload) for x in xs]
+        assert g._has_right.shape == (1 << 17, 1 << 7)
+
+    def test_matrix_without_edge_table_matches_neighbor_sets(self):
+        g = split_edges(random_table_graph(3, 1, 1, seed=2), s=1, delta=1)
+        assert g.edge_table() is None
+        matrix = g._has_right_matrix()
+        for x in range(8):
+            assert set(np.flatnonzero(matrix[x]).tolist()) == g.neighbor_set(x)
+
     def test_bulk_over_matrix_cap_checks_node_by_node(self):
         # 2^(17+8) cells exceed TABLE_CAP: no adjacency matrix is built.
         g = SeededGraph(17, 8, 1, seed=4)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -6,28 +7,48 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from richowner import verification
 from richowner.construction import (
     build_random_graph,
     construct_rich_owner_graph,
     split_edges,
 )
-from richowner.graphs import TableGraph, all_to_one_graph, complete_graph
+from richowner.graphs import (
+    GraphError,
+    SeededGraph,
+    TableGraph,
+    all_to_one_graph,
+    complete_graph,
+)
 from richowner.verification import (
     BFamily,
+    _descr,
     _richness_by_certificate,
     check_prefix_extractor,
     classify_owner,
-    extractor_error,
     large_regime_threshold,
     node_damage_bound,
     rich_owner_fraction,
-    worst_extractor_error,
 )
 
 
 def injective_degree_one_graph(n):
     table = np.arange(1 << n, dtype=np.uint64).reshape(-1, 1)
     return TableGraph(n, n, table)
+
+
+def extractor_error(g, B, A):
+    """| |E(B,A)| / (|B| D) - |A| / |R| |, exactly, edge by edge."""
+    if not B:
+        raise ValueError("B must be nonempty")
+    a = set(A)
+    edges = sum(1 for x in B for v in g.neighbor_values(x) if v in a)
+    return abs(Fraction(edges, len(B) * g.degree) - Fraction(len(a), 1 << g.m))
+
+
+def prefix_graph(g, k_prime):
+    """g's table graph with right nodes cut to their leading k' bits."""
+    return TableGraph(g.n, k_prime, g.table >> np.uint64(g.m - k_prime))
 
 
 class TestExtractorError:
@@ -55,24 +76,28 @@ class TestExtractorError:
 
     def test_exhaustive_small_graph_within_epsilon(self):
         g = build_random_graph(4, 2, Fraction(1, 4), 4, seed=0)
-        worst = max(
-            worst_extractor_error(g, B)
-            for B in combinations(range(16), 4)
-        )
-        assert worst <= Fraction(1, 4)
+        report = check_prefix_extractor(g, Fraction(1, 4),
+                                        BFamily(mode="all-of-size", size=4))
+        assert report.checked == 2 * math.comb(16, 4)
+        assert report.worst_error <= Fraction(1, 4)
 
 
 class TestWorstError:
     def test_matches_brute_force_over_all_A(self):
+        # The audit's worst error is the worst over every set, every prefix
+        # width and every right set A of the merged graph.
         g = build_random_graph(3, 2, Fraction(1, 2), 1, seed=7)
-        R = 1 << g.m
-        for B in [(0, 3, 5), (1, 2), tuple(range(8))]:
+        for size in (2, 3, 8):
+            report = check_prefix_extractor(g, Fraction(1),
+                                            BFamily(mode="all-of-size", size=size))
             brute = max(
-                extractor_error(g, B, A)
-                for r in range(R + 1)
-                for A in combinations(range(R), r)
+                extractor_error(prefix_graph(g, k_prime), B, A)
+                for k_prime in (1, 2) if size >= 1 << k_prime
+                for B in combinations(range(8), size)
+                for r in range((1 << k_prime) + 1)
+                for A in combinations(range(1 << k_prime), r)
             )
-            assert worst_extractor_error(g, B) == brute
+            assert report.worst_error == brute
 
 
 class TestCheckPrefixExtractor:
@@ -95,6 +120,28 @@ class TestCheckPrefixExtractor:
         report = check_prefix_extractor(g, Fraction(1, 4), family)
         assert report.passed
         assert report.checked == 4 * 1000
+
+    def test_failures_in_sorted_set_order(self):
+        g = all_to_one_graph(2, 1, 1)
+        report = check_prefix_extractor(g, Fraction(0), BFamily(mode="exhaustive"))
+        assert [f["B_descriptor"] for f in report.failures] == [
+            "0,1", "0,1,2", "0,1,2,3", "0,1,3", "0,2", "0,2,3", "0,3", "1,2",
+            "1,2,3", "1,3", "2,3"]
+
+    def test_epsilon_boundary_is_exact(self):
+        g = build_random_graph(3, 2, Fraction(1, 2), 1, seed=7)
+        family = BFamily(mode="exhaustive")
+        worst = check_prefix_extractor(g, Fraction(1), family).worst_error
+        assert check_prefix_extractor(g, worst, family).passed
+        assert not check_prefix_extractor(g, worst - Fraction(1, 10**9), family).passed
+        # every error is >= 0 > epsilon
+        assert not check_prefix_extractor(complete_graph(2, 2), Fraction(-1), family).passed
+
+    def test_count_table_over_cap_raises(self):
+        g = SeededGraph(5, 20, 0, seed=1)  # 2^25 endpoint counts
+        with pytest.raises(GraphError, match="endpoint-count"):
+            check_prefix_extractor(g, Fraction(1, 4),
+                                   BFamily(mode="sampled", size=2, count=1, seed=0))
 
     def test_report_json_shape(self):
         g = complete_graph(2, 2)
@@ -197,6 +244,19 @@ class TestRichOwnerFraction:
         assert certified.checked == math.comb(16, 4)
 
 
+    def test_one_threshold_per_set(self, monkeypatch):
+        # The large-regime threshold depends on the set, not the member.
+        calls = []
+        threshold = verification.large_regime_threshold
+        monkeypatch.setattr(verification, "large_regime_threshold",
+                            lambda *args: calls.append(args) or threshold(*args))
+        table = np.random.default_rng(3).integers(0, 4, size=(8, 4), dtype=np.uint64)
+        report = rich_owner_fraction(TableGraph(3, 2, table),
+                                     BFamily(mode="all-of-size", size=5), k=2,
+                                     delta=Fraction(1, 2))
+        assert report.checked == math.comb(8, 5)
+        assert len(calls) == report.checked
+
 class TestExtractorImpliesRichness:
     def test_large_regime_richness_from_exhaustive_extractor_pass(self):
         epsilon = Fraction(1, 4)
@@ -208,9 +268,7 @@ class TestExtractorImpliesRichness:
         # rational, so audit at the next representable coarser value.
         delta = Fraction(707, 1000)
         for k_prime in (1, 2):
-            from richowner.construction import prefix_merge
-
-            merged = prefix_merge(g, k_prime)
+            merged = prefix_graph(g, k_prime)
             for size in range((1 << k_prime) + 1, 18):
                 for B in list(combinations(range(16), size))[:40]:
                     rich = sum(
@@ -274,16 +332,19 @@ def reference_damage(g, x, other):
     return sum(1 for z in g.neighbor_values(x) if z in spoiled)
 
 
+SPLITS = [None, (1, Fraction(1)), (1, Fraction(1, 2)), (2, Fraction(1)), (2, Fraction(1, 2))]
+
+
 @st.composite
-def graphs_with_splits(draw, ns=st.integers(1, 4), ms=st.integers(1, 3)):
+def graphs_with_splits(draw, ns=st.integers(1, 4), ms=st.integers(1, 3),
+                       splits=st.sampled_from(SPLITS)):
     n = draw(ns)
     m = draw(ms)
     degree = draw(st.integers(1, 8))
     row = st.lists(st.integers(0, (1 << m) - 1), min_size=degree, max_size=degree)
     rows = draw(st.lists(row, min_size=1 << n, max_size=1 << n))
     g = TableGraph(n, m, np.array(rows, dtype=np.uint64))
-    split = draw(st.sampled_from(
-        [None, (1, Fraction(1)), (1, Fraction(1, 2)), (2, Fraction(1)), (2, Fraction(1, 2))]))
+    split = draw(splits)
     return g if split is None else split_edges(g, *split)
 
 
@@ -315,3 +376,59 @@ def test_large_regime_at_a_binding_threshold(data):
         cls = classify_owner(g, B, x, 2, Fraction(1))
         assert (cls.regime, cls.rich, cls.owned_fraction,
                 cls.threshold_used) == reference_classification(g, B, x, 2, Fraction(1))
+
+
+# -- the edge-density kernel against the per-set loop --------------------------
+
+def reference_prefix_extractor(g, epsilon, family):
+    """(checked, passed, worst error, failures) from one Fraction per set
+    and prefix width, merging right nodes by shifting their values."""
+    sets = sorted(set(family.iter_sets(g.n)))
+    values = [g.neighbor_values(x) for x in range(1 << g.n)]
+    checked, passed, worst, failures = 0, True, None, []
+    for k_prime in range(1, g.m + 1):
+        R, shift = 1 << k_prime, g.m - k_prime
+        for B in sets:
+            if len(B) < R:
+                continue
+            hist = Counter(v >> shift for x in B for v in values[x])
+            edges = len(B) * g.degree
+            dev = sum(abs(h * R - edges) for h in hist.values())
+            dev += (R - len(hist)) * edges
+            err = Fraction(dev, 2 * edges * R)
+            checked += 1
+            worst = err if worst is None else max(worst, err)
+            if err > epsilon:
+                passed = False
+                if len(failures) < 20:
+                    failures.append({"k_prime": k_prime, "B_descriptor": _descr(B),
+                                     "worst_error": str(err)})
+    return checked, passed, worst, failures
+
+
+@st.composite
+def families(draw, n):
+    N = 1 << n
+    mode = draw(st.sampled_from(["exhaustive", "all-of-size", "sampled"]))
+    if mode == "exhaustive":
+        # n = 4 is capped at sets of size 3 to keep the reference quick
+        low = draw(st.integers(1, 3 if n == 4 else N))
+        high = draw(st.integers(low, 3 if n == 4 else N))
+        return BFamily(mode="exhaustive", min_size=low, max_size=high)
+    size = draw(st.integers(min(2, N), N).filter(lambda s: math.comb(N, s) <= 2000))
+    if mode == "all-of-size":
+        return BFamily(mode="all-of-size", size=size)
+    return BFamily(mode="sampled", size=size, count=draw(st.integers(1, 30)),
+                   seed=draw(st.integers(0, 1000)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_prefix_extractor_matches_per_set_loop(data):
+    # table graphs fail at some width far more often than split images
+    g = data.draw(graphs_with_splits(splits=st.sampled_from(SPLITS[:1] * 4 + SPLITS)))
+    family = data.draw(families(g.n))
+    epsilon = data.draw(st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(707, 1000)]))
+    report = check_prefix_extractor(g, epsilon, family)
+    assert (report.checked, report.passed, report.worst_error,
+            report.failures) == reference_prefix_extractor(g, epsilon, family)
