@@ -44,7 +44,6 @@ from .oracles import (
 from .protocol import (
     Codeword,
     DecodeResult,
-    DecodingPlan,
     InfeasibleRatesError,
     RateVector,
     check_rate_feasibility,
@@ -52,7 +51,6 @@ from .protocol import (
     decode_full,
     decode_known_profile,
     decode_membership,
-    derive_decoding_bounds,
     encode,
     rates_from_profile,
     rates_violating_total,

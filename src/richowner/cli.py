@@ -72,6 +72,9 @@ def _load_graph_any(path: str) -> LabeledBipartiteGraph:
 
 
 def _cmd_build_graph(args) -> int:
+    if args.kind != "pipeline" and args.out.endswith(".json"):
+        raise ConfigError(f"--out {args.out}: a {args.kind} graph is written in binary "
+                          "form, but a .json path is read back as a descriptor")
     params = {"delta": Fraction(args.delta), "epsilon": Fraction(args.epsilon), "c": args.c}
     g, summary, report = build_graph(args.kind, args.n, args.k, args.seed, params,
                                      args.max_retries)
@@ -171,19 +174,25 @@ def _cmd_decode(args) -> int:
         codewords = [Codeword.from_json(obj) for obj in json.load(fh)]
     graphs = [_load_graph_any(p) for p in args.graphs.split(",")]
     S = named_correlation_set(args.scenario)
-    if args.decoder == "membership":
-        result = decode_membership(codewords, S, graphs)
-    else:
+    if args.decoder != "membership":
         oracle = CountingOracle(S)
         profile = oracle.profile() if args.decoder == "known-profile" else None
         rates = _resolve_rates(args.rates, oracle, None, S.n, profile)
-        if profile is not None:
-            result = decode_known_profile(
-                codewords, profile, rates, oracle, graphs, slack=args.slack
-            )
-        else:
-            result = decode_full(codewords, rates, oracle, graphs, n=S.n,
-                                 slack=args.slack)
+    for what, items in (("codewords", codewords), ("graphs", graphs)):
+        if len(items) != 3:
+            raise ConfigError(f"decode needs 3 {what}, got {len(items)}")
+    for path, g in zip(args.graphs.split(","), graphs):
+        if g.n != S.n:
+            raise ConfigError(f"graph {path} has left width {g.n}, but scenario "
+                              f"{args.scenario} has n={S.n}")
+    if args.decoder == "membership":
+        result = decode_membership(codewords, S, graphs)
+    elif args.decoder == "known-profile":
+        result = decode_known_profile(
+            codewords, profile, rates, oracle, graphs, slack=args.slack
+        )
+    else:
+        result = decode_full(codewords, rates, oracle, graphs, slack=args.slack)
     _write_json(result.to_json(), args.out)
     return 0 if result.ok else 1
 

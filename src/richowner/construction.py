@@ -77,6 +77,16 @@ def split_count(n: int, s: int, delta: Fraction) -> int:
     return math.ceil(Fraction(s * n) / Fraction(delta))
 
 
+def _split_threshold(delta: Fraction, D: int) -> int:
+    """s = ceil((2/delta^2) * D), the worst in-regime congestion at degree D."""
+    return math.ceil(Fraction(2) / (delta * delta) * D)
+
+
+def _check_split_count(ell: int) -> None:
+    if ell > TABLE_CAP:
+        raise GraphError(f"split count ell={ell} exceeds the cap of {TABLE_CAP} primes")
+
+
 def split_edges(g: LabeledBipartiteGraph, s: int, delta) -> SplitGraph:
     """Fan each edge (x, z) out to ell residue-fingerprinted edges."""
     delta = Fraction(delta)
@@ -85,8 +95,7 @@ def split_edges(g: LabeledBipartiteGraph, s: int, delta) -> SplitGraph:
     if not 0 < delta <= 1:
         raise GraphError(f"delta must lie in (0, 1], got {delta}")
     ell = split_count(g.n, s, delta)
-    if ell > TABLE_CAP:
-        raise GraphError(f"split count ell={ell} exceeds the cap of {TABLE_CAP} primes")
+    _check_split_count(ell)
     return SplitGraph(g, primes_first(ell), s=s, delta=delta)
 
 
@@ -149,6 +158,9 @@ def construct_rich_owner_graph(
     if not 1 <= k <= n:
         raise GraphError(f"need 1 <= k <= n, got k={k} n={n}")
     epsilon = delta * delta / 2
+    if builder is None:  # the degree, hence the split count, is known up front
+        D = required_left_degree(n, epsilon, c)
+        _check_split_count(split_count(n, _split_threshold(delta, D), delta))
     build = builder or build_random_graph
     if family is None:
         family = verification.BFamily.default_for(
@@ -163,8 +175,7 @@ def construct_rich_owner_graph(
         attempts.append((attempt, report.passed, report.worst_error))
         if report.passed:
             D = g.degree
-            s = math.ceil(Fraction(2) / (delta * delta) * D)
-            split = split_edges(g, s, delta)
+            split = split_edges(g, _split_threshold(delta, D), delta)
             gamma = split.m - k
             split.params = GraphParams(
                 n=n, m=split.m, d=None, k=k, delta=delta, epsilon=epsilon,

@@ -286,7 +286,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             )
         else:
             result = decode_full(
-                codewords, rates, oracle, graphs, n=scenario.n,
+                codewords, rates, oracle, graphs,
                 slack=config.slack, step_budget=config.step_budget,
             )
         correct = bool(result.ok and result.triple == tuple(triple))

@@ -3,14 +3,19 @@
 Senders compress by naming a random neighbor of their string in a per-rate
 graph, plus a residue fingerprint of the string itself.  The receiver holds
 a catalog of staged reconstruction pipelines (branches): each recovers one
-string at a time by enumerating an oracle candidate set at a derived bound
-and keeping the unique candidate that owns the observed payload.  Of the
-branches whose triple matches all three fingerprints, the one with the
-fewest enumeration steps wins; ties break to the lowest branch index.
+string at a time by enumerating an oracle candidate set at a bound taken
+from a plan (a complexity profile plus the rates), and keeps the unique
+candidate that owns the observed payload.
 
-Branches are pure, so each distinct branch runs once, to completion, with
-stage results shared through a memo.  A step budget does not bound this
-work: winners over the per-lane cap are dropped afterwards.
+Both staged decoders are profile search over a table of plans, in rank
+order: the known-profile decoder over the one plan its profile gives, the
+full decoder over every admissible profile.  One selection rule serves
+both: per plan the tag-matching branch with the fewest steps wins, ties to
+the lowest branch index; across plans the fewest steps win, ties to the
+lowest rank, and plan winners over the cap step_budget // plans + 1 are
+dropped.  Branches are pure, so each distinct branch runs once, to
+completion, with stage results shared through a memo; the cap filters
+results but does not bound this work.
 """
 
 from __future__ import annotations
@@ -198,13 +203,6 @@ class Branch:
     stages: tuple[Stage, ...]
 
 
-@dataclass(frozen=True)
-class DecodingPlan:
-    rates: RateVector
-    slack: int
-    branches: tuple[Branch, ...]
-
-
 # The branch catalog, as (name, lead, stages) with each stage given as
 # (target, known, payload_conds).  Only a branch's first stage can take its
 # bound from the profile: `lead` indexes the plan signature (_signature) for
@@ -245,26 +243,6 @@ def _branch(entry, signature, rates: RateVector, slack: int) -> Branch:
             bound, formula = rates[t] + slack, "n_t+slack"
         built.append(Stage(t, known, conds, max(int(bound), 0), formula))
     return Branch(name, tuple(built))
-
-
-def derive_decoding_bounds(profile: ComplexityProfile, rates: RateVector,
-                           slack: int) -> DecodingPlan:
-    """Stage bounds for the branch catalog, from the profile and rates.
-
-    Unconditional openers enumerate up to the profile value plus slack;
-    conditioned stages use their governing rate bound (the conditional
-    complexity of the target given the conditioning side never exceeds the
-    target's rate, up to slack, at feasible rates); the two extra
-    pair-arithmetic branches bound the helper set by C(pair) - rate.
-    Infeasible rates are rejected with the violated subsets.
-    """
-    violated = check_rate_feasibility(profile, rates, slack)
-    if violated:
-        raise InfeasibleRatesError(violated)
-    signature = _signature(*profile.values[:5], rates[0], slack)
-    return DecodingPlan(rates=rates, slack=slack, branches=tuple(
-        _branch(entry, signature, rates, slack) for entry in _CATALOG
-    ))
 
 
 # -- decode results ------------------------------------------------------------
@@ -355,52 +333,69 @@ def _tags_match(codewords: Sequence[Codeword], triple) -> bool:
     )
 
 
+def _select(codewords: Sequence[Codeword], profiles: np.ndarray, rates: RateVector,
+            oracle, graphs: Sequence[LabeledBipartiteGraph], slack: int,
+            step_budget: int) -> DecodeResult:
+    """Decode under each plan (a profile row, in rank order) and pick the
+    winner by the rule in the module docstring.  On failure, steps is the
+    largest per-plan step count, where a plan without a match counts its
+    largest branch."""
+    if any(cw.tag is None for cw in codewords):
+        raise ValueError("staged decoding requires fingerprint tags")
+    plans = len(profiles)
+    signatures = np.stack(_signature(*profiles.T[:5], rates[0], slack), axis=1)
+    memo: dict = {}
+
+    def run(idx: int, plan: int) -> tuple[Optional[tuple], int]:
+        branch = _branch(_CATALOG[idx], signatures[plan], rates, slack)
+        return _run_branch(branch, codewords, oracle, graphs, graphs[0].n, memo)
+
+    steps = np.empty((plans, len(_CATALOG)), dtype=np.int64)
+    matched = np.empty(steps.shape, dtype=bool)
+    for idx, (_, lead, _) in enumerate(_CATALOG):
+        if lead is None or plans == 1:  # one version: rate-only, or one plan
+            first, version = [0], np.zeros(plans, dtype=np.intp)
+        else:  # plans share this branch iff they share its lead bound
+            _, first, version = np.unique(signatures[:, lead], return_index=True,
+                                          return_inverse=True)
+        runs = [run(idx, plan) for plan in first]
+        steps[:, idx] = np.array([cost for _, cost in runs])[version]
+        matched[:, idx] = np.array(
+            [t is not None and _tags_match(codewords, t) for t, _ in runs])[version]
+    never = np.iinfo(np.int64).max
+    masked = np.where(matched, steps, never)
+    ok = matched.any(axis=1)
+    plan_steps = np.where(ok, masked.min(axis=1), steps.max(axis=1))
+    eligible = ok & (plan_steps <= step_budget // plans + 1)
+    if not eligible.any():
+        return DecodeResult(status="fail", steps=int(plan_steps.max()),
+                            reason="no tag-consistent triple within the step cap")
+    rank = int(np.where(eligible, plan_steps, never).argmin())
+    idx = int(masked[rank].argmin())
+    triple, _ = run(idx, rank)  # a memo hit
+    return DecodeResult(status="ok", triple=triple, branch=_CATALOG[idx][0],
+                        steps=int(plan_steps[rank]))
+
+
 def decode_known_profile(
     codewords: Sequence[Codeword],
     profile: ComplexityProfile,
     rates: RateVector,
     oracle,
     graphs: Sequence[LabeledBipartiteGraph],
-    branches: Optional[Sequence[str]] = None,
-    step_budget: Optional[int] = None,
+    step_budget: int = 10_000_000,
     slack: int = 2,
 ) -> DecodeResult:
-    """Run the branch catalog at the profile's bounds; among branches whose
-    triple matches all three fingerprints, the fewest steps win, ties to
-    the lowest branch index.
+    """Decode with the profile known: profile search over the one plan that
+    the profile and rates give (_select), so the cap is step_budget + 1.
 
-    Every branch runs to completion.  With a step budget, a branch whose
-    steps exceed the per-branch cap step_budget // branches + 1 is dropped
-    afterwards, so the budget filters results but does not bound work.
-    `branches` optionally restricts the catalog by name (e.g. to
-    demonstrate that one pipeline suffices).
+    Infeasible rates are rejected with the violated subsets.
     """
-    if any(cw.tag is None for cw in codewords):
-        raise ValueError("staged decoding requires fingerprint tags")
-    plan = derive_decoding_bounds(profile, rates, slack=slack)
-    memo: dict = {}
-    n = graphs[0].n
-    lanes = [
-        (idx, b) for idx, b in enumerate(plan.branches)
-        if branches is None or b.name in branches
-    ]
-    per_branch_cap = None
-    if step_budget is not None and lanes:
-        per_branch_cap = step_budget // len(lanes) + 1
-    best = None  # (steps, idx, name, triple)
-    max_steps = 0
-    for idx, branch in lanes:
-        triple, steps = _run_branch(branch, codewords, oracle, graphs, n, memo)
-        max_steps = max(max_steps, steps)
-        if per_branch_cap is not None and steps > per_branch_cap:
-            continue
-        if triple is not None and _tags_match(codewords, triple):
-            if best is None or (steps, idx) < (best[0], best[1]):
-                best = (steps, idx, branch.name, triple)
-    if best is None:
-        return DecodeResult(status="fail", steps=max_steps,
-                            reason="no branch produced a tag-consistent triple")
-    return DecodeResult(status="ok", triple=best[3], branch=best[2], steps=best[0])
+    violated = check_rate_feasibility(profile, rates, slack)
+    if violated:
+        raise InfeasibleRatesError(violated)
+    return _select(codewords, np.array([profile.values]), rates, oracle, graphs,
+                   slack, step_budget)
 
 
 # -- profile search (decoder without the profile) --------------------------------
@@ -449,58 +444,19 @@ def decode_full(
     rates: RateVector,
     oracle,
     graphs: Sequence[LabeledBipartiteGraph],
-    n: int,
     slack: int = 2,
     step_budget: int = 10_000_000,
 ) -> DecodeResult:
     """Profile search: decode without the profile, under every admissible
-    candidate profile with entries in {0..n+slack}.
+    candidate profile with entries in {0..n+slack}, n the graphs' width.
 
     Profiles that yield the same plan are grouped by signature and ranked
-    by the least one (_representative_profiles); each distinct branch of
-    all plans runs once, to completion.  Per plan the winner is the
-    tag-matching branch with the fewest steps, ties to the lowest branch
-    index.  Plan winners above the per-plan cap step_budget // plans + 1 are
-    dropped afterwards; of the rest the fewest steps win, ties to the lowest
-    rank.  On failure, steps is the largest per-plan step count, where a
-    plan without a match counts its largest branch.
+    by the least one (_representative_profiles); _select picks the winner.
     """
-    profiles = _representative_profiles(rates, slack, n + slack)
-    plans = len(profiles)
-    if not plans:
+    profiles = _representative_profiles(rates, slack, graphs[0].n + slack)
+    if not len(profiles):
         return DecodeResult(status="fail", reason="no admissible candidate profile")
-    if any(cw.tag is None for cw in codewords):
-        raise ValueError("staged decoding requires fingerprint tags")
-    signatures = np.stack(_signature(*profiles.T[:5], rates[0], slack), axis=1)
-    memo: dict = {}
-
-    def run(idx: int, plan: int) -> tuple[Optional[tuple], int]:
-        branch = _branch(_CATALOG[idx], signatures[plan], rates, slack)
-        return _run_branch(branch, codewords, oracle, graphs, graphs[0].n, memo)
-
-    steps = np.empty((plans, len(_CATALOG)), dtype=np.int64)
-    matched = np.empty(steps.shape, dtype=bool)
-    for idx, (_, lead, _) in enumerate(_CATALOG):
-        # plans share this branch iff they share its lead bound
-        key = signatures[:, lead] if lead is not None else np.zeros(plans)
-        _, first, version = np.unique(key, return_index=True, return_inverse=True)
-        runs = [run(idx, plan) for plan in first]
-        steps[:, idx] = np.array([cost for _, cost in runs])[version]
-        matched[:, idx] = np.array(
-            [t is not None and _tags_match(codewords, t) for t, _ in runs])[version]
-    never = np.iinfo(np.int64).max
-    masked = np.where(matched, steps, never)
-    ok = matched.any(axis=1)
-    plan_steps = np.where(ok, masked.min(axis=1), steps.max(axis=1))
-    eligible = ok & (plan_steps <= step_budget // plans + 1)
-    if not eligible.any():
-        return DecodeResult(status="fail", steps=int(plan_steps.max()),
-                            reason="profile search exhausted without a tag match")
-    rank = int(np.where(eligible, plan_steps, never).argmin())
-    idx = int(masked[rank].argmin())
-    triple, _ = run(idx, rank)  # a memo hit
-    return DecodeResult(status="ok", triple=triple, branch=_CATALOG[idx][0],
-                        steps=int(plan_steps[rank]))
+    return _select(codewords, profiles, rates, oracle, graphs, slack, step_budget)
 
 
 # -- membership decoding ---------------------------------------------------------

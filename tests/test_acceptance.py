@@ -234,7 +234,7 @@ def test_criterion_07_staged_decoder_with_toy_machine():
         )
         if known.ok and known.triple == triple:
             known_ok += 1
-        full = decode_full(cws, rates, oracle, graphs, n=n, slack=slack)
+        full = decode_full(cws, rates, oracle, graphs, slack=slack)
         if full.ok:
             if not all(cw.tag.matches(x.value) for cw, x in zip(cws, full.triple)):
                 tag_inconsistent += 1

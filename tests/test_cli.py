@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from richowner.bits import BitString
 from richowner.cli import main
 from richowner.experiments import ExperimentConfig, emit_report, run_experiment
 from richowner.graphs import load_graph
+from richowner.protocol import encode
 
 
 def run_cli(*argv):
@@ -178,7 +180,14 @@ def decode_inputs(tmp_path):
     cws.write_text("[]")
     desc = tmp_path / "desc.json"
     desc.write_text('{"n": 4, "k": 2, "seed": 1}')
-    return str(g), str(cws), str(desc)
+    cws3 = tmp_path / "cws3.json"
+    graph = load_graph(str(g))
+    cws3.write_text(json.dumps([
+        encode(graph, BitString(4, v), None, seed=v, sender="ABC"[v]).to_json()
+        for v in range(3)
+    ]))
+    return {"g": str(g), "cws": str(cws), "desc": str(desc), "cws3": str(cws3),
+            "out": str(tmp_path / "out.json")}
 
 
 @pytest.mark.parametrize("argv, key", [
@@ -194,12 +203,21 @@ def decode_inputs(tmp_path):
     (["experiment", "--set", "graphs=pipeline:detla=1/2", "--set", "trials=1"],
      "'detla'"),
     (["encode", "--graph", "{desc}", "--input", "a", "--width", "4"], "'kind'"),
+    (["decode", "--codewords", "{cws}", "--graphs", "{g},{g},{g}",
+      "--scenario", "collinear:q=2"], "3 codewords, got 0"),
+    (["decode", "--codewords", "{cws3}", "--graphs", "{g},{g}",
+      "--scenario", "collinear:q=2", "--decoder", "full"], "3 graphs, got 2"),
+    (["decode", "--codewords", "{cws3}", "--graphs", "{g},{g},{g}",
+      "--scenario", "collinear:q=3"], "left width 4"),
+    (["build-graph", "--kind", "binning", "--n", "4", "--k", "3", "--out", "{out}"],
+     ".json path"),
 ], ids=["profile-scenario", "experiment-scenario", "family-sampled",
-        "family-all-of-size", "decode-rates", "graphs-typo", "descriptor-kind"])
+        "family-all-of-size", "decode-rates", "graphs-typo", "descriptor-kind",
+        "decode-codeword-count", "decode-graph-count", "decode-graph-width",
+        "binning-json-out"])
 def test_bad_spec_is_a_clean_error(argv, key, decode_inputs, capsys):
-    g, cws, desc = decode_inputs
     capsys.readouterr()
-    assert run_cli(*(a.format(g=g, cws=cws, desc=desc) for a in argv)) == 2
+    assert run_cli(*(a.format(**decode_inputs) for a in argv)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
 

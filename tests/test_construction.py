@@ -82,9 +82,17 @@ class TestSplitEdges:
     @pytest.mark.parametrize("delta,ell", [(Fraction(1, 8), 2_684_354_560),
                                            (Fraction(1, 4), 20_971_520)])
     def test_pipeline_split_over_cap_raises(self, delta, ell):
-        # Verification passes; the split would need ell primes.
+        # The split would need ell primes; no base graph is built.
         with pytest.raises(GraphError, match=f"ell={ell}"):
             construct_rich_owner_graph(5, 3, delta, seed=1)
+
+    def test_pipeline_split_over_cap_raises_before_building(self, monkeypatch):
+        def build(*args):
+            raise AssertionError("built a base graph")
+
+        monkeypatch.setattr(construction, "build_random_graph", build)
+        with pytest.raises(GraphError, match="ell=2684354560"):
+            construct_rich_owner_graph(5, 3, Fraction(1, 8), seed=1)
 
 
 class TestPipeline:

@@ -25,12 +25,18 @@ from richowner.protocol import (
     decode_full,
     decode_known_profile,
     decode_membership,
-    derive_decoding_bounds,
     encode,
     rates_from_profile,
     rates_violating_total,
 )
-from richowner.protocol import _representative_profiles
+from richowner.protocol import (
+    _CATALOG,
+    _branch,
+    _representative_profiles,
+    _run_branch,
+    _signature,
+    _tags_match,
+)
 from richowner.rng import SeedStream, derive_seed
 
 SCHEME4 = HashScheme(4, 3, Fraction(1, 16))
@@ -122,20 +128,26 @@ class TestRates:
         assert max(rates) - min(rates) <= 1
 
 
+def _plan_branches(profile, rates, slack):
+    """The catalog's branches at the bounds of one profile's plan."""
+    signature = _signature(*profile.values[:5], rates[0], slack)
+    return tuple(_branch(entry, signature, rates, slack) for entry in _CATALOG)
+
+
 class TestDerivePlan:
     def test_pair_arithmetic_bound_example(self):
         # C(A,B) = 14, n_A = 6, slack = 2 -> helper-set bound 14 - 6 + 2 = 10
         profile = ComplexityProfile((6, 8, 8, 14, 14, 14, 14))
-        plan = derive_decoding_bounds(profile, RateVector(6, 8, 8), slack=2)
-        pair_b = next(b for b in plan.branches if b.name == "pair-arith-B")
+        branches = _plan_branches(profile, RateVector(6, 8, 8), slack=2)
+        pair_b = next(b for b in branches if b.name == "pair-arith-B")
         assert pair_b.stages[0].bound == 10
         assert pair_b.stages[0].payload_conds == (0,)
 
     def test_diagonal_rates_n00_later_stages_slack_bounded(self):
         n = 5
         profile = ComplexityProfile((n,) * 7)
-        plan = derive_decoding_bounds(profile, RateVector(n, 0, 0), slack=2)
-        chain = next(b for b in plan.branches if b.name == "chain-ABC")
+        branches = _plan_branches(profile, RateVector(n, 0, 0), slack=2)
+        chain = next(b for b in branches if b.name == "chain-ABC")
         assert chain.stages[1].bound == 0 + 2
         assert chain.stages[2].bound == 0 + 2
 
@@ -145,11 +157,11 @@ class TestDerivePlan:
         profile = oracle.profile()
         rates = RateVector(2 * q, 2 * q, q + 2)
         slack = 2
-        plan = derive_decoding_bounds(profile, rates, slack)
+        branches = _plan_branches(profile, rates, slack)
         # independently expanded expectations
         c_a, c_ab, c_abc = profile.value((0,)), profile.value((0, 1)), profile.value((0, 1, 2))
         c_ac = profile.value((0, 2))
-        by_name = {b.name: b for b in plan.branches}
+        by_name = {b.name: b for b in branches}
         assert by_name["chain-ABC"].stages[0].bound == c_a + slack
         assert by_name["chain-ABC"].stages[1].bound == rates.n_b + slack
         assert by_name["chain-ABC"].stages[2].bound == rates.n_c + slack
@@ -161,15 +173,15 @@ class TestDerivePlan:
     def test_eq2_violation_rejected_with_subset(self):
         profile = ComplexityProfile((4, 4, 4, 8, 8, 8, 9))
         with pytest.raises(InfeasibleRatesError) as exc:
-            derive_decoding_bounds(profile, RateVector(2, 2, 2), slack=0)
+            # rejected before any codeword, oracle or graph is looked at
+            decode_known_profile([], profile, RateVector(2, 2, 2), None, [], slack=0)
         assert (0, 1, 2) in exc.value.violated
 
     def test_bounds_respect_formula_plus_slack(self):
         profile = ComplexityProfile((4, 4, 4, 8, 8, 8, 9))
         rates = RateVector(4, 4, 2)
         slack = 2
-        plan = derive_decoding_bounds(profile, rates, slack)
-        for branch in plan.branches:
+        for branch in _plan_branches(profile, rates, slack):
             for stage in branch.stages:
                 if stage.formula == "C(t)+slack":
                     assert stage.bound <= profile.value((stage.target,)) + slack
@@ -254,15 +266,15 @@ class TestDecodeKnownProfile:
             construct_rich_owner_graph(4, 4, Fraction(1, 2), seed=derive_seed(43, i))[0]
             for i in range(3)
         ]
+        chain_abc = next(b for b in _plan_branches(profile, rates, slack=2)
+                         if b.name == "chain-ABC")
         wins = 0
         for t in range(10):
             seed = derive_seed(77, t)
             triple = S.triple_at(SeedStream(seed).randrange(len(S)))
             cws = _encode_triple(triple, graphs4, SCHEME4, seed)
-            result = decode_known_profile(
-                cws, profile, rates, oracle, graphs4, branches=("chain-ABC",)
-            )
-            wins += bool(result.ok and result.triple == triple)
+            got, _ = _run_branch(chain_abc, cws, oracle, graphs4, 4, {})
+            wins += got == triple
         assert wins >= 9
 
     def test_deterministic(self, q2_graphs):
@@ -285,7 +297,7 @@ class TestDecodeFull:
         rates = RateVector(1, 1, 1)
         cws = _encode_triple(triple, graphs, SCHEME4, seed=7)
         known = decode_known_profile(cws, oracle.profile(), rates, oracle, graphs)
-        full = decode_full(cws, rates, oracle, graphs, n=4, slack=2)
+        full = decode_full(cws, rates, oracle, graphs, slack=2)
         assert known.ok and full.ok
         assert full.triple == known.triple == triple
 
@@ -297,7 +309,7 @@ class TestDecodeFull:
         cws = _encode_triple(triple, graphs, SCHEME4, seed=7)
         bad = HashTag(cws[2].tag.prime, (cws[2].tag.residue + 1) % cws[2].tag.prime)
         tampered = [cws[0], cws[1], Codeword("C", cws[2].payload, bad)]
-        result = decode_full(tampered, RateVector(1, 1, 1), oracle, graphs, n=4)
+        result = decode_full(tampered, RateVector(1, 1, 1), oracle, graphs)
         assert not result.ok
 
 
@@ -355,43 +367,115 @@ def _planted_set(n):
                               for u, v in product(periodic, repeat=2) for p in patterns])
 
 
+def _reference_known_profile(cws, profile, rates, oracle, graphs, slack,
+                             step_budget=10_000_000):
+    """One plan, branch by branch: the tag-matching branch with the fewest
+    steps wins, ties to the lowest index, and is dropped above the one-plan
+    cap step_budget + 1.  On failure, steps is the winner's when it was
+    dropped, else the largest branch's."""
+    signature = _signature(*profile.values[:5], rates[0], slack)
+    memo, best, max_steps = {}, None, 0
+    for idx, entry in enumerate(_CATALOG):
+        branch = _branch(entry, signature, rates, slack)
+        triple, steps = _run_branch(branch, cws, oracle, graphs, graphs[0].n, memo)
+        max_steps = max(max_steps, steps)
+        if triple is not None and _tags_match(cws, triple) and (
+                best is None or (steps, idx) < best[:2]):
+            best = (steps, idx, branch.name, triple)
+    if best is None:
+        return ("fail", None, None, max_steps)
+    if best[0] > step_budget + 1:
+        return ("fail", None, None, best[0])
+    return ("ok", best[3], best[2], best[0])
+
+
 def _plan_by_plan(cws, rates, oracle, graphs, n, slack, step_budget):
-    """decode_full's selection rule, one decode_known_profile per plan."""
+    """decode_full's selection rule, one reference known-profile decode per plan."""
     profiles = _reference_profiles(rates, slack, n + slack)
     cap = step_budget // len(profiles) + 1
     best, max_steps = None, 0
     for rank, values in enumerate(profiles):
-        result = decode_known_profile(cws, ComplexityProfile(values), rates, oracle,
-                                      graphs, slack=slack)
-        max_steps = max(max_steps, result.steps)
-        if result.ok and result.steps <= cap and (
-                best is None or (result.steps, rank) < best[:2]):
-            best = (result.steps, rank, result)
+        status, triple, branch, steps = _reference_known_profile(
+            cws, ComplexityProfile(values), rates, oracle, graphs, slack)
+        max_steps = max(max_steps, steps)
+        if status == "ok" and steps <= cap and (best is None or (steps, rank) < best[:2]):
+            best = (steps, rank, triple, branch)
     if best is None:
         return ("fail", None, None, max_steps)
-    return ("ok", best[2].triple, best[2].branch, best[2].steps)
+    return ("ok", best[2], best[3], best[0])
+
+
+@pytest.fixture(scope="module")
+def planted():
+    S = _planted_set(4)
+    return S, CountingOracle(S)
+
+
+def _planted_cases(S, rate_vectors, tamper=False):
+    """Encoded planted triples over width-4 seeded graphs, three per rate
+    vector; with `tamper`, one sender's tag residue is shifted by one."""
+    k = 0
+    for rates in rate_vectors:
+        for t in range(3):
+            seed = derive_seed(5, t)
+            triple = S.triple_at(SeedStream(seed).randrange(len(S)))
+            graphs = [SeededGraph(S.n, S.n, 0, seed=derive_seed(seed, "g", i))
+                      for i in range(3)]
+            cws = _encode_triple(triple, graphs, SCHEME4, seed)
+            if tamper:
+                cw = cws[k % 3]
+                bad = HashTag(cw.tag.prime, (cw.tag.residue + 1) % cw.tag.prime)
+                cws[k % 3] = Codeword(cw.sender, cw.payload, bad)
+            k += 1
+            yield RateVector(*rates), triple, graphs, cws
+
+
+class TestKnownProfileMatchesReference:
+    # rates at and above the planted set's chain rates (2, 2, 2), slack 0
+    rate_vectors, slack = ((2, 2, 2), (3, 2, 2), (2, 3, 4)), 0
+
+    def _both(self, cws, rates, oracle, graphs, step_budget=10_000_000):
+        profile = oracle.profile()
+        got = decode_known_profile(cws, profile, rates, oracle, graphs,
+                                   step_budget=step_budget, slack=self.slack)
+        want = _reference_known_profile(cws, profile, rates, oracle, graphs,
+                                        self.slack, step_budget)
+        assert (got.status, got.triple, got.branch, got.steps) == want
+        return got
+
+    def test_planted_trials_and_budgets(self, planted):
+        S, oracle = planted
+        outcomes = set()
+        for rates, triple, graphs, cws in _planted_cases(S, self.rate_vectors):
+            result = self._both(cws, rates, oracle, graphs)
+            outcomes.add(result.branch)
+            if not result.ok:
+                continue
+            # the one-plan cap budget + 1 keeps a winner at the cap and
+            # drops it one step below
+            at_cap = self._both(cws, rates, oracle, graphs, result.steps - 1)
+            assert (at_cap.status, at_cap.steps) == ("ok", result.steps)
+            self._both(cws, rates, oracle, graphs, result.steps)
+            capped = self._both(cws, rates, oracle, graphs, result.steps - 2)
+            assert (capped.status, capped.steps) == ("fail", result.steps)
+        assert None in outcomes and len(outcomes) >= 3
+
+    def test_tampered_tags(self, planted):
+        S, oracle = planted
+        for rates, triple, graphs, cws in _planted_cases(S, self.rate_vectors,
+                                                          tamper=True):
+            assert not self._both(cws, rates, oracle, graphs).ok
 
 
 class TestDecodeFullMatchesPlanByPlan:
     n, slack = 4, 0
+    rate_vectors = ((2, 2, 2), (1, 4, 1), (2, 3, 1))
 
-    @pytest.fixture(scope="class")
-    def planted(self):
-        S = _planted_set(self.n)
-        return S, CountingOracle(S)
-
-    def _cases(self, S):
-        for rates in ((2, 2, 2), (1, 4, 1), (2, 3, 1)):
-            for t in range(3):
-                seed = derive_seed(5, t)
-                triple = S.triple_at(SeedStream(seed).randrange(len(S)))
-                graphs = [SeededGraph(self.n, self.n, 0, seed=derive_seed(seed, "g", i))
-                          for i in range(3)]
-                cws = _encode_triple(triple, graphs, SCHEME4, seed)
-                yield RateVector(*rates), triple, graphs, cws
+    def _cases(self, S, tamper=False):
+        return _planted_cases(S, self.rate_vectors, tamper)
 
     def _both(self, cws, rates, oracle, graphs, step_budget=10_000_000):
-        full = decode_full(cws, rates, oracle, graphs, n=self.n, slack=self.slack,
+        full = decode_full(cws, rates, oracle, graphs, slack=self.slack,
                            step_budget=step_budget)
         want = _plan_by_plan(cws, rates, oracle, graphs, self.n, self.slack, step_budget)
         assert (full.status, full.triple, full.branch, full.steps) == want
@@ -409,12 +493,8 @@ class TestDecodeFullMatchesPlanByPlan:
 
     def test_tampered_tags(self, planted):
         S, oracle = planted
-        for k, (rates, triple, graphs, cws) in enumerate(self._cases(S)):
-            cw = cws[k % 3]
-            bad = HashTag(cw.tag.prime, (cw.tag.residue + 1) % cw.tag.prime)
-            tampered = list(cws)
-            tampered[k % 3] = Codeword(cw.sender, cw.payload, bad)
-            assert not self._both(tampered, rates, oracle, graphs).ok
+        for rates, triple, graphs, cws in self._cases(S, tamper=True):
+            assert not self._both(cws, rates, oracle, graphs).ok
 
     def test_budget_cap_drops_the_winner(self, planted):
         S, oracle = planted
