@@ -11,15 +11,12 @@ reproducible experiment harness.
 
 __version__ = "0.1.0"
 
-from .bits import BitString, bs
+from .bits import BitString
 from .graphs import (
-    GraphParams,
     LabeledBipartiteGraph,
     SeededGraph,
     SplitGraph,
     TableGraph,
-    all_to_one_graph,
-    complete_graph,
     load_graph,
     save_graph,
 )
@@ -38,7 +35,6 @@ from .oracles import (
     ToyMachineConfig,
     ToyOracle,
     chain_rule_slack,
-    counting_conditional,
     named_correlation_set,
 )
 from .protocol import (
@@ -56,16 +52,11 @@ from .protocol import (
     rates_violating_total,
 )
 from .scenarios import (
-    FieldElement,
     SourceDistribution,
     collinear_counts,
     collinear_members,
     converse_bound_check,
     entropy_profile,
-    gf_mul,
-    is_collinear,
-    sample_collinear_triple,
-    sample_dms,
 )
 from .verification import (
     BFamily,

@@ -54,13 +54,6 @@ class BitString:
             raise ValueError(f"prefix length {m} out of range for width {self.width}")
         return BitString(m, self.value >> (self.width - m))
 
-    def concat(self, other: "BitString") -> "BitString":
-        return BitString(self.width + other.width, (self.value << other.width) | other.value)
-
     def __repr__(self) -> str:
         return f"BitString({self.width}, 0b{self.bits()})" if self.width else "BitString(0)"
 
-
-def bs(bits: str) -> BitString:
-    """Shorthand constructor from a literal like bs('0110')."""
-    return BitString.from_bits(bits)

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from . import __version__
 from .bits import BitString
+from .construction import ConstructionError
 from .crt import HashScheme, isolation_probability
 from .experiments import (
     ConfigError,
@@ -111,6 +112,9 @@ def _cmd_verify_graph(args) -> int:
 
 def _cmd_hash_audit(args) -> int:
     scheme = HashScheme(args.n, args.s, Fraction(args.epsilon))
+    if args.s > (1 << args.n):
+        raise ConfigError(f"--s {args.s}: needs {args.s - 1} distinct distractors, but only "
+                          f"{(1 << args.n) - 1} {args.n}-bit strings differ from u1")
     stream = SeedStream(derive_seed(args.seed, "hash-audit"))
     worst = Fraction(1)
     below = 0
@@ -319,7 +323,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ConstructionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

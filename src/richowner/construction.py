@@ -20,7 +20,6 @@ from .crt import primes_first
 from .graphs import (
     TABLE_CAP,
     GraphError,
-    GraphParams,
     LabeledBipartiteGraph,
     SeededGraph,
     SplitGraph,
@@ -64,9 +63,7 @@ def build_random_graph(n: int, k: int, epsilon, c: int, seed: int) -> LabeledBip
     if c < 1:
         raise GraphError(f"c must be >= 1, got {c}")
     D = required_left_degree(n, epsilon, c)
-    d = D.bit_length() - 1
-    params = GraphParams(n=n, m=k, d=d, k=k, epsilon=epsilon, c=c)
-    g = SeededGraph(n, k, d, seed, params=params)
+    g = SeededGraph(n, k, D.bit_length() - 1, seed)
     if (1 << n) * D <= TABLE_CAP:
         return g.to_table()
     return g
@@ -96,7 +93,7 @@ def split_edges(g: LabeledBipartiteGraph, s: int, delta) -> SplitGraph:
         raise GraphError(f"delta must lie in (0, 1], got {delta}")
     ell = split_count(g.n, s, delta)
     _check_split_count(ell)
-    return SplitGraph(g, primes_first(ell), s=s, delta=delta)
+    return SplitGraph(g, primes_first(ell))
 
 
 @dataclass
@@ -157,6 +154,8 @@ def construct_rich_owner_graph(
         raise GraphError(f"delta must lie in (0, 1], got {delta}")
     if not 1 <= k <= n:
         raise GraphError(f"need 1 <= k <= n, got k={k} n={n}")
+    if max_retries < 0:
+        raise GraphError(f"max_retries must be >= 0, got {max_retries}")
     epsilon = delta * delta / 2
     if builder is None:  # the degree, hence the split count, is known up front
         D = required_left_degree(n, epsilon, c)
@@ -176,14 +175,9 @@ def construct_rich_owner_graph(
         if report.passed:
             D = g.degree
             split = split_edges(g, _split_threshold(delta, D), delta)
-            gamma = split.m - k
-            split.params = GraphParams(
-                n=n, m=split.m, d=None, k=k, delta=delta, epsilon=epsilon,
-                c=c, gamma=gamma,
-            )
             return split, ConstructionReport(
                 n=n, k=k, delta=delta, epsilon=epsilon, D=D, ell=split.ell,
-                gamma=gamma, retries=attempt, verified_B_count=report.checked,
+                gamma=split.m - k, retries=attempt, verified_B_count=report.checked,
                 worst_violation=report.worst_error, attempts=attempts,
             )
         if worst is None or (report.worst_error is not None and report.worst_error > worst):

@@ -88,6 +88,9 @@ class ExperimentConfig:
                 values[key] = types[key](val)
             except ValueError:
                 raise ConfigError(f"config key {key!r}: cannot parse {val!r}") from None
+        for key in ("trials", "max_retries", "step_budget"):
+            if values.get(key, 0) < 0:
+                raise ConfigError(f"config key {key!r}: must be >= 0, got {values[key]}")
         return cls(**values)
 
     def as_dict(self) -> dict:
@@ -391,9 +394,9 @@ REPORT_SCHEMA = {
 _TYPES = {"object": dict, "array": list, "string": str}
 
 
-def validate_report(obj: dict, schema: dict = None) -> list[str]:
-    """Minimal structural validation; returns a list of problems (empty = ok)."""
-    schema = schema or REPORT_SCHEMA
+def validate_report(obj: dict) -> list[str]:
+    """Minimal structural validation against REPORT_SCHEMA; returns a list
+    of problems (empty = ok)."""
     problems: list[str] = []
 
     def walk(node, spec, path):
@@ -412,5 +415,5 @@ def validate_report(obj: dict, schema: dict = None) -> list[str]:
             for i, item in enumerate(node):
                 walk(item, spec["items"], f"{path}[{i}]")
 
-    walk(obj, schema, "$")
+    walk(obj, REPORT_SCHEMA, "$")
     return problems

@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -38,35 +36,6 @@ MULTISET_CAP = 1 << 22
 
 class GraphError(ValueError):
     """Raised for width mismatches and malformed graph inputs."""
-
-
-@dataclass(frozen=True)
-class GraphParams:
-    """Parameter record for a graph, including pipeline provenance."""
-
-    n: int
-    m: int
-    d: Optional[int] = None
-    k: Optional[int] = None
-    delta: Optional[Fraction] = None
-    epsilon: Optional[Fraction] = None
-    c: Optional[int] = None
-    gamma: Optional[int] = None
-
-    def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise GraphError(f"need n >= 1 and m >= 1, got n={self.n} m={self.m}")
-        if self.d is not None and self.d < 0:
-            raise GraphError(f"label width must be >= 0, got {self.d}")
-        if self.k is not None:
-            if not 1 <= self.k <= self.m:
-                raise GraphError(f"need 1 <= k <= m, got k={self.k} m={self.m}")
-            if self.k > self.n:
-                raise GraphError(f"need k <= n, got k={self.k} n={self.n}")
-        for name in ("delta", "epsilon"):
-            v = getattr(self, name)
-            if v is not None and not 0 < v <= 1:
-                raise GraphError(f"{name} must lie in (0, 1], got {v}")
 
 
 def _as_left_int(g: "LabeledBipartiteGraph", x) -> int:
@@ -91,17 +60,6 @@ def _as_right_int(g: "LabeledBipartiteGraph", z) -> int:
     return z
 
 
-def _as_label_int(g: "LabeledBipartiteGraph", y) -> int:
-    if isinstance(y, BitString):
-        if g.d is None or y.width != g.d:
-            raise GraphError(f"label width {y.width} does not address degree {g.degree}")
-        return y.value
-    y = int(y)
-    if not 0 <= y < g.degree:
-        raise GraphError(f"label {y} out of range for degree {g.degree}")
-    return y
-
-
 class LabeledBipartiteGraph:
     """Common behavior; subclasses implement neighbor_int."""
 
@@ -109,34 +67,24 @@ class LabeledBipartiteGraph:
     m: int
     degree: int
 
-    def __init__(self, n: int, m: int, degree: int, params: Optional[GraphParams] = None):
+    def __init__(self, n: int, m: int, degree: int):
+        if n < 1 or m < 1:
+            raise GraphError(f"need n >= 1 and m >= 1, got n={n} m={m}")
         self.n = n
         self.m = m
         self.degree = degree
-        self.params = params or GraphParams(n=n, m=m, d=self._pow2_d(degree))
-        self._neighbor_sets: dict[int, frozenset] = {}
         self._multiplicities: dict[int, Counter] = {}
-
-    @staticmethod
-    def _pow2_d(degree: int) -> Optional[int]:
-        d = degree.bit_length() - 1
-        return d if (1 << d) == degree else None
 
     @property
     def d(self) -> Optional[int]:
         """Label width in bits when the degree is a power of two."""
-        return self._pow2_d(self.degree)
+        d = self.degree.bit_length() - 1
+        return d if (1 << d) == self.degree else None
 
     # -- core lookup ------------------------------------------------------
 
     def neighbor_int(self, x: int, label: int) -> int:
         raise NotImplementedError
-
-    def neighbor(self, x, y) -> BitString:
-        """Right node reached from x along edge label y (deterministic)."""
-        xi = _as_left_int(self, x)
-        yi = _as_label_int(self, y)
-        return BitString(self.m, self.neighbor_int(xi, yi))
 
     def neighbor_values(self, x) -> list[int]:
         if self.degree > MULTISET_CAP:
@@ -149,15 +97,6 @@ class LabeledBipartiteGraph:
         table, a seeded graph's within TABLE_CAP entries, None otherwise."""
         return None
 
-    def neighbor_set(self, x) -> frozenset:
-        """Distinct right-node values adjacent to x (cached)."""
-        xi = _as_left_int(self, x)
-        cached = self._neighbor_sets.get(xi)
-        if cached is None:
-            cached = frozenset(self.neighbor_values(xi))
-            self._neighbor_sets[xi] = cached
-        return cached
-
     # -- degree queries ---------------------------------------------------
 
     def multiplicities(self, x) -> Counter:
@@ -169,18 +108,13 @@ class LabeledBipartiteGraph:
             self._multiplicities[xi] = cached
         return cached
 
-    def b_degree(self, z, B: Iterable) -> int:
-        """Edges from members of B landing on z, counted with multiplicity."""
-        zi = _as_right_int(self, z)
-        return sum(self.multiplicities(x)[zi] for x in B)
-
     # -- payload membership (decoder-facing) -------------------------------
 
     def payload_consistent(self, x, payload) -> bool:
         """True when the payload occurs in x's neighbor multiset."""
         xi = _as_left_int(self, x)
         zi = _as_right_int(self, payload)
-        return zi in self.neighbor_set(xi)
+        return zi in self.multiplicities(xi)
 
     def payload_consistent_bulk(self, xs: np.ndarray, payload) -> np.ndarray:
         """payload_consistent for every left node in xs.
@@ -204,7 +138,7 @@ class LabeledBipartiteGraph:
                 cached[np.arange(1 << self.n)[:, None], table] = True
             else:
                 for x in range(1 << self.n):
-                    cached[x, list(self.neighbor_set(x))] = True
+                    cached[x, list(self.multiplicities(x))] = True
             self._has_right = cached
         return cached
 
@@ -220,13 +154,13 @@ class TableGraph(LabeledBipartiteGraph):
     """Graph backed by an explicit (2^n, D) edge table."""
 
     def __init__(self, n: int, m: int, table: np.ndarray,
-                 seed: int = 0, params: Optional[GraphParams] = None):
+                 seed: int = 0):
         table = np.asarray(table, dtype=np.uint64)
         if table.shape[0] != (1 << n):
             raise GraphError(f"table has {table.shape[0]} rows, expected 2^{n}")
         if table.size and int(table.max()) >= (1 << m):
             raise GraphError("table entry exceeds right width")
-        super().__init__(n, m, int(table.shape[1]), params)
+        super().__init__(n, m, int(table.shape[1]))
         self.table = table
         self.seed = seed
 
@@ -248,11 +182,10 @@ class TableGraph(LabeledBipartiteGraph):
 class SeededGraph(LabeledBipartiteGraph):
     """Graph whose edges are a pure function of (seed, left node, label)."""
 
-    def __init__(self, n: int, m: int, d: int, seed: int,
-                 params: Optional[GraphParams] = None):
+    def __init__(self, n: int, m: int, d: int, seed: int):
         if m > 63:
             raise GraphError("seeded graphs support right width up to 63 bits")
-        super().__init__(n, m, 1 << d, params)
+        super().__init__(n, m, 1 << d)
         self.seed = seed
 
     def neighbor_int(self, x: int, label: int) -> int:
@@ -270,7 +203,7 @@ class SeededGraph(LabeledBipartiteGraph):
         if table is None:
             raise GraphError(f"graph with {(1 << self.n) * self.degree} edges "
                              "exceeds table cap")
-        return TableGraph(self.n, self.m, table, seed=self.seed, params=self.params)
+        return TableGraph(self.n, self.m, table, seed=self.seed)
 
     def describe(self) -> str:
         return f"seeded(n={self.n},m={self.m},D={self.degree},seed={self.seed})"
@@ -286,20 +219,17 @@ class SplitGraph(LabeledBipartiteGraph):
     label = y * ell + i.
     """
 
-    def __init__(self, base: LabeledBipartiteGraph, primes: Sequence[int],
-                 s: int, delta: Fraction):
+    def __init__(self, base: LabeledBipartiteGraph, primes: Sequence[int]):
         ell = len(primes)
         if ell < 1:
             raise GraphError("split needs at least one prime")
         idx_bits = (ell - 1).bit_length()
         m = idx_bits + base.n + base.m
-        super().__init__(base.n, m, base.degree * ell, None)
+        super().__init__(base.n, m, base.degree * ell)
         self.base = base
         self.ell = ell
         self.idx_bits = idx_bits
         self.primes = np.asarray(primes, dtype=np.int64)
-        self.s = s
-        self.delta = delta
 
     @property
     def k(self) -> int:
@@ -336,7 +266,7 @@ class SplitGraph(LabeledBipartiteGraph):
         i, residue, z = self.parse_payload(payload)
         if i >= self.ell:
             return False
-        return xi % int(self.primes[i]) == residue and z in self.base.neighbor_set(xi)
+        return xi % int(self.primes[i]) == residue and z in self.base.multiplicities(xi)
 
     def payload_consistent_bulk(self, xs: np.ndarray, payload) -> np.ndarray:
         i, residue, z = self.parse_payload(payload)
@@ -345,29 +275,8 @@ class SplitGraph(LabeledBipartiteGraph):
         ok = (xs % int(self.primes[i])) == residue
         return ok & self.base.payload_consistent_bulk(xs, z)
 
-    def b_degree(self, z, B: Iterable) -> int:
-        i, residue, z0 = self.parse_payload(z)
-        if i >= self.ell:
-            return 0
-        p = int(self.primes[i])
-        return self.base.b_degree(z0, [x for x in B if _as_left_int(self, x) % p == residue])
-
     def describe(self) -> str:
         return f"split(ell={self.ell},base={self.base.describe()})"
-
-
-# -- convenience constructors used throughout the tests ---------------------
-
-def complete_graph(n: int, m: int) -> TableGraph:
-    """Each left node has one edge to every right node: neighbor(x, y) = y."""
-    table = np.tile(np.arange(1 << m, dtype=np.uint64), (1 << n, 1))
-    return TableGraph(n, m, table)
-
-
-def all_to_one_graph(n: int, m: int, d: int, hub: int = 0) -> TableGraph:
-    """Every edge lands on the hub right node."""
-    table = np.full((1 << n, 1 << d), hub, dtype=np.uint64)
-    return TableGraph(n, m, table)
 
 
 # -- serialization -----------------------------------------------------------

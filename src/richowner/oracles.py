@@ -73,9 +73,6 @@ class ComplexityProfile:
         union = subset_key(tuple(V) + tuple(W))
         return self.value(union) - self.value(W)
 
-    def values7(self) -> tuple[int, ...]:
-        return self.values
-
     def as_dict(self) -> dict[str, int]:
         return {
             "".join(COORD_NAMES[i] for i in s): v
@@ -265,8 +262,19 @@ class CorrelationSet:
         return len(self.members)
 
     def contains(self, triple) -> bool:
-        a, b, c = (v.value if isinstance(v, BitString) else int(v) for v in triple)
-        packed = (a << (2 * self.n)) | (b << self.n) | c
+        """Membership test; a coordinate outside [0, 2^n), or a BitString
+        of another width, is never a member."""
+        a, b, c = triple
+        packed = 0
+        for v in (a, b, c):
+            if isinstance(v, BitString):
+                if v.width != self.n:
+                    return False
+                v = v.value
+            v = int(v)
+            if not 0 <= v < (1 << self.n):
+                return False
+            packed = (packed << self.n) | v
         idx = np.searchsorted(self._packed, packed)
         return idx < len(self._packed) and self._packed[idx] == packed
 
@@ -282,12 +290,6 @@ class CorrelationSet:
     def proj_count(self, subset) -> int:
         subset = subset_key(subset)
         return len(np.unique(self._pack_proj(self.members, subset)))
-
-    def fiber_rows(self, constraints: Mapping[int, int]) -> np.ndarray:
-        mask = np.ones(len(self.members), dtype=bool)
-        for coord, value in constraints.items():
-            mask &= self.members[:, coord] == value
-        return self.members[mask]
 
     @classmethod
     def from_file(cls, path: str, n: Optional[int]) -> "CorrelationSet":
@@ -335,30 +337,12 @@ def named_correlation_set(spec: str) -> CorrelationSet:
     raise ConfigError(f"scenario {spec!r} has no explicit member set")
 
 
-def counting_conditional(S: CorrelationSet, V, W,
-                         w_values: Mapping[int, int] = None) -> int:
-    """ceil(log2 #distinct V-projections among members matching the W values)."""
-    V, W = subset_key(V), (subset_key(W) if W else ())
-    if set(V) & set(W):
-        raise ValueError("V and W must be disjoint")
-    w_values = w_values or {}
-    if set(w_values) != set(W):
-        raise ValueError(f"W values must cover exactly {W}")
-    rows = S.fiber_rows({c: int(v.value if isinstance(v, BitString) else v)
-                         for c, v in w_values.items()})
-    if len(rows) == 0:
-        raise ValueError("W values are inconsistent with every member")
-    count = len(np.unique(S._pack_proj(rows, V)))
-    return max(count - 1, 0).bit_length()
-
-
 class CountingOracle:
     """Log-cardinality oracle over an explicit correlation set.
 
     The profile is a property of the set, shared by all member triples;
     conditionals derive from the profile by subtraction, so the chain rule
-    holds exactly.  Per-value fiber conditionals are available separately
-    through counting_conditional.
+    holds exactly.
     """
 
     def __init__(self, S: CorrelationSet):

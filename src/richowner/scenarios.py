@@ -16,7 +16,6 @@ import numpy as np
 
 from .bits import BitString
 from .oracles import SUBSETS
-from .rng import SeedStream, derive_seed
 
 # Fixed irreducible polynomials so every field computation is reproducible.
 IRREDUCIBLE = {
@@ -27,116 +26,33 @@ IRREDUCIBLE = {
 }
 
 
-class FieldError(ValueError):
-    pass
-
-
-def _poly_for(q: int) -> int:
-    try:
-        return IRREDUCIBLE[q]
-    except KeyError:
-        raise FieldError(f"no fixed irreducible polynomial for q={q}") from None
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    q: int
-    value: int
-
-    def __post_init__(self):
-        _poly_for(self.q)
-        if not 0 <= self.value < (1 << self.q):
-            raise FieldError(f"value {self.value} out of range for GF(2^{self.q})")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.q, self.value ^ other.value)
-
-    __sub__ = __add__
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        return gf_mul(self, other)
-
-    def _check(self, other: "FieldElement"):
-        if self.q != other.q:
-            raise FieldError(f"mixed fields GF(2^{self.q}) and GF(2^{other.q})")
-
-
-def gf_mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    """Carry-less product reduced by the fixed irreducible polynomial."""
-    a._check(b)
-    poly = _poly_for(a.q)
-    x, y, res = a.value, b.value, 0
-    top = 1 << a.q
-    while y:
-        if y & 1:
-            res ^= x
-        y >>= 1
-        x <<= 1
-        if x & top:
-            x ^= poly
-    return FieldElement(a.q, res)
-
-
-def _mul_table(q: int) -> np.ndarray:
-    """Full Q x Q multiplication table for vectorized geometry."""
-    Q = 1 << q
-    table = np.zeros((Q, Q), dtype=np.int64)
-    for i in range(Q):
-        fi = FieldElement(q, i)
-        for j in range(i, Q):
-            v = gf_mul(fi, FieldElement(q, j)).value
-            table[i, j] = v
-            table[j, i] = v
-    return table
-
-
 _MUL_TABLES: dict[int, np.ndarray] = {}
 
 
 def mul_table(q: int) -> np.ndarray:
-    if q not in _MUL_TABLES:
-        _MUL_TABLES[q] = _mul_table(q)
-    return _MUL_TABLES[q]
+    """Full Q x Q multiplication table of GF(2^q) for vectorized geometry.
+
+    Carry-less products reduced by the fixed irreducible polynomial, one
+    shift-and-xor round per bit of the right factor.
+    """
+    table = _MUL_TABLES.get(q)
+    if table is None:
+        poly = IRREDUCIBLE.get(q)
+        if poly is None:
+            raise ValueError(f"no fixed irreducible polynomial for q={q}")
+        Q = 1 << q
+        x = np.arange(Q, dtype=np.int64)[:, None]
+        y = np.arange(Q, dtype=np.int64)[None, :]
+        table = np.zeros((Q, Q), dtype=np.int64)
+        for bit in range(q):
+            table ^= x * ((y >> bit) & 1)
+            x = x << 1
+            x ^= np.where(x & Q, poly, 0)
+        _MUL_TABLES[q] = table
+    return table
 
 
 # -- collinear triples --------------------------------------------------------
-
-Point = tuple[FieldElement, FieldElement]
-
-
-def is_collinear(a: Point, b: Point, c: Point) -> bool:
-    """Determinant test (b - a) x (c - a) = 0 in the field."""
-    lhs = gf_mul(b[0] + a[0], c[1] + a[1])
-    rhs = gf_mul(b[1] + a[1], c[0] + a[0])
-    return lhs.value == rhs.value
-
-
-def point_to_int(p: Point) -> int:
-    return (p[0].value << p[0].q) | p[1].value
-
-
-def int_to_point(v: int, q: int) -> Point:
-    return (FieldElement(q, v >> q), FieldElement(q, v & ((1 << q) - 1)))
-
-
-def sample_collinear_triple(q: int, seed: int) -> tuple[Point, Point, Point]:
-    """Uniform ordered triple of pairwise-distinct collinear points."""
-    if q < 2:
-        raise FieldError("need q >= 2 for three distinct points on a line")
-    Q = 1 << q
-    stream = SeedStream(derive_seed(seed, "collinear"))
-    a = stream.randrange(Q * Q)
-    b = stream.randrange(Q * Q - 1)
-    if b >= a:
-        b += 1
-    pa, pb = int_to_point(a, q), int_to_point(b, q)
-    # c = a + t*(b - a) for t outside {0, 1} walks the remaining line points.
-    t = FieldElement(q, 2 + stream.randrange(Q - 2))
-    dx, dy = pb[0] + pa[0], pb[1] + pa[1]
-    pc = (pa[0] + gf_mul(t, dx), pa[1] + gf_mul(t, dy))
-    return pa, pb, pc
-
 
 def collinear_members(q: int) -> np.ndarray:
     """All ordered pairwise-distinct collinear triples as (count, 3) ints.
@@ -145,7 +61,7 @@ def collinear_members(q: int) -> np.ndarray:
     enumeration order: by first point, second point, then line parameter.
     """
     if q < 2:
-        raise FieldError("need q >= 2")
+        raise ValueError("need q >= 2")
     Q = 1 << q
     mul = mul_table(q)
     pts = np.arange(Q * Q, dtype=np.int64)
@@ -216,26 +132,6 @@ class SourceDistribution:
             key = tuple(bits[i] for i in coords)
             out[key] = out.get(key, Fraction(0)) + p
         return out
-
-
-def sample_dms(dist: SourceDistribution, n: int, seed: int) -> tuple[BitString, BitString, BitString]:
-    """n independent draws; position i of each output comes from draw i."""
-    stream = SeedStream(derive_seed(seed, "dms"))
-    cum = []
-    acc = Fraction(0)
-    for p in dist.probs:
-        acc += p
-        cum.append(acc)
-    xa = xb = xc = 0
-    denom = 1 << 53
-    for _ in range(n):
-        u = Fraction(stream.bits(53), denom)
-        idx = next(i for i, threshold in enumerate(cum) if u < threshold)
-        a, b, c = TRIPLE_BITS[idx]
-        xa = (xa << 1) | a
-        xb = (xb << 1) | b
-        xc = (xc << 1) | c
-    return BitString(n, xa), BitString(n, xb), BitString(n, xc)
 
 
 def _entropy(probs: Iterable[Fraction]) -> float:

@@ -35,10 +35,10 @@ from richowner.scenarios import (
     collinear_counts,
     collinear_members,
     converse_bound_check,
-    int_to_point,
-    is_collinear,
 )
 from richowner.verification import BFamily, check_prefix_extractor, rich_owner_fraction
+
+from helpers import int_to_point, is_collinear
 
 
 def _report(name, detail):
@@ -150,7 +150,7 @@ def test_criterion_05_collinear_counts():
     for q in (2, 3):
         profile = CountingOracle(named_correlation_set(f"collinear:q={q}")).profile()
         target = (2 * q,) * 3 + (4 * q,) * 3 + (5 * q,)
-        for got, want in zip(profile.values7(), target):
+        for got, want in zip(profile.values, target):
             deviations.append(abs(got - want))
             assert abs(got - want) <= 1
     _report(

@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from richowner.bits import BitString, bs
+from richowner.bits import BitString
+
+from helpers import bs
 
 
 def test_width_bounds():
@@ -28,11 +30,6 @@ def test_prefix_takes_leading_bits():
     assert x.prefix(5) == x
     with pytest.raises(ValueError):
         x.prefix(6)
-
-
-def test_concat():
-    assert bs("10").concat(bs("011")) == bs("10011")
-    assert bs("").concat(bs("1")) == bs("1")
 
 
 def test_hex_round_trip():

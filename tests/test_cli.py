@@ -74,6 +74,20 @@ class TestBuildAndVerify:
         assert "ell=20971520" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_construction_failure_exits_2(self, tmp_path, monkeypatch, capsys):
+        # Exit 1 means a failed audit; a graph that cannot be built is an error.
+        from richowner import verification
+
+        class Failed:
+            passed, worst_error, checked = False, 1, 1
+
+        monkeypatch.setattr(verification, "check_prefix_extractor", lambda *a: Failed())
+        out = tmp_path / "g.json"
+        assert run_cli("build-graph", "--kind", "pipeline", "--n", "4", "--k", "2",
+                       "--max-retries", "1", "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: verification failed on 2 attempts")
+        assert not out.exists()
+
 class TestHashAuditAndProfile:
     def test_hash_audit(self, tmp_path):
         out = tmp_path / "audit.json"
@@ -211,10 +225,17 @@ def decode_inputs(tmp_path):
       "--scenario", "collinear:q=3"], "left width 4"),
     (["build-graph", "--kind", "binning", "--n", "4", "--k", "3", "--out", "{out}"],
      ".json path"),
+    (["hash-audit", "--n", "1", "--s", "5"], "--s 5"),
+    (["build-graph", "--kind", "pipeline", "--n", "4", "--k", "2", "--max-retries", "-1",
+      "--out", "{out}"], "max_retries"),
+    (["experiment", "--set", "trials=-2"], "'trials'"),
+    (["profile", "--scenario", "collinear:q=5"],
+     "no fixed irreducible polynomial for q=5"),
 ], ids=["profile-scenario", "experiment-scenario", "family-sampled",
         "family-all-of-size", "decode-rates", "graphs-typo", "descriptor-kind",
         "decode-codeword-count", "decode-graph-count", "decode-graph-width",
-        "binning-json-out"])
+        "binning-json-out", "hash-audit-distractors", "build-negative-retries",
+        "experiment-negative-trials", "collinear-unknown-field"])
 def test_bad_spec_is_a_clean_error(argv, key, decode_inputs, capsys):
     capsys.readouterr()
     assert run_cli(*(a.format(**decode_inputs) for a in argv)) == 2

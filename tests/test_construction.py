@@ -11,9 +11,11 @@ from richowner.construction import (
     split_count,
     split_edges,
 )
-from richowner.graphs import TABLE_CAP, GraphError, SplitGraph, TableGraph, all_to_one_graph
+from richowner.graphs import TABLE_CAP, GraphError, SplitGraph, TableGraph
 from richowner.rng import derive_seed
 from richowner.verification import BFamily, classify_owner, rich_owner_fraction
+
+from helpers import all_to_one_graph, b_degree
 
 
 class TestBuildRandomGraph:
@@ -56,12 +58,12 @@ class TestSplitEdges:
         g = split_edges(base, s=1, delta=1)
         B = [2, 5, 11, 14]
         for z in range(8):
-            if base.b_degree(z, B) != 1:
+            if b_degree(base, z, B) != 1:
                 continue
-            owner = next(x for x in B if z in base.neighbor_set(x))
+            owner = next(x for x in B if z in base.multiplicities(x))
             for i in range(g.ell):
                 node = g.split_node(i, owner % int(g.primes[i]), z)
-                assert g.b_degree(node, B) == 1
+                assert b_degree(g, node, B) == 1
 
     def test_rejects_bad_parameters(self):
         base = all_to_one_graph(3, 2, 1)
@@ -124,6 +126,10 @@ class TestPipeline:
                 4, 2, Fraction(1, 2), seed=0, max_retries=0, builder=bad_builder
             )
         assert exc.value.worst_violation is not None
+
+    def test_negative_max_retries_rejected(self):
+        with pytest.raises(GraphError, match="max_retries"):
+            construct_rich_owner_graph(4, 2, Fraction(1, 2), seed=0, max_retries=-1)
 
     def test_desk_scale_success_rate(self):
         # n=6, k=3, delta=1/2: at least 9 of 10 master seeds succeed within

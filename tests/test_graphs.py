@@ -5,20 +5,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from richowner.bits import BitString, bs
-from richowner.construction import split_edges
+from richowner.bits import BitString
+from richowner.construction import build_random_graph, construct_rich_owner_graph, split_edges
 from richowner.crt import primes_first
 from richowner.graphs import (
     GraphError,
-    GraphParams,
     SeededGraph,
     SplitGraph,
     TableGraph,
-    all_to_one_graph,
-    complete_graph,
     load_graph,
     save_graph,
 )
+
+from helpers import all_to_one_graph, b_degree, bs, complete_graph
 
 
 def random_table_graph(n, m, d, seed):
@@ -30,13 +29,14 @@ def random_table_graph(n, m, d, seed):
 class TestNeighbor:
     def test_complete_graph_identity_on_label(self):
         g = complete_graph(2, 2)
-        assert g.neighbor(bs("01"), bs("10")) == bs("10")
+        assert g.neighbor_int(0b01, 0b10) == 0b10
+        assert g.neighbor_values(bs("01")) == [0, 1, 2, 3]
 
     def test_explicit_table_lookup(self):
         table = np.array([[1, 1], [0, 2]], dtype=np.uint64)
         g = TableGraph(1, 2, table)
-        assert g.neighbor(bs("0"), 1) == BitString(2, 1)
-        assert g.neighbor(bs("1"), 1) == BitString(2, 2)
+        assert g.neighbor_int(0, 1) == 1
+        assert g.neighbor_values(bs("1")) == [0, 2]
 
     def test_seeded_replay(self):
         g = SeededGraph(6, 4, 5, seed=2024)
@@ -48,11 +48,13 @@ class TestNeighbor:
     def test_width_mismatch_rejected(self):
         g = complete_graph(2, 2)
         with pytest.raises(GraphError):
-            g.neighbor(bs("011"), 0)
+            g.neighbor_values(bs("011"))
         with pytest.raises(GraphError):
-            g.neighbor(bs("01"), bs("011"))
+            g.neighbor_values(4)
         with pytest.raises(GraphError):
-            g.neighbor(bs("01"), 4)
+            g.payload_consistent(bs("01"), bs("011"))
+        with pytest.raises(GraphError):
+            g.payload_consistent(bs("01"), 4)
 
 
 def neighbors_multiset(g, x) -> Counter:
@@ -79,17 +81,17 @@ class TestNeighborsMultiset:
 class TestBDegree:
     def test_empty_b(self):
         g = random_table_graph(3, 2, 2, seed=9)
-        assert all(g.b_degree(z, []) == 0 for z in range(4))
+        assert all(b_degree(g, z, []) == 0 for z in range(4))
 
     def test_all_to_one_counts_multiplicity(self):
         g = all_to_one_graph(2, 2, 1)
-        assert g.b_degree(0, [0, 1, 2]) == 6
+        assert b_degree(g, 0, [0, 1, 2]) == 6
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_handshake_identity(self, seed):
         g = random_table_graph(4, 3, 3, seed=seed)
         B = [1, 4, 7, 9, 15]
-        assert sum(g.b_degree(z, B) for z in range(8)) == len(B) * g.degree
+        assert sum(b_degree(g, z, B) for z in range(8)) == len(B) * g.degree
 
 
 @settings(max_examples=25, deadline=None)
@@ -100,18 +102,20 @@ def test_handshake_property(seed, B, split):
     g = random_table_graph(3, 2, 2, seed=seed)
     if split is not None:
         g = split_edges(g, *split)
-    assert sum(g.b_degree(z, B) for z in range(1 << g.m)) == len(B) * g.degree
+    assert sum(b_degree(g, z, B) for z in range(1 << g.m)) == len(B) * g.degree
 
 
 class TestParams:
     def test_invariants(self):
-        GraphParams(n=4, m=3, d=2, k=3)
+        assert build_random_graph(4, 3, Fraction(1, 2), 1, seed=0).m == 3
         with pytest.raises(GraphError):
-            GraphParams(n=4, m=3, k=5)  # k > m
+            SeededGraph(0, 3, 1, seed=0)  # n < 1
         with pytest.raises(GraphError):
-            GraphParams(n=2, m=8, k=4)  # k > n
+            TableGraph(1, 0, np.zeros((2, 1), dtype=np.uint64))  # m < 1
         with pytest.raises(GraphError):
-            GraphParams(n=2, m=2, delta=2)
+            build_random_graph(2, 4, Fraction(1, 2), 1, seed=0)  # k > n
+        with pytest.raises(GraphError):
+            construct_rich_owner_graph(2, 2, 2, seed=0)  # delta > 1
 
 
 class TestSerialization:
@@ -163,7 +167,7 @@ class TestSplitGraph:
 
     def test_node_encoding_and_residues(self):
         # ell=2 split: x=5 edges land on (index 0, 5 mod 2, z) and (index 1, 5 mod 3, z)
-        g = SplitGraph(self.base(), primes_first(2), s=1, delta=1)
+        g = SplitGraph(self.base(), primes_first(2))
         z = g.base.neighbor_int(5, 2)
         assert g.neighbor_int(5, 2 * 2 + 0) == g.split_node(0, 1, z)
         assert g.neighbor_int(5, 2 * 2 + 1) == g.split_node(1, 2, z)
@@ -171,7 +175,7 @@ class TestSplitGraph:
         assert (i, r, z2) == (1, 2, z)
 
     def test_zero_residues(self):
-        g = SplitGraph(self.base(), primes_first(3), s=1, delta=1)
+        g = SplitGraph(self.base(), primes_first(3))
         for lab in range(g.degree):
             i, r, _ = g.parse_payload(g.neighbor_int(0, lab))
             assert r == 0
@@ -230,7 +234,7 @@ class TestSplitGraph:
         assert g.edge_table() is None
         matrix = g._has_right_matrix()
         for x in range(8):
-            assert set(np.flatnonzero(matrix[x]).tolist()) == g.neighbor_set(x)
+            assert set(np.flatnonzero(matrix[x]).tolist()) == set(g.neighbor_values(x))
 
     def test_bulk_over_matrix_cap_checks_node_by_node(self):
         # 2^(17+8) cells exceed TABLE_CAP: no adjacency matrix is built.

@@ -1,8 +1,9 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from richowner.bits import BitString, bs
+from richowner.bits import BitString
 from richowner.oracles import (
     ComplexityProfile,
     CorrelationSet,
@@ -11,10 +12,12 @@ from richowner.oracles import (
     ToyMachineConfig,
     ToyOracle,
     chain_rule_slack,
-    counting_conditional,
     named_correlation_set,
     run_toy_program,
 )
+from richowner.scenarios import collinear_counts
+
+from helpers import bs
 
 
 # -- independent reference interpreter (recursive-parse style) -------------------
@@ -183,38 +186,34 @@ class TestToyProfilesAndSets:
 class TestCountingOracle:
     def test_singleton_set_zero_everywhere(self):
         S = CorrelationSet(3, [(1, 2, 3)])
+        oracle = CountingOracle(S)
         for V in SUBSETS:
             for W in SUBSETS:
                 if set(V) & set(W):
                     continue
-                wvals = {c: S.triple_at(0)[c] for c in W}
-                assert counting_conditional(S, V, W, wvals) == 0
+                assert oracle.conditional(V, W, S.triple_at(0)) == 0
 
     def test_full_cube_marginal(self):
         S = CorrelationSet.cube(3)
-        assert counting_conditional(S, (0,), (), {}) == 3
         oracle = CountingOracle(S)
-        assert oracle.profile().values7() == (3, 3, 3, 6, 6, 6, 9)
+        assert oracle.conditional((0,), ()) == 3
+        assert oracle.profile().values == (3, 3, 3, 6, 6, 6, 9)
 
     def test_diagonal_profile(self):
         oracle = CountingOracle(CorrelationSet.diagonal(4))
-        assert oracle.profile().values7() == (4,) * 7
+        assert oracle.profile().values == (4,) * 7
 
     def test_collinear_fiber(self):
         S = named_correlation_set("collinear:q=2")
         a, b, _ = S.triple_at(0)
-        assert counting_conditional(S, (2,), (0, 1), {0: a, 1: b}) == 1
-
-    def test_inconsistent_conditioning_rejected(self):
-        S = CorrelationSet(3, [(1, 2, 3)])
-        with pytest.raises(ValueError):
-            counting_conditional(S, (0,), (1,), {1: 7})
+        rows = CountingOracle(S).candidates_rows(2, {0: a, 1: b}, [])
+        assert len(rows) == collinear_counts(2)["fiber_third"] == 2
 
     def test_collinear_profile_within_one_bit(self):
         for q in (2, 3):
             oracle = CountingOracle(named_correlation_set(f"collinear:q={q}"))
             target = (2 * q,) * 3 + (4 * q,) * 3 + (5 * q,)
-            for got, want in zip(oracle.profile().values7(), target):
+            for got, want in zip(oracle.profile().values, target):
                 assert abs(got - want) <= 1
 
     def test_b_set_gated_by_bound(self):
@@ -290,6 +289,15 @@ class TestCorrelationSet:
         assert S.contains((top, 0, top))
         assert not S.contains((top, top, top - 1))
 
+    def test_contains_rejects_out_of_range_aliases(self):
+        # Packed fields would overlap: (0, 4, 0) and (0, 0, 16) pack like (1, 0, 0).
+        S = CorrelationSet(2, [[1, 0, 0]])
+        assert S.contains((1, 0, 0))
+        assert not S.contains((0, 4, 0))
+        assert not S.contains((0, 0, 16))
+        assert not S.contains((1, 0, -1))
+        assert not S.contains((BitString(3, 1), BitString(2, 0), BitString(2, 0)))
+
     def test_members_deduplicated_and_sorted(self):
         S = CorrelationSet(2, [(1, 1, 1), (0, 1, 2), (1, 1, 1)])
         assert len(S) == 2
@@ -303,7 +311,7 @@ class TestCorrelationSet:
 
     def test_profile_of_helper(self):
         S = CorrelationSet.diagonal(3)
-        assert CountingOracle(S).profile(None).values7() == (3,) * 7
+        assert CountingOracle(S).profile(None).values == (3,) * 7
 
 
 class TestProfileType:
@@ -322,3 +330,27 @@ class TestProfileType:
                 assert p.value(union) >= p.value(V)  # monotone
                 if not set(V) & set(W):
                     assert p.value(union) <= p.value(V) + p.value(W)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_contains_matches_python_set(data):
+    n = data.draw(st.integers(1, 21), label="n")
+    top = 1 << n
+    coord = st.integers(0, top - 1)
+    members = data.draw(st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=12),
+                        label="members")
+    S = CorrelationSet(n, members)
+    reference = set(members)
+    wide = st.integers(-2 * top, 4 * top)
+    probes = data.draw(st.lists(st.tuples(wide, wide, wide), max_size=12), label="probes")
+    for a, b, c in members:
+        probes.append((a, b, c))
+        # the same packed value with one field carried into the next
+        probes.append((a - 1, b + top, c))
+        probes.append((a, b - 1, c + top))
+    for probe in probes:
+        assert S.contains(probe) == (probe in reference)
+    for a, b, c in members:
+        assert S.contains((BitString(n, a), BitString(n, b), BitString(n, c)))
+        assert not S.contains((BitString(n, a), BitString(n + 1, b), BitString(n, c)))

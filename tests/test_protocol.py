@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from richowner.bits import BitString, bs
+from richowner.bits import BitString
 from richowner.construction import construct_rich_owner_graph
 from richowner.crt import HashScheme, HashTag
-from richowner.graphs import SeededGraph, TableGraph, all_to_one_graph
+from richowner.graphs import SeededGraph, TableGraph
 from richowner.oracles import (
     SUBSETS,
     ComplexityProfile,
@@ -38,6 +38,8 @@ from richowner.protocol import (
     _tags_match,
 )
 from richowner.rng import SeedStream, derive_seed
+
+from helpers import all_to_one_graph, bs
 
 SCHEME4 = HashScheme(4, 3, Fraction(1, 16))
 

@@ -3,24 +3,28 @@ from collections import Counter
 from fractions import Fraction
 import pytest
 
-from richowner.bits import BitString, bs
+from richowner.bits import BitString
 from richowner.oracles import SUBSETS, ComplexityProfile, CountingOracle, named_correlation_set
 from richowner.protocol import check_rate_feasibility
 from richowner.scenarios import (
-    FieldElement,
+    IRREDUCIBLE,
     SourceDistribution,
     collinear_counts,
     collinear_members,
     converse_bound_check,
     entropy_profile,
+    mul_table,
+)
+from richowner.rng import SeedStream
+
+from helpers import (
+    FieldElement,
     gf_mul,
     int_to_point,
     is_collinear,
     point_to_int,
     sample_collinear_triple,
-    sample_dms,
 )
-from richowner.rng import SeedStream
 
 
 class TestField:
@@ -53,6 +57,17 @@ class TestField:
         for a in els[1:]:
             inverses = [b for b in els if gf_mul(a, b).value == 1]
             assert len(inverses) == 1
+
+    @pytest.mark.parametrize("q", sorted(IRREDUCIBLE))
+    def test_mul_table_matches_scalar_reference(self, q):
+        Q = 1 << q
+        reference = [[gf_mul(FieldElement(q, i), FieldElement(q, j)).value for j in range(Q)]
+                     for i in range(Q)]
+        assert mul_table(q).tolist() == reference
+
+    def test_mul_table_unknown_field_rejected(self):
+        with pytest.raises(ValueError, match="no fixed irreducible polynomial for q=5"):
+            mul_table(5)
 
 
 class TestCollinear:
@@ -121,33 +136,6 @@ class TestCollinear:
 
 
 class TestDms:
-    def test_point_mass(self):
-        dist = SourceDistribution.from_mapping({"000": Fraction(1)})
-        xa, xb, xc = sample_dms(dist, 12, seed=4)
-        assert xa.value == xb.value == xc.value == 0
-
-    def test_perfect_correlation(self):
-        dist = SourceDistribution.from_mapping(
-            {"000": Fraction(1, 2), "111": Fraction(1, 2)}
-        )
-        for seed in range(20):
-            xa, xb, xc = sample_dms(dist, 10, seed=seed)
-            assert xa == xb == xc
-
-    def test_marginal_frequency(self):
-        dist = SourceDistribution.from_mapping(
-            {"000": Fraction(1, 2), "011": Fraction(1, 4), "101": Fraction(1, 4)}
-        )
-        n, draws = 10, 1000
-        ones = 0
-        for seed in range(draws):
-            xa, _, _ = sample_dms(dist, n, seed=seed)
-            ones += bin(xa.value).count("1")
-        total = n * draws
-        p = 1 / 4  # P(first bit = 1)
-        sigma = math.sqrt(total * p * (1 - p))
-        assert abs(ones - total * p) <= 3 * sigma
-
     def test_probabilities_validated(self):
         with pytest.raises(ValueError):
             SourceDistribution.from_mapping({"000": Fraction(1, 2)})

@@ -17,8 +17,6 @@ from richowner.graphs import (
     GraphError,
     SeededGraph,
     TableGraph,
-    all_to_one_graph,
-    complete_graph,
 )
 from richowner.verification import (
     BFamily,
@@ -30,6 +28,8 @@ from richowner.verification import (
     node_damage_bound,
     rich_owner_fraction,
 )
+
+from helpers import all_to_one_graph, complete_graph
 
 
 def injective_degree_one_graph(n):
