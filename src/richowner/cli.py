@@ -112,6 +112,8 @@ def _cmd_verify_graph(args) -> int:
 
 def _cmd_hash_audit(args) -> int:
     scheme = HashScheme(args.n, args.s, Fraction(args.epsilon))
+    if args.trials < 0:
+        raise ConfigError(f"--trials {args.trials}: must be >= 0")
     if args.s > (1 << args.n):
         raise ConfigError(f"--s {args.s}: needs {args.s - 1} distinct distractors, but only "
                           f"{(1 << args.n) - 1} {args.n}-bit strings differ from u1")

@@ -37,7 +37,7 @@ def primes_first(t: int) -> tuple[int, ...]:
                 sieve[p * p :: p] = False
         found = np.flatnonzero(sieve)
         if len(found) >= t:
-            return tuple(int(p) for p in found[:t])
+            return tuple(found[:t].tolist())
         bound *= 2
 
 

@@ -4,8 +4,9 @@ Two oracles drive the protocol.  The toy machine is a tiny concatenative
 interpreter with program-length and step budgets, small enough that
 shortest programs are found by exhaustive enumeration.  The counting
 oracle assigns log-cardinalities of projections and fibers of an explicit
-correlation set.  Both expose the same surface: seven-value profiles,
-conditionals, and enumerable candidate sets.
+correlation set; its profile is computed once per set, on first use.  Both
+expose the same surface: seven-value profiles, conditionals, and
+enumerable candidate sets.
 
 The toy machine's instruction stream (big-endian bits):
 
@@ -252,6 +253,7 @@ class CorrelationSet:
             raise ValueError(f"member coordinate out of range for n={n}")
         self.n = n
         self.members = np.unique(members, axis=0)
+        self._columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._packed = (
             (self.members[:, 0] << (2 * n))
             | (self.members[:, 1] << n)
@@ -286,6 +288,19 @@ class CorrelationSet:
         for coord in subset[1:]:
             packed = (packed << self.n) | rows[:, coord]
         return packed
+
+    def payload_mask(self, coord: int, graph, payload) -> np.ndarray:
+        """Rows whose coordinate's string owns the payload in the graph.
+
+        One check per distinct value of the column; its distinct values and
+        row -> value index are computed on first use.
+        """
+        column = self._columns.get(coord)
+        if column is None:
+            column = np.unique(self.members[:, coord], return_inverse=True)
+            self._columns[coord] = column
+        values, inverse = column
+        return graph.payload_consistent_bulk(values, payload)[inverse]
 
     def proj_count(self, subset) -> int:
         subset = subset_key(subset)
@@ -340,20 +355,23 @@ def named_correlation_set(spec: str) -> CorrelationSet:
 class CountingOracle:
     """Log-cardinality oracle over an explicit correlation set.
 
-    The profile is a property of the set, shared by all member triples;
-    conditionals derive from the profile by subtraction, so the chain rule
-    holds exactly.
+    The profile is a property of the set, shared by all member triples, so
+    it is computed once per set, on the first call; conditionals derive
+    from the profile by subtraction, so the chain rule holds exactly.
     """
 
     def __init__(self, S: CorrelationSet):
         self.S = S
+        self._profile: Optional[ComplexityProfile] = None
 
     def profile(self, triple=None) -> ComplexityProfile:
         if triple is not None and not self.S.contains(triple):
             raise ValueError("triple is not a member of the correlation set")
-        return ComplexityProfile(
-            tuple(max(self.S.proj_count(s) - 1, 0).bit_length() for s in SUBSETS)
-        )
+        if self._profile is None:
+            self._profile = ComplexityProfile(
+                tuple(max(self.S.proj_count(s) - 1, 0).bit_length() for s in SUBSETS)
+            )
+        return self._profile
 
     def conditional(self, V, W, triple=None) -> int:
         return self.profile(triple).conditional(V, W)
@@ -364,7 +382,7 @@ class CountingOracle:
         for coord, value in known.items():
             mask &= self.S.members[:, coord] == value.value
         for coord, payload, graph in payload_conds:
-            mask &= graph.payload_consistent_bulk(self.S.members[:, coord], payload)
+            mask &= self.S.payload_mask(coord, graph, payload)
         return np.unique(self.S.members[mask, target])
 
     def candidates(self, target: int, known: Mapping[int, BitString],

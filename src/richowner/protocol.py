@@ -467,12 +467,12 @@ def decode_membership(codewords: Sequence[Codeword], S: CorrelationSet,
     survivor remains.
 
     Survivor counting is exact; tags, when present, are applied as an extra
-    filter before counting.
+    filter before counting.  Payloads are checked once per distinct value
+    of each coordinate (CorrelationSet.payload_mask).
     """
     mask = np.ones(len(S.members), dtype=bool)
     for coord in range(3):
-        payload = codewords[coord].payload
-        mask &= graphs[coord].payload_consistent_bulk(S.members[:, coord], payload)
+        mask &= S.payload_mask(coord, graphs[coord], codewords[coord].payload)
         if not mask.any():
             break
     if mask.any():

@@ -86,21 +86,27 @@ class BFamily:
             return math.comb(N, self.size)
         return self.count
 
-    def iter_sets(self, n: int) -> Iterator[tuple[int, ...]]:
+    def _enumerated_sizes(self, n: int) -> range:
+        """The set sizes of an exhaustive or all-of-size family, each taken
+        as every subset of that size; refuses families too large to list."""
         N = 1 << n
         if self.mode == "exhaustive":
             if n > 4:
                 raise GraphError(f"exhaustive family not permitted at n={n} > 4")
             hi = N if self.max_size is None else min(self.max_size, N)
-            for s in range(max(1, self.min_size), hi + 1):
+            return range(max(1, self.min_size), hi + 1)
+        if math.comb(N, self.size) > ENUM_CAP:
+            raise GraphError(
+                f"all-of-size family with C({N},{self.size}) sets cannot be "
+                "enumerated; use the certified richness audit"
+            )
+        return range(self.size, self.size + 1)
+
+    def iter_sets(self, n: int) -> Iterator[tuple[int, ...]]:
+        N = 1 << n
+        if self.mode != "sampled":
+            for s in self._enumerated_sizes(n):
                 yield from combinations(range(N), s)
-        elif self.mode == "all-of-size":
-            if math.comb(N, self.size) > ENUM_CAP:
-                raise GraphError(
-                    f"all-of-size family with C({N},{self.size}) sets cannot be "
-                    "enumerated; use the certified richness audit"
-                )
-            yield from combinations(range(N), self.size)
         else:
             stream = SeedStream(derive_seed(self.seed, "bfamily"))
             for _ in range(self.count):
@@ -176,17 +182,25 @@ def _endpoint_counts(g: LabeledBipartiteGraph) -> np.ndarray:
     return np.bincount(offsets.ravel(), minlength=N * R).reshape(N, R)
 
 
-def _size_groups(family: BFamily, n: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """(size, positions in sorted order, one row of members per set) for
-    each size among the family's distinct sets."""
-    sets = sorted(set(family.iter_sets(n)))
-    sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+def _size_groups(family: BFamily, n: int) -> list[tuple[int, np.ndarray]]:
+    """(size, one row of members per set) for each size among the family's
+    distinct sets, ascending; rows come in sorted tuple order.
+
+    Exhaustive and all-of-size families are distinct already, and
+    `combinations` yields each size in sorted order, so they are read
+    straight into arrays; only a sampled family is deduplicated and sorted.
+    """
+    if family.mode == "sampled":  # every sampled set has the family's size
+        sets = sorted(set(family.iter_sets(n)))
+        return [(family.size, np.array(sets, dtype=np.int32).reshape(-1, family.size))]
+    N = 1 << n
     groups = []
-    for size in np.unique(sizes).tolist():
-        positions = np.flatnonzero(sizes == size)
-        members = np.fromiter(chain.from_iterable(sets[i] for i in positions.tolist()),
-                              dtype=np.int32, count=size * len(positions))
-        groups.append((size, positions, members.reshape(-1, size)))
+    for size in family._enumerated_sizes(n):
+        count = math.comb(N, size)
+        if count:
+            members = np.fromiter(chain.from_iterable(combinations(range(N), size)),
+                                  dtype=np.int32, count=size * count)
+            groups.append((size, members.reshape(count, size)))
     return groups
 
 
@@ -218,7 +232,7 @@ def check_prefix_extractor(g: LabeledBipartiteGraph, epsilon,
         R = 1 << k_prime
         folded = counts.reshape(N, R, -1).sum(axis=2)
         failing = []
-        for size, positions, members in groups:
+        for size, members in groups:
             if size < R:
                 continue
             den = 2 * size * D * R
@@ -238,10 +252,10 @@ def check_prefix_extractor(g: LabeledBipartiteGraph, epsilon,
             bad = np.flatnonzero(devs > limit)
             if bad.size:
                 passed = False
-            failing += [(int(positions[b]), _descr(members[b].tolist()),
-                         Fraction(int(devs[b]), den)) for b in bad[: 20 - len(failures)]]
-        for _, descriptor, err in sorted(failing)[: 20 - len(failures)]:
-            failures.append({"k_prime": k_prime, "B_descriptor": descriptor,
+            failing += [(members[b].tolist(), Fraction(int(devs[b]), den))
+                        for b in bad[: 20 - len(failures)]]
+        for B, err in sorted(failing)[: 20 - len(failures)]:
+            failures.append({"k_prime": k_prime, "B_descriptor": _descr(B),
                              "worst_error": str(err)})
     return VerificationReport(
         graph_id=g.graph_id(), kind="prefix-extractor", k=g.m, delta=None,

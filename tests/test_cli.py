@@ -226,6 +226,7 @@ def decode_inputs(tmp_path):
     (["build-graph", "--kind", "binning", "--n", "4", "--k", "3", "--out", "{out}"],
      ".json path"),
     (["hash-audit", "--n", "1", "--s", "5"], "--s 5"),
+    (["hash-audit", "--n", "4", "--s", "2", "--trials", "-3"], "--trials -3"),
     (["build-graph", "--kind", "pipeline", "--n", "4", "--k", "2", "--max-retries", "-1",
       "--out", "{out}"], "max_retries"),
     (["experiment", "--set", "trials=-2"], "'trials'"),
@@ -234,8 +235,9 @@ def decode_inputs(tmp_path):
 ], ids=["profile-scenario", "experiment-scenario", "family-sampled",
         "family-all-of-size", "decode-rates", "graphs-typo", "descriptor-kind",
         "decode-codeword-count", "decode-graph-count", "decode-graph-width",
-        "binning-json-out", "hash-audit-distractors", "build-negative-retries",
-        "experiment-negative-trials", "collinear-unknown-field"])
+        "binning-json-out", "hash-audit-distractors", "hash-audit-negative-trials",
+        "build-negative-retries", "experiment-negative-trials",
+        "collinear-unknown-field"])
 def test_bad_spec_is_a_clean_error(argv, key, decode_inputs, capsys):
     capsys.readouterr()
     assert run_cli(*(a.format(**decode_inputs) for a in argv)) == 2

@@ -12,7 +12,7 @@ from richowner.experiments import (
     run_experiment,
     validate_report,
 )
-from richowner.oracles import CountingOracle
+from richowner.oracles import CorrelationSet, CountingOracle
 
 
 BASE = dict(
@@ -93,6 +93,19 @@ class TestRunExperiment:
         # sha256 of the report as produced with two profiles per trial
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "a847c3d10a688a0fb823eace53d3aac8c6f99d426803a54d6451bfedf50b7ce6")
+
+    @pytest.mark.parametrize("decoder", ["membership", "known-profile", "full"])
+    def test_counting_experiment_projects_the_set_once(self, decoder, monkeypatch):
+        # The profile belongs to the set: 7 projection counts per experiment,
+        # however many trials ask for it.
+        subsets = []
+        proj_count = CorrelationSet.proj_count
+        monkeypatch.setattr(CorrelationSet, "proj_count", lambda self, subset:
+                            subsets.append(subset) or proj_count(self, subset))
+        cfg = ExperimentConfig(**{**BASE, "decoder": decoder, "graphs": "binning",
+                                  "trials": 6})
+        assert run_experiment(cfg).aggregates["trials"] == 6
+        assert len(subsets) == 7
 
     def test_planted_scenario_with_toy_oracle(self):
         cfg = ExperimentConfig(

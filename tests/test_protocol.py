@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from richowner.bits import BitString
 from richowner.construction import construct_rich_owner_graph
-from richowner.crt import HashScheme, HashTag
-from richowner.graphs import SeededGraph, TableGraph
+from richowner.crt import HashScheme, HashTag, primes_first
+from richowner.graphs import LabeledBipartiteGraph, SeededGraph, SplitGraph, TableGraph
 from richowner.oracles import (
     SUBSETS,
     ComplexityProfile,
@@ -574,3 +574,103 @@ class TestDecodeMembership:
         cws = _encode_triple(triple, graphs, SCHEME4, seed=4)
         result = decode_membership(cws, S, graphs)
         assert result.ok and result.triple == triple
+
+
+# -- per-value payload checks against Python-set enumeration -----------------------
+
+@st.composite
+def any_kind_graph(draw, n):
+    """A table, seeded or split graph of left width n.  A seeded graph with
+    m = 22 has more than TABLE_CAP adjacency cells, so its payloads are
+    checked node by node rather than through the cached matrix."""
+    kind = draw(st.sampled_from(["table", "seeded", "split"]))
+    if kind == "seeded":
+        return SeededGraph(n, draw(st.sampled_from([1, 2, 3, 22])),
+                           draw(st.integers(0, 2)), draw(st.integers(0, 99)))
+    m = draw(st.integers(1, 3))
+    degree = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.integers(0, (1 << m) - 1), min_size=degree,
+                                  max_size=degree),
+                         min_size=1 << n, max_size=1 << n))
+    g = TableGraph(n, m, np.array(rows, dtype=np.uint64))
+    if kind == "split":
+        g = SplitGraph(g, primes_first(draw(st.integers(1, 4))))
+    return g
+
+
+@st.composite
+def membership_instances(draw):
+    """(set rows, graphs, payloads): each payload is a neighbor of one
+    member's string or any right node."""
+    n = draw(st.integers(1, 4))
+    value = st.integers(0, (1 << n) - 1)
+    rows = draw(st.lists(st.tuples(value, value, value), min_size=1, max_size=30))
+    graphs = [draw(any_kind_graph(n)) for _ in range(3)]
+    payloads = []
+    for coord, g in enumerate(graphs):
+        if draw(st.booleans()):
+            x = draw(st.sampled_from(rows))[coord]
+            z = g.neighbor_int(x, draw(st.integers(0, g.degree - 1)))
+        else:
+            z = draw(st.integers(0, (1 << g.m) - 1))
+        payloads.append(BitString(g.m, z))
+    return n, rows, graphs, payloads
+
+
+def _owners(rows, graphs, coords, payloads):
+    return [r for r in sorted(set(rows))
+            if all(graphs[c].payload_consistent(r[c], payloads[c]) for c in coords)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(membership_instances(), st.data())
+def test_decode_membership_matches_set_enumeration(instance, data):
+    n, rows, graphs, payloads = instance
+    tags = [data.draw(st.none() | st.builds(
+        lambda p, r: HashTag(p, r % p), st.sampled_from([2, 3, 5, 7]), st.integers(0, 6)))
+        for _ in range(3)]
+    cws = [Codeword("ABC"[c], payloads[c], tags[c]) for c in range(3)]
+    survivors = [r for r in _owners(rows, graphs, range(3), payloads)
+                 if all(t is None or t.matches(x) for t, x in zip(tags, r))]
+    result = decode_membership(cws, CorrelationSet(n, rows), graphs)
+    assert result.survivors == len(survivors)
+    if len(survivors) == 1:
+        assert result.ok and result.triple == tuple(BitString(n, v) for v in survivors[0])
+    else:
+        assert not result.ok and result.triple is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(membership_instances(), st.data())
+def test_candidates_rows_match_set_enumeration(instance, data):
+    n, rows, graphs, payloads = instance
+    target = data.draw(st.integers(0, 2))
+    conds = data.draw(st.lists(st.integers(0, 2), unique=True))
+    known_coords = data.draw(st.lists(st.sampled_from([c for c in range(3) if c != target]),
+                                      unique=True))
+    anchor = data.draw(st.sampled_from(rows))
+    known = {c: BitString(n, data.draw(st.sampled_from([anchor[c], 0]))) for c in known_coords}
+    expected = sorted({r[target] for r in _owners(rows, graphs, conds, payloads)
+                       if all(r[c] == v.value for c, v in known.items())})
+    got = CountingOracle(CorrelationSet(n, rows)).candidates_rows(
+        target, known, [(c, payloads[c], graphs[c]) for c in conds])
+    assert got.tolist() == expected
+
+
+def test_payload_checks_run_once_per_distinct_value(monkeypatch):
+    # 40 members at n = 17: each coordinate checks its distinct values,
+    # never the 2^17 strings of the width.
+    checked = []
+    bulk = LabeledBipartiteGraph.payload_consistent_bulk
+    monkeypatch.setattr(LabeledBipartiteGraph, "payload_consistent_bulk",
+                        lambda self, xs, payload: checked.append(len(xs)) or
+                        bulk(self, xs, payload))
+    rows = [(i, 7 * i % 5, 3) for i in range(40)]
+    S = CorrelationSet(17, rows)
+    graphs = [SeededGraph(17, 4, 1, seed=c) for c in range(3)]
+    cws = [encode(graphs[c], BitString(17, rows[0][c]), None, seed=1, sender="ABC"[c])
+           for c in range(3)]
+    decode_membership(cws, S, graphs)
+    CountingOracle(S).candidates_rows(0, {}, [(c, cws[c].payload, graphs[c])
+                                              for c in range(3)])
+    assert checked == [40, 5, 1] * 2

@@ -432,3 +432,88 @@ def test_prefix_extractor_matches_per_set_loop(data):
     report = check_prefix_extractor(g, epsilon, family)
     assert (report.checked, report.passed, report.worst_error,
             report.failures) == reference_prefix_extractor(g, epsilon, family)
+
+
+# -- size groups against the sorted-tuple path ------------------------------------
+
+def sorted_tuple_size_groups(family, n):
+    """Reference for _size_groups: (size, positions in sorted order, one
+    row of members per set) per size, from every family's tuples
+    deduplicated and sorted."""
+    sets = sorted(set(family.iter_sets(n)))
+    sizes = np.array([len(B) for B in sets], dtype=np.int64)
+    groups = []
+    for size in np.unique(sizes).tolist():
+        positions = np.flatnonzero(sizes == size)
+        members = np.array([sets[i] for i in positions.tolist()], dtype=np.int32)
+        groups.append((size, positions, members.reshape(-1, size)))
+    return groups
+
+
+@st.composite
+def enumerable_families(draw, n):
+    """Families of every mode, exhaustive ones over every size at n = 4 too."""
+    N = 1 << n
+    mode = draw(st.sampled_from(["exhaustive", "all-of-size", "sampled"]))
+    if mode == "exhaustive":
+        low = draw(st.integers(0, N + 1))
+        high = draw(st.none() | st.integers(0, N + 1))
+        return BFamily(mode="exhaustive", min_size=low, max_size=high)
+    size = draw(st.integers(1, N))
+    if mode == "all-of-size":
+        return BFamily(mode="all-of-size", size=size)
+    return BFamily(mode="sampled", size=size, count=draw(st.integers(1, 40)),
+                   seed=draw(st.integers(0, 1000)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_size_groups_match_sorted_tuple_path(data):
+    n = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(1, 3))
+    family = data.draw(enumerable_families(n))
+    reference = sorted_tuple_size_groups(family, n)
+    groups = verification._size_groups(family, n)
+    assert [size for size, _ in groups] == [size for size, _, _ in reference]
+    for (_, members), (_, _, ref_members) in zip(groups, reference):
+        assert members.dtype == np.int32
+        assert np.array_equal(members, ref_members)
+    # Positions were ranks in sorted tuple order: sorting the failures of
+    # check_prefix_extractor by member tuple keeps the position order.
+    D = data.draw(st.integers(1, 4))
+    hub = data.draw(st.booleans())
+    if hub:
+        g = all_to_one_graph(n, m, 0)
+        g = TableGraph(n, m, np.repeat(g.table, D, axis=1))
+    else:
+        rows = data.draw(st.lists(
+            st.lists(st.integers(0, (1 << m) - 1), min_size=D, max_size=D),
+            min_size=1 << n, max_size=1 << n))
+        g = TableGraph(n, m, np.array(rows, dtype=np.uint64))
+    epsilon = data.draw(st.sampled_from([Fraction(0), Fraction(1, 4)]))
+    counts = np.array([np.bincount(g.table[x].astype(np.int64), minlength=1 << m)
+                       for x in range(1 << n)])
+    expected = []
+    for k_prime in range(1, m + 1):
+        R = 1 << k_prime
+        folded = counts.reshape(1 << n, R, -1).sum(axis=2)
+        failing = []
+        for size, positions, members in reference:
+            if size < R:
+                continue
+            den = 2 * size * D * R
+            devs = np.abs(folded[members].sum(axis=1) * R - size * D).sum(axis=1)
+            failing += [(int(positions[b]), members[b].tolist(), Fraction(int(devs[b]), den))
+                        for b in np.flatnonzero(devs * epsilon.denominator
+                                                > epsilon.numerator * den)]
+        expected += [{"k_prime": k_prime, "B_descriptor": _descr(B), "worst_error": str(err)}
+                     for _, B, err in sorted(failing)]
+    report = check_prefix_extractor(g, epsilon, family)
+    assert report.failures == expected[:20]
+
+
+def test_size_groups_keep_the_enumeration_limits():
+    with pytest.raises(GraphError, match="not permitted"):
+        verification._size_groups(BFamily(mode="exhaustive"), 5)
+    with pytest.raises(GraphError, match="cannot be enumerated"):
+        verification._size_groups(BFamily(mode="all-of-size", size=8), 6)
