@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -119,28 +120,27 @@ class LabeledBipartiteGraph:
     def payload_consistent_bulk(self, xs: np.ndarray, payload) -> np.ndarray:
         """payload_consistent for every left node in xs.
 
-        Reads a cached 2^n x 2^m adjacency matrix when it has at most
-        TABLE_CAP cells, and checks node by node otherwise.
+        Reads the cached adjacency matrix when there is one, and checks just
+        the given nodes, one by one, otherwise.
         """
         zi = _as_right_int(self, payload)
-        if (1 << (self.n + self.m)) > TABLE_CAP:
+        if self._has_right is None:
             return np.fromiter((self.payload_consistent(int(x), zi) for x in xs),
                                dtype=bool, count=len(xs))
-        mask = self._has_right_matrix()
-        return mask[xs, zi]
+        return self._has_right[xs, zi]
 
-    def _has_right_matrix(self) -> np.ndarray:
-        cached = getattr(self, "_has_right", None)
-        if cached is None:
-            cached = np.zeros((1 << self.n, 1 << self.m), dtype=bool)
-            table = self.edge_table()
-            if table is not None:
-                cached[np.arange(1 << self.n)[:, None], table] = True
-            else:
-                for x in range(1 << self.n):
-                    cached[x, list(self.multiplicities(x))] = True
-            self._has_right = cached
-        return cached
+    @cached_property
+    def _has_right(self) -> Optional[np.ndarray]:
+        """The 2^n x 2^m adjacency matrix, built from the edge table; None
+        without an edge table or past TABLE_CAP cells."""
+        if (1 << (self.n + self.m)) > TABLE_CAP:
+            return None
+        table = self.edge_table()
+        if table is None:
+            return None
+        matrix = np.zeros((1 << self.n, 1 << self.m), dtype=bool)
+        matrix[np.arange(1 << self.n)[:, None], table] = True
+        return matrix
 
     def graph_id(self) -> str:
         h = hashlib.blake2b(self.describe().encode(), digest_size=8)

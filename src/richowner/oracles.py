@@ -5,8 +5,8 @@ interpreter with program-length and step budgets, small enough that
 shortest programs are found by exhaustive enumeration.  The counting
 oracle assigns log-cardinalities of projections and fibers of an explicit
 correlation set; its profile is computed once per set, on first use.  Both
-expose the same surface: seven-value profiles, conditionals, and
-enumerable candidate sets.
+expose the same surface: seven-value profiles, conditionals, and candidate
+sets as int64 arrays of string values, from one `candidates` signature.
 
 The toy machine's instruction stream (big-endian bits):
 
@@ -224,21 +224,29 @@ class ToyOracle:
                     out[key] = ln
         return out
 
-    def candidates(self, n: int, known: Sequence[BitString],
-                   payloads: Sequence[BitString], bound: int) -> list[BitString]:
-        """Deterministic candidate list {x : C(x | side) <= bound}, capped."""
+    def candidates(self, n: int, target: int, known: Mapping[int, BitString],
+                   payload_conds: Sequence, bound: int) -> np.ndarray:
+        """Values of the width-n strings x with C(x | side) <= bound, ordered
+        by (program length, value) and capped at 2^(bound+1).
+
+        The side is the known strings, then the payloads, in the order
+        given; the machine knows no coordinates, so `target` is unused.
+        """
         if bound < 0:
-            return []
-        side = tuple(known) + tuple(payloads)
+            return np.empty(0, dtype=np.int64)
+        side = tuple(known.values()) + tuple(p for _, p, _ in payload_conds)
         found = self.string_set(n, side)
-        items = sorted(
-            (x for x, c in found.items() if c <= bound),
-            key=lambda x: (found[x], x.value),
-        )
-        return items[: 1 << (bound + 1)]
+        items = sorted((c, x.value) for x, c in found.items() if c <= bound)
+        return np.array([v for _, v in items[: 1 << (bound + 1)]], dtype=np.int64)
 
 
 # -- counting oracle over explicit correlation sets ----------------------------
+
+def _unpack(n: int, packed: np.ndarray) -> np.ndarray:
+    """(N, 3) rows of the triples packed as a << 2n | b << n | c."""
+    mask = (1 << n) - 1
+    return np.stack([packed >> (2 * n), (packed >> n) & mask, packed & mask], axis=1)
+
 
 class CorrelationSet:
     """Explicit S subset of ({0,1}^n)^3 with exact count and fiber queries."""
@@ -252,13 +260,12 @@ class CorrelationSet:
         if members.min() < 0 or members.max() >= (1 << n):
             raise ValueError(f"member coordinate out of range for n={n}")
         self.n = n
-        self.members = np.unique(members, axis=0)
+        # Packed order is lexicographic row order, so one 1-D unique sorts
+        # and deduplicates the rows.
+        self._packed = np.unique(
+            (members[:, 0] << (2 * n)) | (members[:, 1] << n) | members[:, 2])
+        self.members = _unpack(n, self._packed)
         self._columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._packed = (
-            (self.members[:, 0] << (2 * n))
-            | (self.members[:, 1] << n)
-            | self.members[:, 2]
-        )
 
     def __len__(self) -> int:
         return len(self.members)
@@ -332,9 +339,7 @@ class CorrelationSet:
     def cube(cls, n: int) -> "CorrelationSet":
         if n > 5:
             raise ValueError("full cube is materialized only up to n=5")
-        xs = np.arange(1 << (3 * n), dtype=np.int64)
-        mask = (1 << n) - 1
-        return cls(n, np.stack([xs >> (2 * n), (xs >> n) & mask, xs & mask], axis=1))
+        return cls(n, _unpack(n, np.arange(1 << (3 * n), dtype=np.int64)))
 
 
 def named_correlation_set(spec: str) -> CorrelationSet:
@@ -376,31 +381,24 @@ class CountingOracle:
     def conditional(self, V, W, triple=None) -> int:
         return self.profile(triple).conditional(V, W)
 
-    def candidates_rows(self, target: int, known: Mapping[int, BitString],
-                        payload_conds: Sequence) -> np.ndarray:
+    def candidates(self, n: int, target: int, known: Mapping[int, BitString],
+                   payload_conds: Sequence, bound: int) -> np.ndarray:
+        """Distinct target values, in increasing order, of the members that
+        agree with the known strings and own the conditioning payloads.
+
+        Every fiber member shares the fiber's log-cardinality, so the set is
+        empty whenever that exceeds the bound.  The set fixes the width, so
+        `n` is unused.
+        """
         mask = np.ones(len(self.S.members), dtype=bool)
         for coord, value in known.items():
             mask &= self.S.members[:, coord] == value.value
         for coord, payload, graph in payload_conds:
             mask &= self.S.payload_mask(coord, graph, payload)
-        return np.unique(self.S.members[mask, target])
-
-    def candidates(self, target: int, known: Mapping[int, BitString],
-                   payload_conds: Sequence, bound: int) -> list[BitString]:
-        """Fiber projections consistent with the conditioning, bound-gated.
-
-        Every fiber member shares the fiber's log-cardinality, so the set is
-        empty whenever that exceeds the bound.
-        """
-        if bound < 0:
-            return []
-        values = self.candidates_rows(target, known, payload_conds)
-        if len(values) == 0:
-            return []
+        values = np.unique(self.S.members[mask, target])
         if max(len(values) - 1, 0).bit_length() > bound:
-            return []
-        out = [BitString(self.S.n, int(v)) for v in values]
-        return out[: 1 << (bound + 1)]
+            return values[:0]
+        return values
 
 
 # -- shared operations ----------------------------------------------------------

@@ -3,9 +3,10 @@
 Senders compress by naming a random neighbor of their string in a per-rate
 graph, plus a residue fingerprint of the string itself.  The receiver holds
 a catalog of staged reconstruction pipelines (branches): each recovers one
-string at a time by enumerating an oracle candidate set at a bound taken
-from a plan (a complexity profile plus the rates), and keeps the unique
-candidate that owns the observed payload.
+string at a time.  A stage asks the oracle for its candidate values at a
+bound taken from a plan (a complexity profile plus the rates), checks them
+all against the observed payload with one bulk graph query, and keeps the
+unique candidate that owns it.
 
 Both staged decoders are profile search over a table of plans, in rank
 order: the known-profile decoder over the one plan its profile gives, the
@@ -34,7 +35,6 @@ from .oracles import (
     SUBSETS,
     ComplexityProfile,
     CorrelationSet,
-    CountingOracle,
     ToyOracle,
     subset_key,
 )
@@ -277,49 +277,37 @@ class DecodeResult:
 # -- staged decoding -----------------------------------------------------------
 
 def _recover(stage: Stage, recovered: dict[int, BitString],
-             codewords: Sequence[Codeword], oracle, graphs, n: int,
+             codewords: Sequence[Codeword], oracle, graphs,
              memo: dict) -> tuple[Optional[BitString], int]:
-    """One stage: enumerate the candidate set, keep the unique payload owner.
+    """One stage: list the oracle's candidate values, filter them with one
+    bulk payload check, and keep the unique payload owner.
 
-    Returns (recovered string or None, enumeration steps charged).  `memo`
-    holds stage results for one codeword triple; they are pure functions of
-    the stage and the strings it conditions on, so a hit is charged the
-    same steps as a fresh run.
+    Returns (recovered string or None, enumeration steps charged: the
+    number of candidates).  `memo` holds stage results for one codeword
+    triple; they are pure functions of the stage and the strings it
+    conditions on, so a hit is charged the same steps as a fresh run.
     """
-    known_vals = tuple((c, recovered[c]) for c in stage.known)
-    key = (stage.target, known_vals, stage.payload_conds, stage.bound)
+    known = {c: recovered[c] for c in stage.known}
+    key = (stage.target, tuple(known.items()), stage.payload_conds, stage.bound)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    if isinstance(oracle, CountingOracle):
-        candidates = oracle.candidates(
-            stage.target,
-            {c: v for c, v in known_vals},
-            [(c, codewords[c].payload, graphs[c]) for c in stage.payload_conds],
-            stage.bound,
-        )
-    else:
-        candidates = oracle.candidates(
-            n,
-            [v for _, v in known_vals],
-            [codewords[c].payload for c in stage.payload_conds],
-            stage.bound,
-        )
     g = graphs[stage.target]
-    payload = codewords[stage.target].payload
-    matches = [x for x in candidates if g.payload_consistent(x, payload)]
-    steps = len(candidates)
-    result = (matches[0] if len(matches) == 1 else None, steps)
-    memo[key] = result
-    return result
+    conds = [(c, codewords[c].payload, graphs[c]) for c in stage.payload_conds]
+    values = oracle.candidates(g.n, stage.target, known, conds, stage.bound)
+    owners = np.flatnonzero(
+        g.payload_consistent_bulk(values, codewords[stage.target].payload))
+    x = BitString(g.n, int(values[owners[0]])) if len(owners) == 1 else None
+    memo[key] = (x, len(values))
+    return memo[key]
 
 
-def _run_branch(branch: Branch, codewords, oracle, graphs, n: int,
+def _run_branch(branch: Branch, codewords, oracle, graphs,
                 memo: dict) -> tuple[Optional[tuple], int]:
     recovered: dict[int, BitString] = {}
     steps = 0
     for stage in branch.stages:
-        x, cost = _recover(stage, recovered, codewords, oracle, graphs, n, memo)
+        x, cost = _recover(stage, recovered, codewords, oracle, graphs, memo)
         steps += cost
         if x is None:
             return None, steps
@@ -348,7 +336,7 @@ def _select(codewords: Sequence[Codeword], profiles: np.ndarray, rates: RateVect
 
     def run(idx: int, plan: int) -> tuple[Optional[tuple], int]:
         branch = _branch(_CATALOG[idx], signatures[plan], rates, slack)
-        return _run_branch(branch, codewords, oracle, graphs, graphs[0].n, memo)
+        return _run_branch(branch, codewords, oracle, graphs, memo)
 
     steps = np.empty((plans, len(_CATALOG)), dtype=np.int64)
     matched = np.empty(steps.shape, dtype=bool)

@@ -9,7 +9,9 @@ from richowner.bits import BitString
 from richowner.construction import build_random_graph, construct_rich_owner_graph, split_edges
 from richowner.crt import primes_first
 from richowner.graphs import (
+    TABLE_CAP,
     GraphError,
+    LabeledBipartiteGraph,
     SeededGraph,
     SplitGraph,
     TableGraph,
@@ -229,12 +231,30 @@ class TestSplitGraph:
             assert bulk.tolist() == [g.payload_consistent(int(x), payload) for x in xs]
         assert g._has_right.shape == (1 << 17, 1 << 7)
 
-    def test_matrix_without_edge_table_matches_neighbor_sets(self):
-        g = split_edges(random_table_graph(3, 1, 1, seed=2), s=1, delta=1)
-        assert g.edge_table() is None
-        matrix = g._has_right_matrix()
-        for x in range(8):
-            assert set(np.flatnonzero(matrix[x]).tolist()) == set(g.neighbor_values(x))
+    def test_bulk_without_edge_table_checks_only_given_nodes(self, monkeypatch):
+        # 2^(14+10) cells are within TABLE_CAP, but 2^(14+11) edges are not:
+        # with no edge table to fill a matrix from, only the given nodes are
+        # expanded, never all 2^14 of them.
+        g = SeededGraph(14, 10, 11, seed=5)
+        assert g.edge_table() is None and (1 << (g.n + g.m)) <= TABLE_CAP
+        xs = np.random.default_rng(14).integers(0, 1 << 14, size=12)
+        payloads = (g.neighbor_int(int(xs[0]), 0), 0, 1023)
+        fresh = SeededGraph(14, 10, 11, seed=5)
+        want = [[fresh.payload_consistent(int(x), z) for x in xs] for z in payloads]
+        expanded = []
+        multiplicities = LabeledBipartiteGraph.multiplicities
+
+        def counted(self, x):
+            expanded.append(x)
+            if len(expanded) > len(payloads) * len(xs):
+                raise AssertionError("expanded a node it was not asked about")
+            return multiplicities(self, x)
+
+        monkeypatch.setattr(LabeledBipartiteGraph, "multiplicities", counted)
+        got = [g.payload_consistent_bulk(xs, z).tolist() for z in payloads]
+        assert got == want
+        assert {True, False} <= {v for row in want for v in row}
+        assert g._has_right is None
 
     def test_bulk_over_matrix_cap_checks_node_by_node(self):
         # 2^(17+8) cells exceed TABLE_CAP: no adjacency matrix is built.
@@ -243,4 +263,4 @@ class TestSplitGraph:
         for payload in (g.neighbor_int(5, 0), g.neighbor_int(99_999, 1), 0):
             bulk = g.payload_consistent_bulk(xs, payload)
             assert bulk.tolist() == [g.payload_consistent(int(x), payload) for x in xs]
-        assert not hasattr(g, "_has_right")
+        assert g._has_right is None

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -159,21 +160,21 @@ class TestToyProfilesAndSets:
 
     def test_enumerate_bound_zero(self):
         cfg = ToyMachineConfig(max_len=10, step_budget=100)
-        items = ToyOracle(cfg).candidates(0, [], [], 0)
-        assert items == [BitString(0, 0)]  # empty program prints ""
+        items = ToyOracle(cfg).candidates(0, 0, {}, [], 0)
+        assert items.tolist() == [0]  # empty program prints ""
 
     def test_enumerate_cardinality_bound(self):
         cfg = ToyMachineConfig(max_len=12, step_budget=200)
         oracle = ToyOracle(cfg)
         for bound in (6, 8, 10, 12):
-            items = oracle.candidates(4, [], [], bound)
+            items = oracle.candidates(4, 0, {}, [], bound)
             assert len(items) <= (1 << (bound + 1))
 
     def test_enumerate_matches_string_set(self):
         cfg = ToyMachineConfig(max_len=12, step_budget=200)
         oracle = ToyOracle(cfg)
-        items = oracle.candidates(8, [], [], 12)
-        assert set(items) == set(oracle.string_set(8))
+        items = oracle.candidates(8, 0, {}, [], 12)
+        assert set(items.tolist()) == {x.value for x in oracle.string_set(8)}
         assert len(items) == 16  # the half-period strings
 
     def test_wide_side_components_cannot_help(self):
@@ -206,7 +207,7 @@ class TestCountingOracle:
     def test_collinear_fiber(self):
         S = named_correlation_set("collinear:q=2")
         a, b, _ = S.triple_at(0)
-        rows = CountingOracle(S).candidates_rows(2, {0: a, 1: b}, [])
+        rows = CountingOracle(S).candidates(S.n, 2, {0: a, 1: b}, [], S.n)
         assert len(rows) == collinear_counts(2)["fiber_third"] == 2
 
     def test_collinear_profile_within_one_bit(self):
@@ -219,14 +220,29 @@ class TestCountingOracle:
     def test_b_set_gated_by_bound(self):
         S = named_correlation_set("collinear:q=2")
         oracle = CountingOracle(S)
-        assert oracle.candidates(0, {}, [], 3) == []   # 2^3 < 256 projections
-        full = oracle.candidates(0, {}, [], 4)
+        assert len(oracle.candidates(S.n, 0, {}, [], 3)) == 0  # 2^3 < 16 projections
+        full = oracle.candidates(S.n, 0, {}, [], 4)
         assert len(full) == 16
 
     def test_enumerate_full_cube(self):
         S = CorrelationSet.cube(3)
-        items = CountingOracle(S).candidates(0, {}, [], 3)
-        assert [x.value for x in items] == list(range(8))  # the whole fiber
+        items = CountingOracle(S).candidates(S.n, 0, {}, [], 3)
+        assert items.tolist() == list(range(8))  # the whole fiber
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_members_match_row_unique(data):
+    # Rows drawn from a small pool, so duplicates are common.
+    n = data.draw(st.integers(1, 21))
+    value = st.integers(0, (1 << n) - 1)
+    pool = data.draw(st.lists(st.tuples(value, value, value), min_size=1, max_size=8))
+    rows = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
+    S = CorrelationSet(n, rows)
+    ref = np.unique(np.array(rows, dtype=np.int64), axis=0)
+    assert S.members.dtype == ref.dtype and np.array_equal(S.members, ref)
+    assert len(S) == len(set(rows))
+    assert all(S.contains(r) for r in rows)
 
 
 class TestChainRule:

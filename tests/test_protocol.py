@@ -14,6 +14,8 @@ from richowner.oracles import (
     ComplexityProfile,
     CorrelationSet,
     CountingOracle,
+    ToyMachineConfig,
+    ToyOracle,
     named_correlation_set,
 )
 from richowner.protocol import (
@@ -31,7 +33,9 @@ from richowner.protocol import (
 )
 from richowner.protocol import (
     _CATALOG,
+    Stage,
     _branch,
+    _recover,
     _representative_profiles,
     _run_branch,
     _signature,
@@ -275,7 +279,7 @@ class TestDecodeKnownProfile:
             seed = derive_seed(77, t)
             triple = S.triple_at(SeedStream(seed).randrange(len(S)))
             cws = _encode_triple(triple, graphs4, SCHEME4, seed)
-            got, _ = _run_branch(chain_abc, cws, oracle, graphs4, 4, {})
+            got, _ = _run_branch(chain_abc, cws, oracle, graphs4, {})
             wins += got == triple
         assert wins >= 9
 
@@ -379,7 +383,7 @@ def _reference_known_profile(cws, profile, rates, oracle, graphs, slack,
     memo, best, max_steps = {}, None, 0
     for idx, entry in enumerate(_CATALOG):
         branch = _branch(entry, signature, rates, slack)
-        triple, steps = _run_branch(branch, cws, oracle, graphs, graphs[0].n, memo)
+        triple, steps = _run_branch(branch, cws, oracle, graphs, memo)
         max_steps = max(max_steps, steps)
         if triple is not None and _tags_match(cws, triple) and (
                 best is None or (steps, idx) < best[:2]):
@@ -642,7 +646,7 @@ def test_decode_membership_matches_set_enumeration(instance, data):
 
 @settings(max_examples=150, deadline=None)
 @given(membership_instances(), st.data())
-def test_candidates_rows_match_set_enumeration(instance, data):
+def test_counting_candidates_match_set_enumeration(instance, data):
     n, rows, graphs, payloads = instance
     target = data.draw(st.integers(0, 2))
     conds = data.draw(st.lists(st.integers(0, 2), unique=True))
@@ -652,9 +656,44 @@ def test_candidates_rows_match_set_enumeration(instance, data):
     known = {c: BitString(n, data.draw(st.sampled_from([anchor[c], 0]))) for c in known_coords}
     expected = sorted({r[target] for r in _owners(rows, graphs, conds, payloads)
                        if all(r[c] == v.value for c, v in known.items())})
-    got = CountingOracle(CorrelationSet(n, rows)).candidates_rows(
-        target, known, [(c, payloads[c], graphs[c]) for c in conds])
-    assert got.tolist() == expected
+    # at bound n the log-cardinality gate cannot fire
+    got = CountingOracle(CorrelationSet(n, rows)).candidates(
+        n, target, known, [(c, payloads[c], graphs[c]) for c in conds], n)
+    assert got.dtype == np.int64 and got.tolist() == expected
+
+
+SMALL_TOY = ToyOracle(ToyMachineConfig(max_len=10, step_budget=60))
+
+
+def _reference_recover(stage, recovered, cws, oracle, graphs):
+    """The oracle's candidates, each checked with one scalar payload test."""
+    g = graphs[stage.target]
+    values = oracle.candidates(
+        g.n, stage.target, {c: recovered[c] for c in stage.known},
+        [(c, cws[c].payload, graphs[c]) for c in stage.payload_conds], stage.bound)
+    owners = [BitString(g.n, int(v)) for v in values
+              if g.payload_consistent(int(v), cws[stage.target].payload)]
+    return (owners[0] if len(owners) == 1 else None), len(values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(membership_instances(), st.booleans(), st.data())
+def test_recover_matches_scalar_reference(instance, toy, data):
+    n, rows, graphs, payloads = instance
+    oracle = SMALL_TOY if toy else CountingOracle(CorrelationSet(n, rows))
+    target = data.draw(st.integers(0, 2))
+    others = [c for c in range(3) if c != target]
+    known = tuple(sorted(data.draw(st.lists(st.sampled_from(others), unique=True))))
+    conds = tuple(sorted(data.draw(st.lists(st.sampled_from(others), unique=True))))
+    anchor = data.draw(st.sampled_from(rows))
+    recovered = {c: BitString(n, data.draw(st.sampled_from([anchor[c], 0]))) for c in known}
+    bound = data.draw(st.integers(4, 10) if toy else st.integers(0, n + 1))
+    stage = Stage(target, known, conds, bound, "")
+    cws = [Codeword("ABC"[c], payloads[c]) for c in range(3)]
+    want = _reference_recover(stage, recovered, cws, oracle, graphs)
+    memo = {}
+    assert _recover(stage, recovered, cws, oracle, graphs, memo) == want
+    assert _recover(stage, recovered, cws, oracle, graphs, memo) == want  # a memo hit
 
 
 def test_payload_checks_run_once_per_distinct_value(monkeypatch):
@@ -671,6 +710,6 @@ def test_payload_checks_run_once_per_distinct_value(monkeypatch):
     cws = [encode(graphs[c], BitString(17, rows[0][c]), None, seed=1, sender="ABC"[c])
            for c in range(3)]
     decode_membership(cws, S, graphs)
-    CountingOracle(S).candidates_rows(0, {}, [(c, cws[c].payload, graphs[c])
-                                              for c in range(3)])
+    CountingOracle(S).candidates(17, 0, {}, [(c, cws[c].payload, graphs[c])
+                                             for c in range(3)], 17)
     assert checked == [40, 5, 1] * 2
