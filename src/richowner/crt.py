@@ -23,10 +23,10 @@ from .rng import SeedStream, derive_seed
 
 
 @lru_cache(maxsize=None)
-def primes_first(t: int) -> tuple[int, ...]:
-    """The first t primes, deterministically, via a sieve."""
-    if t <= 0:
-        return ()
+def primes_first(t: int) -> np.ndarray:
+    """The first t primes, deterministically, via a sieve: one read-only
+    int64 array per t, shared by every caller."""
+    t = max(t, 0)
     # p_t < t (ln t + ln ln t) for t >= 6; pad the small cases.
     bound = 15 if t < 6 else int(t * (math.log(t) + math.log(math.log(t)))) + 10
     while True:
@@ -35,9 +35,11 @@ def primes_first(t: int) -> tuple[int, ...]:
         for p in range(2, int(bound ** 0.5) + 1):
             if sieve[p]:
                 sieve[p * p :: p] = False
-        found = np.flatnonzero(sieve)
+        found = np.flatnonzero(sieve).astype(np.int64, copy=False)
         if len(found) >= t:
-            return tuple(found[:t].tolist())
+            primes = found[:t]
+            primes.flags.writeable = False
+            return primes
         bound *= 2
 
 
@@ -98,7 +100,7 @@ def draw_hash_tag(u: Union[int, BitString], scheme: HashScheme, seed: int) -> Ha
     if isinstance(u, BitString) and u.width != scheme.n:
         raise ValueError(f"value width {u.width} != scheme width {scheme.n}")
     idx = SeedStream(derive_seed(seed, "crt-tag")).randrange(scheme.t)
-    return crt_hash(u, scheme.primes[idx])
+    return crt_hash(u, int(scheme.primes[idx]))
 
 
 def colliding_prime_indices(u1, u2, primes: Sequence[int]) -> list[int]:
@@ -107,7 +109,7 @@ def colliding_prime_indices(u1, u2, primes: Sequence[int]) -> list[int]:
     if diff == 0:
         return list(range(len(primes)))
     hi = bisect_right(primes, diff)  # primes ascend; none above diff divides it
-    return [i for i in range(hi) if diff % primes[i] == 0]
+    return [i for i in range(hi) if diff % int(primes[i]) == 0]
 
 
 def isolation_probability(u1, distractors: Iterable, scheme: HashScheme) -> Fraction:

@@ -2,7 +2,9 @@
 
 Two oracles drive the protocol.  The toy machine is a tiny concatenative
 interpreter with program-length and step budgets, small enough that
-shortest programs are found by exhaustive enumeration.  The counting
+shortest programs are found exhaustively: one depth-first walk over the
+instruction sequences within the budgets gives the minimal program length
+of every output, once per side input.  The counting
 oracle assigns log-cardinalities of projections and fibers of an explicit
 correlation set; its profile is computed once per set, on first use.  Both
 expose the same surface: seven-value profiles, conditionals, and candidate
@@ -24,6 +26,7 @@ encoding.  Literal overhead is 6 bits (opcode + length nibble).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -86,66 +89,53 @@ class ComplexityProfile:
 @dataclass(frozen=True)
 class ToyMachineConfig:
     max_len: int = 12     # program length budget L, in bits
-    step_budget: int = 200
+    step_budget: int = 200  # step budget T
+
+    def __post_init__(self):
+        for key, value in (("L", self.max_len), ("T", self.step_budget)):
+            if value < 0:
+                raise ConfigError(f"toy budget {key!r}: must be >= 0, got {value}")
 
 
 Component = tuple[int, int]  # (width, value)
 
 
-def run_toy_program(program: int, nbits: int, side: tuple[Component, ...],
-                    step_budget: int) -> Optional[tuple[Component, ...]]:
-    """Execute one program; None if it is malformed or exceeds the budget."""
-    pos = 0
-    cur_w = 0
-    cur_v = 0
-    finished: list[Component] = []
-    steps = 0
-    n_side = len(side)
-    while pos < nbits:
-        if nbits - pos < 2:
-            return None
-        op = (program >> (nbits - pos - 2)) & 3
-        pos += 2
-        steps += 1
-        if op == 0:  # LITERAL
-            if nbits - pos < 4:
-                return None
-            ln = (program >> (nbits - pos - 4)) & 15
-            pos += 4
-            if nbits - pos < ln:
-                return None
-            if ln:
-                payload = (program >> (nbits - pos - ln)) & ((1 << ln) - 1)
-                pos += ln
-                cur_v = (cur_v << ln) | payload
-                cur_w += ln
-                steps += ln
-        elif op == 1:  # REPEAT
-            cur_v = (cur_v << cur_w) | cur_v
-            steps += cur_w
-            cur_w *= 2
-        elif op == 2:  # CONCAT
-            if nbits - pos < 4:
-                return None
-            idx = (program >> (nbits - pos - 4)) & 15
-            pos += 4
-            if idx < n_side:
-                w, v = side[idx]
-            elif idx - n_side < len(finished):
-                w, v = finished[idx - n_side]
-            else:
-                return None
-            cur_v = (cur_v << w) | v
-            cur_w += w
-            steps += w
-        else:  # END
-            finished.append((cur_w, cur_v))
-            cur_w = 0
-            cur_v = 0
-        if steps > step_budget:
-            return None
-    finished.append((cur_w, cur_v))
-    return tuple(finished)
+def _toy_outputs(side: tuple[Component, ...], max_len: int,
+                 step_budget: int) -> dict[tuple[Component, ...], int]:
+    """Minimal program length per output tuple, over every valid program of
+    at most max_len bits that stays within the step budget.
+
+    A valid program parses into whole instructions, so the programs are
+    walked as instruction sequences, depth first from a shared prefix
+    state: bits used, finished components, current component and steps.
+    A prefix is dropped once its steps pass the budget: steps only grow,
+    so every extension of it would fail too.
+    """
+    table: dict[tuple[Component, ...], int] = {}
+
+    def walk(pos: int, finished: tuple, cur_w: int, cur_v: int, steps: int):
+        out = finished + ((cur_w, cur_v),)
+        if table.get(out, max_len + 1) > pos:
+            table[out] = pos
+        room = max_len - pos
+        if room < 2 or steps >= step_budget:  # every instruction costs a step
+            return
+        if steps + 1 + cur_w <= step_budget:  # REPEAT
+            walk(pos + 2, finished, 2 * cur_w, (cur_v << cur_w) | cur_v,
+                 steps + 1 + cur_w)
+        walk(pos + 2, out, 0, 0, steps + 1)  # END
+        if room < 6:
+            return
+        for w, v in (side + finished)[:16]:  # CONCAT, by index nibble
+            if steps + 1 + w <= step_budget:
+                walk(pos + 6, finished, cur_w + w, (cur_v << w) | v, steps + 1 + w)
+        for ln in range(min(15, room - 6, step_budget - steps - 1) + 1):  # LITERAL
+            for payload in range(1 << ln):
+                walk(pos + 6 + ln, finished, cur_w + ln, (cur_v << ln) | payload,
+                     steps + 1 + ln)
+
+    walk(0, (), 0, 0, 0)
+    return table
 
 
 def _as_components(side) -> tuple[Component, ...]:
@@ -163,23 +153,19 @@ def _as_target(target) -> tuple[Component, ...]:
 
 
 class ToyOracle:
-    """Exhaustive shortest-program search under (L, T) budgets."""
+    """Shortest-program search under (L, T) budgets, one output table per
+    side input, built on first use."""
 
     def __init__(self, cfg: ToyMachineConfig = ToyMachineConfig()):
         self.cfg = cfg
         self._tables: dict[tuple, dict] = {}
+        self._strings: dict[tuple, Mapping[BitString, int]] = {}
 
     def output_table(self, side: tuple[Component, ...]) -> Mapping[tuple, int]:
         """Minimal program length per producible output tuple."""
         table = self._tables.get(side)
         if table is None:
-            table = {}
-            budget = self.cfg.step_budget
-            for length in range(self.cfg.max_len + 1):
-                for program in range(1 << length):
-                    out = run_toy_program(program, length, side, budget)
-                    if out is not None and out not in table:
-                        table[out] = length
+            table = _toy_outputs(side, self.cfg.max_len, self.cfg.step_budget)
             self._tables[side] = table
         return table
 
@@ -206,8 +192,9 @@ class ToyOracle:
         c = self.complexity(target, side)
         return self.cfg.max_len + 1 if c is None else c
 
-    def string_set(self, width: int, side=()) -> dict[BitString, int]:
-        """All width-bit strings producible as single-component outputs.
+    def string_set(self, width: int, side=()) -> Mapping[BitString, int]:
+        """All width-bit strings producible as single-component outputs,
+        with their minimal program lengths; built once per (side, width).
 
         Side components wider than the target width can never appear inside
         a single short output, so they are dropped before the enumeration;
@@ -215,14 +202,14 @@ class ToyOracle:
         their width under renumbering).
         """
         comps = tuple(c for c in _as_components(side) if c[0] <= width)
-        table = self.output_table(comps)
-        out = {}
-        for tup, ln in table.items():
-            if len(tup) == 1 and tup[0][0] == width:
-                key = BitString(width, tup[0][1])
-                if key not in out or ln < out[key]:
-                    out[key] = ln
-        return out
+        found = self._strings.get((comps, width))
+        if found is None:
+            found = MappingProxyType({
+                BitString(width, tup[0][1]): ln
+                for tup, ln in self.output_table(comps).items()
+                if len(tup) == 1 and tup[0][0] == width})
+            self._strings[(comps, width)] = found
+        return found
 
     def candidates(self, n: int, target: int, known: Mapping[int, BitString],
                    payload_conds: Sequence, bound: int) -> np.ndarray:
@@ -242,6 +229,16 @@ class ToyOracle:
 
 # -- counting oracle over explicit correlation sets ----------------------------
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array, ascending.  Same result as
+    np.unique(values), whose plain form imports numpy.ma under numpy 2.4
+    (about 15 ms per process)."""
+    out = np.sort(values)
+    if len(out) < 2:
+        return out
+    return out[np.concatenate(([True], out[1:] != out[:-1]))]
+
+
 def _unpack(n: int, packed: np.ndarray) -> np.ndarray:
     """(N, 3) rows of the triples packed as a << 2n | b << n | c."""
     mask = (1 << n) - 1
@@ -260,9 +257,9 @@ class CorrelationSet:
         if members.min() < 0 or members.max() >= (1 << n):
             raise ValueError(f"member coordinate out of range for n={n}")
         self.n = n
-        # Packed order is lexicographic row order, so one 1-D unique sorts
-        # and deduplicates the rows.
-        self._packed = np.unique(
+        # Packed order is lexicographic row order, so one 1-D pass sorts and
+        # deduplicates the rows.
+        self._packed = _distinct(
             (members[:, 0] << (2 * n)) | (members[:, 1] << n) | members[:, 2])
         self.members = _unpack(n, self._packed)
         self._columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -311,7 +308,7 @@ class CorrelationSet:
 
     def proj_count(self, subset) -> int:
         subset = subset_key(subset)
-        return len(np.unique(self._pack_proj(self.members, subset)))
+        return len(_distinct(self._pack_proj(self.members, subset)))
 
     @classmethod
     def from_file(cls, path: str, n: Optional[int]) -> "CorrelationSet":
@@ -395,7 +392,7 @@ class CountingOracle:
             mask &= self.S.members[:, coord] == value.value
         for coord, payload, graph in payload_conds:
             mask &= self.S.payload_mask(coord, graph, payload)
-        values = np.unique(self.S.members[mask, target])
+        values = _distinct(self.S.members[mask, target])
         if max(len(values) - 1, 0).bit_length() > bound:
             return values[:0]
         return values

@@ -22,7 +22,7 @@ results but does not bound this work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import permutations
 from typing import Mapping, Optional, Sequence
 
@@ -321,31 +321,53 @@ def _tags_match(codewords: Sequence[Codeword], triple) -> bool:
     )
 
 
-def _select(codewords: Sequence[Codeword], profiles: np.ndarray, rates: RateVector,
+@dataclass(frozen=True)
+class _PlanTable:
+    """The plans of one decode, in rank order, as _select reads them: each
+    plan's signature, and per catalog lead (None for the rate-only
+    branches) the plans that share a branch version, as `first`, the first
+    plan of each version, and `version`, each plan's version.  The arrays
+    are read-only, so a table can be shared between decodes."""
+
+    signatures: np.ndarray
+    groups: Mapping[Optional[int], tuple[np.ndarray, np.ndarray]]
+
+
+def _plan_table(profiles: np.ndarray, n_a: int, slack: int) -> _PlanTable:
+    """The plan table of profile rows in rank order; plans share a lead's
+    branch iff they share its lead bound."""
+    plans = len(profiles)
+    signatures = np.stack(_signature(*profiles.T[:5], n_a, slack), axis=1)
+    # one version: a rate-only branch, or any branch of a single plan
+    one = (np.zeros(1, dtype=np.intp), np.zeros(plans, dtype=np.intp))
+    groups = {None: one}
+    for lead in range(signatures.shape[1]):
+        groups[lead] = one if plans == 1 else tuple(np.unique(
+            signatures[:, lead], return_index=True, return_inverse=True)[1:])
+    for array in (signatures, *(a for g in groups.values() for a in g)):
+        array.flags.writeable = False
+    return _PlanTable(signatures, groups)
+
+
+def _select(codewords: Sequence[Codeword], table: _PlanTable, rates: RateVector,
             oracle, graphs: Sequence[LabeledBipartiteGraph], slack: int,
             step_budget: int) -> DecodeResult:
-    """Decode under each plan (a profile row, in rank order) and pick the
-    winner by the rule in the module docstring.  On failure, steps is the
-    largest per-plan step count, where a plan without a match counts its
-    largest branch."""
+    """Decode under each plan of the table and pick the winner by the rule
+    in the module docstring.  On failure, steps is the largest per-plan
+    step count, where a plan without a match counts its largest branch."""
     if any(cw.tag is None for cw in codewords):
         raise ValueError("staged decoding requires fingerprint tags")
-    plans = len(profiles)
-    signatures = np.stack(_signature(*profiles.T[:5], rates[0], slack), axis=1)
+    plans = len(table.signatures)
     memo: dict = {}
 
     def run(idx: int, plan: int) -> tuple[Optional[tuple], int]:
-        branch = _branch(_CATALOG[idx], signatures[plan], rates, slack)
+        branch = _branch(_CATALOG[idx], table.signatures[plan], rates, slack)
         return _run_branch(branch, codewords, oracle, graphs, memo)
 
     steps = np.empty((plans, len(_CATALOG)), dtype=np.int64)
     matched = np.empty(steps.shape, dtype=bool)
     for idx, (_, lead, _) in enumerate(_CATALOG):
-        if lead is None or plans == 1:  # one version: rate-only, or one plan
-            first, version = [0], np.zeros(plans, dtype=np.intp)
-        else:  # plans share this branch iff they share its lead bound
-            _, first, version = np.unique(signatures[:, lead], return_index=True,
-                                          return_inverse=True)
+        first, version = table.groups[lead]
         runs = [run(idx, plan) for plan in first]
         steps[:, idx] = np.array([cost for _, cost in runs])[version]
         matched[:, idx] = np.array(
@@ -382,8 +404,8 @@ def decode_known_profile(
     violated = check_rate_feasibility(profile, rates, slack)
     if violated:
         raise InfeasibleRatesError(violated)
-    return _select(codewords, np.array([profile.values]), rates, oracle, graphs,
-                   slack, step_budget)
+    table = _plan_table(np.array([profile.values]), rates[0], slack)
+    return _select(codewords, table, rates, oracle, graphs, slack, step_budget)
 
 
 # -- profile search (decoder without the profile) --------------------------------
@@ -423,8 +445,19 @@ def _representative_profiles(rates: RateVector, slack: int, cap: int) -> np.ndar
     a, b, c, ab, ac = points
     profiles = np.stack([a, b, c, ab, ac, bc, np.maximum(np.maximum(ab, ac), bc)], axis=1)
     signatures = np.stack(_signature(a, b, c, ab, ac, n_a, s), axis=1)
-    _, first = np.unique(signatures, axis=0, return_index=True)
+    # One int64 key per signature, in the lexicographic order of the rows,
+    # so a 1-D unique finds the same first occurrences as a unique of rows.
+    radix = int(signatures.max(initial=0)) + 1
+    keys = np.ravel_multi_index(tuple(signatures.T), (radix,) * 5)
+    _, first = np.unique(keys, return_index=True)
     return profiles[np.sort(first)]
+
+
+# Plan tables of recent rate vectors: a full decode builds each once.  The
+# bound keeps memory from growing with the number of distinct vectors.
+@lru_cache(maxsize=4)
+def _full_plan_table(rates: RateVector, slack: int, cap: int) -> _PlanTable:
+    return _plan_table(_representative_profiles(rates, slack, cap), rates[0], slack)
 
 
 def decode_full(
@@ -440,11 +473,13 @@ def decode_full(
 
     Profiles that yield the same plan are grouped by signature and ranked
     by the least one (_representative_profiles); _select picks the winner.
+    The plan table is built once per (rates, slack, width) among the most
+    recent few (_full_plan_table).
     """
-    profiles = _representative_profiles(rates, slack, graphs[0].n + slack)
-    if not len(profiles):
+    table = _full_plan_table(rates, slack, graphs[0].n + slack)
+    if not len(table.signatures):
         return DecodeResult(status="fail", reason="no admissible candidate profile")
-    return _select(codewords, profiles, rates, oracle, graphs, slack, step_budget)
+    return _select(codewords, table, rates, oracle, graphs, slack, step_budget)
 
 
 # -- membership decoding ---------------------------------------------------------

@@ -133,7 +133,7 @@ def _as_int_set(g, nodes, side: str) -> list[int]:
 
 @dataclass
 class VerificationReport:
-    graph_id: str
+    graph: LabeledBipartiteGraph = field(repr=False, compare=False)
     kind: str
     k: int
     delta: Optional[Fraction]
@@ -146,6 +146,12 @@ class VerificationReport:
     certified: bool = False
     failures: list = field(default_factory=list)
     notes: list = field(default_factory=list)
+
+    @property
+    def graph_id(self) -> str:
+        """The audited graph's id, hashed when read: a table graph hashes
+        its whole edge table, and only serialization needs the id."""
+        return self.graph.graph_id()
 
     def to_json(self) -> dict:
         return {
@@ -258,7 +264,7 @@ def check_prefix_extractor(g: LabeledBipartiteGraph, epsilon,
             failures.append({"k_prime": k_prime, "B_descriptor": _descr(B),
                              "worst_error": str(err)})
     return VerificationReport(
-        graph_id=g.graph_id(), kind="prefix-extractor", k=g.m, delta=None,
+        graph=g, kind="prefix-extractor", k=g.m, delta=None,
         epsilon=epsilon, mode=family.mode, checked=checked, passed=passed,
         worst_error=worst, failures=failures,
     )
@@ -417,7 +423,7 @@ def _richness_by_enumeration(g, family: BFamily, k: int,
             if len(failures) < 20:
                 failures.append({"B_descriptor": _descr(B), "rich_fraction": str(frac)})
     return VerificationReport(
-        graph_id=g.graph_id(), kind="rich-owner", k=k, delta=delta, epsilon=None,
+        graph=g, kind="rich-owner", k=k, delta=delta, epsilon=None,
         mode=family.mode, checked=checked, passed=passed,
         min_rich_fraction=min_frac, failures=failures,
     )
@@ -459,7 +465,7 @@ def _richness_by_certificate(g: SplitGraph, family: BFamily, k: int,
             ranked_spoilers[xi] = ranked
     if not ranked_spoilers:
         return VerificationReport(
-            graph_id=g.graph_id(), kind="rich-owner", k=k, delta=delta,
+            graph=g, kind="rich-owner", k=k, delta=delta,
             epsilon=None, mode=f"{family.mode}:certified", checked=total,
             passed=True, min_rich_fraction=Fraction(1), certified=True,
             notes=[
@@ -476,7 +482,7 @@ def _richness_by_certificate(g: SplitGraph, family: BFamily, k: int,
             failing.append(frac)
             failures.append({"B_descriptor": _descr(B), "rich_fraction": str(frac)})
     return VerificationReport(
-        graph_id=g.graph_id(), kind="rich-owner", k=k, delta=delta, epsilon=None,
+        graph=g, kind="rich-owner", k=k, delta=delta, epsilon=None,
         mode=f"{family.mode}:certified", checked=total,
         passed=False if failures else None,
         min_rich_fraction=min(failing, default=None), certified=False,

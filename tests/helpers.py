@@ -1,19 +1,23 @@
 """Helpers shared by the tests.
 
 Small fixed graphs, a bit-string literal, the B-degree of a right node,
-and a scalar GF(2^q) reference (field elements, the collinearity
+a scalar GF(2^q) reference (field elements, the collinearity
 determinant, a collinear-triple sampler) that the vectorised geometry in
-`richowner.scenarios` is checked against.
+`richowner.scenarios` is checked against, and the brute-force toy machine
+(one program at a time, every bit string in turn) that the depth-first
+output tables of `richowner.oracles` are checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from richowner.bits import BitString
 from richowner.graphs import TableGraph
+from richowner.oracles import Component
 from richowner.rng import SeedStream, derive_seed
 from richowner.scenarios import IRREDUCIBLE
 
@@ -129,3 +133,74 @@ def sample_collinear_triple(q: int, seed: int) -> tuple[Point, Point, Point]:
     dx, dy = pb[0] + pa[0], pb[1] + pa[1]
     pc = (pa[0] + gf_mul(t, dx), pa[1] + gf_mul(t, dy))
     return pa, pb, pc
+
+
+# -- brute-force toy machine ------------------------------------------------------
+
+def run_toy_program(program: int, nbits: int, side: tuple[Component, ...],
+                    step_budget: int) -> Optional[tuple[Component, ...]]:
+    """Execute one program; None if it is malformed or exceeds the budget."""
+    pos = 0
+    cur_w = 0
+    cur_v = 0
+    finished: list[Component] = []
+    steps = 0
+    n_side = len(side)
+    while pos < nbits:
+        if nbits - pos < 2:
+            return None
+        op = (program >> (nbits - pos - 2)) & 3
+        pos += 2
+        steps += 1
+        if op == 0:  # LITERAL
+            if nbits - pos < 4:
+                return None
+            ln = (program >> (nbits - pos - 4)) & 15
+            pos += 4
+            if nbits - pos < ln:
+                return None
+            if ln:
+                payload = (program >> (nbits - pos - ln)) & ((1 << ln) - 1)
+                pos += ln
+                cur_v = (cur_v << ln) | payload
+                cur_w += ln
+                steps += ln
+        elif op == 1:  # REPEAT
+            cur_v = (cur_v << cur_w) | cur_v
+            steps += cur_w
+            cur_w *= 2
+        elif op == 2:  # CONCAT
+            if nbits - pos < 4:
+                return None
+            idx = (program >> (nbits - pos - 4)) & 15
+            pos += 4
+            if idx < n_side:
+                w, v = side[idx]
+            elif idx - n_side < len(finished):
+                w, v = finished[idx - n_side]
+            else:
+                return None
+            cur_v = (cur_v << w) | v
+            cur_w += w
+            steps += w
+        else:  # END
+            finished.append((cur_w, cur_v))
+            cur_w = 0
+            cur_v = 0
+        if steps > step_budget:
+            return None
+    finished.append((cur_w, cur_v))
+    return tuple(finished)
+
+
+def brute_force_toy_table(side: tuple[Component, ...], max_len: int,
+                          step_budget: int) -> dict[tuple[Component, ...], int]:
+    """Minimal program length per output tuple, running every bit string of
+    each length 0..max_len as a program."""
+    table: dict[tuple[Component, ...], int] = {}
+    for length in range(max_len + 1):
+        for program in range(1 << length):
+            out = run_toy_program(program, length, side, step_budget)
+            if out is not None and out not in table:
+                table[out] = length
+    return table

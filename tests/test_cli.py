@@ -232,12 +232,16 @@ def decode_inputs(tmp_path):
     (["experiment", "--set", "trials=-2"], "'trials'"),
     (["profile", "--scenario", "collinear:q=5"],
      "no fixed irreducible polynomial for q=5"),
+    (["experiment", "--set", "scenario=planted:n=4", "--set", "decoder=full",
+      "--set", "oracle=toy:L=-3"], "'L'"),
+    (["experiment", "--set", "scenario=planted:n=4", "--set", "decoder=full",
+      "--set", "oracle=toy:T=-5"], "'T'"),
 ], ids=["profile-scenario", "experiment-scenario", "family-sampled",
         "family-all-of-size", "decode-rates", "graphs-typo", "descriptor-kind",
         "decode-codeword-count", "decode-graph-count", "decode-graph-width",
         "binning-json-out", "hash-audit-distractors", "hash-audit-negative-trials",
         "build-negative-retries", "experiment-negative-trials",
-        "collinear-unknown-field"])
+        "collinear-unknown-field", "toy-negative-length", "toy-negative-steps"])
 def test_bad_spec_is_a_clean_error(argv, key, decode_inputs, capsys):
     capsys.readouterr()
     assert run_cli(*(a.format(**decode_inputs) for a in argv)) == 2

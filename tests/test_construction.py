@@ -11,7 +11,13 @@ from richowner.construction import (
     split_count,
     split_edges,
 )
-from richowner.graphs import TABLE_CAP, GraphError, SplitGraph, TableGraph
+from richowner.graphs import (
+    TABLE_CAP,
+    GraphError,
+    LabeledBipartiteGraph,
+    SplitGraph,
+    TableGraph,
+)
 from richowner.rng import derive_seed
 from richowner.verification import BFamily, classify_owner, rich_owner_fraction
 
@@ -72,6 +78,12 @@ class TestSplitEdges:
         with pytest.raises(Exception):
             split_edges(base, 1, Fraction(3, 2))
 
+    def test_splits_share_one_read_only_prime_array(self):
+        a, b = (split_edges(all_to_one_graph(3, 2, 1, hub=h), 4, Fraction(1, 2))
+                for h in (0, 1))
+        assert a.primes is b.primes
+        assert a.primes.dtype == np.int64 and not a.primes.flags.writeable
+
     def test_split_count_over_cap_raises_before_sieving(self, monkeypatch):
         def sieve(t):
             raise AssertionError(f"sieved {t} primes")
@@ -80,6 +92,14 @@ class TestSplitEdges:
         base = all_to_one_graph(3, 2, 1)
         with pytest.raises(GraphError, match=f"ell={3 * TABLE_CAP}"):
             split_edges(base, TABLE_CAP, Fraction(1))
+
+    def test_pipeline_hashes_no_graph(self, monkeypatch):
+        # a graph id hashes the whole edge table; no construction output reads it
+        def graph_id(self):
+            raise AssertionError("hashed a graph")
+
+        monkeypatch.setattr(LabeledBipartiteGraph, "graph_id", graph_id)
+        construct_rich_owner_graph(4, 2, Fraction(1, 2), seed=1)
 
     @pytest.mark.parametrize("delta,ell", [(Fraction(1, 8), 2_684_354_560),
                                            (Fraction(1, 4), 20_971_520)])

@@ -17,8 +17,8 @@ from richowner.rng import SeedStream
 
 
 def test_primes_first():
-    assert primes_first(10) == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
-    assert primes_first(0) == ()
+    assert primes_first(10).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert primes_first(0).tolist() == []
     assert len(primes_first(480)) == 480
     assert primes_first(480)[-1] == 3413  # 480th prime
 
@@ -48,7 +48,7 @@ class TestScheme:
         scheme = HashScheme(16, 3, Fraction(1, 10))
         assert scheme.t == 480
         assert scheme.t >= scheme.s * scheme.n
-        assert scheme.primes == primes_first(480)
+        assert scheme.primes is primes_first(480)
 
     def test_single_prime_scheme(self):
         scheme = HashScheme(1, 1, Fraction(1))

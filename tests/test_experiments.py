@@ -1,8 +1,14 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
+
+import richowner
 
 from richowner.experiments import (
     ConfigError,
@@ -172,3 +178,25 @@ class TestEmission:
     def test_bad_path_surfaces_filename(self, small_report):
         with pytest.raises(OSError, match="no/such/dir"):
             emit_report(small_report, "json", "/no/such/dir/report.json")
+
+
+def test_counting_run_leaves_numpy_ma_unloaded():
+    """Importing numpy.ma costs about 15 ms of CPU per process, and a
+    counting run has no use for it."""
+    code = textwrap.dedent("""
+        import sys
+        import numpy
+        before = "numpy.ma" in sys.modules
+        from richowner.experiments import ExperimentConfig, report_json_text, run_experiment
+        config = ExperimentConfig.load(overrides={"scenario": "collinear:q=2",
+                                                  "trials": "0"}, env={})
+        report_json_text(run_experiment(config))
+        print(before, "numpy.ma" in sys.modules)
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(richowner.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout.split()
+    if out[0] == "True":
+        pytest.skip("importing numpy already loads numpy.ma")
+    assert out == ["False", "False"]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from richowner.bits import BitString
 from richowner.oracles import (
@@ -14,11 +14,10 @@ from richowner.oracles import (
     ToyOracle,
     chain_rule_slack,
     named_correlation_set,
-    run_toy_program,
 )
 from richowner.scenarios import collinear_counts
 
-from helpers import bs
+from helpers import brute_force_toy_table, bs, run_toy_program
 
 
 # -- independent reference interpreter (recursive-parse style) -------------------
@@ -148,6 +147,25 @@ class TestToyMachine:
         assert out == ((1, 1), (1, 0))
 
 
+def _side_component():
+    return st.integers(0, 10).flatmap(
+        lambda w: st.tuples(st.just(w), st.integers(0, (1 << w) - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(side=st.lists(_side_component(), max_size=4).map(tuple),
+       max_len=st.integers(0, 12),
+       step_budget=st.one_of(st.integers(0, 24), st.integers(25, 400)))
+# more side components than the CONCAT index nibble can reach
+@example(side=tuple((5, v) for v in range(17)), max_len=8, step_budget=50)
+def test_output_table_matches_brute_force(side, max_len, step_budget):
+    """The depth-first table has the keys and lengths of the table built by
+    running every bit string as a program; tight step budgets make the walk
+    prune prefixes."""
+    oracle = ToyOracle(ToyMachineConfig(max_len, step_budget))
+    assert oracle.output_table(side) == brute_force_toy_table(side, max_len, step_budget)
+
+
 class TestToyProfilesAndSets:
     def test_profile_censoring(self):
         cfg = ToyMachineConfig(max_len=12, step_budget=200)
@@ -181,7 +199,7 @@ class TestToyProfilesAndSets:
         cfg = ToyMachineConfig(max_len=12, step_budget=200)
         oracle = ToyOracle(cfg)
         wide = BitString(34, 12345)
-        assert oracle.string_set(8, (wide,)) == oracle.string_set(8)
+        assert oracle.string_set(8, (wide,)) is oracle.string_set(8)  # one cached set
 
 
 class TestCountingOracle:

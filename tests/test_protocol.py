@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from richowner import protocol
 from richowner.bits import BitString
 from richowner.construction import construct_rich_owner_graph
 from richowner.crt import HashScheme, HashTag, primes_first
@@ -501,6 +502,25 @@ class TestDecodeFullMatchesPlanByPlan:
         S, oracle = planted
         for rates, triple, graphs, cws in self._cases(S, tamper=True):
             assert not self._both(cws, rates, oracle, graphs).ok
+
+    def test_plan_table_built_once_per_rate_vector(self, planted, monkeypatch):
+        S, oracle = planted
+        built = []
+        real = protocol._representative_profiles
+
+        def counted(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(protocol, "_representative_profiles", counted)
+        protocol._full_plan_table.cache_clear()
+        cases = list(self._cases(S))[:2]  # two triples at the first rate vector
+        for rates, triple, graphs, cws in cases:
+            self._both(cws, rates, oracle, graphs)
+        assert len(built) == 1
+        table = protocol._full_plan_table(cases[0][0], self.slack, self.n + self.slack)
+        arrays = [table.signatures, *(a for group in table.groups.values() for a in group)]
+        assert not any(a.flags.writeable for a in arrays)
 
     def test_budget_cap_drops_the_winner(self, planted):
         S, oracle = planted
