@@ -7,7 +7,10 @@ neighbors, or see near-average congestion).
 
 "Every left set" is undecidable at scale, so audits run over a BFamily
 that fixes scope: exhaustive for n <= 4, all sets of one size while the
-binomial count stays enumerable, seeded random families otherwise.  For
+binomial count stays enumerable, seeded random families otherwise.  An
+exhaustive edge-density audit scores every left set as a bitmask, by
+subset sums of the nodes' endpoint counts; the other families list their
+sets as rows of members.  A family that names no set is refused.  For
 all-of-size families too large to enumerate, small-regime richness is
 decided by a sound pairwise-damage certificate that covers every set of
 that size exactly, or reported inconclusive when the union bound is too
@@ -27,7 +30,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations
+from functools import lru_cache, partial
+from itertools import chain, combinations, islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -35,13 +39,18 @@ import numpy as np
 from .bits import BitString
 from .graphs import TABLE_CAP, GraphError, LabeledBipartiteGraph, SplitGraph
 from .crt import colliding_prime_indices
-from .rng import SeedStream, derive_seed
+from .rng import derive_seed, raw_block
+from .specs import FAMILIES
 
 # Largest number of sets an all-of-size family will enumerate one by one.
 ENUM_CAP = 60_000
 # Cells per temporary array of the edge-density product: small blocks keep
 # the audit's peak memory at that of the family's set tuples.
 BLOCK_CELLS = 1 << 14
+# Cells per low table, and so per scored block, of the exhaustive subset-sum
+# kernel; a table over half of 16 nodes takes more past 64 right columns.
+# 128 KB blocks scored fastest on a 2-core Xeon VM (2^12 to 2^16 cells tried).
+LOW_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -63,10 +72,10 @@ class BFamily:
     def __post_init__(self):
         if self.mode not in ("exhaustive", "all-of-size", "sampled"):
             raise ValueError(f"unknown family mode {self.mode!r}")
-        if self.mode in ("all-of-size", "sampled") and not self.size:
-            raise ValueError(f"{self.mode} family needs a size")
-        if self.mode == "sampled" and (not self.count or self.seed is None):
-            raise ValueError("sampled family needs count and seed")
+        if self.mode in ("all-of-size", "sampled") and (self.size or 0) < 1:
+            raise ValueError(f"{self.mode} family needs a positive size")
+        if self.mode == "sampled" and ((self.count or 0) < 1 or self.seed is None):
+            raise ValueError("sampled family needs a positive count and a seed")
 
     @classmethod
     def default_for(cls, n: int, k: int, seed: int) -> "BFamily":
@@ -77,43 +86,66 @@ class BFamily:
             return cls(mode="all-of-size", size=size)
         return cls(mode="sampled", size=size, count=128, seed=seed)
 
+    def __str__(self) -> str:
+        args = ",".join(f"{key}={getattr(self, key)}" for key in FAMILIES[self.mode]
+                        if getattr(self, key) is not None)
+        return f"{self.mode}:{args}"
+
     def set_count(self, n: int) -> int:
-        N = 1 << n
         if self.mode == "exhaustive":
-            hi = N if self.max_size is None else min(self.max_size, N)
-            return sum(math.comb(N, s) for s in range(max(1, self.min_size), hi + 1))
+            return sum(math.comb(1 << n, s) for s in self.sizes(n))
         if self.mode == "all-of-size":
-            return math.comb(N, self.size)
+            return math.comb(1 << n, self.size)
         return self.count
 
-    def _enumerated_sizes(self, n: int) -> range:
-        """The set sizes of an exhaustive or all-of-size family, each taken
-        as every subset of that size; refuses families too large to list."""
+    def sizes(self, n: int) -> range:
+        """The set sizes of the family at width n.  Refuses a family that
+        names no set, an exhaustive family at n > 4 and an all-of-size
+        family too large to list set by set."""
         N = 1 << n
         if self.mode == "exhaustive":
             if n > 4:
                 raise GraphError(f"exhaustive family not permitted at n={n} > 4")
             hi = N if self.max_size is None else min(self.max_size, N)
-            return range(max(1, self.min_size), hi + 1)
-        if math.comb(N, self.size) > ENUM_CAP:
+            sizes = range(max(1, self.min_size), hi + 1)
+        else:
+            sizes = range(self.size, self.size + 1)
+        if not sizes or sizes[-1] > N:
+            raise GraphError(f"family {self} names no set of the {N} left nodes "
+                             f"at width n={n}")
+        if self.mode == "all-of-size" and math.comb(N, self.size) > ENUM_CAP:
             raise GraphError(
                 f"all-of-size family with C({N},{self.size}) sets cannot be "
                 "enumerated; use the certified richness audit"
             )
-        return range(self.size, self.size + 1)
+        return sizes
 
     def iter_sets(self, n: int) -> Iterator[tuple[int, ...]]:
+        sizes = self.sizes(n)
+        if self.mode == "sampled":
+            return iter(self._sampled_sets(n))
+        return chain.from_iterable(combinations(range(1 << n), s) for s in sizes)
+
+    def _sampled_sets(self, n: int) -> list[tuple[int, ...]]:
+        """The sampled sets in draw order.  Each draw is the top n bits of
+        the next stream value, the value SeedStream.randrange(2**n) takes;
+        a set redraws members it already has.  The values come from one
+        block sized for the expected number of draws, and further blocks
+        only if the walk runs past it."""
         N = 1 << n
-        if self.mode != "sampled":
-            for s in self._enumerated_sizes(n):
-                yield from combinations(range(N), s)
-        else:
-            stream = SeedStream(derive_seed(self.seed, "bfamily"))
-            for _ in range(self.count):
-                members: set[int] = set()
-                while len(members) < self.size:
-                    members.add(stream.randrange(N))
-                yield tuple(sorted(members))
+        per_set = sum(N / (N - j) for j in range(self.size))  # expected draws
+        block = int(self.count * per_set * 1.1) + 64
+        seed = derive_seed(self.seed, "bfamily")
+        draws = chain.from_iterable(
+            (raw_block(seed, start, block) >> np.uint64(64 - n)).tolist()
+            for start in range(0, 1 << 64, block))
+        sets = []
+        for _ in range(self.count):
+            members: set[int] = set()
+            while len(members) < self.size:
+                members.add(next(draws))
+            sets.append(tuple(sorted(members)))
+        return sets
 
 
 # -- edge-density (extractor) checks ----------------------------------------
@@ -188,26 +220,104 @@ def _endpoint_counts(g: LabeledBipartiteGraph) -> np.ndarray:
     return np.bincount(offsets.ravel(), minlength=N * R).reshape(N, R)
 
 
-def _size_groups(family: BFamily, n: int) -> list[tuple[int, np.ndarray]]:
-    """(size, one row of members per set) for each size among the family's
-    distinct sets, ascending; rows come in sorted tuple order.
+def _member_rows(family: BFamily, n: int) -> np.ndarray:
+    """One row of members per distinct set of an all-of-size or sampled
+    family, all of the family's one size, in sorted tuple order.
 
-    Exhaustive and all-of-size families are distinct already, and
-    `combinations` yields each size in sorted order, so they are read
-    straight into arrays; only a sampled family is deduplicated and sorted.
+    `combinations` yields an all-of-size family distinct and sorted already;
+    only a sampled family is deduplicated and sorted.
     """
-    if family.mode == "sampled":  # every sampled set has the family's size
-        sets = sorted(set(family.iter_sets(n)))
-        return [(family.size, np.array(sets, dtype=np.int32).reshape(-1, family.size))]
-    N = 1 << n
-    groups = []
-    for size in family._enumerated_sizes(n):
-        count = math.comb(N, size)
-        if count:
-            members = np.fromiter(chain.from_iterable(combinations(range(N), size)),
-                                  dtype=np.int32, count=size * count)
-            groups.append((size, members.reshape(count, size)))
-    return groups
+    sets = family.iter_sets(n)
+    if family.mode == "sampled":
+        sets = sorted(set(sets))
+    members = np.fromiter(chain.from_iterable(sets), dtype=np.int32)
+    return members.reshape(-1, family.size)
+
+
+def _score_rows(members: np.ndarray, shifted: np.ndarray, limits: dict):
+    """Deviations of listed sets by one set-incidence x shifted-counts product.
+
+    Returns, per set size, the set count and the largest deviation, and the
+    failing sets (members, deviation) in sorted tuple order.
+    """
+    N, R = shifted.shape
+    size = members.shape[1]
+    devs = np.empty(len(members), dtype=np.int64)
+    step = max(1, BLOCK_CELLS // max(N, R))
+    for lo in range(0, len(members), step):
+        block = members[lo:lo + step]
+        incidence = np.zeros((len(block), N), dtype=np.int64)
+        incidence[np.arange(len(block))[:, None], block] = 1
+        devs[lo:lo + step] = np.abs(incidence @ shifted).sum(axis=1)
+    bad = np.flatnonzero(devs > limits[size])
+    return ({size: (len(devs), int(devs.max()))},
+            ((members[b].tolist(), int(devs[b])) for b in bad))
+
+
+@lru_cache(maxsize=None)
+def _mask_tables(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Facts about the 2^N masks over N <= 16 left nodes, bit i for node i:
+    each mask's set size, and the masks in sorted member-tuple order."""
+    size = np.zeros(1 << N, dtype=np.int32)
+    rev = np.zeros(1 << N, dtype=np.int32)  # the mask's N bits reversed
+    for i in range(N):
+        size[1 << i:2 << i] = size[:1 << i] + 1
+        rev[1 << i:2 << i] = rev[:1 << i] + (1 << (N - 1 - i))
+    # Sorted member tuples, a shorter prefix first, are a preorder walk of
+    # the tree whose children extend a tuple by one larger member; this is
+    # a set's position in that walk, the empty set first.
+    rank = size + (1 << N) - rev - (rev & -rev)
+    rank[0] = 0
+    lex = np.empty_like(rank)
+    lex[rank] = np.arange(1 << N, dtype=np.int32)
+    tables = (size.astype(np.uint8), lex)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _subset_sums(rows: np.ndarray) -> np.ndarray:
+    """sums[:, mask] = the sum of rows[i] over the bits i of mask, by
+    doubling; a column per mask keeps each block's sum over z a run of
+    whole-row additions."""
+    sums = np.zeros((rows.shape[1], 1 << len(rows)), dtype=np.int64)
+    for i, row in enumerate(rows):
+        np.add(sums[:, :1 << i], row[:, None], out=sums[:, 1 << i:2 << i])
+    return sums
+
+
+def _score_masks(shifted: np.ndarray, limits: dict):
+    """Deviations of every left set, as a mask, by subset sums.
+
+    Splits the nodes into a low part (at most LOW_CELLS cells of subset
+    sums, unless half the nodes need more) and a high part, and scores one
+    block of low masks per high mask h: dev = sum_z |low + high[h]|.
+    Blocks holding no set of a checked size are skipped.  Returns what
+    _score_rows does; failing sets are decoded only as they are read.
+    """
+    N, R = shifted.shape
+    size, lex = _mask_tables(N)
+    lo = min(N, max((N + 1) // 2, (LOW_CELLS // R).bit_length() - 1))
+    low, high = _subset_sums(shifted[:lo]), _subset_sums(shifted[lo:])
+    least, most = min(limits), max(limits)
+    limit = np.full(N + 1, np.iinfo(np.int64).max)  # unchecked sizes never fail
+    limit[list(limits)] = list(limits.values())
+    devs = np.zeros(1 << N, dtype=np.int64)
+    bad = np.zeros(1 << N, dtype=bool)
+    block = np.empty_like(low)
+    for h in range(high.shape[1]):
+        if not least - lo <= size[h << lo] <= most:
+            continue
+        masks = slice(h << lo, (h + 1) << lo)
+        np.add(low, high[:, h:h + 1], out=block)
+        np.abs(block, out=block)
+        block.sum(axis=0, out=devs[masks])
+        np.greater(devs[masks], limit[size[masks]], out=bad[masks])
+    tops = np.zeros(N + 1, dtype=np.int64)
+    np.maximum.at(tops, size, devs)
+    return ({s: (math.comb(N, s), int(tops[s])) for s in limits},
+            (([i for i in range(N) if m >> i & 1], int(devs[m]))
+             for m in map(int, lex[bad[lex]])))
 
 
 def check_prefix_extractor(g: LabeledBipartiteGraph, epsilon,
@@ -222,47 +332,44 @@ def check_prefix_extractor(g: LabeledBipartiteGraph, epsilon,
     recorded in k' order, then sorted set order; they are not raised.
 
     One endpoint-count table at the full width serves every k' by folding
-    adjacent columns.  Per width and set size, one set-incidence x counts
-    product gives every dev, compared with floor(epsilon den) in integers;
-    a Fraction is built only for the worst error and the reported failures.
+    adjacent columns; shifting each node's row to hist(z) 2^k' - D makes
+    every set's term the sum of its members' rows.  An exhaustive family
+    gets those sums for every mask by subset sums; the other families by
+    one set-incidence x shifted-counts product.  Each dev is compared with
+    floor(epsilon den) in integers; a Fraction is built only for the worst
+    error of each set size and the reported failures.
     """
     epsilon = Fraction(epsilon)
+    sizes = family.sizes(g.n)
+    if family.mode == "exhaustive":
+        score = _score_masks
+    else:
+        score = partial(_score_rows, _member_rows(family, g.n))
     N, D = 1 << g.n, g.degree
     counts = _endpoint_counts(g)
-    groups = _size_groups(family, g.n)
     checked = 0
     worst: Optional[Fraction] = None
     failures = []
     passed = True
     for k_prime in range(1, g.m + 1):
         R = 1 << k_prime
-        folded = counts.reshape(N, R, -1).sum(axis=2)
-        failing = []
-        for size, members in groups:
-            if size < R:
-                continue
-            den = 2 * size * D * R
-            # dev lies in [0, den]: the clamp keeps any epsilon's limit in int64
-            limit = max(-1, min(epsilon.numerator * den // epsilon.denominator, den))
-            devs = np.empty(len(members), dtype=np.int64)
-            step = max(1, BLOCK_CELLS // max(N, R))
-            for lo in range(0, len(members), step):
-                block = members[lo:lo + step]
-                incidence = np.zeros((len(block), N), dtype=np.int64)
-                incidence[np.arange(len(block))[:, None], block] = 1
-                devs[lo:lo + step] = np.abs((incidence @ folded) * R - size * D).sum(axis=1)
-            checked += len(devs)
-            err = Fraction(int(devs.max()), den)
+        dens = {size: 2 * size * D * R for size in sizes if size >= R}
+        if not dens:
+            continue
+        # dev lies in [0, den]: the clamp keeps any epsilon's limit in int64
+        limits = {size: max(-1, min(epsilon.numerator * den // epsilon.denominator, den))
+                  for size, den in dens.items()}
+        shifted = counts.reshape(N, R, -1).sum(axis=2) * R - D
+        tops, failing = score(shifted, limits)
+        for size, (count, top) in tops.items():
+            checked += count
+            err = Fraction(top, dens[size])
             if worst is None or err > worst:
                 worst = err
-            bad = np.flatnonzero(devs > limit)
-            if bad.size:
-                passed = False
-            failing += [(members[b].tolist(), Fraction(int(devs[b]), den))
-                        for b in bad[: 20 - len(failures)]]
-        for B, err in sorted(failing)[: 20 - len(failures)]:
+            passed = passed and top <= limits[size]
+        for B, dev in islice(failing, 20 - len(failures)):
             failures.append({"k_prime": k_prime, "B_descriptor": _descr(B),
-                             "worst_error": str(err)})
+                             "worst_error": str(Fraction(dev, dens[len(B)]))})
     return VerificationReport(
         graph=g, kind="prefix-extractor", k=g.m, delta=None,
         epsilon=epsilon, mode=family.mode, checked=checked, passed=passed,

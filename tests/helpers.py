@@ -5,12 +5,18 @@ a scalar GF(2^q) reference (field elements, the collinearity
 determinant, a collinear-triple sampler) that the vectorised geometry in
 `richowner.scenarios` is checked against, and the brute-force toy machine
 (one program at a time, every bit string in turn) that the depth-first
-output tables of `richowner.oracles` are checked against.
+output tables of `richowner.oracles` are checked against, and the two
+references of the extractor audit in `richowner.verification`: sampled
+sets drawn one `SeedStream.randrange` at a time, and the member-array x
+set-incidence product that scored exhaustive families before the
+subset-sum kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import chain, combinations
 from typing import Optional
 
 import numpy as np
@@ -20,6 +26,7 @@ from richowner.graphs import TableGraph
 from richowner.oracles import Component
 from richowner.rng import SeedStream, derive_seed
 from richowner.scenarios import IRREDUCIBLE
+from richowner.verification import _descr
 
 
 def bs(bits: str) -> BitString:
@@ -204,3 +211,71 @@ def brute_force_toy_table(side: tuple[Component, ...], max_len: int,
             if out is not None and out not in table:
                 table[out] = length
     return table
+
+
+# -- extractor audit references ---------------------------------------------------
+
+def seed_stream_sampled_sets(family, n: int) -> list[tuple[int, ...]]:
+    """A sampled family's sets in draw order, one randrange per member."""
+    stream = SeedStream(derive_seed(family.seed, "bfamily"))
+    sets = []
+    for _ in range(family.count):
+        members: set[int] = set()
+        while len(members) < family.size:
+            members.add(stream.randrange(1 << n))
+        sets.append(tuple(sorted(members)))
+    return sets
+
+
+def listed_sizes(family, n: int) -> range:
+    """The set sizes an exhaustive or all-of-size family names at width n,
+    empty when it names none."""
+    if family.mode != "exhaustive":
+        return range(family.size, family.size + 1)
+    N = 1 << n
+    hi = N if family.max_size is None else min(family.max_size, N)
+    return range(max(1, family.min_size), hi + 1)
+
+
+def incidence_prefix_extractor(g, family, epsilons):
+    """{epsilon: (checked, passed, worst error, failures)} of an exhaustive
+    or all-of-size family: one member array per set size, in sorted tuple
+    order, scored per prefix width by a set-incidence x counts product."""
+    N, D = 1 << g.n, g.degree
+    groups = []
+    for size in listed_sizes(family, g.n):
+        members = np.fromiter(chain.from_iterable(combinations(range(N), size)),
+                              dtype=np.int64)
+        groups.append((size, members.reshape(-1, size)))
+    counts = np.array([np.bincount(g.neighbor_values(x), minlength=1 << g.m)
+                       for x in range(N)], dtype=np.int64)
+    scored = []  # (k', size, members, devs, den) per width and set size
+    for k_prime in range(1, g.m + 1):
+        R = 1 << k_prime
+        folded = counts.reshape(N, R, -1).sum(axis=2)
+        for size, members in groups:
+            if size >= R and len(members):
+                incidence = np.zeros((len(members), N), dtype=np.int64)
+                incidence[np.arange(len(members))[:, None], members] = 1
+                devs = np.abs((incidence @ folded) * R - size * D).sum(axis=1)
+                scored.append((k_prime, size, members, devs, 2 * size * D * R))
+    results = {}
+    for epsilon in map(Fraction, epsilons):
+        checked, worst, failures, passed = 0, None, [], True
+        for k_prime in range(1, g.m + 1):
+            failing = []
+            for width, size, members, devs, den in scored:
+                if width != k_prime:
+                    continue
+                checked += len(devs)
+                err = Fraction(int(devs.max()), den)
+                worst = err if worst is None else max(worst, err)
+                bad = np.flatnonzero(devs * epsilon.denominator > epsilon.numerator * den)
+                passed = passed and not bad.size
+                failing += [(members[b].tolist(), Fraction(int(devs[b]), den))
+                            for b in bad[:20]]
+            for B, err in sorted(failing)[: 20 - len(failures)]:
+                failures.append({"k_prime": k_prime, "B_descriptor": _descr(B),
+                                 "worst_error": str(err)})
+        results[epsilon] = (checked, passed, worst, failures)
+    return results

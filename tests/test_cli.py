@@ -211,6 +211,10 @@ def decode_inputs(tmp_path):
       "--family", "sampled:count=3"], "'size'"),
     (["verify-graph", "--graph", "{g}", "--check", "extractor",
       "--family", "all-of-size"], "'size'"),
+    (["verify-graph", "--graph", "{g}", "--check", "richness", "--k", "2",
+      "--family", "sampled:size=-2,count=3"], "positive size"),
+    (["verify-graph", "--graph", "{g}", "--check", "richness", "--k", "2",
+      "--family", "sampled:size=2,count=-1"], "positive count"),
     (["decode", "--codewords", "{cws}", "--graphs", "{g},{g},{g}",
       "--scenario", "collinear:q=2", "--decoder", "known-profile",
       "--rates", "1,2"], "rates '1,2'"),
@@ -237,7 +241,7 @@ def decode_inputs(tmp_path):
     (["experiment", "--set", "scenario=planted:n=4", "--set", "decoder=full",
       "--set", "oracle=toy:T=-5"], "'T'"),
 ], ids=["profile-scenario", "experiment-scenario", "family-sampled",
-        "family-all-of-size", "decode-rates", "graphs-typo", "descriptor-kind",
+        "family-all-of-size", "family-negative-size", "family-negative-count", "decode-rates", "graphs-typo", "descriptor-kind",
         "decode-codeword-count", "decode-graph-count", "decode-graph-width",
         "binning-json-out", "hash-audit-distractors", "hash-audit-negative-trials",
         "build-negative-retries", "experiment-negative-trials",
@@ -247,6 +251,24 @@ def test_bad_spec_is_a_clean_error(argv, key, decode_inputs, capsys):
     assert run_cli(*(a.format(**decode_inputs) for a in argv)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
+
+
+@pytest.mark.parametrize("family", [
+    "sampled:size=9,count=1,seed=0", "all-of-size:size=9",
+    "exhaustive:min_size=5,max_size=2", "exhaustive:max_size=0",
+])
+@pytest.mark.parametrize("check", ["extractor", "richness"])
+def test_family_without_sets_is_refused(family, check, tmp_path, capsys):
+    # An n = 3 graph has 8 left nodes: none of these families names a set.
+    g = tmp_path / "g.bin"
+    assert run_cli("build-graph", "--kind", "binning", "--n", "3", "--k", "2",
+                   "--seed", "7", "--out", str(g)) == 0
+    capsys.readouterr()
+    assert run_cli("verify-graph", "--graph", str(g), "--check", check, "--k", "2",
+                   "--family", family, "--out", str(tmp_path / "r.json")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: family ") and "names no set" in err and "n=3" in err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_report_csv_matches_experiment_csv(tmp_path):

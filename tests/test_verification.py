@@ -5,7 +5,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from richowner import verification
 from richowner.construction import (
@@ -29,7 +29,13 @@ from richowner.verification import (
     rich_owner_fraction,
 )
 
-from helpers import all_to_one_graph, complete_graph
+from helpers import (
+    all_to_one_graph,
+    complete_graph,
+    incidence_prefix_extractor,
+    listed_sizes,
+    seed_stream_sampled_sets,
+)
 
 
 def injective_degree_one_graph(n):
@@ -434,13 +440,54 @@ def test_prefix_extractor_matches_per_set_loop(data):
             report.failures) == reference_prefix_extractor(g, epsilon, family)
 
 
-# -- size groups against the sorted-tuple path ------------------------------------
+# -- the whole n = 4 exhaustive family against the incidence product ----------------
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_exhaustive_extractor_matches_incidence_product(seed):
+    # A pipeline-sized graph passes or barely fails; a low-degree table
+    # graph and its split image fail at many sets, so failure lists fill up.
+    rng = np.random.default_rng(seed)
+    table = TableGraph(4, 3, rng.integers(0, 8, size=(16, 1 + seed), dtype=np.uint64))
+    graphs = [build_random_graph(4, 2 + seed, Fraction(1, 8), 4, seed), table,
+              split_edges(table, *SPLITS[1 + seed])]
+    epsilons = [Fraction(0), Fraction(1, 100), Fraction(1, 40), Fraction(1, 8),
+                Fraction(707, 1000)]
+    ranges = [(1, None), (1, 16), (2, 5), (3, 12), (8, 16), (16, 16), (4, 4)]
+    for g in graphs:
+        for low, high in ranges:
+            family = BFamily(mode="exhaustive", min_size=low, max_size=high)
+            expected = incidence_prefix_extractor(g, family, epsilons)
+            for epsilon in epsilons:
+                report = check_prefix_extractor(g, epsilon, family)
+                assert (report.checked, report.passed, report.worst_error,
+                        report.failures) == expected[epsilon], (g, family, epsilon)
+
+
+# -- sampled draws against the one-randrange-per-member loop --------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, 1 << n))),
+       st.integers(1, 8), st.integers(0, (1 << 64) - 1))
+@example((6, 59), 2, 41)  # the first value past a 410-value block adds a member
+def test_sampled_sets_match_seed_stream_draws(width_and_size, count, seed):
+    n, size = width_and_size
+    family = BFamily(mode="sampled", size=size, count=count, seed=seed)
+    assert list(family.iter_sets(n)) == seed_stream_sampled_sets(family, n)
+
+
+# -- listed families against the sorted-tuple path ----------------------------------
+
+def family_sets(family, n):
+    """Every set a family names, listed without the family's own code."""
+    if family.mode == "sampled":
+        return seed_stream_sampled_sets(family, n)
+    return [B for size in listed_sizes(family, n) for B in combinations(range(1 << n), size)]
+
 
 def sorted_tuple_size_groups(family, n):
-    """Reference for _size_groups: (size, positions in sorted order, one
-    row of members per set) per size, from every family's tuples
-    deduplicated and sorted."""
-    sets = sorted(set(family.iter_sets(n)))
+    """(size, positions in sorted order, one row of members per set) per
+    size, from every family's tuples deduplicated and sorted."""
+    sets = sorted(set(family_sets(family, n)))
     sizes = np.array([len(B) for B in sets], dtype=np.int64)
     groups = []
     for size in np.unique(sizes).tolist():
@@ -473,13 +520,6 @@ def test_size_groups_match_sorted_tuple_path(data):
     m = data.draw(st.integers(1, 3))
     family = data.draw(enumerable_families(n))
     reference = sorted_tuple_size_groups(family, n)
-    groups = verification._size_groups(family, n)
-    assert [size for size, _ in groups] == [size for size, _, _ in reference]
-    for (_, members), (_, _, ref_members) in zip(groups, reference):
-        assert members.dtype == np.int32
-        assert np.array_equal(members, ref_members)
-    # Positions were ranks in sorted tuple order: sorting the failures of
-    # check_prefix_extractor by member tuple keeps the position order.
     D = data.draw(st.integers(1, 4))
     hub = data.draw(st.booleans())
     if hub:
@@ -491,6 +531,17 @@ def test_size_groups_match_sorted_tuple_path(data):
             min_size=1 << n, max_size=1 << n))
         g = TableGraph(n, m, np.array(rows, dtype=np.uint64))
     epsilon = data.draw(st.sampled_from([Fraction(0), Fraction(1, 4)]))
+    if not reference:
+        with pytest.raises(GraphError, match=f"names no set .* at width n={n}"):
+            check_prefix_extractor(g, epsilon, family)
+        return
+    if family.mode != "exhaustive":  # listed as rows of members
+        ((_, _, ref_members),) = reference
+        members = verification._member_rows(family, n)
+        assert members.dtype == np.int32
+        assert np.array_equal(members, ref_members)
+    # Positions were ranks in sorted tuple order: sorting the failures of
+    # check_prefix_extractor by member tuple keeps the position order.
     counts = np.array([np.bincount(g.table[x].astype(np.int64), minlength=1 << m)
                        for x in range(1 << n)])
     expected = []
@@ -514,6 +565,8 @@ def test_size_groups_match_sorted_tuple_path(data):
 
 def test_size_groups_keep_the_enumeration_limits():
     with pytest.raises(GraphError, match="not permitted"):
-        verification._size_groups(BFamily(mode="exhaustive"), 5)
+        check_prefix_extractor(complete_graph(5, 1), Fraction(1, 4),
+                               BFamily(mode="exhaustive"))
     with pytest.raises(GraphError, match="cannot be enumerated"):
-        verification._size_groups(BFamily(mode="all-of-size", size=8), 6)
+        check_prefix_extractor(complete_graph(6, 1), Fraction(1, 4),
+                               BFamily(mode="all-of-size", size=8))
