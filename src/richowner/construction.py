@@ -85,7 +85,11 @@ def _check_split_count(ell: int) -> None:
 
 
 def split_edges(g: LabeledBipartiteGraph, s: int, delta) -> SplitGraph:
-    """Fan each edge (x, z) out to ell residue-fingerprinted edges."""
+    """Fan each edge (x, z) out to ell residue-fingerprinted edges.
+
+    The graph holds only the first ell primes that lie below 2^n: the
+    residue of an n-bit value modulo any larger prime is the value itself.
+    """
     delta = Fraction(delta)
     if s < 1:
         raise GraphError(f"split threshold must be >= 1, got {s}")
@@ -93,7 +97,7 @@ def split_edges(g: LabeledBipartiteGraph, s: int, delta) -> SplitGraph:
         raise GraphError(f"delta must lie in (0, 1], got {delta}")
     ell = split_count(g.n, s, delta)
     _check_split_count(ell)
-    return SplitGraph(g, primes_first(ell))
+    return SplitGraph(g, primes_first(ell, 1 << g.n), ell)
 
 
 @dataclass

@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -23,20 +23,23 @@ from .rng import SeedStream, derive_seed
 
 
 @lru_cache(maxsize=None)
-def primes_first(t: int) -> np.ndarray:
-    """The first t primes, deterministically, via a sieve: one read-only
-    int64 array per t, shared by every caller."""
+def primes_first(t: int, below: Optional[int] = None) -> np.ndarray:
+    """The first t primes, or just those of them below `below`,
+    deterministically, via a sieve up to the smaller of `below` and the
+    bound for p_t: one read-only int64 array per (t, below), shared by
+    every caller."""
     t = max(t, 0)
     # p_t < t (ln t + ln ln t) for t >= 6; pad the small cases.
     bound = 15 if t < 6 else int(t * (math.log(t) + math.log(math.log(t)))) + 10
     while True:
-        sieve = np.ones(bound + 1, dtype=bool)
+        top = bound if below is None else max(min(bound, below - 1), 1)
+        sieve = np.ones(top + 1, dtype=bool)
         sieve[:2] = False
-        for p in range(2, int(bound ** 0.5) + 1):
+        for p in range(2, int(top ** 0.5) + 1):
             if sieve[p]:
                 sieve[p * p :: p] = False
         found = np.flatnonzero(sieve).astype(np.int64, copy=False)
-        if len(found) >= t:
+        if len(found) >= t or top < bound:  # enough, or every prime below `below`
             primes = found[:t]
             primes.flags.writeable = False
             return primes

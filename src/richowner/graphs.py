@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bits import BitString
+from .crt import primes_first
 from .rng import raw_block, stream_value
 
 # Edge tables and bulk adjacency matrices are materialized only up to this
@@ -195,7 +196,8 @@ class SeededGraph(LabeledBipartiteGraph):
         size = (1 << self.n) * self.degree
         if size > TABLE_CAP:
             return None
-        raw = raw_block(self.seed, 0, size) >> np.uint64(64 - self.m)
+        raw = raw_block(self.seed, 0, size)
+        raw >>= np.uint64(64 - self.m)
         return raw.reshape(1 << self.n, self.degree)
 
     def to_table(self) -> TableGraph:
@@ -217,12 +219,21 @@ class SplitGraph(LabeledBipartiteGraph):
     fixed-width fields: ceil(log2 ell) bits of prime index, n bits of
     residue, then the base right node.  Labels are packed y-major:
     label = y * ell + i.
+
+    `primes` is p_1..p_ell, or its leading primes that include every one
+    below 2^n: an index i past the list names a prime above any n-bit x,
+    so x mod p_i is x itself.  ell defaults to the length of the list.
     """
 
-    def __init__(self, base: LabeledBipartiteGraph, primes: Sequence[int]):
-        ell = len(primes)
+    def __init__(self, base: LabeledBipartiteGraph, primes: Sequence[int],
+                 ell: Optional[int] = None):
+        ell = len(primes) if ell is None else ell
         if ell < 1:
             raise GraphError("split needs at least one prime")
+        if len(primes) > ell or (len(primes) < ell and not np.array_equal(
+                primes, primes_first(ell, 1 << base.n))):
+            raise GraphError(f"{len(primes)} primes are neither the first ell={ell} "
+                             f"nor those of them below 2^{base.n}")
         idx_bits = (ell - 1).bit_length()
         m = idx_bits + base.n + base.m
         super().__init__(base.n, m, base.degree * ell)
@@ -245,20 +256,25 @@ class SplitGraph(LabeledBipartiteGraph):
         i = v >> (self.n + self.k)
         return i, residue, z
 
+    def _residue(self, x, i: int):
+        """x mod p_i, for an int or an array of left nodes."""
+        return x % int(self.primes[i]) if i < len(self.primes) else x
+
     def neighbor_int(self, x: int, label: int) -> int:
         y, i = divmod(label, self.ell)
         z = self.base.neighbor_int(x, y)
-        return self.split_node(i, x % int(self.primes[i]), z)
+        return self.split_node(i, self._residue(x, i), z)
 
     def neighbor_values(self, x) -> list[int]:
         if self.degree > MULTISET_CAP:
             raise GraphError(f"degree {self.degree} too large to expand")
         xi = _as_left_int(self, x)
+        residues = [xi % int(p) for p in self.primes]
+        residues += [xi] * (self.ell - len(residues))
         out = []
         for y in range(self.base.degree):
             z = self.base.neighbor_int(xi, y)
-            for i in range(self.ell):
-                out.append(self.split_node(i, xi % int(self.primes[i]), z))
+            out.extend(self.split_node(i, r, z) for i, r in enumerate(residues))
         return out
 
     def payload_consistent(self, x, payload) -> bool:
@@ -266,13 +282,13 @@ class SplitGraph(LabeledBipartiteGraph):
         i, residue, z = self.parse_payload(payload)
         if i >= self.ell:
             return False
-        return xi % int(self.primes[i]) == residue and z in self.base.multiplicities(xi)
+        return self._residue(xi, i) == residue and z in self.base.multiplicities(xi)
 
     def payload_consistent_bulk(self, xs: np.ndarray, payload) -> np.ndarray:
         i, residue, z = self.parse_payload(payload)
         if i >= self.ell:
             return np.zeros(len(xs), dtype=bool)
-        ok = (xs % int(self.primes[i])) == residue
+        ok = self._residue(xs, i) == residue
         return ok & self.base.payload_consistent_bulk(xs, z)
 
     def describe(self) -> str:

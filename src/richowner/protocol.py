@@ -14,9 +14,12 @@ full decoder over every admissible profile.  One selection rule serves
 both: per plan the tag-matching branch with the fewest steps wins, ties to
 the lowest branch index; across plans the fewest steps win, ties to the
 lowest rank, and plan winners over the cap step_budget // plans + 1 are
-dropped.  Branches are pure, so each distinct branch runs once, to
+dropped.  Branches are pure, and a branch depends on its plan only through
+its lead bound, so each branch runs once per distinct lead bound, to
 completion, with stage results shared through a memo; the cap filters
-results but does not bound this work.
+results but does not bound this work.  A lead's branches reduce to a best
+and a worst cost per bound, which every plan reads with one gather per
+lead, so selection holds no plans x branches matrix.
 """
 
 from __future__ import annotations
@@ -324,67 +327,106 @@ def _tags_match(codewords: Sequence[Codeword], triple) -> bool:
 @dataclass(frozen=True)
 class _PlanTable:
     """The plans of one decode, in rank order, as _select reads them: each
-    plan's signature, and per catalog lead (None for the rate-only
-    branches) the plans that share a branch version, as `first`, the first
-    plan of each version, and `version`, each plan's version.  The arrays
-    are read-only, so a table can be shared between decodes."""
+    plan's signature, and per signature column (a catalog lead) the group
+    (column, bounds): the plans' lead bounds and their distinct values,
+    ascending.  The arrays are read-only, so a table can be shared between
+    decodes."""
 
     signatures: np.ndarray
-    groups: Mapping[Optional[int], tuple[np.ndarray, np.ndarray]]
+    groups: Mapping[int, tuple[np.ndarray, np.ndarray]]
 
 
 def _plan_table(profiles: np.ndarray, n_a: int, slack: int) -> _PlanTable:
     """The plan table of profile rows in rank order; plans share a lead's
-    branch iff they share its lead bound."""
-    plans = len(profiles)
+    branches iff they share its lead bound."""
     signatures = np.stack(_signature(*profiles.T[:5], n_a, slack), axis=1)
-    # one version: a rate-only branch, or any branch of a single plan
-    one = (np.zeros(1, dtype=np.intp), np.zeros(plans, dtype=np.intp))
-    groups = {None: one}
+    signatures.flags.writeable = False
+    groups = {}
     for lead in range(signatures.shape[1]):
-        groups[lead] = one if plans == 1 else tuple(np.unique(
-            signatures[:, lead], return_index=True, return_inverse=True)[1:])
-    for array in (signatures, *(a for g in groups.values() for a in g)):
-        array.flags.writeable = False
+        column = signatures[:, lead]  # a view, read-only like its base
+        bounds = np.unique(column)
+        bounds.flags.writeable = False
+        groups[lead] = (column, bounds)
     return _PlanTable(signatures, groups)
+
+
+# Catalog indices per lead, None for the rate-only branches.
+_LEAD_BRANCHES = {lead: [idx for idx, entry in enumerate(_CATALOG) if entry[1] == lead]
+                  for lead in (None, *range(len(_LEAD_FORMULAS)))}
+
+
+def _pick(table: _PlanTable, outcome, step_budget: int) -> tuple[Optional[int], int, int]:
+    """The selection rule of the module docstring over a plan table.
+
+    `outcome(idx, bound)` is (matched, steps) of catalog branch idx run at
+    lead bound `bound` (None for a rate-only branch); it is called once per
+    branch and distinct bound.  Each lead's branches reduce, per bound, to
+    a best key steps * len(_CATALOG) + idx over the matched branches and a
+    worst step count over all of them, and each plan reads its leads' with
+    one gather per signature column.  Returns (rank, idx, steps) of the
+    winner, or (None, -1, steps) with steps the largest per-plan count.
+    """
+    never = np.iinfo(np.int64).max
+    width = len(_CATALOG)
+
+    def reduce_lead(lead, bound):
+        best, worst = never, 0
+        for idx in _LEAD_BRANCHES[lead]:
+            matched, steps = outcome(idx, bound)
+            worst = max(worst, steps)
+            if matched:
+                best = min(best, steps * width + idx)
+        return best, worst
+
+    best, worst = reduce_lead(None, None)
+    plans = len(table.signatures)
+    key = np.full(plans, best, dtype=np.int64)
+    most = np.full(plans, worst, dtype=np.int64)
+    for lead, (column, bounds) in table.groups.items():
+        low = int(bounds[0])  # below 0 only at a negative slack
+        lead_key = np.full(int(bounds[-1]) - low + 1, never, dtype=np.int64)
+        lead_most = np.zeros(len(lead_key), dtype=np.int64)
+        for bound in bounds.tolist():
+            lead_key[bound - low], lead_most[bound - low] = reduce_lead(lead, bound)
+        at = column - low
+        np.minimum(key, lead_key[at], out=key)
+        np.maximum(most, lead_most[at], out=most)
+    ok = key != never
+    plan_steps = np.where(ok, key // width, most)
+    eligible = ok & (plan_steps <= step_budget // plans + 1)
+    if not eligible.any():
+        return None, -1, int(plan_steps.max())
+    rank = int(np.where(eligible, plan_steps, never).argmin())
+    return rank, int(key[rank] % width), int(plan_steps[rank])
 
 
 def _select(codewords: Sequence[Codeword], table: _PlanTable, rates: RateVector,
             oracle, graphs: Sequence[LabeledBipartiteGraph], slack: int,
             step_budget: int) -> DecodeResult:
     """Decode under each plan of the table and pick the winner by the rule
-    in the module docstring.  On failure, steps is the largest per-plan
-    step count, where a plan without a match counts its largest branch."""
+    in the module docstring (_pick).  On failure, steps is the largest
+    per-plan step count, where a plan without a match counts its largest
+    branch."""
     if any(cw.tag is None for cw in codewords):
         raise ValueError("staged decoding requires fingerprint tags")
-    plans = len(table.signatures)
     memo: dict = {}
 
-    def run(idx: int, plan: int) -> tuple[Optional[tuple], int]:
-        branch = _branch(_CATALOG[idx], table.signatures[plan], rates, slack)
+    def run(idx: int, bound: Optional[int]) -> tuple[Optional[tuple], int]:
+        # _branch reads the signature only at the entry's lead
+        branch = _branch(_CATALOG[idx], {_CATALOG[idx][1]: bound}, rates, slack)
         return _run_branch(branch, codewords, oracle, graphs, memo)
 
-    steps = np.empty((plans, len(_CATALOG)), dtype=np.int64)
-    matched = np.empty(steps.shape, dtype=bool)
-    for idx, (_, lead, _) in enumerate(_CATALOG):
-        first, version = table.groups[lead]
-        runs = [run(idx, plan) for plan in first]
-        steps[:, idx] = np.array([cost for _, cost in runs])[version]
-        matched[:, idx] = np.array(
-            [t is not None and _tags_match(codewords, t) for t, _ in runs])[version]
-    never = np.iinfo(np.int64).max
-    masked = np.where(matched, steps, never)
-    ok = matched.any(axis=1)
-    plan_steps = np.where(ok, masked.min(axis=1), steps.max(axis=1))
-    eligible = ok & (plan_steps <= step_budget // plans + 1)
-    if not eligible.any():
-        return DecodeResult(status="fail", steps=int(plan_steps.max()),
+    def outcome(idx: int, bound: Optional[int]) -> tuple[bool, int]:
+        triple, steps = run(idx, bound)
+        return triple is not None and _tags_match(codewords, triple), steps
+
+    rank, idx, steps = _pick(table, outcome, step_budget)
+    if rank is None:
+        return DecodeResult(status="fail", steps=steps,
                             reason="no tag-consistent triple within the step cap")
-    rank = int(np.where(eligible, plan_steps, never).argmin())
-    idx = int(masked[rank].argmin())
-    triple, _ = run(idx, rank)  # a memo hit
-    return DecodeResult(status="ok", triple=triple, branch=_CATALOG[idx][0],
-                        steps=int(plan_steps[rank]))
+    lead = _CATALOG[idx][1]
+    triple, _ = run(idx, None if lead is None else int(table.signatures[rank, lead]))
+    return DecodeResult(status="ok", triple=triple, branch=_CATALOG[idx][0], steps=steps)
 
 
 def decode_known_profile(
@@ -421,36 +463,50 @@ def _representative_profiles(rates: RateVector, slack: int, cap: int) -> np.ndar
     Every inequality on C(ABC) is an upper bound, so C(ABC) may take its
     least value max(AB, AC, BC); the two bounds involving BC then bound BC
     from below, which leaves a filter over the grid of (A, B, C, AB, AC).
+    The grid is filtered one A-slice at a time; a signature starts with
+    A + slack, so no two slices share one and each slice is deduplicated
+    on its own.
     """
     n_a, n_b, n_c = rates
     s = slack
-    a, b, c, ab, ac = np.ogrid[0:cap + 1, 0:cap + 1, 0:cap + 1, 0:cap + 1, 0:cap + 1]
+    b, c, ab, ac = np.ogrid[0:cap + 1, 0:cap + 1, 0:cap + 1, 0:cap + 1]
     top = np.maximum(ab, ac)
-    # bounds on C(ABC) without bc: subadditivity over AB+C and AC+B, the
-    # cap, and the rate-region inequalities for B, C, AB, AC, BC and ABC
-    upper = reduce(np.minimum, (ab + c + s, ac + b + s, cap, n_b + ac + s,
-                                n_c + ab + s, n_a + n_b + c + s, n_a + n_c + b + s,
-                                n_b + n_c + a + s, n_a + n_b + n_c + s))
-    # C(ABC) <= bc + a + s (subadditivity) and C(ABC) <= bc + n_a + s (rate of A)
-    gap = np.minimum(a, n_a) + s
-    least_bc = np.maximum(np.maximum(b, c), top - gap)
-    admissible = (
-        (np.maximum(a, b) <= ab) & (ab <= a + b + s)
-        & (np.maximum(a, c) <= ac) & (ac <= a + c + s)
-        & (top <= upper) & (gap >= 0)
-        & (least_bc <= np.minimum(b + c + s, upper))
-    )
-    points = np.nonzero(admissible)  # lexicographic order
-    bc = np.broadcast_to(least_bc, admissible.shape)[points]
-    a, b, c, ab, ac = points
-    profiles = np.stack([a, b, c, ab, ac, bc, np.maximum(np.maximum(ab, ac), bc)], axis=1)
-    signatures = np.stack(_signature(a, b, c, ab, ac, n_a, s), axis=1)
-    # One int64 key per signature, in the lexicographic order of the rows,
-    # so a 1-D unique finds the same first occurrences as a unique of rows.
-    radix = int(signatures.max(initial=0)) + 1
-    keys = np.ravel_multi_index(tuple(signatures.T), (radix,) * 5)
-    _, first = np.unique(keys, return_index=True)
-    return profiles[np.sort(first)]
+    # bounds on C(ABC) without a or bc: subadditivity over AB+C and AC+B,
+    # the cap, and the rate-region inequalities for B, C, AB, AC and ABC
+    upper_ab = reduce(np.minimum, (ab + c + s, ac + b + s, cap, n_b + ac + s,
+                                   n_c + ab + s, n_a + n_b + c + s, n_a + n_c + b + s,
+                                   n_a + n_b + n_c + s))
+    least_bc_free = np.maximum(b, c)
+    slices = []
+    for a in range(cap + 1):
+        # the rate-region inequality for BC
+        upper = np.minimum(upper_ab, n_b + n_c + a + s)
+        # C(ABC) <= bc + a + s (subadditivity) and C(ABC) <= bc + n_a + s (rate of A)
+        gap = min(a, n_a) + s
+        if gap < 0:
+            continue
+        least_bc = np.maximum(least_bc_free, top - gap)
+        admissible = (
+            (np.maximum(a, b) <= ab) & (ab <= a + b + s)
+            & (np.maximum(a, c) <= ac) & (ac <= a + c + s)
+            & (top <= upper) & (least_bc <= np.minimum(b + c + s, upper))
+        )
+        points = np.nonzero(admissible)  # lexicographic order
+        bc = np.broadcast_to(least_bc, admissible.shape)[points]
+        pb, pc, pab, pac = points
+        # One int64 key per signature within the slice, B + slack and
+        # C + slack read as B and C, in the lexicographic order of the rows,
+        # so a 1-D unique finds the same first occurrences as a unique of
+        # rows.  Every field lies in 0..cap + slack.
+        fields = (pb, pc, *_signature(a, pb, pc, pab, pac, n_a, s)[3:])
+        keys = np.ravel_multi_index(fields, (cap + max(s, 0) + 1,) * 4)
+        first = np.sort(np.unique(keys, return_index=True)[1])
+        pb, pc, pab, pac, bc = (v[first] for v in (pb, pc, pab, pac, bc))
+        slices.append(np.stack([np.full(len(first), a), pb, pc, pab, pac, bc,
+                                np.maximum(np.maximum(pab, pac), bc)], axis=1))
+    if not slices:
+        return np.zeros((0, 7), dtype=np.int64)
+    return np.concatenate(slices)
 
 
 # Plan tables of recent rate vectors: a full decode builds each once.  The

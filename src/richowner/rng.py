@@ -47,14 +47,19 @@ def derive_seed(seed: int, *parts) -> int:
 
 
 def raw_block(seed: int, start: int, count: int) -> np.ndarray:
-    """Vectorized stream values [start, start+count) as uint64."""
-    base = np.uint64(mix64(seed))
-    idx = np.arange(start, start + count, dtype=np.uint64)
+    """Vectorized stream values [start, start+count) as uint64, mixed in
+    place with one scratch array."""
+    z = np.arange(start, start + count, dtype=np.uint64)
+    scratch = np.empty_like(z)
     with np.errstate(over="ignore"):
-        z = base + idx * np.uint64(_GOLDEN)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        z = z ^ (z >> np.uint64(31))
+        z *= np.uint64(_GOLDEN)
+        z += np.uint64(mix64(seed))
+        for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+            np.right_shift(z, np.uint64(shift), out=scratch)
+            z ^= scratch
+            z *= np.uint64(factor)
+        np.right_shift(z, np.uint64(31), out=scratch)
+        z ^= scratch
     return z
 
 

@@ -121,9 +121,12 @@ class BFamily:
         return sizes
 
     def iter_sets(self, n: int) -> Iterator[tuple[int, ...]]:
+        """The family's distinct sets: a sampled family's draws
+        deduplicated, in sorted tuple order, and otherwise every set of the
+        listed sizes, size by size."""
         sizes = self.sizes(n)
         if self.mode == "sampled":
-            return iter(self._sampled_sets(n))
+            return iter(sorted(set(self._sampled_sets(n))))
         return chain.from_iterable(combinations(range(1 << n), s) for s in sizes)
 
     def _sampled_sets(self, n: int) -> list[tuple[int, ...]]:
@@ -222,14 +225,8 @@ def _endpoint_counts(g: LabeledBipartiteGraph) -> np.ndarray:
 
 def _member_rows(family: BFamily, n: int) -> np.ndarray:
     """One row of members per distinct set of an all-of-size or sampled
-    family, all of the family's one size, in sorted tuple order.
-
-    `combinations` yields an all-of-size family distinct and sorted already;
-    only a sampled family is deduplicated and sorted.
-    """
+    family, all of the family's one size, in sorted tuple order."""
     sets = family.iter_sets(n)
-    if family.mode == "sampled":
-        sets = sorted(set(sets))
     members = np.fromiter(chain.from_iterable(sets), dtype=np.int32)
     return members.reshape(-1, family.size)
 
@@ -444,14 +441,17 @@ def _slot_loads(g: LabeledBipartiteGraph, xi: int, others: Sequence[int]) -> Cou
     and `load` counts the edges of `others` on z.  A split graph is read
     through its base graph: slot (y, i) lands on (i, xi mod p_i, base z),
     which another node shares only at the prime indices where it collides
-    with xi.  Any other graph is the one-index case where every pair
+    with xi: all ell of them for xi itself, and otherwise only indices of
+    primes up to the difference, which the graph's primes below 2^n hold.
+    Any other graph is the one-index case where every pair
     collides.  Indices with the same set of colliders have the same loads,
     so the work grows with xi's distinct base endpoints and the number of
     such groups, not with ell.
     """
     if isinstance(g, SplitGraph):
         base, ell = g.base, g.ell
-        collisions = [colliding_prime_indices(xi, o, g.primes) for o in others]
+        collisions = [range(ell) if o == xi else colliding_prime_indices(xi, o, g.primes)
+                      for o in others]
     else:
         base, ell = g, 1
         collisions = [(0,)] * len(others)

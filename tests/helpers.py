@@ -9,7 +9,8 @@ output tables of `richowner.oracles` are checked against, and the two
 references of the extractor audit in `richowner.verification`: sampled
 sets drawn one `SeedStream.randrange` at a time, and the member-array x
 set-incidence product that scored exhaustive families before the
-subset-sum kernel.
+subset-sum kernel, and the plan x branch matrix form of the staged
+decoders' selection rule that `richowner.protocol._pick` is checked against.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from richowner.bits import BitString
 from richowner.graphs import TableGraph
 from richowner.oracles import Component
+from richowner.protocol import _CATALOG
 from richowner.rng import SeedStream, derive_seed
 from richowner.scenarios import IRREDUCIBLE
 from richowner.verification import _descr
@@ -279,3 +281,26 @@ def incidence_prefix_extractor(g, family, epsilons):
                                  "worst_error": str(err)})
         results[epsilon] = (checked, passed, worst, failures)
     return results
+
+
+# -- selection rule reference ---------------------------------------------------------
+
+def matrix_pick(signatures: np.ndarray, outcome, step_budget: int):
+    """The selection rule over (plans x branches) step and match matrices,
+    one outcome(idx, bound) per cell; returns what protocol._pick does."""
+    plans = len(signatures)
+    steps = np.empty((plans, len(_CATALOG)), dtype=np.int64)
+    matched = np.empty(steps.shape, dtype=bool)
+    for idx, (_, lead, _) in enumerate(_CATALOG):
+        for plan in range(plans):
+            bound = None if lead is None else int(signatures[plan, lead])
+            matched[plan, idx], steps[plan, idx] = outcome(idx, bound)
+    never = np.iinfo(np.int64).max
+    masked = np.where(matched, steps, never)
+    ok = matched.any(axis=1)
+    plan_steps = np.where(ok, masked.min(axis=1), steps.max(axis=1))
+    eligible = ok & (plan_steps <= step_budget // plans + 1)
+    if not eligible.any():
+        return None, -1, int(plan_steps.max())
+    rank = int(np.where(eligible, plan_steps, never).argmin())
+    return rank, int(masked[rank].argmin()), int(plan_steps[rank])

@@ -11,6 +11,7 @@ from richowner.construction import (
     split_count,
     split_edges,
 )
+from richowner.crt import primes_first
 from richowner.graphs import (
     TABLE_CAP,
     GraphError,
@@ -79,9 +80,12 @@ class TestSplitEdges:
             split_edges(base, 1, Fraction(3, 2))
 
     def test_splits_share_one_read_only_prime_array(self):
+        # ell = 24 at n = 3, but only the primes below 2^3 are sieved and held
         a, b = (split_edges(all_to_one_graph(3, 2, 1, hub=h), 4, Fraction(1, 2))
                 for h in (0, 1))
-        assert a.primes is b.primes
+        assert a.ell == b.ell == 24
+        assert a.primes is b.primes is primes_first(24, 8)
+        assert a.primes.tolist() == [2, 3, 5, 7]
         assert a.primes.dtype == np.int64 and not a.primes.flags.writeable
 
     def test_split_count_over_cap_raises_before_sieving(self, monkeypatch):

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +22,14 @@ def test_primes_first():
     assert primes_first(0).tolist() == []
     assert len(primes_first(480)) == 480
     assert primes_first(480)[-1] == 3413  # 480th prime
+
+
+@pytest.mark.parametrize("t, below", [(10, 8), (3, 256), (54, 256), (480, 256),
+                                      (262_144, 256), (5, 2), (480, 3414)])
+def test_primes_first_below(t, below):
+    primes = primes_first(t, below)
+    assert primes.tolist() == [p for p in primes_first(t).tolist() if p < below]
+    assert primes.dtype == np.int64 and not primes.flags.writeable
 
 
 class TestCrtHash:

@@ -18,6 +18,7 @@ from richowner.graphs import (
     load_graph,
     save_graph,
 )
+from richowner.verification import _slot_loads
 
 from helpers import all_to_one_graph, b_degree, bs, complete_graph
 
@@ -182,6 +183,14 @@ class TestSplitGraph:
             i, r, _ = g.parse_payload(g.neighbor_int(0, lab))
             assert r == 0
 
+    def test_short_prime_list_must_be_the_primes_below_2n(self):
+        # ell = 12 at n = 5: p_12 = 37 > 31, so the primes below 2^5 suffice
+        g = SplitGraph(self.base(), primes_first(12, 32), 12)
+        assert (g.ell, len(g.primes)) == (12, 11)
+        for primes in ([2, 3, 5], primes_first(13), [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]):
+            with pytest.raises(GraphError, match="neither the first ell=12"):
+                SplitGraph(self.base(), primes, 12)
+
     def test_degree_bookkeeping(self):
         base = self.base()
         g = split_edges(base, s=2, delta=1)  # ell = ceil(2*5/1) = 10
@@ -264,3 +273,37 @@ class TestSplitGraph:
             bulk = g.payload_consistent_bulk(xs, payload)
             assert bulk.tolist() == [g.payload_consistent(int(x), payload) for x in xs]
         assert g._has_right is None
+
+
+# -- primes below 2^n against the full prime list -----------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_primes_below_2n_match_full_prime_list(data):
+    # ell on both sides of pi(2^n), the number of primes below 2^n
+    n = data.draw(st.integers(1, 6))
+    pi = len(primes_first(1 << n, 1 << n))
+    ell = data.draw(st.integers(max(1, pi - 3), pi + 3))
+    m, d = data.draw(st.integers(1, 2)), data.draw(st.integers(0, 1))
+    base = random_table_graph(n, m, d, seed=data.draw(st.integers(0, 99)))
+    short = SplitGraph(base, primes_first(ell, 1 << n), ell)
+    full = SplitGraph(base, primes_first(ell))
+    assert len(short.primes) == min(ell, pi)
+    assert (short.m, short.degree, short.describe()) == (full.m, full.degree, full.describe())
+    xs = np.arange(1 << n, dtype=np.int64)
+    for x in range(1 << n):
+        assert short.neighbor_values(x) == full.neighbor_values(x)
+        assert ([short.neighbor_int(x, lab) for lab in range(short.degree)]
+                == full.neighbor_values(x))
+    payloads = [full.neighbor_int(data.draw(st.integers(0, (1 << n) - 1)),
+                                  data.draw(st.integers(0, full.degree - 1)))
+                for _ in range(3)]
+    payloads += data.draw(st.lists(st.integers(0, (1 << full.m) - 1), max_size=3))
+    for payload in payloads:
+        bulk = full.payload_consistent_bulk(xs, payload)
+        assert short.payload_consistent_bulk(xs, payload).tolist() == bulk.tolist()
+        assert [short.payload_consistent(x, payload) for x in range(1 << n)] == bulk.tolist()
+    # others may hold the node itself, which collides at every index
+    xi = data.draw(st.integers(0, (1 << n) - 1))
+    others = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=4))
+    assert _slot_loads(short, xi, others) == _slot_loads(full, xi, others)

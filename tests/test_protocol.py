@@ -1,11 +1,12 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
-from richowner import protocol
+from richowner import experiments, protocol
 from richowner.bits import BitString
 from richowner.construction import construct_rich_owner_graph
 from richowner.crt import HashScheme, HashTag, primes_first
@@ -44,7 +45,7 @@ from richowner.protocol import (
 )
 from richowner.rng import SeedStream, derive_seed
 
-from helpers import all_to_one_graph, bs
+from helpers import all_to_one_graph, bs, matrix_pick
 
 SCHEME4 = HashScheme(4, 3, Fraction(1, 16))
 
@@ -540,6 +541,76 @@ class TestDecodeFullMatchesPlanByPlan:
             assert not capped.ok
             dropped += 1
         assert dropped >= 3
+
+
+# -- per-bound selection against the plan x branch matrices -----------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pick_matches_matrix_rule(data):
+    # Steps from a small range tie across ranks and branch indices, a low
+    # match rate leaves plans without a match, and a small budget drops
+    # winners over the cap; a negative slack gives negative lead bounds.
+    plans = data.draw(st.integers(1, 12))
+    rows = data.draw(st.lists(st.lists(st.integers(0, 5), min_size=7, max_size=7),
+                              min_size=plans, max_size=plans))
+    table = protocol._plan_table(np.array(rows), data.draw(st.integers(0, 5)),
+                                 data.draw(st.integers(-2, 3)))
+    match_rate = data.draw(st.sampled_from([0, 1, 4, 13]))
+    most = data.draw(st.sampled_from([1, 4, 12]))
+    outcomes, calls = {}, []
+
+    def outcome(idx, bound):
+        calls.append((idx, bound))
+        if (idx, bound) not in outcomes:
+            outcomes[idx, bound] = (data.draw(st.integers(0, 12)) < match_rate,
+                                    data.draw(st.integers(0, most)))
+        return outcomes[idx, bound]
+
+    budget = data.draw(st.integers(0, 3 * plans))
+    got = protocol._pick(table, outcome, budget)
+    assert len(calls) == len(set(calls))  # one run per branch and distinct bound
+    want = matrix_pick(table.signatures, outcome, budget)
+    assert got == want
+    if got[0] is None:
+        event("fail, no match" if not any(m for m, _ in outcomes.values())
+              else "fail, winners over the cap")
+    else:
+        event("ok, winner at rank > 0" if got[0] else "ok, winner at rank 0")
+
+
+def test_plan_search_memory_stays_small():
+    """Traced peak of building the toy-full-n8 plan table for rates
+    (10, 10, 10), slack 4, cap 12, then one toy-full-n8 decode (pool seed
+    10, first trial) with cold toy tables.  It was 15.2 MB while profile
+    search filtered the whole 13^5 grid and selection built plans x
+    branches matrices, and is 4.5 MB with sliced filtering and per-bound
+    selection (numpy 2.4.6)."""
+    config = experiments.ExperimentConfig(
+        scenario="planted:n=8", oracle="toy:L=12,T=200", decoder="full",
+        graphs="pipeline:delta=1/2", rates="profile+4", slack=4, seed=10)
+    scenario = experiments._resolve_scenario(config.scenario)
+    oracle = experiments._resolve_oracle(config.oracle, scenario)
+    bank = experiments._GraphBank(config.graphs, scenario.n, config.seed,
+                                  config.max_retries)
+    scheme = HashScheme(scenario.n, 3, Fraction(1, scenario.n ** 2))
+    seed = derive_seed(config.seed, "trial", 0)
+    triple = scenario.triple(seed)
+    rates = experiments._resolve_rates(config.rates, oracle, triple, scenario.n, None)
+    assert rates == RateVector(10, 10, 10)
+    graphs = [bank.for_rate(i, rates[i]) for i in range(3)]
+    cws = [encode(g, x, scheme, derive_seed(seed, "enc", i), sender="ABC"[i])
+           for i, (g, x) in enumerate(zip(graphs, triple))]
+    protocol._full_plan_table.cache_clear()
+    tracemalloc.start()
+    try:
+        protocol._full_plan_table(rates, 4, 12)
+        result = decode_full(cws, rates, oracle, graphs, slack=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.ok and result.triple == tuple(triple)
+    assert peak < 8_000_000
 
 
 class TestDecodeMembership:

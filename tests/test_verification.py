@@ -249,6 +249,16 @@ class TestRichOwnerFraction:
         assert certified.passed and certified.certified
         assert certified.checked == math.comb(16, 4)
 
+    def test_sampled_duplicates_are_audited_once(self):
+        # 20 draws of 2 of the 4 left nodes repeat sets; both audits read
+        # the family's 5 distinct sets
+        g = TableGraph(2, 1, np.array([[0, 1]] * 4, dtype=np.uint64))
+        family = BFamily(mode="sampled", size=2, count=20, seed=1)
+        assert len(set(family._sampled_sets(2))) == 5
+        richness = rich_owner_fraction(g, family, k=1, delta=Fraction(1, 2))
+        extractor = check_prefix_extractor(g, Fraction(1, 2), family)
+        assert richness.checked == extractor.checked == 5
+        assert list(family.iter_sets(2)) == sorted(set(family._sampled_sets(2)))
 
     def test_one_threshold_per_set(self, monkeypatch):
         # The large-regime threshold depends on the set, not the member.
@@ -472,7 +482,8 @@ def test_exhaustive_extractor_matches_incidence_product(seed):
 def test_sampled_sets_match_seed_stream_draws(width_and_size, count, seed):
     n, size = width_and_size
     family = BFamily(mode="sampled", size=size, count=count, seed=seed)
-    assert list(family.iter_sets(n)) == seed_stream_sampled_sets(family, n)
+    assert family._sampled_sets(n) == seed_stream_sampled_sets(family, n)
+    assert list(family.iter_sets(n)) == sorted(set(seed_stream_sampled_sets(family, n)))
 
 
 # -- listed families against the sorted-tuple path ----------------------------------
