@@ -17,10 +17,12 @@ from .bits import BitString
 from .construction import ConstructionError
 from .crt import HashScheme, isolation_probability
 from .experiments import (
+    DECODERS,
     ConfigError,
     ExperimentConfig,
     _resolve_rates,
     build_graph,
+    decode_triple,
     emit_report,
     report_text,
     run_experiment,
@@ -29,13 +31,7 @@ from .experiments import (
 )
 from .graphs import LabeledBipartiteGraph, load_graph, save_graph
 from .oracles import CountingOracle, named_correlation_set
-from .protocol import (
-    Codeword,
-    decode_full,
-    decode_known_profile,
-    decode_membership,
-    encode as protocol_encode,
-)
+from .protocol import Codeword, encode as protocol_encode
 from .rng import SeedStream, derive_seed
 from .scenarios import SourceDistribution, entropy_profile
 from .specs import FAMILIES, GRAPHS, SCENARIOS, key_values, parse_spec, spec_args
@@ -180,6 +176,7 @@ def _cmd_decode(args) -> int:
         codewords = [Codeword.from_json(obj) for obj in json.load(fh)]
     graphs = [_load_graph_any(p) for p in args.graphs.split(",")]
     S = named_correlation_set(args.scenario)
+    oracle = rates = profile = None
     if args.decoder != "membership":
         oracle = CountingOracle(S)
         profile = oracle.profile() if args.decoder == "known-profile" else None
@@ -191,14 +188,8 @@ def _cmd_decode(args) -> int:
         if g.n != S.n:
             raise ConfigError(f"graph {path} has left width {g.n}, but scenario "
                               f"{args.scenario} has n={S.n}")
-    if args.decoder == "membership":
-        result = decode_membership(codewords, S, graphs)
-    elif args.decoder == "known-profile":
-        result = decode_known_profile(
-            codewords, profile, rates, oracle, graphs, slack=args.slack
-        )
-    else:
-        result = decode_full(codewords, rates, oracle, graphs, slack=args.slack)
+    result = decode_triple(args.decoder, codewords, graphs, S, oracle, rates, profile,
+                           args.slack)
     _write_json(result.to_json(), args.out)
     return 0 if result.ok else 1
 
@@ -296,8 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--codewords", required=True, help="JSON file with 3 codewords")
     p.add_argument("--graphs", required=True, help="comma-separated graph paths")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--decoder", choices=("membership", "known-profile", "full"),
-                   default="membership")
+    p.add_argument("--decoder", choices=DECODERS, default="membership")
     p.add_argument("--rates", default="profile+2")
     p.add_argument("--slack", type=int, default=2)
     p.add_argument("--out")

@@ -23,6 +23,7 @@ from .graphs import (
     LabeledBipartiteGraph,
     SeededGraph,
     SplitGraph,
+    TableGraph,
 )
 from .rng import derive_seed
 
@@ -64,9 +65,8 @@ def build_random_graph(n: int, k: int, epsilon, c: int, seed: int) -> LabeledBip
         raise GraphError(f"c must be >= 1, got {c}")
     D = required_left_degree(n, epsilon, c)
     g = SeededGraph(n, k, D.bit_length() - 1, seed)
-    if (1 << n) * D <= TABLE_CAP:
-        return g.to_table()
-    return g
+    table = g.edge_table()
+    return g if table is None else TableGraph(n, k, table, seed=seed)
 
 
 def split_count(n: int, s: int, delta: Fraction) -> int:

@@ -251,12 +251,31 @@ class _GraphBank:
 
 # -- the runner -------------------------------------------------------------------
 
+DECODERS = ("membership", "known-profile", "full")
+
+
+def decode_triple(decoder: str, codewords, graphs, S: Optional[CorrelationSet], oracle,
+                  rates: Optional[RateVector], profile: Optional[ComplexityProfile],
+                  slack: int, step_budget: int = ExperimentConfig.step_budget):
+    """Decode one codeword triple with one of DECODERS, each called by the
+    name this module imports, so that a wrapper installed here sees it."""
+    if decoder == "membership":
+        return decode_membership(codewords, S, graphs)
+    if decoder == "known-profile":
+        return decode_known_profile(codewords, profile, rates, oracle, graphs,
+                                    slack=slack, step_budget=step_budget)
+    if decoder == "full":
+        return decode_full(codewords, rates, oracle, graphs,
+                           slack=slack, step_budget=step_budget)
+    raise ConfigError(f"unknown decoder {decoder!r}")
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the configured trials; fully deterministic given the config."""
     scenario = _resolve_scenario(config.scenario)
     oracle = _resolve_oracle(config.oracle, scenario)
     staged = config.decoder in ("known-profile", "full")
-    if config.decoder not in ("membership", "known-profile", "full"):
+    if config.decoder not in DECODERS:
         raise ConfigError(f"unknown decoder {config.decoder!r}")
     if config.decoder == "membership" and scenario.S is None:
         raise ConfigError("membership decoding needs an enumerable scenario")
@@ -280,18 +299,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             for i in range(3)
         ]
         payload_bits.add(tuple(cw.payload.width for cw in codewords))
-        if config.decoder == "membership":
-            result = decode_membership(codewords, scenario.S, graphs)
-        elif config.decoder == "known-profile":
-            result = decode_known_profile(
-                codewords, profile, rates, oracle, graphs,
-                slack=config.slack, step_budget=config.step_budget,
-            )
-        else:
-            result = decode_full(
-                codewords, rates, oracle, graphs,
-                slack=config.slack, step_budget=config.step_budget,
-            )
+        result = decode_triple(config.decoder, codewords, graphs, scenario.S, oracle,
+                               rates, profile, config.slack, config.step_budget)
         correct = bool(result.ok and result.triple == tuple(triple))
         if correct:
             successes += 1

@@ -8,8 +8,9 @@ come in three flavors:
 * SeededGraph  -- per-edge counter hash, evaluated on demand.
 * SplitGraph   -- each base edge fanned out through residue fingerprints.
 
-`edge_table` is the one bulk accessor: the (2^n, D) table of right-node
-values, or None for a graph that has none within TABLE_CAP entries.
+`rows` is each flavor's one bulk accessor, the right nodes of given left
+nodes by label: neighbor multisets, the edge table, payload checks and the
+audits' endpoint counts all read it.
 
 All graphs are immutable after construction; internal caches are populated
 lazily and never change observable behavior, so instances are safe to share
@@ -29,10 +30,11 @@ from .bits import BitString
 from .crt import primes_first
 from .rng import raw_block, stream_value
 
-# Edge tables and bulk adjacency matrices are materialized only up to this
-# many entries.
+# Edge tables and adjacency matrices are built, and rows read in blocks, only
+# up to this many entries.
 TABLE_CAP = 1 << 24
-# neighbor_values refuses to expand absurdly wide multisets.
+# row_blocks, and so neighbor_values, refuse to expand absurdly wide
+# multisets.
 MULTISET_CAP = 1 << 22
 
 
@@ -63,7 +65,7 @@ def _as_right_int(g: "LabeledBipartiteGraph", z) -> int:
 
 
 class LabeledBipartiteGraph:
-    """Common behavior; subclasses implement neighbor_int."""
+    """Common behavior; subclasses implement neighbor_int and rows."""
 
     n: int
     m: int
@@ -88,16 +90,31 @@ class LabeledBipartiteGraph:
     def neighbor_int(self, x: int, label: int) -> int:
         raise NotImplementedError
 
-    def neighbor_values(self, x) -> list[int]:
+    def rows(self, xs: np.ndarray) -> np.ndarray:
+        """A new (len(xs), D) uint64 array: row j holds the right nodes of
+        left node xs[j] by label, as neighbor_int gives them."""
+        raise NotImplementedError
+
+    def row_blocks(self, xs: np.ndarray):
+        """(start, rows(xs[start:start + step])) for consecutive blocks of
+        xs, each of at most TABLE_CAP entries; refuses a degree past
+        MULTISET_CAP before it reads any row."""
         if self.degree > MULTISET_CAP:
             raise GraphError(f"degree {self.degree} too large to expand")
-        xi = _as_left_int(self, x)
-        return [self.neighbor_int(xi, lab) for lab in range(self.degree)]
+        step = TABLE_CAP // self.degree
+        return ((lo, self.rows(xs[lo:lo + step])) for lo in range(0, len(xs), step))
+
+    def neighbor_values(self, x) -> list[int]:
+        """x's right nodes by label, read as a block of one row."""
+        [(_, rows)] = self.row_blocks(np.array([_as_left_int(self, x)]))
+        return rows[0].tolist()
 
     def edge_table(self) -> Optional[np.ndarray]:
-        """The (2^n, D) array of right-node values: a table graph's own
-        table, a seeded graph's within TABLE_CAP entries, None otherwise."""
-        return None
+        """The (2^n, D) array of right-node values, or None past TABLE_CAP
+        entries."""
+        if (1 << self.n) * self.degree > TABLE_CAP:
+            return None
+        return self.rows(np.arange(1 << self.n))
 
     # -- degree queries ---------------------------------------------------
 
@@ -121,14 +138,16 @@ class LabeledBipartiteGraph:
     def payload_consistent_bulk(self, xs: np.ndarray, payload) -> np.ndarray:
         """payload_consistent for every left node in xs.
 
-        Reads the cached adjacency matrix when there is one, and checks just
-        the given nodes, one by one, otherwise.
+        Reads the cached adjacency matrix when there is one, and otherwise
+        the rows of just the given nodes, block by block.
         """
         zi = _as_right_int(self, payload)
-        if self._has_right is None:
-            return np.fromiter((self.payload_consistent(int(x), zi) for x in xs),
-                               dtype=bool, count=len(xs))
-        return self._has_right[xs, zi]
+        if self._has_right is not None:
+            return self._has_right[xs, zi]
+        out = np.empty(len(xs), dtype=bool)
+        for lo, rows in self.row_blocks(xs):
+            np.any(rows == zi, axis=1, out=out[lo:lo + len(rows)])
+        return out
 
     @cached_property
     def _has_right(self) -> Optional[np.ndarray]:
@@ -168,9 +187,8 @@ class TableGraph(LabeledBipartiteGraph):
     def neighbor_int(self, x: int, label: int) -> int:
         return int(self.table[x, label])
 
-    def neighbor_values(self, x) -> list[int]:
-        xi = _as_left_int(self, x)
-        return self.table[xi].tolist()
+    def rows(self, xs: np.ndarray) -> np.ndarray:
+        return self.table[xs]
 
     def edge_table(self) -> np.ndarray:
         return self.table
@@ -192,20 +210,12 @@ class SeededGraph(LabeledBipartiteGraph):
     def neighbor_int(self, x: int, label: int) -> int:
         return stream_value(self.seed, x * self.degree + label) >> (64 - self.m)
 
-    def edge_table(self) -> Optional[np.ndarray]:
-        size = (1 << self.n) * self.degree
-        if size > TABLE_CAP:
-            return None
-        raw = raw_block(self.seed, 0, size)
+    def rows(self, xs: np.ndarray) -> np.ndarray:
+        """One raw_block over the stream indices x * D + label."""
+        index = np.asarray(xs, dtype=np.uint64)[:, None] * np.uint64(self.degree)
+        raw = raw_block(self.seed, index + np.arange(self.degree, dtype=np.uint64))
         raw >>= np.uint64(64 - self.m)
-        return raw.reshape(1 << self.n, self.degree)
-
-    def to_table(self) -> TableGraph:
-        table = self.edge_table()
-        if table is None:
-            raise GraphError(f"graph with {(1 << self.n) * self.degree} edges "
-                             "exceeds table cap")
-        return TableGraph(self.n, self.m, table, seed=self.seed)
+        return raw
 
     def describe(self) -> str:
         return f"seeded(n={self.n},m={self.m},D={self.degree},seed={self.seed})"
@@ -265,17 +275,18 @@ class SplitGraph(LabeledBipartiteGraph):
         z = self.base.neighbor_int(x, y)
         return self.split_node(i, self._residue(x, i), z)
 
-    def neighbor_values(self, x) -> list[int]:
-        if self.degree > MULTISET_CAP:
-            raise GraphError(f"degree {self.degree} too large to expand")
-        xi = _as_left_int(self, x)
-        residues = [xi % int(p) for p in self.primes]
-        residues += [xi] * (self.ell - len(residues))
-        out = []
-        for y in range(self.base.degree):
-            z = self.base.neighbor_int(xi, y)
-            out.extend(self.split_node(i, r, z) for i, r in enumerate(residues))
-        return out
+    def rows(self, xs: np.ndarray) -> np.ndarray:
+        """The base rows, each entry fanned out over the (i, x mod p_i)
+        fields; p_i = 2^n past the stored primes leaves x itself."""
+        if self.m > 64:
+            raise GraphError(f"right width m={self.m} does not fit 64-bit rows")
+        moduli = np.full(self.ell, 1 << self.n, dtype=np.uint64)
+        moduli[:len(self.primes)] = self.primes
+        fields = np.asarray(xs, dtype=np.uint64)[:, None] % moduli
+        fields <<= np.uint64(self.k)
+        fields |= np.arange(self.ell, dtype=np.uint64) << np.uint64(self.n + self.k)
+        fanned = self.base.rows(xs)[:, :, None] | fields[:, None, :]
+        return fanned.reshape(len(xs), self.degree)
 
     def payload_consistent(self, x, payload) -> bool:
         xi = _as_left_int(self, x)

@@ -46,10 +46,9 @@ def derive_seed(seed: int, *parts) -> int:
     return acc
 
 
-def raw_block(seed: int, start: int, count: int) -> np.ndarray:
-    """Vectorized stream values [start, start+count) as uint64, mixed in
-    place with one scratch array."""
-    z = np.arange(start, start + count, dtype=np.uint64)
+def raw_block(seed: int, z: np.ndarray) -> np.ndarray:
+    """The stream values at the uint64 indices z, of any shape: z is mixed
+    in place, with one scratch array, and returned."""
     scratch = np.empty_like(z)
     with np.errstate(over="ignore"):
         z *= np.uint64(_GOLDEN)
@@ -64,7 +63,7 @@ def raw_block(seed: int, start: int, count: int) -> np.ndarray:
 
 
 def stream_value(seed: int, index: int) -> int:
-    """Single stream value; agrees with raw_block(seed, index, 1)[0]."""
+    """Single stream value; agrees with raw_block at that index."""
     return mix64((mix64(seed) + index * _GOLDEN) & _MASK64)
 
 

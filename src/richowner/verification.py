@@ -37,7 +37,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .bits import BitString
-from .graphs import TABLE_CAP, GraphError, LabeledBipartiteGraph, SplitGraph
+from .graphs import TABLE_CAP, GraphError, LabeledBipartiteGraph, SplitGraph, _as_left_int
 from .crt import colliding_prime_indices
 from .rng import derive_seed, raw_block
 from .specs import FAMILIES
@@ -140,7 +140,8 @@ class BFamily:
         block = int(self.count * per_set * 1.1) + 64
         seed = derive_seed(self.seed, "bfamily")
         draws = chain.from_iterable(
-            (raw_block(seed, start, block) >> np.uint64(64 - n)).tolist()
+            (raw_block(seed, np.arange(start, start + block, dtype=np.uint64))
+             >> np.uint64(64 - n)).tolist()
             for start in range(0, 1 << 64, block))
         sets = []
         for _ in range(self.count):
@@ -152,19 +153,6 @@ class BFamily:
 
 
 # -- edge-density (extractor) checks ----------------------------------------
-
-def _as_int_set(g, nodes, side: str) -> list[int]:
-    width = g.n if side == "left" else g.m
-    out = []
-    for v in nodes:
-        if isinstance(v, BitString):
-            if v.width != width:
-                raise GraphError(f"{side} node width {v.width} != {width}")
-            out.append(v.value)
-        else:
-            out.append(int(v))
-    return out
-
 
 @dataclass
 class VerificationReport:
@@ -214,13 +202,14 @@ def _endpoint_counts(g: LabeledBipartiteGraph) -> np.ndarray:
     if N * R > TABLE_CAP:
         raise GraphError(f"endpoint-count table of 2^{g.n} x 2^{g.m} cells "
                          "exceeds the table cap")
-    table = g.edge_table()
-    if table is None:
-        return np.array([np.bincount(g.neighbor_values(x), minlength=R)
-                         for x in range(N)], dtype=np.int64)
-    offsets = table.astype(np.int64)
-    offsets += np.arange(N, dtype=np.int64)[:, None] << g.m
-    return np.bincount(offsets.ravel(), minlength=N * R).reshape(N, R)
+    blocks = g.row_blocks(np.arange(N))
+    counts = np.empty((N, R), dtype=np.int64)
+    for lo, rows in blocks:
+        offsets = rows.view(np.int64)  # a new array of values below 2^63
+        offsets += np.arange(len(rows), dtype=np.int64)[:, None] << g.m
+        counts[lo:lo + len(rows)] = np.bincount(
+            offsets.ravel(), minlength=len(rows) * R).reshape(-1, R)
+    return counts
 
 
 def _member_rows(family: BFamily, n: int) -> np.ndarray:
@@ -404,8 +393,8 @@ def classify_owner(g: LabeledBipartiteGraph, B: Iterable, x, k: int,
     degree-many edge slots of x.
     """
     delta = Fraction(delta)
-    members = sorted(set(_as_int_set(g, B, "left")))
-    xi = _as_int_set(g, [x], "left")[0]
+    members = sorted({_as_left_int(g, v) for v in B})
+    xi = _as_left_int(g, x)
     if xi not in members:
         raise GraphError(f"node {xi} not a member of B")
     return _classify(g, members, xi, k, delta, _set_threshold(g, len(members), k, delta))
@@ -508,7 +497,7 @@ def rich_owner_fraction(g: LabeledBipartiteGraph, family: BFamily, k: int,
 
 
 def _rich_fraction(g, B: Sequence[int], k: int, delta: Fraction) -> Fraction:
-    members = sorted(set(_as_int_set(g, B, "left")))
+    members = sorted({_as_left_int(g, v) for v in B})
     threshold = _set_threshold(g, len(members), k, delta)
     rich = sum(1 for x in members if _classify(g, members, x, k, delta, threshold).rich)
     return Fraction(rich, len(members))

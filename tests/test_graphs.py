@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from richowner import graphs
 from richowner.bits import BitString
 from richowner.construction import build_random_graph, construct_rich_owner_graph, split_edges
 from richowner.crt import primes_first
@@ -307,3 +308,51 @@ def test_primes_below_2n_match_full_prime_list(data):
     xi = data.draw(st.integers(0, (1 << n) - 1))
     others = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=4))
     assert _slot_loads(short, xi, others) == _slot_loads(full, xi, others)
+
+
+# -- the one bulk row accessor against neighbor_int -----------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_rows_match_neighbor_int(data):
+    kind = data.draw(st.sampled_from(["table", "seeded", "seeded-past-cap",
+                                      "split-full", "split-below-2n"]))
+    if kind == "seeded-past-cap":  # only a few of its rows are ever built
+        n, d = data.draw(st.integers(20, 40)), data.draw(st.integers(5, 8))
+        g = SeededGraph(n, data.draw(st.integers(1, 63)), d, seed=data.draw(st.integers(0, 99)))
+        assert (1 << n) * g.degree > TABLE_CAP and g.edge_table() is None
+    else:
+        n, m, d = (data.draw(st.integers(1, 6)), data.draw(st.integers(1, 5)),
+                   data.draw(st.integers(0, 3)))
+        seed = data.draw(st.integers(0, 99))
+        g = random_table_graph(n, m, d, seed) if kind == "table" else SeededGraph(n, m, d, seed)
+        if kind.startswith("split"):
+            ell = data.draw(st.integers(1, 24))
+            g = (SplitGraph(g, primes_first(ell)) if kind == "split-full"
+                 else SplitGraph(g, primes_first(ell, 1 << n), ell))
+    xs = data.draw(st.lists(st.integers(0, (1 << g.n) - 1), max_size=6))
+    rows = g.rows(np.array(xs, dtype=np.int64))
+    assert rows.shape == (len(xs), g.degree) and rows.dtype == np.uint64
+    assert rows.tolist() == [[g.neighbor_int(x, lab) for lab in range(g.degree)] for x in xs]
+
+
+def test_split_rows_refuse_past_64_bits():
+    # 3 index bits + 30 residue bits + 32 base bits do not fit a uint64 entry
+    g = SplitGraph(SeededGraph(30, 32, 0, seed=1), primes_first(8))
+    assert g.m == 65 and g.neighbor_int(5, 7) >> 62 == 7
+    with pytest.raises(GraphError, match="m=65"):
+        g.rows(np.array([5]))
+
+
+def test_seeded_bulk_payload_check_makes_no_scalar_draws(monkeypatch):
+    # 2^(16+16) adjacency cells exceed TABLE_CAP, so every node's row is read
+    g = SeededGraph(16, 16, 0, seed=21)
+    payload = g.neighbor_int(12_345, 0)
+    owners = {x for x in range(1 << 16) if g.neighbor_int(x, 0) == payload}
+    draws = []
+    stream_value = graphs.stream_value
+    monkeypatch.setattr(graphs, "stream_value",
+                        lambda seed, index: draws.append(index) or stream_value(seed, index))
+    bulk = g.payload_consistent_bulk(np.arange(1 << 16), payload)
+    assert draws == [] and g._has_right is None
+    assert set(np.flatnonzero(bulk).tolist()) == owners

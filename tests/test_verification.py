@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from richowner import verification
+from richowner import graphs, verification
 from richowner.construction import (
     build_random_graph,
     construct_rich_owner_graph,
@@ -31,6 +31,7 @@ from richowner.verification import (
 
 from helpers import (
     all_to_one_graph,
+    b_degree,
     complete_graph,
     incidence_prefix_extractor,
     listed_sizes,
@@ -581,3 +582,36 @@ def test_size_groups_keep_the_enumeration_limits():
     with pytest.raises(GraphError, match="cannot be enumerated"):
         check_prefix_extractor(complete_graph(6, 1), Fraction(1, 4),
                                BFamily(mode="all-of-size", size=8))
+
+
+# -- row blocks under a low table cap ----------------------------------------------------
+
+@pytest.mark.parametrize("make", [lambda: SeededGraph(4, 2, 3, seed=8),
+                                  lambda: build_random_graph(4, 2, Fraction(1), 2, seed=8)],
+                         ids=["seeded", "table"])
+def test_row_blocks_under_a_low_cap_match_brute_force(monkeypatch, make):
+    # A cap of 64 entries holds the 2^4 x 2^2 endpoint counts but not the
+    # 2^4 x 8 edges: the counts read rows in blocks of 8 nodes, and so does
+    # the seeded graph's payload check, with no edge table to build an
+    # adjacency matrix from; the table graph's check reads its matrix.
+    g = make()
+    assert g.degree == 8
+    monkeypatch.setattr(graphs, "TABLE_CAP", 64)
+    monkeypatch.setattr(verification, "TABLE_CAP", 64)
+    blocks = []
+    rows = type(g).rows
+    monkeypatch.setattr(type(g), "rows",
+                        lambda self, xs: blocks.append(len(xs)) or rows(self, xs))
+    counts = verification._endpoint_counts(g)
+    assert blocks == [8, 8]
+    assert counts.tolist() == [[b_degree(g, z, [x]) for z in range(4)] for x in range(16)]
+    xs = np.random.default_rng(3).integers(0, 16, size=37)
+    for z in range(4):
+        blocks.clear()
+        bulk = g.payload_consistent_bulk(xs, z)
+        assert blocks == ([8, 8, 8, 8, 5] if isinstance(g, SeededGraph) else [])
+        assert bulk.tolist() == [b_degree(g, z, [int(x)]) > 0 for x in xs]
+    family = BFamily(mode="all-of-size", size=4)
+    expected = incidence_prefix_extractor(g, family, [Fraction(1, 8)])[Fraction(1, 8)]
+    report = check_prefix_extractor(g, Fraction(1, 8), family)
+    assert (report.checked, report.passed, report.worst_error, report.failures) == expected
