@@ -34,7 +34,6 @@ from .oracles import (
     CountingOracle,
     ToyMachineConfig,
     ToyOracle,
-    chain_rule_slack,
     named_correlation_set,
 )
 from .protocol import (
@@ -53,9 +52,7 @@ from .protocol import (
 )
 from .scenarios import (
     SourceDistribution,
-    collinear_counts,
     collinear_members,
-    converse_bound_check,
     entropy_profile,
 )
 from .verification import (

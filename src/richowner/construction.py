@@ -31,10 +31,9 @@ from .rng import derive_seed
 class ConstructionError(RuntimeError):
     """Verification kept failing; carries the worst observed violation."""
 
-    def __init__(self, message: str, worst_violation=None, report=None):
+    def __init__(self, message: str, worst_violation=None):
         super().__init__(message)
         self.worst_violation = worst_violation
-        self.report = report
 
 
 def next_pow2(x: int) -> int:

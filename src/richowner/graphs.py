@@ -147,6 +147,7 @@ class LabeledBipartiteGraph:
         out = np.empty(len(xs), dtype=bool)
         for lo, rows in self.row_blocks(xs):
             np.any(rows == zi, axis=1, out=out[lo:lo + len(rows)])
+            del rows  # released before the next block is built
         return out
 
     @cached_property

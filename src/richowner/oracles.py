@@ -37,8 +37,6 @@ from .specs import SCENARIOS, ConfigError, parse_spec
 SUBSETS = ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2))
 COORD_NAMES = "ABC"
 
-LITERAL_HEADER_BITS = 6
-
 
 def subset_key(subset) -> tuple[int, ...]:
     if isinstance(subset, str):
@@ -76,6 +74,14 @@ class ComplexityProfile:
             return self.value(V)
         union = subset_key(tuple(V) + tuple(W))
         return self.value(union) - self.value(W)
+
+    def conditionals(self) -> dict[tuple[int, ...], int]:
+        """C(x_V | x_complement) = C(ABC) - C(complement) for every
+        non-empty V.  SUBSETS lists the complement of its i-th proper
+        subset at index 5 - i."""
+        full = self.values[6]
+        return {V: full - (self.values[5 - i] if i < 6 else 0)
+                for i, V in enumerate(SUBSETS)}
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -191,6 +197,16 @@ class ToyOracle:
         side = tuple(triple[i] for i in W)
         c = self.complexity(target, side)
         return self.cfg.max_len + 1 if c is None else c
+
+    def conditionals(self, triple: Sequence[BitString],
+                     profile: Optional[ComplexityProfile] = None) -> dict[tuple[int, ...], int]:
+        """C(x_V | x_complement) for every non-empty V: each proper one
+        measured with the complement strings as side input, C(ABC) read
+        from the profile (self.profile(triple) unless given)."""
+        out = {V: self.conditional(V, SUBSETS[5 - i], triple)
+               for i, V in enumerate(SUBSETS[:6])}
+        out[SUBSETS[6]] = (profile or self.profile(triple)).values[6]
+        return out
 
     def string_set(self, width: int, side=()) -> Mapping[BitString, int]:
         """All width-bit strings producible as single-component outputs,
@@ -378,6 +394,12 @@ class CountingOracle:
     def conditional(self, V, W, triple=None) -> int:
         return self.profile(triple).conditional(V, W)
 
+    def conditionals(self, triple=None,
+                     profile: Optional[ComplexityProfile] = None) -> dict[tuple[int, ...], int]:
+        """C(x_V | x_complement) for every non-empty V, from the profile
+        (self.profile(triple) unless given)."""
+        return (profile or self.profile(triple)).conditionals()
+
     def candidates(self, n: int, target: int, known: Mapping[int, BitString],
                    payload_conds: Sequence, bound: int) -> np.ndarray:
         """Distinct target values, in increasing order, of the members that
@@ -396,24 +418,3 @@ class CountingOracle:
         if max(len(values) - 1, 0).bit_length() > bound:
             return values[:0]
         return values
-
-
-# -- shared operations ----------------------------------------------------------
-
-def chain_rule_slack(oracle: ToyOracle | CountingOracle, triple) -> int:
-    """Worst |C(V u W) - C(W) - C(x_V | x_W)| over disjoint non-empty V, W.
-
-    Identically 0 for the counting oracle, whose conditionals are defined
-    by subtraction; measured for the toy machine.
-    """
-    profile = oracle.profile(triple)
-    worst = 0
-    for V in SUBSETS:
-        for W in SUBSETS:
-            if set(V) & set(W):
-                continue
-            union = subset_key(tuple(V) + tuple(W))
-            cond = oracle.conditional(V, W, triple)
-            gap = abs(profile.value(union) - profile.value(W) - cond)
-            worst = max(worst, gap)
-    return worst

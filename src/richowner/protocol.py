@@ -1,12 +1,13 @@
 """Encoding and staged decoding.
 
 Senders compress by naming a random neighbor of their string in a per-rate
-graph, plus a residue fingerprint of the string itself.  The receiver holds
-a catalog of staged reconstruction pipelines (branches): each recovers one
-string at a time.  A stage asks the oracle for its candidate values at a
-bound taken from a plan (a complexity profile plus the rates), checks them
-all against the observed payload with one bulk graph query, and keeps the
-unique candidate that owns it.
+graph, plus a residue fingerprint of the string itself.  The receiver runs
+a catalog of staged reconstruction pipelines (branches), held as plain
+data: each stage of a branch is a (target, known, payload_conds) triple
+that recovers one string.  A stage asks the oracle for its candidate
+values at a bound that _stage_bounds derives from a plan (a complexity
+profile plus the rates), checks them all against the observed payload
+with one bulk graph query, and keeps the unique candidate that owns it.
 
 Both staged decoders are profile search over a table of plans, in rank
 order: the known-profile decoder over the one plan its profile gives, the
@@ -34,13 +35,7 @@ import numpy as np
 from .bits import BitString
 from .crt import HashScheme, HashTag, draw_hash_tag
 from .graphs import GraphError, LabeledBipartiteGraph
-from .oracles import (
-    SUBSETS,
-    ComplexityProfile,
-    CorrelationSet,
-    ToyOracle,
-    subset_key,
-)
+from .oracles import SUBSETS, ComplexityProfile, CorrelationSet, _distinct
 from .rng import SeedStream, derive_seed
 
 SENDERS = ("A", "B", "C")
@@ -75,51 +70,23 @@ class RateVector:
         return self.n_a + self.n_b + self.n_c
 
 
-def _complement(V: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(i for i in (0, 1, 2) if i not in V)
-
-
-def profile_conditionals(profile: ComplexityProfile) -> dict[tuple[int, ...], int]:
-    """C(x_V | x_complement) for every non-empty V, by subtraction."""
-    return {V: profile.conditional(V, _complement(V)) for V in SUBSETS}
-
-
 def conditional_profile(oracle, triple,
                         profile: Optional[ComplexityProfile] = None) -> dict[tuple[int, ...], int]:
-    """C(x_V | x_complement) for every non-empty V.
-
-    The toy machine measures each proper conditional directly, with the
-    complement strings as side input; the counting oracle's conditionals
-    come from one profile.  `profile`, when given, is oracle.profile(triple),
-    already computed by the caller.
-    """
-    if profile is None:
-        profile = oracle.profile(triple)
-    if isinstance(oracle, ToyOracle):
-        full = (0, 1, 2)
-        out = {V: oracle.conditional(V, _complement(V), triple)
-               for V in SUBSETS if V != full}
-        out[full] = profile.value(full)
-        return out
-    return profile_conditionals(profile)
+    """C(x_V | x_complement) for every non-empty V, as the oracle measures them."""
+    return oracle.conditionals(triple, profile)
 
 
-def _conds_from(profile_or_conds) -> dict[tuple[int, ...], int]:
-    if isinstance(profile_or_conds, Mapping):
-        return {subset_key(k): v for k, v in profile_or_conds.items()}
-    return profile_conditionals(profile_or_conds)
-
-
-def rates_from_profile(profile_or_conds, slack: int,
+def rates_from_profile(conds: Mapping[tuple[int, ...], int], slack: int,
                        cap: Optional[int] = None) -> RateVector:
     """Smallest chain-built rates meeting every subset constraint plus slack.
 
-    Rates are assigned greedily in sender order: each sender takes the
-    largest residual requirement among the constraints its coordinate
-    completes.  An optional cap clamps each rate (senders cannot usefully
-    exceed the graph width).
+    `conds` maps each subset V to C(x_V | x_complement).  Rates are
+    assigned greedily in sender order: each sender takes the largest
+    residual requirement among the constraints its coordinate completes.
+    An optional cap clamps each rate (senders cannot usefully exceed the
+    graph width).
     """
-    g = {V: max(c, 0) + slack for V, c in _conds_from(profile_or_conds).items()}
+    g = {V: max(c, 0) + slack for V, c in conds.items()}
     n_a = g[(0,)]
     n_b = max(g[(1,)], g[(0, 1)] - n_a)
     n_c = max(
@@ -131,23 +98,23 @@ def rates_from_profile(profile_or_conds, slack: int,
     return RateVector(*rates)
 
 
-def rates_violating_total(profile_or_conds, deficit: int) -> RateVector:
+def rates_violating_total(conds: Mapping[tuple[int, ...], int], deficit: int) -> RateVector:
     """Balanced rates whose sum undercuts the full-triple constraint."""
-    total = _conds_from(profile_or_conds)[(0, 1, 2)] - deficit
+    total = conds[(0, 1, 2)] - deficit
     if total < 0:
         raise ValueError(f"deficit {deficit} exceeds the triple requirement")
     base, extra = divmod(total, 3)
     return RateVector(*(base + (1 if i < extra else 0) for i in range(3)))
 
 
-def check_rate_feasibility(profile_or_conds, rates, slack: int) -> list[tuple[int, ...]]:
+def check_rate_feasibility(profile: ComplexityProfile, rates,
+                           slack: int) -> list[tuple[int, ...]]:
     """Subsets V whose inequality sum(rates[V]) >= C(V | complement) fails
     by more than the slack, in canonical subset order.
 
-    `profile_or_conds` is a ComplexityProfile or a mapping of conditionals;
-    `rates` any 3-sequence.  Slack 0 is the exact rate region.
+    `rates` is any 3-sequence.  Slack 0 is the exact rate region.
     """
-    conds = _conds_from(profile_or_conds)
+    conds = profile.conditionals()
     return [V for V in SUBSETS if sum(rates[i] for i in V) < conds[V] - slack]
 
 
@@ -191,26 +158,10 @@ def encode(g: LabeledBipartiteGraph, x: BitString, scheme: Optional[HashScheme],
 
 # -- decoding plans ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Stage:
-    target: int                 # coordinate to recover
-    known: tuple[int, ...]      # coordinates already recovered, used as side
-    payload_conds: tuple[int, ...]  # coordinates whose payloads condition the set
-    bound: int
-    formula: str
-
-
-@dataclass(frozen=True)
-class Branch:
-    name: str
-    stages: tuple[Stage, ...]
-
-
 # The branch catalog, as (name, lead, stages) with each stage given as
-# (target, known, payload_conds).  Only a branch's first stage can take its
-# bound from the profile: `lead` indexes the plan signature (_signature) for
-# that bound, or is None when the first stage is bounded by its target's
-# rate plus slack, like every later stage.
+# (target, known, payload_conds): the coordinate to recover, the recovered
+# side strings and the conditioning payloads.  `lead` indexes the plan
+# signature (_signature) for the first stage's bound, or is None.
 _CATALOG = (
     *(("chain-" + "ABC"[i] + "ABC"[j] + "ABC"[k], i,
        ((i, (), ()), (j, (i,), ()), (k, tuple(sorted((i, j))), ())))
@@ -223,7 +174,6 @@ _CATALOG = (
     ("pair-arith-B", 3, ((1, (), (0,)), (0, (1,), ()), (2, (0, 1), ()))),
     ("pair-arith-C", 4, ((2, (), (0,)), (0, (2,), ()), (1, (0, 2), ()))),
 )
-_LEAD_FORMULAS = ("C(t)+slack",) * 3 + ("C(A,t)-n_A+slack",) * 2
 
 
 def _signature(a, b, c, ab, ac, n_a: int, slack: int) -> tuple:
@@ -234,18 +184,16 @@ def _signature(a, b, c, ab, ac, n_a: int, slack: int) -> tuple:
             np.maximum(ab - n_a + slack, 0), np.maximum(ac - n_a + slack, 0))
 
 
-def _branch(entry, signature, rates: RateVector, slack: int) -> Branch:
-    """A catalog entry at the bounds of a plan with the given signature;
-    bounds clamp at 0."""
-    name, lead, stages = entry
-    built = []
-    for t, known, conds in stages:
-        if lead is not None and not built:
-            bound, formula = signature[lead], _LEAD_FORMULAS[lead]
-        else:
-            bound, formula = rates[t] + slack, "n_t+slack"
-        built.append(Stage(t, known, conds, max(int(bound), 0), formula))
-    return Branch(name, tuple(built))
+def _stage_bounds(idx: int, lead_bound: Optional[int], rates: RateVector,
+                  slack: int) -> tuple[int, ...]:
+    """Catalog branch idx's stage bounds at a plan's lead bound: a lead's
+    first stage takes the lead bound, every other stage its target's rate
+    plus slack; bounds clamp at 0."""
+    _, lead, stages = _CATALOG[idx]
+    bounds = [rates[t] + slack for t, _, _ in stages]
+    if lead is not None:
+        bounds[0] = lead_bound
+    return tuple(max(int(bound), 0) for bound in bounds)
 
 
 # -- decode results ------------------------------------------------------------
@@ -279,9 +227,9 @@ class DecodeResult:
 
 # -- staged decoding -----------------------------------------------------------
 
-def _recover(stage: Stage, recovered: dict[int, BitString],
-             codewords: Sequence[Codeword], oracle, graphs,
-             memo: dict) -> tuple[Optional[BitString], int]:
+def _recover(target: int, known: tuple, payload_conds: tuple, bound: int,
+             recovered: dict[int, BitString], codewords: Sequence[Codeword], oracle,
+             graphs, memo: dict) -> tuple[Optional[BitString], int]:
     """One stage: list the oracle's candidate values, filter them with one
     bulk payload check, and keep the unique payload owner.
 
@@ -290,31 +238,32 @@ def _recover(stage: Stage, recovered: dict[int, BitString],
     triple; they are pure functions of the stage and the strings it
     conditions on, so a hit is charged the same steps as a fresh run.
     """
-    known = {c: recovered[c] for c in stage.known}
-    key = (stage.target, tuple(known.items()), stage.payload_conds, stage.bound)
+    side = {c: recovered[c] for c in known}
+    key = (target, tuple(side.items()), payload_conds, bound)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    g = graphs[stage.target]
-    conds = [(c, codewords[c].payload, graphs[c]) for c in stage.payload_conds]
-    values = oracle.candidates(g.n, stage.target, known, conds, stage.bound)
+    g = graphs[target]
+    conds = [(c, codewords[c].payload, graphs[c]) for c in payload_conds]
+    values = oracle.candidates(g.n, target, side, conds, bound)
     owners = np.flatnonzero(
-        g.payload_consistent_bulk(values, codewords[stage.target].payload))
+        g.payload_consistent_bulk(values, codewords[target].payload))
     x = BitString(g.n, int(values[owners[0]])) if len(owners) == 1 else None
     memo[key] = (x, len(values))
     return memo[key]
 
 
-def _run_branch(branch: Branch, codewords, oracle, graphs,
-                memo: dict) -> tuple[Optional[tuple], int]:
+def _run_branch(idx: int, lead_bound: Optional[int], rates: RateVector, slack: int,
+                codewords, oracle, graphs, memo: dict) -> tuple[Optional[tuple], int]:
+    """Catalog branch idx at a plan's lead bound: (triple or None, steps)."""
     recovered: dict[int, BitString] = {}
     steps = 0
-    for stage in branch.stages:
-        x, cost = _recover(stage, recovered, codewords, oracle, graphs, memo)
+    for stage, bound in zip(_CATALOG[idx][2], _stage_bounds(idx, lead_bound, rates, slack)):
+        x, cost = _recover(*stage, bound, recovered, codewords, oracle, graphs, memo)
         steps += cost
         if x is None:
             return None, steps
-        recovered[stage.target] = x
+        recovered[stage[0]] = x
     return (recovered[0], recovered[1], recovered[2]), steps
 
 
@@ -344,7 +293,7 @@ def _plan_table(profiles: np.ndarray, n_a: int, slack: int) -> _PlanTable:
     groups = {}
     for lead in range(signatures.shape[1]):
         column = signatures[:, lead]  # a view, read-only like its base
-        bounds = np.unique(column)
+        bounds = _distinct(column)
         bounds.flags.writeable = False
         groups[lead] = (column, bounds)
     return _PlanTable(signatures, groups)
@@ -352,7 +301,7 @@ def _plan_table(profiles: np.ndarray, n_a: int, slack: int) -> _PlanTable:
 
 # Catalog indices per lead, None for the rate-only branches.
 _LEAD_BRANCHES = {lead: [idx for idx, entry in enumerate(_CATALOG) if entry[1] == lead]
-                  for lead in (None, *range(len(_LEAD_FORMULAS)))}
+                  for lead in {entry[1] for entry in _CATALOG}}
 
 
 def _pick(table: _PlanTable, outcome, step_budget: int) -> tuple[Optional[int], int, int]:
@@ -412,9 +361,7 @@ def _select(codewords: Sequence[Codeword], table: _PlanTable, rates: RateVector,
     memo: dict = {}
 
     def run(idx: int, bound: Optional[int]) -> tuple[Optional[tuple], int]:
-        # _branch reads the signature only at the entry's lead
-        branch = _branch(_CATALOG[idx], {_CATALOG[idx][1]: bound}, rates, slack)
-        return _run_branch(branch, codewords, oracle, graphs, memo)
+        return _run_branch(idx, bound, rates, slack, codewords, oracle, graphs, memo)
 
     def outcome(idx: int, bound: Optional[int]) -> tuple[bool, int]:
         triple, steps = run(idx, bound)

@@ -1,8 +1,7 @@
 """Input generators and information-theoretic baselines.
 
 Collinear point triples over GF(2^q), discrete memoryless bit-triple
-sources, entropy profiles, and the pigeonhole converse audit for
-encoder/decoder tables.
+sources and their entropy profiles.
 """
 
 from __future__ import annotations
@@ -10,11 +9,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .bits import BitString
 from .oracles import SUBSETS
 
 # Fixed irreducible polynomials so every field computation is reproducible.
@@ -82,18 +80,6 @@ def collinear_members(q: int) -> np.ndarray:
     return members[order]
 
 
-def collinear_counts(q: int) -> dict:
-    """Exact projection counts of the collinear-distinct set."""
-    Q = 1 << q
-    total = Q * Q * (Q * Q - 1) * (Q - 2)
-    return {
-        "total": total,
-        "single": Q * Q,
-        "pair": Q * Q * (Q * Q - 1),
-        "fiber_third": Q - 2,
-    }
-
-
 # -- memoryless bit-triple sources --------------------------------------------
 
 TRIPLE_BITS = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
@@ -153,61 +139,3 @@ def entropy_profile(dist: SourceDistribution, n: int) -> tuple[float, ...]:
     for coords in SUBSETS:
         out.append(n * _entropy(dist.marginal(coords).values()))
     return tuple(out)
-
-
-# -- pigeonhole converse audit ---------------------------------------------------
-
-@dataclass(frozen=True)
-class ConverseVerdict:
-    passed: bool
-    success_rate: Fraction
-    best_coin: int
-    witness: Optional[tuple[int, int]] = None  # two strings sharing a codeword
-
-
-def converse_bound_check(
-    encoder_tables: Sequence[Mapping[int, BitString]],
-    decoder_table: Mapping[BitString, int],
-    k: int,
-    epsilon,
-) -> ConverseVerdict:
-    """Audit explicit tables against the compression lower bound.
-
-    encoder_tables holds one deterministic table per recorded coin value;
-    the decoder maps codewords back to strings.  The audit recounts, for
-    the best coin, how many of the 2^k strings decode correctly.  If the
-    claimed success floor 1 - epsilon is met the tables pass (the encoder
-    is then automatically injective on the successful strings).  Otherwise,
-    whenever every codeword is shorter than log2((1-epsilon) * 2^k) bits,
-    a pigeonhole collision witness (two strings, shared codeword) is
-    returned alongside the recounted rate.
-    """
-    epsilon = Fraction(epsilon)
-    M = 1 << k
-    if not encoder_tables:
-        raise ValueError("need at least one encoder table")
-    best_rate, best_coin = Fraction(-1), 0
-    for coin, table in enumerate(encoder_tables):
-        if set(table) != set(range(M)):
-            raise ValueError(f"encoder table for coin {coin} does not cover {M} strings")
-        good = sum(1 for x in range(M) if decoder_table.get(table[x]) == x)
-        rate = Fraction(good, M)
-        if rate > best_rate:
-            best_rate, best_coin = rate, coin
-    if best_rate >= 1 - epsilon:
-        return ConverseVerdict(passed=True, success_rate=best_rate, best_coin=best_coin)
-    witness = None
-    need = (1 - epsilon) * M
-    max_len = max(cw.width for table in encoder_tables for cw in table.values())
-    if need > 1 and max_len < math.log2(need):
-        table = encoder_tables[best_coin]
-        seen: dict[BitString, int] = {}
-        for x in range(M):
-            cw = table[x]
-            if cw in seen:
-                witness = (seen[cw], x)
-                break
-            seen[cw] = x
-    return ConverseVerdict(
-        passed=False, success_rate=best_rate, best_coin=best_coin, witness=witness
-    )

@@ -10,11 +10,12 @@ that fixes scope: exhaustive for n <= 4, all sets of one size while the
 binomial count stays enumerable, seeded random families otherwise.  An
 exhaustive edge-density audit scores every left set as a bitmask, by
 subset sums of the nodes' endpoint counts; the other families list their
-sets as rows of members.  A family that names no set is refused.  For
-all-of-size families too large to enumerate, small-regime richness is
-decided by a sound pairwise-damage certificate that covers every set of
-that size exactly, or reported inconclusive when the union bound is too
-weak and no witness set fails; reports state which route was taken.
+sets as rows of members and count the endpoints of those members only.
+A family that names no set is refused.  For all-of-size families too
+large to enumerate, small-regime richness is decided by a sound
+pairwise-damage certificate that covers every set of that size exactly,
+or reported inconclusive when the union bound is too weak and no witness
+set fails; reports state which route was taken.
 
 Both regimes of rich ownership and the certificate's pairwise damage bound
 read one kernel, _slot_loads, which tallies a node's edge slots by its own
@@ -39,6 +40,7 @@ import numpy as np
 from .bits import BitString
 from .graphs import TABLE_CAP, GraphError, LabeledBipartiteGraph, SplitGraph, _as_left_int
 from .crt import colliding_prime_indices
+from .oracles import _distinct
 from .rng import derive_seed, raw_block
 from .specs import FAMILIES
 
@@ -196,19 +198,22 @@ class VerificationReport:
         }
 
 
-def _endpoint_counts(g: LabeledBipartiteGraph) -> np.ndarray:
-    """counts[x, z] = number of labels from x landing on z, at full width."""
-    N, R = 1 << g.n, 1 << g.m
-    if N * R > TABLE_CAP:
+def _endpoint_counts(g: LabeledBipartiteGraph, nodes: np.ndarray) -> np.ndarray:
+    """counts[j, z] = number of labels from nodes[j] landing on z, at full
+    width.  A graph whose table over all 2^n nodes would pass the cap is
+    refused whatever the nodes, so whether an audit runs does not depend
+    on its family."""
+    R = 1 << g.m
+    if (1 << g.n) * R > TABLE_CAP:
         raise GraphError(f"endpoint-count table of 2^{g.n} x 2^{g.m} cells "
                          "exceeds the table cap")
-    blocks = g.row_blocks(np.arange(N))
-    counts = np.empty((N, R), dtype=np.int64)
-    for lo, rows in blocks:
+    counts = np.empty((len(nodes), R), dtype=np.int64)
+    for lo, rows in g.row_blocks(nodes):
         offsets = rows.view(np.int64)  # a new array of values below 2^63
         offsets += np.arange(len(rows), dtype=np.int64)[:, None] << g.m
         counts[lo:lo + len(rows)] = np.bincount(
             offsets.ravel(), minlength=len(rows) * R).reshape(-1, R)
+        del rows, offsets  # released before the next block is built
     return counts
 
 
@@ -220,8 +225,10 @@ def _member_rows(family: BFamily, n: int) -> np.ndarray:
     return members.reshape(-1, family.size)
 
 
-def _score_rows(members: np.ndarray, shifted: np.ndarray, limits: dict):
-    """Deviations of listed sets by one set-incidence x shifted-counts product.
+def _score_rows(members: np.ndarray, local: np.ndarray, shifted: np.ndarray,
+                limits: dict):
+    """Deviations of listed sets by one set-incidence x shifted-counts product;
+    `local` holds each member's row of `shifted`.
 
     Returns, per set size, the set count and the largest deviation, and the
     failing sets (members, deviation) in sorted tuple order.
@@ -231,7 +238,7 @@ def _score_rows(members: np.ndarray, shifted: np.ndarray, limits: dict):
     devs = np.empty(len(members), dtype=np.int64)
     step = max(1, BLOCK_CELLS // max(N, R))
     for lo in range(0, len(members), step):
-        block = members[lo:lo + step]
+        block = local[lo:lo + step]
         incidence = np.zeros((len(block), N), dtype=np.int64)
         incidence[np.arange(len(block))[:, None], block] = 1
         devs[lo:lo + step] = np.abs(incidence @ shifted).sum(axis=1)
@@ -321,18 +328,22 @@ def check_prefix_extractor(g: LabeledBipartiteGraph, epsilon,
     adjacent columns; shifting each node's row to hist(z) 2^k' - D makes
     every set's term the sum of its members' rows.  An exhaustive family
     gets those sums for every mask by subset sums; the other families by
-    one set-incidence x shifted-counts product.  Each dev is compared with
+    one set-incidence x shifted-counts product, over the rows of just the
+    family's distinct members.  Each dev is compared with
     floor(epsilon den) in integers; a Fraction is built only for the worst
     error of each set size and the reported failures.
     """
     epsilon = Fraction(epsilon)
     sizes = family.sizes(g.n)
     if family.mode == "exhaustive":
+        nodes = np.arange(1 << g.n)
         score = _score_masks
     else:
-        score = partial(_score_rows, _member_rows(family, g.n))
-    N, D = 1 << g.n, g.degree
-    counts = _endpoint_counts(g)
+        members = _member_rows(family, g.n)
+        nodes = _distinct(members.ravel())
+        score = partial(_score_rows, members, np.searchsorted(nodes, members))
+    N, D = len(nodes), g.degree
+    counts = _endpoint_counts(g, nodes)
     checked = 0
     worst: Optional[Fraction] = None
     failures = []

@@ -11,20 +11,24 @@ sets drawn one `SeedStream.randrange` at a time, and the member-array x
 set-incidence product that scored exhaustive families before the
 subset-sum kernel, and the plan x branch matrix form of the staged
 decoders' selection rule that `richowner.protocol._pick` is checked against.
+Also the checks that only tests run: an oracle's chain-rule slack, the
+collinear set's projection counts by formula, and the pigeonhole converse
+audit of explicit encoder/decoder tables.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
-from typing import Optional
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from richowner.bits import BitString
 from richowner.graphs import TableGraph
-from richowner.oracles import Component
+from richowner.oracles import SUBSETS, Component, subset_key
 from richowner.protocol import _CATALOG
 from richowner.rng import SeedStream, derive_seed
 from richowner.scenarios import IRREDUCIBLE
@@ -304,3 +308,94 @@ def matrix_pick(signatures: np.ndarray, outcome, step_budget: int):
         return None, -1, int(plan_steps.max())
     rank = int(np.where(eligible, plan_steps, never).argmin())
     return rank, int(masked[rank].argmin()), int(plan_steps[rank])
+
+
+# -- checks only the tests run ----------------------------------------------------------
+
+def chain_rule_slack(oracle, triple) -> int:
+    """Worst |C(V u W) - C(W) - C(x_V | x_W)| over disjoint non-empty V, W.
+
+    Identically 0 for the counting oracle, whose conditionals are defined
+    by subtraction; measured for the toy machine.
+    """
+    profile = oracle.profile(triple)
+    worst = 0
+    for V in SUBSETS:
+        for W in SUBSETS:
+            if set(V) & set(W):
+                continue
+            union = subset_key(tuple(V) + tuple(W))
+            cond = oracle.conditional(V, W, triple)
+            gap = abs(profile.value(union) - profile.value(W) - cond)
+            worst = max(worst, gap)
+    return worst
+
+
+def collinear_counts(q: int) -> dict:
+    """Exact projection counts of the collinear-distinct set."""
+    Q = 1 << q
+    total = Q * Q * (Q * Q - 1) * (Q - 2)
+    return {
+        "total": total,
+        "single": Q * Q,
+        "pair": Q * Q * (Q * Q - 1),
+        "fiber_third": Q - 2,
+    }
+
+
+# -- pigeonhole converse audit ---------------------------------------------------
+
+@dataclass(frozen=True)
+class ConverseVerdict:
+    passed: bool
+    success_rate: Fraction
+    best_coin: int
+    witness: Optional[tuple[int, int]] = None  # two strings sharing a codeword
+
+
+def converse_bound_check(
+    encoder_tables: Sequence[Mapping[int, BitString]],
+    decoder_table: Mapping[BitString, int],
+    k: int,
+    epsilon,
+) -> ConverseVerdict:
+    """Audit explicit tables against the compression lower bound.
+
+    encoder_tables holds one deterministic table per recorded coin value;
+    the decoder maps codewords back to strings.  The audit recounts, for
+    the best coin, how many of the 2^k strings decode correctly.  If the
+    claimed success floor 1 - epsilon is met the tables pass (the encoder
+    is then automatically injective on the successful strings).  Otherwise,
+    whenever every codeword is shorter than log2((1-epsilon) * 2^k) bits,
+    a pigeonhole collision witness (two strings, shared codeword) is
+    returned alongside the recounted rate.
+    """
+    epsilon = Fraction(epsilon)
+    M = 1 << k
+    if not encoder_tables:
+        raise ValueError("need at least one encoder table")
+    best_rate, best_coin = Fraction(-1), 0
+    for coin, table in enumerate(encoder_tables):
+        if set(table) != set(range(M)):
+            raise ValueError(f"encoder table for coin {coin} does not cover {M} strings")
+        good = sum(1 for x in range(M) if decoder_table.get(table[x]) == x)
+        rate = Fraction(good, M)
+        if rate > best_rate:
+            best_rate, best_coin = rate, coin
+    if best_rate >= 1 - epsilon:
+        return ConverseVerdict(passed=True, success_rate=best_rate, best_coin=best_coin)
+    witness = None
+    need = (1 - epsilon) * M
+    max_len = max(cw.width for table in encoder_tables for cw in table.values())
+    if need > 1 and max_len < math.log2(need):
+        table = encoder_tables[best_coin]
+        seen: dict[BitString, int] = {}
+        for x in range(M):
+            cw = table[x]
+            if cw in seen:
+                witness = (seen[cw], x)
+                break
+            seen[cw] = x
+    return ConverseVerdict(
+        passed=False, success_rate=best_rate, best_coin=best_coin, witness=witness
+    )

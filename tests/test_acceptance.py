@@ -19,7 +19,6 @@ from richowner.oracles import (
     CountingOracle,
     ToyMachineConfig,
     ToyOracle,
-    chain_rule_slack,
     named_correlation_set,
 )
 from richowner.protocol import (
@@ -31,14 +30,16 @@ from richowner.protocol import (
     rates_from_profile,
 )
 from richowner.rng import SeedStream, derive_seed
-from richowner.scenarios import (
-    collinear_counts,
-    collinear_members,
-    converse_bound_check,
-)
+from richowner.scenarios import collinear_members
 from richowner.verification import BFamily, check_prefix_extractor, rich_owner_fraction
 
-from helpers import int_to_point, is_collinear
+from helpers import (
+    chain_rule_slack,
+    collinear_counts,
+    converse_bound_check,
+    int_to_point,
+    is_collinear,
+)
 
 
 def _report(name, detail):

@@ -180,17 +180,17 @@ class TestEmission:
             emit_report(small_report, "json", "/no/such/dir/report.json")
 
 
-def test_counting_run_leaves_numpy_ma_unloaded():
-    """Importing numpy.ma costs about 15 ms of CPU per process, and a
-    counting run has no use for it."""
-    code = textwrap.dedent("""
+def _numpy_ma_loads(*configs):
+    """(loaded by importing numpy, loaded after running each config) in a
+    fresh interpreter; configs are override dicts for ExperimentConfig.load."""
+    code = textwrap.dedent(f"""
         import sys
         import numpy
         before = "numpy.ma" in sys.modules
         from richowner.experiments import ExperimentConfig, report_json_text, run_experiment
-        config = ExperimentConfig.load(overrides={"scenario": "collinear:q=2",
-                                                  "trials": "0"}, env={})
-        report_json_text(run_experiment(config))
+        for overrides in {configs!r}:
+            config = ExperimentConfig.load(overrides=overrides, env={{}})
+            report_json_text(run_experiment(config))
         print(before, "numpy.ma" in sys.modules)
     """)
     src = os.path.dirname(os.path.dirname(os.path.abspath(richowner.__file__)))
@@ -199,4 +199,19 @@ def test_counting_run_leaves_numpy_ma_unloaded():
                          text=True, check=True, timeout=120).stdout.split()
     if out[0] == "True":
         pytest.skip("importing numpy already loads numpy.ma")
-    assert out == ["False", "False"]
+    return out
+
+
+def test_counting_run_leaves_numpy_ma_unloaded():
+    """Importing numpy.ma costs about 15 ms of CPU per process, and a
+    counting run has no use for it."""
+    assert _numpy_ma_loads({"scenario": "collinear:q=2", "trials": "0"}) == ["False", "False"]
+
+
+def test_staged_decoders_leave_numpy_ma_unloaded():
+    """Plain np.unique imports numpy.ma under numpy 2.4; a known-profile
+    and a full decode use none."""
+    known = {"scenario": "collinear:q=2", "decoder": "known-profile", "trials": "1"}
+    full = {"scenario": "planted:n=8", "oracle": "toy:L=12,T=200", "decoder": "full",
+            "rates": "profile+4", "slack": "4", "trials": "1", "seed": "10"}
+    assert _numpy_ma_loads(known, full) == ["False", "False"]

@@ -12,12 +12,16 @@ from richowner.oracles import (
     SUBSETS,
     ToyMachineConfig,
     ToyOracle,
-    chain_rule_slack,
     named_correlation_set,
 )
-from richowner.scenarios import collinear_counts
 
-from helpers import brute_force_toy_table, bs, run_toy_program
+from helpers import (
+    brute_force_toy_table,
+    bs,
+    chain_rule_slack,
+    collinear_counts,
+    run_toy_program,
+)
 
 
 # -- independent reference interpreter (recursive-parse style) -------------------

@@ -35,12 +35,11 @@ from richowner.protocol import (
 )
 from richowner.protocol import (
     _CATALOG,
-    Stage,
-    _branch,
     _recover,
     _representative_profiles,
     _run_branch,
     _signature,
+    _stage_bounds,
     _tags_match,
 )
 from richowner.rng import SeedStream, derive_seed
@@ -135,29 +134,59 @@ class TestRates:
         assert rates.total() == conds[(0, 1, 2)] - 3
         assert max(rates) - min(rates) <= 1
 
+    @given(st.lists(st.integers(0, 12), min_size=7, max_size=7))
+    def test_profile_conditionals_by_index(self, values):
+        profile = ComplexityProfile(tuple(values))
+        full = (0, 1, 2)
+        assert profile.conditionals() == {
+            V: profile.conditional(V, tuple(i for i in full if i not in V))
+            for V in SUBSETS}
 
-def _plan_branches(profile, rates, slack):
-    """The catalog's branches at the bounds of one profile's plan."""
+    def test_toy_conditionals_measured_directly(self):
+        oracle = ToyOracle(ToyMachineConfig(max_len=10, step_budget=60))
+        triple = (bs("0101"), bs("0101"), bs("0011"))
+        profile = oracle.profile(triple)
+        want = {V: oracle.conditional(V, tuple(i for i in range(3) if i not in V), triple)
+                for V in SUBSETS[:6]}
+        want[(0, 1, 2)] = profile.value((0, 1, 2))
+        assert oracle.conditionals(triple) == want
+        assert oracle.conditionals(triple, profile) == want
+        assert conditional_profile(oracle, triple) == want
+
+
+def _plan_bounds(profile, rates, slack):
+    """Each catalog branch's stage bounds under one profile's plan, by name."""
     signature = _signature(*profile.values[:5], rates[0], slack)
-    return tuple(_branch(entry, signature, rates, slack) for entry in _CATALOG)
+    return {name: _stage_bounds(idx, None if lead is None else signature[lead], rates, slack)
+            for idx, (name, lead, _) in enumerate(_CATALOG)}
+
+
+# Each lead's bound as the decoder derives it: C(t) + slack for the three
+# chain openers, C(A,t) - n_A + slack for the two pair-arithmetic helpers.
+LEAD_FORMULAS = {
+    0: lambda p, r, s: p.value((0,)) + s,
+    1: lambda p, r, s: p.value((1,)) + s,
+    2: lambda p, r, s: p.value((2,)) + s,
+    3: lambda p, r, s: p.value((0, 1)) - r.n_a + s,
+    4: lambda p, r, s: p.value((0, 2)) - r.n_a + s,
+}
 
 
 class TestDerivePlan:
     def test_pair_arithmetic_bound_example(self):
         # C(A,B) = 14, n_A = 6, slack = 2 -> helper-set bound 14 - 6 + 2 = 10
         profile = ComplexityProfile((6, 8, 8, 14, 14, 14, 14))
-        branches = _plan_branches(profile, RateVector(6, 8, 8), slack=2)
-        pair_b = next(b for b in branches if b.name == "pair-arith-B")
-        assert pair_b.stages[0].bound == 10
-        assert pair_b.stages[0].payload_conds == (0,)
+        bounds = _plan_bounds(profile, RateVector(6, 8, 8), slack=2)
+        assert bounds["pair-arith-B"][0] == 10
+        pair_b = next(stages for name, _, stages in _CATALOG if name == "pair-arith-B")
+        assert pair_b[0][2] == (0,)  # conditioned on A's payload
 
     def test_diagonal_rates_n00_later_stages_slack_bounded(self):
         n = 5
         profile = ComplexityProfile((n,) * 7)
-        branches = _plan_branches(profile, RateVector(n, 0, 0), slack=2)
-        chain = next(b for b in branches if b.name == "chain-ABC")
-        assert chain.stages[1].bound == 0 + 2
-        assert chain.stages[2].bound == 0 + 2
+        chain = _plan_bounds(profile, RateVector(n, 0, 0), slack=2)["chain-ABC"]
+        assert chain[1] == 0 + 2
+        assert chain[2] == 0 + 2
 
     def test_collinear_q3_bounds_match_hand_arithmetic(self):
         q = 3
@@ -165,18 +194,15 @@ class TestDerivePlan:
         profile = oracle.profile()
         rates = RateVector(2 * q, 2 * q, q + 2)
         slack = 2
-        branches = _plan_branches(profile, rates, slack)
+        bounds = _plan_bounds(profile, rates, slack)
         # independently expanded expectations
-        c_a, c_ab, c_abc = profile.value((0,)), profile.value((0, 1)), profile.value((0, 1, 2))
+        c_a, c_ab = profile.value((0,)), profile.value((0, 1))
         c_ac = profile.value((0, 2))
-        by_name = {b.name: b for b in branches}
-        assert by_name["chain-ABC"].stages[0].bound == c_a + slack
-        assert by_name["chain-ABC"].stages[1].bound == rates.n_b + slack
-        assert by_name["chain-ABC"].stages[2].bound == rates.n_c + slack
-        assert by_name["helper-B"].stages[0].bound == rates.n_b + slack
-        assert by_name["joint-BC"].stages[0].bound == rates.n_b + slack
-        assert by_name["pair-arith-B"].stages[0].bound == c_ab - rates.n_a + slack
-        assert by_name["pair-arith-C"].stages[0].bound == c_ac - rates.n_a + slack
+        assert bounds["chain-ABC"] == (c_a + slack, rates.n_b + slack, rates.n_c + slack)
+        assert bounds["helper-B"][0] == rates.n_b + slack
+        assert bounds["joint-BC"][0] == rates.n_b + slack
+        assert bounds["pair-arith-B"][0] == c_ab - rates.n_a + slack
+        assert bounds["pair-arith-C"][0] == c_ac - rates.n_a + slack
 
     def test_eq2_violation_rejected_with_subset(self):
         profile = ComplexityProfile((4, 4, 4, 8, 8, 8, 9))
@@ -185,19 +211,18 @@ class TestDerivePlan:
             decode_known_profile([], profile, RateVector(2, 2, 2), None, [], slack=0)
         assert (0, 1, 2) in exc.value.violated
 
-    def test_bounds_respect_formula_plus_slack(self):
-        profile = ComplexityProfile((4, 4, 4, 8, 8, 8, 9))
-        rates = RateVector(4, 4, 2)
-        slack = 2
-        for branch in _plan_branches(profile, rates, slack):
-            for stage in branch.stages:
-                if stage.formula == "C(t)+slack":
-                    assert stage.bound <= profile.value((stage.target,)) + slack
-                elif stage.formula == "n_t+slack":
-                    assert stage.bound <= rates[stage.target] + slack
-                else:
-                    pair = tuple(sorted((0, stage.target)))
-                    assert stage.bound <= profile.value(pair) - rates.n_a + slack
+    @given(st.lists(st.integers(0, 9), min_size=7, max_size=7),
+           st.tuples(*[st.integers(0, 9)] * 3), st.integers(-2, 3))
+    def test_bounds_respect_formula_plus_slack(self, values, rates, slack):
+        # a branch's first stage takes its lead's formula, every other
+        # stage its target's rate plus slack, each clamped at 0
+        profile, rates = ComplexityProfile(tuple(values)), RateVector(*rates)
+        bounds = _plan_bounds(profile, rates, slack)
+        for name, lead, stages in _CATALOG:
+            want = [rates[t] + slack for t, _, _ in stages]
+            if lead is not None:
+                want[0] = LEAD_FORMULAS[lead](profile, rates, slack)
+            assert bounds[name] == tuple(max(b, 0) for b in want)
 
 
 def _encode_triple(triple, graphs, scheme, seed):
@@ -274,14 +299,15 @@ class TestDecodeKnownProfile:
             construct_rich_owner_graph(4, 4, Fraction(1, 2), seed=derive_seed(43, i))[0]
             for i in range(3)
         ]
-        chain_abc = next(b for b in _plan_branches(profile, rates, slack=2)
-                         if b.name == "chain-ABC")
+        chain_abc = next(idx for idx, (name, _, _) in enumerate(_CATALOG)
+                         if name == "chain-ABC")
+        lead_bound = _signature(*profile.values[:5], rates[0], 2)[0]
         wins = 0
         for t in range(10):
             seed = derive_seed(77, t)
             triple = S.triple_at(SeedStream(seed).randrange(len(S)))
             cws = _encode_triple(triple, graphs4, SCHEME4, seed)
-            got, _ = _run_branch(chain_abc, cws, oracle, graphs4, {})
+            got, _ = _run_branch(chain_abc, lead_bound, rates, 2, cws, oracle, graphs4, {})
             wins += got == triple
         assert wins >= 9
 
@@ -383,13 +409,13 @@ def _reference_known_profile(cws, profile, rates, oracle, graphs, slack,
     dropped, else the largest branch's."""
     signature = _signature(*profile.values[:5], rates[0], slack)
     memo, best, max_steps = {}, None, 0
-    for idx, entry in enumerate(_CATALOG):
-        branch = _branch(entry, signature, rates, slack)
-        triple, steps = _run_branch(branch, cws, oracle, graphs, memo)
+    for idx, (name, lead, _) in enumerate(_CATALOG):
+        lead_bound = None if lead is None else signature[lead]
+        triple, steps = _run_branch(idx, lead_bound, rates, slack, cws, oracle, graphs, memo)
         max_steps = max(max_steps, steps)
         if triple is not None and _tags_match(cws, triple) and (
                 best is None or (steps, idx) < best[:2]):
-            best = (steps, idx, branch.name, triple)
+            best = (steps, idx, name, triple)
     if best is None:
         return ("fail", None, None, max_steps)
     if best[0] > step_budget + 1:
@@ -758,12 +784,13 @@ SMALL_TOY = ToyOracle(ToyMachineConfig(max_len=10, step_budget=60))
 
 def _reference_recover(stage, recovered, cws, oracle, graphs):
     """The oracle's candidates, each checked with one scalar payload test."""
-    g = graphs[stage.target]
+    target, known, payload_conds, bound = stage
+    g = graphs[target]
     values = oracle.candidates(
-        g.n, stage.target, {c: recovered[c] for c in stage.known},
-        [(c, cws[c].payload, graphs[c]) for c in stage.payload_conds], stage.bound)
+        g.n, target, {c: recovered[c] for c in known},
+        [(c, cws[c].payload, graphs[c]) for c in payload_conds], bound)
     owners = [BitString(g.n, int(v)) for v in values
-              if g.payload_consistent(int(v), cws[stage.target].payload)]
+              if g.payload_consistent(int(v), cws[target].payload)]
     return (owners[0] if len(owners) == 1 else None), len(values)
 
 
@@ -779,12 +806,12 @@ def test_recover_matches_scalar_reference(instance, toy, data):
     anchor = data.draw(st.sampled_from(rows))
     recovered = {c: BitString(n, data.draw(st.sampled_from([anchor[c], 0]))) for c in known}
     bound = data.draw(st.integers(4, 10) if toy else st.integers(0, n + 1))
-    stage = Stage(target, known, conds, bound, "")
+    stage = (target, known, conds, bound)
     cws = [Codeword("ABC"[c], payloads[c]) for c in range(3)]
     want = _reference_recover(stage, recovered, cws, oracle, graphs)
     memo = {}
-    assert _recover(stage, recovered, cws, oracle, graphs, memo) == want
-    assert _recover(stage, recovered, cws, oracle, graphs, memo) == want  # a memo hit
+    assert _recover(*stage, recovered, cws, oracle, graphs, memo) == want
+    assert _recover(*stage, recovered, cws, oracle, graphs, memo) == want  # a memo hit
 
 
 def test_payload_checks_run_once_per_distinct_value(monkeypatch):

@@ -9,9 +9,7 @@ from richowner.protocol import check_rate_feasibility
 from richowner.scenarios import (
     IRREDUCIBLE,
     SourceDistribution,
-    collinear_counts,
     collinear_members,
-    converse_bound_check,
     entropy_profile,
     mul_table,
 )
@@ -19,6 +17,8 @@ from richowner.rng import SeedStream
 
 from helpers import (
     FieldElement,
+    collinear_counts,
+    converse_bound_check,
     gf_mul,
     int_to_point,
     is_collinear,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -16,6 +17,7 @@ from richowner.construction import (
 from richowner.graphs import (
     GraphError,
     SeededGraph,
+    SplitGraph,
     TableGraph,
 )
 from richowner.verification import (
@@ -584,6 +586,34 @@ def test_size_groups_keep_the_enumeration_limits():
                                BFamily(mode="all-of-size", size=8))
 
 
+# -- listed families read only their members' rows ---------------------------------------
+
+@pytest.mark.parametrize("make, family", [
+    (lambda: SeededGraph(8, 3, 2, seed=6), BFamily(mode="sampled", size=8, count=20, seed=4)),
+    (lambda: split_edges(SeededGraph(8, 2, 1, seed=2), *SPLITS[1]),
+     BFamily(mode="sampled", size=16, count=30, seed=9)),
+    (lambda: SeededGraph(3, 2, 1, seed=5), BFamily(mode="all-of-size", size=4)),
+], ids=["sampled", "sampled-split", "all-of-size"])
+def test_listed_families_count_only_their_members(monkeypatch, make, family):
+    # The report is the one of the per-set loop over every node's rows, as
+    # it was when the counts covered all 2^n nodes; the rows read are the
+    # family's distinct members, each once.
+    g = make()
+    epsilons = [Fraction(0), Fraction(1, 4), Fraction(707, 1000)]
+    expected = [reference_prefix_extractor(g, epsilon, family) for epsilon in epsilons]
+    read = []
+    base = g.base if isinstance(g, SplitGraph) else g
+    rows = type(base).rows
+    monkeypatch.setattr(type(base), "rows",
+                        lambda self, xs: read.extend(np.asarray(xs).tolist()) or rows(self, xs))
+    for epsilon, want in zip(epsilons, expected):
+        read.clear()
+        report = check_prefix_extractor(g, epsilon, family)
+        assert (report.checked, report.passed, report.worst_error, report.failures) == want
+        assert read == sorted(set().union(*family.iter_sets(g.n)))
+    assert any(not want[1] for want in expected)  # some failures are listed
+
+
 # -- row blocks under a low table cap ----------------------------------------------------
 
 @pytest.mark.parametrize("make", [lambda: SeededGraph(4, 2, 3, seed=8),
@@ -602,7 +632,7 @@ def test_row_blocks_under_a_low_cap_match_brute_force(monkeypatch, make):
     rows = type(g).rows
     monkeypatch.setattr(type(g), "rows",
                         lambda self, xs: blocks.append(len(xs)) or rows(self, xs))
-    counts = verification._endpoint_counts(g)
+    counts = verification._endpoint_counts(g, np.arange(16))
     assert blocks == [8, 8]
     assert counts.tolist() == [[b_degree(g, z, [x]) for z in range(4)] for x in range(16)]
     xs = np.random.default_rng(3).integers(0, 16, size=37)
@@ -615,3 +645,26 @@ def test_row_blocks_under_a_low_cap_match_brute_force(monkeypatch, make):
     expected = incidence_prefix_extractor(g, family, [Fraction(1, 8)])[Fraction(1, 8)]
     report = check_prefix_extractor(g, Fraction(1, 8), family)
     assert (report.checked, report.passed, report.worst_error, report.failures) == expected
+
+
+def test_row_block_readers_release_each_block(monkeypatch):
+    # 16 blocks of 256 nodes x 256 labels (512 KB each).  The payload check
+    # and the endpoint counts each hold one block and its raw_block scratch
+    # while the next is built; holding the previous block too read 3.0 and
+    # 3.1 blocks (numpy 2.4.6).
+    monkeypatch.setattr(graphs, "TABLE_CAP", 1 << 16)
+    g = SeededGraph(12, 4, 8, seed=3)
+    block = (1 << 16) * 8
+    xs = np.arange(1 << 12)
+    assert g._has_right is None  # no adjacency matrix: rows are read
+    tracemalloc.start()
+    try:
+        g.payload_consistent_bulk(xs, 5)
+        check_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        counts = verification._endpoint_counts(g, xs)
+        counts_peak = tracemalloc.get_traced_memory()[1] - counts.nbytes
+    finally:
+        tracemalloc.stop()
+    assert check_peak < 2.5 * block
+    assert counts_peak < 2.5 * block
