@@ -50,6 +50,14 @@ def _write_json(obj, path: str | None) -> None:
     _write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", path)
 
 
+def _fraction(flag: str, text: str) -> Fraction:
+    """The rational value of a CLI flag; a malformed one names the flag."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"{flag} {text}: not a rational with a nonzero denominator") from None
+
+
 def _load_graph_any(path: str) -> LabeledBipartiteGraph:
     """Load a binary graph file or rebuild one from a JSON descriptor."""
     if not path.endswith(".json"):
@@ -72,7 +80,8 @@ def _cmd_build_graph(args) -> int:
     if args.kind != "pipeline" and args.out.endswith(".json"):
         raise ConfigError(f"--out {args.out}: a {args.kind} graph is written in binary "
                           "form, but a .json path is read back as a descriptor")
-    params = {"delta": Fraction(args.delta), "epsilon": Fraction(args.epsilon), "c": args.c}
+    params = {"delta": _fraction("--delta", args.delta),
+              "epsilon": _fraction("--epsilon", args.epsilon), "c": args.c}
     g, summary, report = build_graph(args.kind, args.n, args.k, args.seed, params,
                                      args.max_retries)
     if report is None:
@@ -97,9 +106,9 @@ def _cmd_verify_graph(args) -> int:
     family = BFamily(mode=mode, **params)
     g = _load_graph_any(args.graph)
     if args.check == "extractor":
-        report = check_prefix_extractor(g, Fraction(args.epsilon), family)
+        report = check_prefix_extractor(g, _fraction("--epsilon", args.epsilon), family)
     else:
-        report = rich_owner_fraction(g, family, args.k, Fraction(args.delta))
+        report = rich_owner_fraction(g, family, args.k, _fraction("--delta", args.delta))
     _write_json(report.to_json(), args.out)
     if report.passed is None:  # inconclusive certificate
         return 3
@@ -107,7 +116,7 @@ def _cmd_verify_graph(args) -> int:
 
 
 def _cmd_hash_audit(args) -> int:
-    scheme = HashScheme(args.n, args.s, Fraction(args.epsilon))
+    scheme = HashScheme(args.n, args.s, _fraction("--epsilon", args.epsilon))
     if args.trials < 0:
         raise ConfigError(f"--trials {args.trials}: must be >= 0")
     if args.s > (1 << args.n):
@@ -165,7 +174,7 @@ def _cmd_encode(args) -> int:
     scheme = None
     if args.scheme:
         n, s, eps = args.scheme.split(",")
-        scheme = HashScheme(int(n), int(s), Fraction(eps))
+        scheme = HashScheme(int(n), int(s), _fraction("--scheme", eps))
     cw = protocol_encode(g, x, scheme, args.seed, sender=args.sender)
     _write_json(cw.to_json(), args.out)
     return 0

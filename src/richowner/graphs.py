@@ -20,7 +20,6 @@ across workers.
 from __future__ import annotations
 
 import hashlib
-from collections import Counter
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -77,7 +76,6 @@ class LabeledBipartiteGraph:
         self.n = n
         self.m = m
         self.degree = degree
-        self._multiplicities: dict[int, Counter] = {}
 
     @property
     def d(self) -> Optional[int]:
@@ -116,24 +114,13 @@ class LabeledBipartiteGraph:
             return None
         return self.rows(np.arange(1 << self.n))
 
-    # -- degree queries ---------------------------------------------------
-
-    def multiplicities(self, x) -> Counter:
-        """Counter z -> number of labels from x landing on z (cached)."""
-        xi = _as_left_int(self, x)
-        cached = self._multiplicities.get(xi)
-        if cached is None:
-            cached = Counter(self.neighbor_values(xi))
-            self._multiplicities[xi] = cached
-        return cached
-
     # -- payload membership (decoder-facing) -------------------------------
 
     def payload_consistent(self, x, payload) -> bool:
         """True when the payload occurs in x's neighbor multiset."""
         xi = _as_left_int(self, x)
         zi = _as_right_int(self, payload)
-        return zi in self.multiplicities(xi)
+        return zi in self.neighbor_values(xi)
 
     def payload_consistent_bulk(self, xs: np.ndarray, payload) -> np.ndarray:
         """payload_consistent for every left node in xs.
@@ -294,7 +281,7 @@ class SplitGraph(LabeledBipartiteGraph):
         i, residue, z = self.parse_payload(payload)
         if i >= self.ell:
             return False
-        return self._residue(xi, i) == residue and z in self.base.multiplicities(xi)
+        return self._residue(xi, i) == residue and z in self.base.neighbor_values(xi)
 
     def payload_consistent_bulk(self, xs: np.ndarray, payload) -> np.ndarray:
         i, residue, z = self.parse_payload(payload)

@@ -17,10 +17,10 @@ pairwise-damage certificate that covers every set of that size exactly,
 or reported inconclusive when the union bound is too weak and no witness
 set fails; reports state which route was taken.
 
-Both regimes of rich ownership and the certificate's pairwise damage bound
-read one kernel, _slot_loads, which tallies a node's edge slots by its own
-multiplicity and the other members' load on each endpoint; it is the only
-place here that reads the layout of a split graph.
+Both regimes of rich ownership read one set-level kernel, _good_slots, over
+the members' endpoint-count arrays; the certificate reads one damage table
+over all left nodes.  These two are the only places here that read the
+layout of a split graph.
 
 All pass/fail decisions use exact rational arithmetic; no floating point.
 """
@@ -28,7 +28,6 @@ All pass/fail decisions use exact rational arithmetic; no floating point.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -39,7 +38,6 @@ import numpy as np
 
 from .bits import BitString
 from .graphs import TABLE_CAP, GraphError, LabeledBipartiteGraph, SplitGraph, _as_left_int
-from .crt import colliding_prime_indices
 from .oracles import _distinct
 from .rng import derive_seed, raw_block
 from .specs import FAMILIES
@@ -334,6 +332,8 @@ def check_prefix_extractor(g: LabeledBipartiteGraph, epsilon,
     error of each set size and the reported failures.
     """
     epsilon = Fraction(epsilon)
+    if epsilon < 0:
+        raise GraphError(f"epsilon must be >= 0, got {epsilon}")
     sizes = family.sizes(g.n)
     if family.mode == "exhaustive":
         nodes = np.arange(1 << g.n)
@@ -403,77 +403,69 @@ def classify_owner(g: LabeledBipartiteGraph, B: Iterable, x, k: int,
     The owned (or well-behaved) fraction is computed exactly over all
     degree-many edge slots of x.
     """
-    delta = Fraction(delta)
+    delta = _check_regime(k, delta)
     members = sorted({_as_left_int(g, v) for v in B})
     xi = _as_left_int(g, x)
     if xi not in members:
         raise GraphError(f"node {xi} not a member of B")
-    return _classify(g, members, xi, k, delta, _set_threshold(g, len(members), k, delta))
-
-
-def _set_threshold(g: LabeledBipartiteGraph, size: int, k: int, delta: Fraction) -> int:
-    """1 in the small regime (size <= 2^k), the congestion threshold otherwise."""
-    if size <= (1 << k):
-        return 1
-    return large_regime_threshold(delta, size, g.degree, k)
-
-
-def _classify(g: LabeledBipartiteGraph, members: Sequence[int], xi: int, k: int,
-              delta: Fraction, threshold: int) -> OwnerClassification:
-    tally = _slot_loads(g, xi, [o for o in members if o != xi])
-    small = len(members) <= (1 << k)
-    if small:
-        good = sum(count for (_, load), count in tally.items() if load == 0)
-    else:
-        good = sum(count for (own, load), count in tally.items()
-                   if own + load <= threshold)
-    frac = Fraction(good, g.degree)
+    small, threshold = _set_regime(g, len(members), k, delta)
+    good = _good_slots(g, members, small, threshold)[members.index(xi)]
+    frac = Fraction(int(good), g.degree)
     return OwnerClassification(
         node=BitString(g.n, xi), regime="small" if small else "large",
         rich=frac >= 1 - delta, owned_fraction=frac, threshold_used=threshold,
     )
 
 
-def _slot_loads(g: LabeledBipartiteGraph, xi: int, others: Sequence[int]) -> Counter:
-    """Tally xi's edge slots by (own, load), the one ownership kernel.
+def _check_regime(k: int, delta) -> Fraction:
+    """delta as a Fraction; refuses a delta outside (0, 1] or a negative k."""
+    delta = Fraction(delta)
+    if not (0 < delta <= 1 and k >= 0):
+        raise GraphError(f"need 0 < delta <= 1 and k >= 0, got delta={delta} k={k}")
+    return delta
 
-    For a slot of xi landing on right node z, `own` counts xi's edges on z
-    and `load` counts the edges of `others` on z.  A split graph is read
-    through its base graph: slot (y, i) lands on (i, xi mod p_i, base z),
-    which another node shares only at the prime indices where it collides
-    with xi: all ell of them for xi itself, and otherwise only indices of
-    primes up to the difference, which the graph's primes below 2^n hold.
-    Any other graph is the one-index case where every pair
-    collides.  Indices with the same set of colliders have the same loads,
-    so the work grows with xi's distinct base endpoints and the number of
-    such groups, not with ell.
+
+def _set_regime(g: LabeledBipartiteGraph, size: int, k: int,
+                delta: Fraction) -> tuple[bool, int]:
+    """Whether a set of this size is in the small regime (size <= 2^k), and
+    its threshold: 1 there, the congestion threshold otherwise."""
+    if size <= (1 << k):
+        return True, 1
+    return False, large_regime_threshold(delta, size, g.degree, k)
+
+
+def _good_slots(g: LabeledBipartiteGraph, members: Sequence[int], small: bool,
+                threshold: int) -> np.ndarray:
+    """Each member's good edge slots in the set of sorted distinct `members`.
+
+    A slot on right node z is good when no other member's edge lands on z
+    (small regime), or at most `threshold` of the members' edges do.  Base
+    rows are counted over their distinct endpoints, so any right width
+    works.  A split graph's slot (y, i) of x lands on (i, x mod p_i, base z),
+    loaded by the members sharing x's residue mod p_i; indices past the
+    stored primes, and primes that leave every residue distinct, leave each
+    member alone.  Any other graph is the one-modulus case p = 1.
     """
-    if isinstance(g, SplitGraph):
-        base, ell = g.base, g.ell
-        collisions = [range(ell) if o == xi else colliding_prime_indices(xi, o, g.primes)
-                      for o in others]
-    else:
-        base, ell = g, 1
-        collisions = [(0,)] * len(others)
-    spoilers: dict[int, list[int]] = {}
-    for o, indices in zip(others, collisions):
-        for i in indices:
-            spoilers.setdefault(i, []).append(o)
-    groups = Counter(tuple(group) for group in spoilers.values())
-    groups[()] += ell - len(spoilers)
-    own = base.multiplicities(xi)
-    tally: Counter = Counter()
-    for group, indices in groups.items():
-        if not indices:
-            continue
-        load = dict.fromkeys(own, 0)
-        for o in group:
-            other = base.multiplicities(o)
-            for z in load:
-                load[z] += other.get(z, 0)
-        for z, count in own.items():
-            tally[count, load[z]] += count * indices
-    return tally
+    xs = np.asarray(members, dtype=np.int64)
+    base, ell, primes = ((g.base, g.ell, g.primes) if isinstance(g, SplitGraph)
+                         else (g, 1, np.ones(1, dtype=np.int64)))
+    rows = np.concatenate([block for _, block in base.row_blocks(xs)])
+    cols, inverse = np.unique(rows, return_inverse=True)
+    M, C = len(xs), len(cols)
+    cells = np.arange(M)[:, None] * C + inverse.reshape(rows.shape)
+    own = np.bincount(cells.ravel(), minlength=M * C).reshape(M, C)
+
+    def good(load: np.ndarray) -> np.ndarray:  # load: the group total on each cell
+        return np.where(load == own if small else load <= threshold, own, 0).sum(axis=1)
+
+    residues = xs % primes[:, None]
+    residues.sort(axis=1)
+    shared = (residues[:, 1:] == residues[:, :-1]).any(axis=1)
+    slots = (ell - int(shared.sum())) * good(own)
+    for p in primes[shared]:
+        r = xs % p
+        slots += good((r[:, None] == r).astype(np.int64) @ own)
+    return slots
 
 
 # -- family-level richness audits ---------------------------------------------
@@ -491,17 +483,13 @@ def rich_owner_fraction(g: LabeledBipartiteGraph, family: BFamily, k: int,
     witness set fails the audit; with no witness the report is
     inconclusive: passed and min_rich_fraction are None.
     """
-    delta = Fraction(delta)
+    delta = _check_regime(k, delta)
     total = family.set_count(g.n)
     enumerable = not (
         family.mode == "all-of-size" and math.comb(1 << g.n, family.size) > ENUM_CAP
     )
     if enumerable:
         return _richness_by_enumeration(g, family, k, delta)
-    if not isinstance(g, SplitGraph):
-        raise GraphError(
-            "certified richness audit requires a split graph; family too large"
-        )
     if family.size > (1 << k):
         raise GraphError("certified audit only covers the small regime")
     return _richness_by_certificate(g, family, k, delta, total)
@@ -509,9 +497,10 @@ def rich_owner_fraction(g: LabeledBipartiteGraph, family: BFamily, k: int,
 
 def _rich_fraction(g, B: Sequence[int], k: int, delta: Fraction) -> Fraction:
     members = sorted({_as_left_int(g, v) for v in B})
-    threshold = _set_threshold(g, len(members), k, delta)
-    rich = sum(1 for x in members if _classify(g, members, x, k, delta, threshold).rich)
-    return Fraction(rich, len(members))
+    good = _good_slots(g, members, *_set_regime(g, len(members), k, delta))
+    # a member is rich when good / D >= 1 - delta, and good is an integer
+    rich = np.count_nonzero(good >= math.ceil((1 - delta) * g.degree))
+    return Fraction(int(rich), len(members))
 
 
 def _richness_by_enumeration(g, family: BFamily, k: int,
@@ -536,17 +525,30 @@ def _richness_by_enumeration(g, family: BFamily, k: int,
     )
 
 
-def node_damage_bound(g: LabeledBipartiteGraph, xi: int, other: int) -> int:
-    """Upper bound on the edge slots of xi that `other` can spoil.
-
-    These are the slots of xi whose endpoint `other` loads; overlaps
-    between several spoilers only make the union bound safer.
+def _damage(g: LabeledBipartiteGraph) -> np.ndarray:
+    """damage[x, o] = the edge slots of x whose endpoint o loads, for x != o:
+    x's base counts dotted with o's base endpoints, times the stored primes
+    dividing |x - o| for a split graph.  damage[x, x] = -1 ranks x last.
+    Refuses a table past TABLE_CAP cells before it reads any row.
     """
-    return sum(count for (_, load), count in _slot_loads(g, xi, [other]).items()
-               if load)
+    N = 1 << g.n
+    if N * N > TABLE_CAP:
+        raise GraphError(f"damage table of {N * N} cells exceeds the table cap")
+    split = isinstance(g, SplitGraph)
+    own = _endpoint_counts(g.base if split else g, np.arange(N))
+    damage = own @ (own > 0).T
+    if split:
+        hits = np.zeros(N, dtype=np.int64)  # hits[d] = stored primes dividing d
+        for p in g.primes:
+            hits[::p] += 1
+        # the windows of hits read outward from the middle: row x holds hits[|x - o|]
+        mirrored = np.concatenate([hits[:0:-1], hits])
+        damage *= np.lib.stride_tricks.sliding_window_view(mirrored, N)[::-1]
+    np.fill_diagonal(damage, -1)
+    return damage
 
 
-def _richness_by_certificate(g: SplitGraph, family: BFamily, k: int,
+def _richness_by_certificate(g: LabeledBipartiteGraph, family: BFamily, k: int,
                              delta: Fraction, total: int) -> VerificationReport:
     """Union-bound certificate over every set of the family's size.
 
@@ -555,21 +557,20 @@ def _richness_by_certificate(g: SplitGraph, family: BFamily, k: int,
     node (up to 50) is checked as a witness: a failing witness fails the
     audit, and with none the report is inconclusive (passed None).
     """
-    N = 1 << g.n
     size = family.size
     slots = g.degree
     allowance = delta * slots
     ranked_spoilers = {}
     worst_lb: Optional[Fraction] = None
-    for xi in range(N):
-        damage = {o: node_damage_bound(g, xi, o) for o in range(N) if o != xi}
-        ranked = sorted(damage, key=damage.get, reverse=True)[: size - 1]
-        worst_damage = sum(damage[o] for o in ranked)
+    for xi, row in enumerate(_damage(g)):
+        # damage descending, ties to the lower node
+        ranked = np.argsort(-row, kind="stable")[: size - 1]
+        worst_damage = int(row[ranked].sum())
         lb = 1 - Fraction(worst_damage, slots)
         if worst_lb is None or lb < worst_lb:
             worst_lb = lb
         if worst_damage > allowance:
-            ranked_spoilers[xi] = ranked
+            ranked_spoilers[xi] = ranked.tolist()
     if not ranked_spoilers:
         return VerificationReport(
             graph=g, kind="rich-owner", k=k, delta=delta,

@@ -56,7 +56,7 @@ def all_to_one_graph(n: int, m: int, d: int, hub: int = 0) -> TableGraph:
 
 def b_degree(g, z: int, B) -> int:
     """Edges from members of B landing on z, counted with multiplicity."""
-    return sum(g.multiplicities(x)[z] for x in B)
+    return sum(g.neighbor_values(x).count(z) for x in B)
 
 
 # -- scalar GF(2^q) reference ---------------------------------------------------

@@ -240,12 +240,28 @@ def decode_inputs(tmp_path):
       "--set", "oracle=toy:L=-3"], "'L'"),
     (["experiment", "--set", "scenario=planted:n=4", "--set", "decoder=full",
       "--set", "oracle=toy:T=-5"], "'T'"),
+    (["hash-audit", "--epsilon", "1/0"], "--epsilon 1/0"),
+    (["build-graph", "--n", "4", "--k", "2", "--delta", "1/0", "--out", "{out}"],
+     "--delta 1/0"),
+    (["encode", "--graph", "{g}", "--input", "a", "--width", "4", "--scheme", "4,3,1/0"],
+     "--scheme 1/0"),
+    (["verify-graph", "--graph", "{g}", "--check", "richness", "--k", "1", "--delta", "0",
+      "--family", "sampled:size=4,count=3"], "got delta=0 k=1"),
+    (["verify-graph", "--graph", "{g}", "--check", "richness", "--delta", "-1",
+      "--family", "sampled:size=4,count=3"], "got delta=-1 k=2"),
+    (["verify-graph", "--graph", "{g}", "--check", "richness", "--k", "-1",
+      "--family", "sampled:size=4,count=3"], "got delta=1/2 k=-1"),
+    (["verify-graph", "--graph", "{g}", "--check", "extractor", "--epsilon", "-1",
+      "--family", "sampled:size=4,count=3"], "epsilon must be >= 0"),
 ], ids=["profile-scenario", "experiment-scenario", "family-sampled",
         "family-all-of-size", "family-negative-size", "family-negative-count", "decode-rates", "graphs-typo", "descriptor-kind",
         "decode-codeword-count", "decode-graph-count", "decode-graph-width",
         "binning-json-out", "hash-audit-distractors", "hash-audit-negative-trials",
         "build-negative-retries", "experiment-negative-trials",
-        "collinear-unknown-field", "toy-negative-length", "toy-negative-steps"])
+        "collinear-unknown-field", "toy-negative-length", "toy-negative-steps",
+        "hash-audit-zero-denominator", "build-zero-denominator",
+        "encode-scheme-zero-denominator", "richness-zero-delta", "richness-negative-delta",
+        "richness-negative-k", "extractor-negative-epsilon"])
 def test_bad_spec_is_a_clean_error(argv, key, decode_inputs, capsys):
     capsys.readouterr()
     assert run_cli(*(a.format(**decode_inputs) for a in argv)) == 2

@@ -67,7 +67,7 @@ class TestSplitEdges:
         for z in range(8):
             if b_degree(base, z, B) != 1:
                 continue
-            owner = next(x for x in B if z in base.multiplicities(x))
+            owner = next(x for x in B if z in base.neighbor_values(x))
             for i in range(g.ell):
                 node = g.split_node(i, owner % int(g.primes[i]), z)
                 assert b_degree(g, node, B) == 1

@@ -12,14 +12,13 @@ from richowner.crt import primes_first
 from richowner.graphs import (
     TABLE_CAP,
     GraphError,
-    LabeledBipartiteGraph,
     SeededGraph,
     SplitGraph,
     TableGraph,
     load_graph,
     save_graph,
 )
-from richowner.verification import _slot_loads
+from richowner.verification import _damage, _good_slots
 
 from helpers import all_to_one_graph, b_degree, bs, complete_graph
 
@@ -251,18 +250,17 @@ class TestSplitGraph:
         payloads = (g.neighbor_int(int(xs[0]), 0), 0, 1023)
         fresh = SeededGraph(14, 10, 11, seed=5)
         want = [[fresh.payload_consistent(int(x), z) for x in xs] for z in payloads]
-        expanded = []
-        multiplicities = LabeledBipartiteGraph.multiplicities
+        read = []
+        rows = SeededGraph.rows
 
-        def counted(self, x):
-            expanded.append(x)
-            if len(expanded) > len(payloads) * len(xs):
-                raise AssertionError("expanded a node it was not asked about")
-            return multiplicities(self, x)
+        def counted(self, nodes):
+            read.extend(np.asarray(nodes).tolist())
+            return rows(self, nodes)
 
-        monkeypatch.setattr(LabeledBipartiteGraph, "multiplicities", counted)
+        monkeypatch.setattr(SeededGraph, "rows", counted)
         got = [g.payload_consistent_bulk(xs, z).tolist() for z in payloads]
         assert got == want
+        assert sorted(read) == sorted(xs.tolist() * len(payloads))
         assert {True, False} <= {v for row in want for v in row}
         assert g._has_right is None
 
@@ -304,10 +302,12 @@ def test_primes_below_2n_match_full_prime_list(data):
         bulk = full.payload_consistent_bulk(xs, payload)
         assert short.payload_consistent_bulk(xs, payload).tolist() == bulk.tolist()
         assert [short.payload_consistent(x, payload) for x in range(1 << n)] == bulk.tolist()
-    # others may hold the node itself, which collides at every index
-    xi = data.draw(st.integers(0, (1 << n) - 1))
-    others = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=4))
-    assert _slot_loads(short, xi, others) == _slot_loads(full, xi, others)
+    members = sorted(data.draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1,
+                                       max_size=5)))
+    for small, threshold in ((True, 1), (False, 1), (False, 2)):
+        assert (_good_slots(short, members, small, threshold).tolist()
+                == _good_slots(full, members, small, threshold).tolist())
+    assert np.array_equal(_damage(short), _damage(full))
 
 
 # -- the one bulk row accessor against neighbor_int -----------------------------------

@@ -22,12 +22,12 @@ from richowner.graphs import (
 )
 from richowner.verification import (
     BFamily,
+    _damage,
     _descr,
     _richness_by_certificate,
     check_prefix_extractor,
     classify_owner,
     large_regime_threshold,
-    node_damage_bound,
     rich_owner_fraction,
 )
 
@@ -143,8 +143,9 @@ class TestCheckPrefixExtractor:
         worst = check_prefix_extractor(g, Fraction(1), family).worst_error
         assert check_prefix_extractor(g, worst, family).passed
         assert not check_prefix_extractor(g, worst - Fraction(1, 10**9), family).passed
-        # every error is >= 0 > epsilon
-        assert not check_prefix_extractor(complete_graph(2, 2), Fraction(-1), family).passed
+        # every error is >= 0, so a negative epsilon is refused, not failed
+        with pytest.raises(GraphError, match="epsilon must be >= 0"):
+            check_prefix_extractor(complete_graph(2, 2), Fraction(-1), family)
 
     def test_count_table_over_cap_raises(self):
         g = SeededGraph(5, 20, 0, seed=1)  # 2^25 endpoint counts
@@ -251,6 +252,12 @@ class TestRichOwnerFraction:
         assert enumerated.passed
         assert certified.passed and certified.certified
         assert certified.checked == math.comb(16, 4)
+
+    def test_unsplit_graph_takes_the_certificate(self):
+        # C(32, 8) sets are too many to enumerate; no two nodes share an endpoint
+        report = rich_owner_fraction(injective_degree_one_graph(5),
+                                     BFamily(mode="all-of-size", size=8), k=3, delta=Fraction(1, 2))
+        assert report.passed and report.certified and report.checked == math.comb(32, 8)
 
     def test_sampled_duplicates_are_audited_once(self):
         # 20 draws of 2 of the 4 left nodes repeat sets; both audits read
@@ -373,6 +380,7 @@ def test_ownership_kernel_matches_brute_force(data):
     g = data.draw(graphs_with_splits())
     B = sorted(data.draw(st.lists(st.integers(0, (1 << g.n) - 1), min_size=1,
                                   unique=True)))
+    damage = _damage(g)
     for x in B:
         # the large-regime threshold binds only for delta near 1 and k >= 2
         for k in (1, 2, 3):
@@ -382,7 +390,7 @@ def test_ownership_kernel_matches_brute_force(data):
                         cls.threshold_used) == reference_classification(g, B, x, k, delta)
         for o in B:
             if o != x:
-                assert node_damage_bound(g, x, o) == reference_damage(g, x, o)
+                assert damage[x, o] == reference_damage(g, x, o)
 
 
 @settings(max_examples=40, deadline=None)
@@ -395,6 +403,80 @@ def test_large_regime_at_a_binding_threshold(data):
         cls = classify_owner(g, B, x, 2, Fraction(1))
         assert (cls.regime, cls.rich, cls.owned_fraction,
                 cls.threshold_used) == reference_classification(g, B, x, 2, Fraction(1))
+
+
+def reference_certificate(g, family, k, delta):
+    """The certificate's report from per-pair damage, a sorted ranking and
+    per-member classification of each witness set."""
+    N, size, slots = 1 << g.n, family.size, g.degree
+    worst_lb, spoilers = None, {}
+    for x in range(N):
+        damage = {o: reference_damage(g, x, o) for o in range(N) if o != x}
+        ranked = sorted(damage, key=damage.get, reverse=True)[: size - 1]
+        worst = sum(damage[o] for o in ranked)
+        lb = 1 - Fraction(worst, slots)
+        worst_lb = lb if worst_lb is None else min(worst_lb, lb)
+        if worst > delta * slots:
+            spoilers[x] = ranked
+    report = {"graph_id": g.graph_id(), "kind": "rich-owner", "k": k, "delta": str(delta),
+              "epsilon": None, "mode": "all-of-size:certified",
+              "checked": family.set_count(g.n), "worst_error": None}
+    if not spoilers:
+        return {**report, "passed": True, "min_rich_fraction": "1", "certified": True,
+                "failures": [], "notes": [
+                    f"union-bound certificate: every node keeps owned fraction >= "
+                    f"{worst_lb} in every set of size {size}"]}
+    failures, failing = [], []
+    for x, ranked in list(spoilers.items())[:50]:
+        B = sorted([x] + ranked)
+        frac = Fraction(sum(reference_classification(g, B, o, k, delta)[1] for o in B),
+                        len(B))
+        if frac < 1 - delta:
+            failing.append(frac)
+            failures.append({"B_descriptor": _descr(B), "rich_fraction": str(frac)})
+    return {**report, "passed": False if failures else None,
+            "min_rich_fraction": str(min(failing)) if failing else None,
+            "certified": False, "failures": failures, "notes": [
+                f"certificate inconclusive for {len(spoilers)} nodes; "
+                f"{len(failures)} adversarial witnesses confirmed",
+                f"union bound: every node keeps owned fraction >= {worst_lb} "
+                f"in every set of size {size}, short of the {1 - delta} required"]}
+
+
+DELTAS = [Fraction(1, 10), Fraction(1, 2), Fraction(7, 10), Fraction(1)]
+
+
+@st.composite
+def certificate_cases(draw):
+    g = draw(graphs_with_splits())
+    k = draw(st.integers(1, 3))
+    size = draw(st.integers(1, min(1 << g.n, 1 << k)))
+    return g, size, k, draw(st.sampled_from(DELTAS))
+
+
+# TestInconclusiveCertificate's first graph: each outcome at some size and delta
+WEAK_BOUND_GRAPH = split_edges(TableGraph(4, 2, np.random.default_rng(0).integers(
+    0, 4, size=(16, 2), dtype=np.uint64)), s=1, delta=Fraction(1, 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(certificate_cases())
+@example((WEAK_BOUND_GRAPH, 4, 2, Fraction(1, 2)))  # inconclusive
+@example((WEAK_BOUND_GRAPH, 4, 2, Fraction(1, 10)))  # a failing witness
+@example((WEAK_BOUND_GRAPH, 2, 1, Fraction(1)))  # certified
+def test_certificate_matches_brute_force(case):
+    g, size, k, delta = case
+    family = BFamily(mode="all-of-size", size=size)
+    report = _richness_by_certificate(g, family, k, delta, family.set_count(g.n))
+    assert report.to_json() == reference_certificate(g, family, k, delta)
+
+
+def test_certificate_over_table_cap_is_refused_before_reading_rows(monkeypatch):
+    monkeypatch.setattr(verification, "TABLE_CAP", 255)
+    monkeypatch.setattr(TableGraph, "rows", lambda self, xs: pytest.fail("read a row"))
+    family = BFamily(mode="all-of-size", size=4)
+    with pytest.raises(GraphError, match="damage table of 256 cells"):
+        _richness_by_certificate(WEAK_BOUND_GRAPH, family, 2, Fraction(1, 2), 1820)
 
 
 # -- the edge-density kernel against the per-set loop --------------------------
