@@ -24,12 +24,6 @@ class BitString:
             )
 
     @classmethod
-    def from_bits(cls, bits: str) -> "BitString":
-        if bits and set(bits) - {"0", "1"}:
-            raise ValueError(f"not a bit string: {bits!r}")
-        return cls(len(bits), int(bits, 2) if bits else 0)
-
-    @classmethod
     def from_hex(cls, hex_str: str, width: int) -> "BitString":
         return cls(width, int(hex_str, 16) if hex_str else 0)
 

@@ -173,8 +173,13 @@ def _cmd_encode(args) -> int:
     x = BitString.from_hex(args.input, args.width)
     scheme = None
     if args.scheme:
-        n, s, eps = args.scheme.split(",")
-        scheme = HashScheme(int(n), int(s), _fraction("--scheme", eps))
+        try:
+            n, s, eps = args.scheme.split(",")
+            n, s = int(n), int(s)
+        except ValueError:
+            raise ConfigError(f"--scheme {args.scheme}: expected n,s,epsilon "
+                              "with integer n and s") from None
+        scheme = HashScheme(n, s, _fraction("--scheme", eps))
     cw = protocol_encode(g, x, scheme, args.seed, sender=args.sender)
     _write_json(cw.to_json(), args.out)
     return 0

@@ -63,6 +63,11 @@ def _as_right_int(g: "LabeledBipartiteGraph", z) -> int:
     return z
 
 
+def _right_dtype(m: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds every m-bit right node."""
+    return np.min_scalar_type((1 << min(m, 64)) - 1)
+
+
 class LabeledBipartiteGraph:
     """Common behavior; subclasses implement neighbor_int and rows."""
 
@@ -71,8 +76,8 @@ class LabeledBipartiteGraph:
     degree: int
 
     def __init__(self, n: int, m: int, degree: int):
-        if n < 1 or m < 1:
-            raise GraphError(f"need n >= 1 and m >= 1, got n={n} m={m}")
+        if n < 1 or m < 1 or degree < 1:
+            raise GraphError(f"need n, m and degree >= 1, got n={n} m={m} D={degree}")
         self.n = n
         self.m = m
         self.degree = degree
@@ -95,11 +100,11 @@ class LabeledBipartiteGraph:
 
     def row_blocks(self, xs: np.ndarray):
         """(start, rows(xs[start:start + step])) for consecutive blocks of
-        xs, each of at most TABLE_CAP entries; refuses a degree past
-        MULTISET_CAP before it reads any row."""
+        xs, each of at most min(TABLE_CAP, 2^16) entries (or one row);
+        refuses a degree past MULTISET_CAP before it reads any row."""
         if self.degree > MULTISET_CAP:
             raise GraphError(f"degree {self.degree} too large to expand")
-        step = TABLE_CAP // self.degree
+        step = max(1, min(TABLE_CAP, 1 << 16) // self.degree)
         return ((lo, self.rows(xs[lo:lo + step])) for lo in range(0, len(xs), step))
 
     def neighbor_values(self, x) -> list[int]:
@@ -108,11 +113,16 @@ class LabeledBipartiteGraph:
         return rows[0].tolist()
 
     def edge_table(self) -> Optional[np.ndarray]:
-        """The (2^n, D) array of right-node values, or None past TABLE_CAP
+        """The (2^n, D) array of right-node values at the narrowest unsigned
+        dtype that holds m bits, filled block by block; None past TABLE_CAP
         entries."""
         if (1 << self.n) * self.degree > TABLE_CAP:
             return None
-        return self.rows(np.arange(1 << self.n))
+        table = np.empty((1 << self.n, self.degree), dtype=_right_dtype(self.m))
+        for lo, rows in self.row_blocks(np.arange(1 << self.n)):
+            table[lo:lo + len(rows)] = rows
+            del rows  # released before the next block is built
+        return table
 
     # -- payload membership (decoder-facing) -------------------------------
 
@@ -159,31 +169,38 @@ class LabeledBipartiteGraph:
 
 
 class TableGraph(LabeledBipartiteGraph):
-    """Graph backed by an explicit (2^n, D) edge table."""
+    """Graph backed by an explicit (2^n, D) edge table, stored at the
+    narrowest unsigned dtype that holds m bits."""
 
     def __init__(self, n: int, m: int, table: np.ndarray,
                  seed: int = 0):
-        table = np.asarray(table, dtype=np.uint64)
+        table = np.asarray(table)
+        if table.dtype.kind != "u":  # negative entries wrap past any width
+            table = table.astype(np.uint64)
         if table.shape[0] != (1 << n):
             raise GraphError(f"table has {table.shape[0]} rows, expected 2^{n}")
         if table.size and int(table.max()) >= (1 << m):
             raise GraphError("table entry exceeds right width")
         super().__init__(n, m, int(table.shape[1]))
-        self.table = table
+        self.table = table.astype(_right_dtype(m), copy=False)
         self.seed = seed
 
     def neighbor_int(self, x: int, label: int) -> int:
         return int(self.table[x, label])
 
     def rows(self, xs: np.ndarray) -> np.ndarray:
-        return self.table[xs]
+        return self.table[xs].astype(np.uint64, copy=False)
 
     def edge_table(self) -> np.ndarray:
         return self.table
 
     def describe(self) -> str:
-        digest = hashlib.blake2b(self.table.tobytes(), digest_size=8).hexdigest()
-        return f"table(n={self.n},m={self.m},D={self.degree},h={digest})"
+        """Hashes the table's uint64 bytes row block by row block, so the
+        id does not depend on the stored dtype."""
+        h = hashlib.blake2b(digest_size=8)
+        for _, rows in self.row_blocks(np.arange(1 << self.n)):
+            h.update(rows)
+        return f"table(n={self.n},m={self.m},D={self.degree},h={h.hexdigest()})"
 
 
 class SeededGraph(LabeledBipartiteGraph):
@@ -288,7 +305,8 @@ class SplitGraph(LabeledBipartiteGraph):
         if i >= self.ell:
             return np.zeros(len(xs), dtype=bool)
         ok = self._residue(xs, i) == residue
-        return ok & self.base.payload_consistent_bulk(xs, z)
+        ok[ok] = self.base.payload_consistent_bulk(xs[ok], z)  # residue matches only
+        return ok
 
     def describe(self) -> str:
         return f"split(ell={self.ell},base={self.base.describe()})"

@@ -413,10 +413,15 @@ def _representative_profiles(rates: RateVector, slack: int, cap: int) -> np.ndar
     The grid is filtered one A-slice at a time; a signature starts with
     A + slack, so no two slices share one and each slice is deduplicated
     on its own.
+
+    Rows are stored at the narrowest signed dtype that holds every value
+    the filter forms, each at most 3 (|cap| + |slack|) + sum(rates) in
+    size; the grid is built at that dtype, so no intermediate can wrap.
     """
     n_a, n_b, n_c = rates
     s = slack
-    b, c, ab, ac = np.ogrid[0:cap + 1, 0:cap + 1, 0:cap + 1, 0:cap + 1]
+    dtype = np.min_scalar_type(-1 - 3 * (abs(cap) + abs(s)) - sum(rates))
+    b, c, ab, ac = np.ix_(*[np.arange(cap + 1, dtype=dtype)] * 4)
     top = np.maximum(ab, ac)
     # bounds on C(ABC) without a or bc: subadditivity over AB+C and AC+B,
     # the cap, and the rate-region inequalities for B, C, AB, AC and ABC
@@ -450,9 +455,10 @@ def _representative_profiles(rates: RateVector, slack: int, cap: int) -> np.ndar
         first = np.sort(np.unique(keys, return_index=True)[1])
         pb, pc, pab, pac, bc = (v[first] for v in (pb, pc, pab, pac, bc))
         slices.append(np.stack([np.full(len(first), a), pb, pc, pab, pac, bc,
-                                np.maximum(np.maximum(pab, pac), bc)], axis=1))
+                                np.maximum(np.maximum(pab, pac), bc)], axis=1,
+                               dtype=dtype))
     if not slices:
-        return np.zeros((0, 7), dtype=np.int64)
+        return np.zeros((0, 7), dtype=dtype)
     return np.concatenate(slices)
 
 

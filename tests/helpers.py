@@ -36,8 +36,11 @@ from richowner.verification import _descr
 
 
 def bs(bits: str) -> BitString:
-    """Shorthand constructor from a literal like bs('0110')."""
-    return BitString.from_bits(bits)
+    """The bit string of a literal like bs('0110'), most significant bit
+    first."""
+    if bits and set(bits) - {"0", "1"}:
+        raise ValueError(f"not a bit string: {bits!r}")
+    return BitString(len(bits), int(bits, 2) if bits else 0)
 
 
 # -- fixed graphs ---------------------------------------------------------------

@@ -42,7 +42,7 @@ def test_hex_round_trip():
 def test_value_round_trip(width, raw):
     value = raw % (1 << width) if width else 0
     x = BitString(width, value)
-    assert BitString.from_bits(x.bits()) == x
+    assert bs(x.bits()) == x
     assert BitString.from_hex(x.hex(), width) == x
     assert len(x) == width
 

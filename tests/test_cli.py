@@ -27,6 +27,8 @@ class TestBuildAndVerify:
         assert code == 0
         obj = json.loads(report.read_text())
         assert obj["passed"] and obj["checked"] == 100
+        # recorded while edge tables were stored as uint64
+        assert obj["graph_id"] == "789921a6ef5fa8d9"
 
     def test_pipeline_descriptor_and_richness(self, tmp_path):
         out = tmp_path / "g.json"
@@ -245,6 +247,10 @@ def decode_inputs(tmp_path):
      "--delta 1/0"),
     (["encode", "--graph", "{g}", "--input", "a", "--width", "4", "--scheme", "4,3,1/0"],
      "--scheme 1/0"),
+    (["encode", "--graph", "{g}", "--input", "a", "--width", "4", "--scheme", "6,3"],
+     "--scheme 6,3:"),
+    (["encode", "--graph", "{g}", "--input", "a", "--width", "4", "--scheme", "6,x,1/2"],
+     "--scheme 6,x,1/2:"),
     (["verify-graph", "--graph", "{g}", "--check", "richness", "--k", "1", "--delta", "0",
       "--family", "sampled:size=4,count=3"], "got delta=0 k=1"),
     (["verify-graph", "--graph", "{g}", "--check", "richness", "--delta", "-1",
@@ -260,7 +266,8 @@ def decode_inputs(tmp_path):
         "build-negative-retries", "experiment-negative-trials",
         "collinear-unknown-field", "toy-negative-length", "toy-negative-steps",
         "hash-audit-zero-denominator", "build-zero-denominator",
-        "encode-scheme-zero-denominator", "richness-zero-delta", "richness-negative-delta",
+        "encode-scheme-zero-denominator", "encode-scheme-two-fields",
+        "encode-scheme-non-integer", "richness-zero-delta", "richness-negative-delta",
         "richness-negative-k", "extractor-negative-epsilon"])
 def test_bad_spec_is_a_clean_error(argv, key, decode_inputs, capsys):
     capsys.readouterr()

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -115,6 +116,8 @@ class TestParams:
             SeededGraph(0, 3, 1, seed=0)  # n < 1
         with pytest.raises(GraphError):
             TableGraph(1, 0, np.zeros((2, 1), dtype=np.uint64))  # m < 1
+        with pytest.raises(GraphError, match="D=0"):
+            TableGraph(1, 2, np.zeros((2, 0), dtype=np.uint64))  # no labels
         with pytest.raises(GraphError):
             build_random_graph(2, 4, Fraction(1, 2), 1, seed=0)  # k > n
         with pytest.raises(GraphError):
@@ -122,15 +125,19 @@ class TestParams:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("m", [2, 7, 8, 9, 17])
+    @pytest.mark.parametrize("m", [2, 7, 8, 9, 17, 33])
     def test_table_round_trip_bit_exact(self, tmp_path, m):
+        dtype = {2: np.uint8, 7: np.uint8, 8: np.uint8, 9: np.uint16, 17: np.uint32,
+                 33: np.uint64}[m]
         g = random_table_graph(3, m, 2, seed=m)
         path = tmp_path / "g.bin"
         save_graph(g, str(path))
         loaded = load_graph(str(path))
         assert isinstance(loaded, TableGraph)
         assert loaded.n == g.n and loaded.m == g.m and loaded.degree == g.degree
-        assert np.array_equal(loaded.table, g.table)
+        assert loaded.table.dtype == g.table.dtype == dtype  # stored at m bits
+        assert loaded.table.tobytes() == g.table.tobytes()
+        assert loaded.describe() == g.describe()
 
     def test_seeded_round_trip(self, tmp_path):
         g = SeededGraph(5, 9, 3, seed=77)
@@ -272,6 +279,75 @@ class TestSplitGraph:
             bulk = g.payload_consistent_bulk(xs, payload)
             assert bulk.tolist() == [g.payload_consistent(int(x), payload) for x in xs]
         assert g._has_right is None
+
+
+# -- narrow edge tables ------------------------------------------------------------------
+
+def test_random_graph_keeps_a_narrow_table_within_two_row_blocks():
+    # 2^8 nodes x 2048 labels: the table is filled 32 rows (2^16 uint64
+    # entries, 512 KB) at a time, and one block and its raw_block scratch
+    # are held at once; a whole-table uint64 build held 16 times as much.
+    block = (1 << 16) * 8
+    tracemalloc.start()
+    try:
+        g = build_random_graph(8, 8, Fraction(1, 8), 4, seed=11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(g, TableGraph) and g.table.shape == (256, 2048)
+    assert g.table.dtype == np.uint8
+    assert peak < g.table.nbytes + 2.5 * block
+    assert g.rows(np.array([0, 255])).dtype == np.uint64
+
+
+def test_table_graph_ids_do_not_depend_on_the_stored_dtype():
+    # Literals recorded while tables were stored as uint64: ids hash the
+    # uint64 bytes of the table whatever its stored dtype.
+    g = build_random_graph(8, 8, Fraction(1, 8), 4, seed=11)
+    assert g.describe() == "table(n=8,m=8,D=2048,h=0d3273ff4da92503)"
+    assert g.graph_id() == "0817360a9a5ca70c"
+    table = np.random.default_rng(5).integers(0, 1 << 17, size=(8, 4), dtype=np.uint64)
+    assert TableGraph(3, 17, table).graph_id() == "69d4c9083def693e"
+    assert TableGraph(3, 17, table.astype(np.int64)).graph_id() == "69d4c9083def693e"
+
+
+def test_table_graph_refuses_entries_outside_the_right_width():
+    with pytest.raises(GraphError, match="exceeds right width"):
+        TableGraph(1, 8, np.array([[255], [256]], dtype=np.uint16))
+    with pytest.raises(GraphError, match="exceeds right width"):
+        TableGraph(1, 8, np.array([[0], [-1]]))  # checked before narrowing
+
+
+# -- split payload checks read base rows of residue matches only ---------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_split_bulk_check_reads_only_residue_matches(data):
+    # ell on both sides of pi(2^n), so short and full prime lists both occur
+    n = data.draw(st.integers(1, 6))
+    pi = len(primes_first(1 << n, 1 << n))
+    ell = data.draw(st.integers(1, pi + 3))
+    base = random_table_graph(n, data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2)),
+                              seed=data.draw(st.integers(0, 99)))
+    base.__dict__["_has_right"] = None  # read rows, not the adjacency matrix
+    read = []
+    base.rows = lambda nodes: read.extend(nodes.tolist()) or TableGraph.rows(base, nodes)
+    short = data.draw(st.booleans())
+    g = SplitGraph(base, primes_first(ell, 1 << n), ell) if short else SplitGraph(
+        base, primes_first(ell))
+    full_primes = primes_first(ell).tolist()
+    xs = np.array(data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12)),
+                  dtype=np.int64)
+    payloads = [g.neighbor_int(data.draw(st.integers(0, (1 << n) - 1)),
+                               data.draw(st.integers(0, g.degree - 1))) for _ in range(3)]
+    payloads += data.draw(st.lists(st.integers(0, (1 << g.m) - 1), max_size=3))
+    for payload in payloads:
+        read.clear()
+        bulk = g.payload_consistent_bulk(xs, payload).tolist()
+        i, residue, _ = g.parse_payload(payload)
+        matches = [] if i >= ell else [x for x in xs.tolist() if x % full_primes[i] == residue]
+        assert sorted(read) == sorted(matches)
+        assert bulk == [g.payload_consistent(int(x), payload) for x in xs]
 
 
 # -- primes below 2^n against the full prime list -----------------------------------

@@ -79,7 +79,7 @@ def reference_string_set(width, cfg, side=()):
             bits = format(program, f"0{length}b") if length else ""
             out = reference_run(bits, side, cfg.step_budget)
             if out is not None and len(out) == 1 and len(out[0]) == width:
-                key = BitString.from_bits(out[0])
+                key = bs(out[0])
                 if key not in found:
                     found[key] = length
     return found

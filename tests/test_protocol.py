@@ -391,6 +391,31 @@ def test_representative_profiles_match_brute_force(rates, slack, cap):
         assert check_rate_feasibility(ComplexityProfile(values), rates, slack) == []
 
 
+@pytest.mark.parametrize("rates, slack, cap", [
+    ((3, 1, 2), 120, 3),        # near the top of int8
+    ((3, 1, 2), 32_760, 3),     # near the top of int16
+    ((0, 0, 0), 40_000, 2),     # past int16
+    ((4, 4, 4), -1, 4),
+    ((10, 12, 10), -3, 6),
+])
+def test_full_plan_table_matches_a_wide_reference(rates, slack, cap):
+    # Plan rows are stored narrow, and array-on-array arithmetic wraps
+    # silently: near a dtype's top a grid one size too small would corrupt
+    # bounds (past it, numpy refuses the slack).  The reference forms every
+    # value as a Python int.
+    n_a = rates[0]
+    want = [(a + slack, b + slack, c + slack, max(ab - n_a + slack, 0),
+             max(ac - n_a + slack, 0))
+            for a, b, c, ab, ac, _, _ in _reference_profiles(rates, slack, cap)]
+    assert want
+    protocol._full_plan_table.cache_clear()
+    table = protocol._full_plan_table(RateVector(*rates), slack, cap)
+    assert [tuple(row) for row in table.signatures.tolist()] == want
+    for lead, (column, bounds) in table.groups.items():
+        assert column.tolist() == [row[lead] for row in want]
+        assert bounds.tolist() == sorted({row[lead] for row in want})
+
+
 def _planted_set(n):
     """Every planted triple of width n: two half-period strings shared
     among the coordinates by one of four patterns."""
