@@ -19,7 +19,7 @@ across workers.
 
 from __future__ import annotations
 
-import hashlib
+import os
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -27,7 +27,7 @@ import numpy as np
 
 from .bits import BitString
 from .crt import primes_first
-from .rng import raw_block, stream_value
+from .rng import blake2b, raw_block, stream_value
 
 # Edge tables and adjacency matrices are built, and rows read in blocks, only
 # up to this many entries.
@@ -161,7 +161,7 @@ class LabeledBipartiteGraph:
         return matrix
 
     def graph_id(self) -> str:
-        h = hashlib.blake2b(self.describe().encode(), digest_size=8)
+        h = blake2b(self.describe().encode(), digest_size=8)
         return h.hexdigest()
 
     def describe(self) -> str:
@@ -197,7 +197,7 @@ class TableGraph(LabeledBipartiteGraph):
     def describe(self) -> str:
         """Hashes the table's uint64 bytes row block by row block, so the
         id does not depend on the stored dtype."""
-        h = hashlib.blake2b(digest_size=8)
+        h = blake2b(digest_size=8)
         for _, rows in self.row_blocks(np.arange(1 << self.n)):
             h.update(rows)
         return f"table(n={self.n},m={self.m},D={self.degree},h={h.hexdigest()})"
@@ -316,7 +316,13 @@ class SplitGraph(LabeledBipartiteGraph):
 #
 # Format: ASCII header line "n m d kind seed", then for kind=table the
 # 2^(n+d) right-node values in label-major order as little-endian records
-# of ceil(m/8) bytes each.  Round-trips are bit-exact.
+# of ceil(m/8) bytes each.  Round-trips are bit-exact.  Tables are written
+# and read at their stored dtype, a block of labels at a time.
+
+def _label_step(n: int) -> int:
+    """Labels per serialization block: about 2^16 entries."""
+    return max(1, (1 << 16) >> n)
+
 
 def save_graph(g: LabeledBipartiteGraph, path: str) -> None:
     if isinstance(g, TableGraph):
@@ -332,9 +338,12 @@ def save_graph(g: LabeledBipartiteGraph, path: str) -> None:
         fh.write(header)
         if kind == "table":
             width_bytes = (g.m + 7) // 8
-            flat = np.ascontiguousarray(g.table.T).reshape(-1)
-            le = flat.astype("<u8").view(np.uint8).reshape(-1, 8)
-            fh.write(le[:, :width_bytes].tobytes())
+            dtype = g.table.dtype.newbyteorder("<")
+            step = _label_step(g.n)
+            for lo in range(0, g.degree, step):
+                block = np.ascontiguousarray(g.table[:, lo:lo + step].T, dtype=dtype)
+                fh.write(block.view(np.uint8).reshape(-1, dtype.itemsize)[:, :width_bytes]
+                         .tobytes())
 
 
 def load_graph(path: str) -> LabeledBipartiteGraph:
@@ -349,13 +358,17 @@ def load_graph(path: str) -> LabeledBipartiteGraph:
         if kind != "table":
             raise GraphError(f"unknown graph kind {kind!r}")
         width_bytes = (m + 7) // 8
-        payload = fh.read()
-    expected = (1 << (n + d)) * width_bytes
-    if len(payload) != expected:
-        raise GraphError(f"expected {expected} payload bytes, got {len(payload)}")
-    rec = np.frombuffer(payload, dtype=np.uint8).reshape(-1, width_bytes)
-    full = np.zeros((rec.shape[0], 8), dtype=np.uint8)
-    full[:, :width_bytes] = rec
-    flat = full.view("<u8").reshape(-1)
-    table = flat.reshape(1 << d, 1 << n).T.copy()
+        expected = (1 << (n + d)) * width_bytes
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != expected:
+            raise GraphError(f"expected {expected} payload bytes, got {size}")
+        dtype = _right_dtype(m).newbyteorder("<")
+        table = np.empty((1 << n, 1 << d), dtype=_right_dtype(m))
+        step = _label_step(n)
+        for lo in range(0, 1 << d, step):
+            block = table[:, lo:lo + step].T  # a view: filled in place
+            records = np.zeros((block.size, dtype.itemsize), dtype=np.uint8)
+            records[:, :width_bytes] = np.frombuffer(
+                fh.read(block.size * width_bytes), dtype=np.uint8).reshape(-1, width_bytes)
+            block[...] = records.view(dtype).reshape(block.shape)
     return TableGraph(n, m, table, seed=seed)

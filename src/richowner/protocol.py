@@ -37,6 +37,7 @@ from .crt import HashScheme, HashTag, draw_hash_tag
 from .graphs import GraphError, LabeledBipartiteGraph
 from .oracles import SUBSETS, ComplexityProfile, CorrelationSet, _distinct
 from .rng import SeedStream, derive_seed
+from .specs import ConfigError
 
 SENDERS = ("A", "B", "C")
 
@@ -420,6 +421,10 @@ def _representative_profiles(rates: RateVector, slack: int, cap: int) -> np.ndar
     """
     n_a, n_b, n_c = rates
     s = slack
+    span = cap + max(s, 0) + 1  # values per signature field
+    if span ** 4 > np.iinfo(np.int64).max:
+        raise ConfigError(f"slack {slack}: profile-search signatures span {span}^4 "
+                          "keys, past the int64 range")
     dtype = np.min_scalar_type(-1 - 3 * (abs(cap) + abs(s)) - sum(rates))
     b, c, ab, ac = np.ix_(*[np.arange(cap + 1, dtype=dtype)] * 4)
     top = np.maximum(ab, ac)
@@ -451,7 +456,7 @@ def _representative_profiles(rates: RateVector, slack: int, cap: int) -> np.ndar
         # so a 1-D unique finds the same first occurrences as a unique of
         # rows.  Every field lies in 0..cap + slack.
         fields = (pb, pc, *_signature(a, pb, pc, pab, pac, n_a, s)[3:])
-        keys = np.ravel_multi_index(fields, (cap + max(s, 0) + 1,) * 4)
+        keys = np.ravel_multi_index(fields, (span,) * 4)
         first = np.sort(np.unique(keys, return_index=True)[1])
         pb, pc, pab, pac, bc = (v[first] for v in (pb, pc, pab, pac, bc))
         slices.append(np.stack([np.full(len(first), a), pb, pc, pab, pac, bc,

@@ -8,9 +8,12 @@ no hidden global state.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
+
+try:  # CPython's built-in BLAKE2: hashlib would also load OpenSSL's libcrypto
+    from _blake2 import blake2b
+except ImportError:  # a build without the built-in module
+    from hashlib import blake2b
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -29,7 +32,7 @@ def _part_to_int(part) -> int:
         return part & _MASK64
     if isinstance(part, str):
         return int.from_bytes(
-            hashlib.blake2b(part.encode("utf-8"), digest_size=8).digest(), "little"
+            blake2b(part.encode("utf-8"), digest_size=8).digest(), "little"
         )
     raise TypeError(f"seed parts must be int or str, got {type(part)!r}")
 

@@ -56,28 +56,25 @@ def collinear_members(q: int) -> np.ndarray:
     """All ordered pairwise-distinct collinear triples as (count, 3) ints.
 
     Each point is packed into 2q bits (x-coordinate high).  Deterministic
-    enumeration order: by first point, second point, then line parameter.
+    enumeration order: by first point, second point, then third point.
+
+    One broadcast pass: for every ordered pair (a, b) of distinct points,
+    the third points a + t (b - a), t in GF(2^q) minus {0, 1}, sorted.
     """
     if q < 2:
         raise ValueError("need q >= 2")
     Q = 1 << q
     mul = mul_table(q)
-    pts = np.arange(Q * Q, dtype=np.int64)
-    ax, ay = pts >> q, pts & (Q - 1)
-    rows = []
-    for b in range(Q * Q):
-        bx, by = b >> q, b & (Q - 1)
-        dx, dy = ax ^ bx, ay ^ by
-        valid = pts != b
-        for t in range(2, Q):
-            cx = ax ^ mul[t, dx]
-            cy = ay ^ mul[t, dy]
-            c = (cx << q) | cy
-            rows.append(np.stack([pts[valid], np.full(valid.sum(), b), c[valid]], axis=1))
-    members = np.concatenate(rows, axis=0)
-    # Enumerated as (a, b, t); reorder rows to (a-major, b, t) deterministic order.
-    order = np.lexsort((members[:, 2], members[:, 1], members[:, 0]))
-    return members[order]
+    a, b = np.nonzero(~np.eye(Q * Q, dtype=bool))  # a-major, then b
+    a, b = a[:, None], b[:, None]
+    d, t = a ^ b, np.arange(2, Q)
+    c = (a >> q) ^ mul[t, d >> q]  # the third points' x, then packed with y
+    c <<= q
+    c |= (a & (Q - 1)) ^ mul[t, d & (Q - 1)]
+    c.sort(axis=1)
+    members = np.empty((len(c), Q - 2, 3), dtype=np.int64)
+    members[..., 0], members[..., 1], members[..., 2] = a, b, c
+    return members.reshape(-1, 3)
 
 
 # -- memoryless bit-triple sources --------------------------------------------

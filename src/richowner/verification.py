@@ -196,15 +196,19 @@ class VerificationReport:
         }
 
 
+def _refuse_endpoint_table_past_cap(g: LabeledBipartiteGraph) -> None:
+    if 1 << (g.n + g.m) > TABLE_CAP:
+        raise GraphError(f"endpoint-count table of 2^{g.n} x 2^{g.m} cells "
+                         "exceeds the table cap")
+
+
 def _endpoint_counts(g: LabeledBipartiteGraph, nodes: np.ndarray) -> np.ndarray:
     """counts[j, z] = number of labels from nodes[j] landing on z, at full
     width.  A graph whose table over all 2^n nodes would pass the cap is
     refused whatever the nodes, so whether an audit runs does not depend
     on its family."""
+    _refuse_endpoint_table_past_cap(g)
     R = 1 << g.m
-    if (1 << g.n) * R > TABLE_CAP:
-        raise GraphError(f"endpoint-count table of 2^{g.n} x 2^{g.m} cells "
-                         "exceeds the table cap")
     counts = np.empty((len(nodes), R), dtype=np.int64)
     for lo, rows in g.row_blocks(nodes):
         offsets = rows.view(np.int64)  # a new array of values below 2^63
@@ -334,6 +338,7 @@ def check_prefix_extractor(g: LabeledBipartiteGraph, epsilon,
     epsilon = Fraction(epsilon)
     if epsilon < 0:
         raise GraphError(f"epsilon must be >= 0, got {epsilon}")
+    _refuse_endpoint_table_past_cap(g)  # before the family is drawn
     sizes = family.sizes(g.n)
     if family.mode == "exhaustive":
         nodes = np.arange(1 << g.n)

@@ -2,7 +2,8 @@
 
 Small fixed graphs, a bit-string literal, the B-degree of a right node,
 a scalar GF(2^q) reference (field elements, the collinearity
-determinant, a collinear-triple sampler) that the vectorised geometry in
+determinant, a collinear-triple sampler) and the per-pair loop that
+enumerated collinear triples, which the vectorised geometry in
 `richowner.scenarios` is checked against, and the brute-force toy machine
 (one program at a time, every bit string in turn) that the depth-first
 output tables of `richowner.oracles` are checked against, and the two
@@ -31,7 +32,7 @@ from richowner.graphs import TableGraph
 from richowner.oracles import SUBSETS, Component, subset_key
 from richowner.protocol import _CATALOG
 from richowner.rng import SeedStream, derive_seed
-from richowner.scenarios import IRREDUCIBLE
+from richowner.scenarios import IRREDUCIBLE, mul_table
 from richowner.verification import _descr
 
 
@@ -149,6 +150,28 @@ def sample_collinear_triple(q: int, seed: int) -> tuple[Point, Point, Point]:
     dx, dy = pb[0] + pa[0], pb[1] + pa[1]
     pc = (pa[0] + gf_mul(t, dx), pa[1] + gf_mul(t, dy))
     return pa, pb, pc
+
+
+def loop_collinear_members(q: int) -> np.ndarray:
+    """collinear_members as a loop over second points and line parameters,
+    one row block each, reordered by one lexsort at the end."""
+    Q = 1 << q
+    mul = mul_table(q)
+    pts = np.arange(Q * Q, dtype=np.int64)
+    ax, ay = pts >> q, pts & (Q - 1)
+    rows = []
+    for b in range(Q * Q):
+        bx, by = b >> q, b & (Q - 1)
+        dx, dy = ax ^ bx, ay ^ by
+        valid = pts != b
+        for t in range(2, Q):
+            cx = ax ^ mul[t, dx]
+            cy = ay ^ mul[t, dy]
+            c = (cx << q) | cy
+            rows.append(np.stack([pts[valid], np.full(valid.sum(), b), c[valid]], axis=1))
+    members = np.concatenate(rows, axis=0)
+    order = np.lexsort((members[:, 2], members[:, 1], members[:, 0]))
+    return members[order]
 
 
 # -- brute-force toy machine ------------------------------------------------------

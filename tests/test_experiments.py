@@ -20,6 +20,8 @@ from richowner.experiments import (
 )
 from richowner.oracles import CorrelationSet, CountingOracle
 
+from test_benchmark_digests import wl  # benchmarks/workloads.py
+
 
 BASE = dict(
     scenario="collinear:q=2", oracle="counting", decoder="membership",
@@ -180,32 +182,39 @@ class TestEmission:
             emit_report(small_report, "json", "/no/such/dir/report.json")
 
 
-def _numpy_ma_loads(*configs):
-    """(loaded by importing numpy, loaded after running each config) in a
-    fresh interpreter; configs are override dicts for ExperimentConfig.load."""
+WATCHED = ("_hashlib", "numpy.ma")
+
+
+def _modules_loaded_by(*configs) -> list:
+    """Which of WATCHED a fresh interpreter loads after `import numpy`, by
+    importing richowner and running each config (override dicts for
+    ExperimentConfig.load) to its report.  Skips when importing numpy
+    already loads one of them."""
     code = textwrap.dedent(f"""
+        import json
         import sys
         import numpy
-        before = "numpy.ma" in sys.modules
+        before = [m for m in {WATCHED!r} if m in sys.modules]
         from richowner.experiments import ExperimentConfig, report_json_text, run_experiment
         for overrides in {configs!r}:
             config = ExperimentConfig.load(overrides=overrides, env={{}})
             report_json_text(run_experiment(config))
-        print(before, "numpy.ma" in sys.modules)
+        print(json.dumps([before, [m for m in {WATCHED!r} if m in sys.modules]]))
     """)
     src = os.path.dirname(os.path.dirname(os.path.abspath(richowner.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120).stdout.split()
-    if out[0] == "True":
-        pytest.skip("importing numpy already loads numpy.ma")
-    return out
+                         text=True, check=True, timeout=120).stdout
+    before, after = json.loads(out)
+    if before:
+        pytest.skip(f"importing numpy already loads {before}")
+    return after
 
 
 def test_counting_run_leaves_numpy_ma_unloaded():
     """Importing numpy.ma costs about 15 ms of CPU per process, and a
     counting run has no use for it."""
-    assert _numpy_ma_loads({"scenario": "collinear:q=2", "trials": "0"}) == ["False", "False"]
+    assert "numpy.ma" not in _modules_loaded_by({"scenario": "collinear:q=2", "trials": "0"})
 
 
 def test_staged_decoders_leave_numpy_ma_unloaded():
@@ -214,4 +223,15 @@ def test_staged_decoders_leave_numpy_ma_unloaded():
     known = {"scenario": "collinear:q=2", "decoder": "known-profile", "trials": "1"}
     full = {"scenario": "planted:n=8", "oracle": "toy:L=12,T=200", "decoder": "full",
             "rates": "profile+4", "slack": "4", "trials": "1", "seed": "10"}
-    assert _numpy_ma_loads(known, full) == ["False", "False"]
+    assert "numpy.ma" not in _modules_loaded_by(known, full)
+
+
+def test_benchmark_workloads_load_no_unused_module():
+    """Each benchmark workload at its first pool entry, with its trials:
+    richowner only calls blake2b, which needs no OpenSSL (_hashlib maps
+    libcrypto, about 3.6 MB of peak RSS), and no run uses numpy.ma."""
+    pools = wl.load_pools()
+    configs = [wl.overrides(w, pools[name]["pool"][0]["seed"], w.trials)
+               for name, w in sorted(wl.WORKLOADS.items())]
+    assert all(int(c["trials"]) >= 1 for c in configs)
+    assert _modules_loaded_by(*configs) == []

@@ -125,10 +125,10 @@ class TestParams:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("m", [2, 7, 8, 9, 17, 33])
+    @pytest.mark.parametrize("m", [2, 7, 8, 9, 12, 17, 20, 33])
     def test_table_round_trip_bit_exact(self, tmp_path, m):
-        dtype = {2: np.uint8, 7: np.uint8, 8: np.uint8, 9: np.uint16, 17: np.uint32,
-                 33: np.uint64}[m]
+        dtype = {2: np.uint8, 7: np.uint8, 8: np.uint8, 9: np.uint16, 12: np.uint16,
+                 17: np.uint32, 20: np.uint32, 33: np.uint64}[m]
         g = random_table_graph(3, m, 2, seed=m)
         path = tmp_path / "g.bin"
         save_graph(g, str(path))
@@ -137,6 +137,37 @@ class TestSerialization:
         assert loaded.n == g.n and loaded.m == g.m and loaded.degree == g.degree
         assert loaded.table.dtype == g.table.dtype == dtype  # stored at m bits
         assert loaded.table.tobytes() == g.table.tobytes()
+        assert loaded.describe() == g.describe()
+
+    @pytest.mark.parametrize("m", [8, 12, 20, 33])
+    def test_table_bytes_are_the_uint64_records_cut_to_width(self, tmp_path, m):
+        # 2^12 nodes x 32 labels are written and read in two blocks of labels.
+        g = random_table_graph(12, m, 5, seed=m)
+        path = tmp_path / "g.bin"
+        save_graph(g, str(path))
+        _, payload = path.read_bytes().split(b"\n", 1)
+        records = g.table.T.astype("<u8").reshape(-1, 1).view(np.uint8)
+        assert payload == records[:, :(m + 7) // 8].tobytes()
+        loaded = load_graph(str(path))
+        assert loaded.table.dtype == g.table.dtype
+        assert np.array_equal(loaded.table, g.table)
+
+    def test_table_save_and_load_stay_within_twice_the_table(self, tmp_path):
+        # Both went through a full 8-byte copy of the table: tracemalloc read
+        # 5.2 MB for the save and 9.4 MB for the load of this 0.5 MB table.
+        g = build_random_graph(8, 8, Fraction(1, 8), 4, seed=11)
+        path = str(tmp_path / "g.bin")
+        assert g.table.dtype == np.uint8
+        tracemalloc.start()
+        try:
+            save_graph(g, path)
+            save_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            loaded = load_graph(path)
+            load_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert save_peak < 2 * g.table.nbytes and load_peak < 2 * g.table.nbytes
         assert loaded.describe() == g.describe()
 
     def test_seeded_round_trip(self, tmp_path):

@@ -43,6 +43,7 @@ from richowner.protocol import (
     _tags_match,
 )
 from richowner.rng import SeedStream, derive_seed
+from richowner.specs import ConfigError
 
 from helpers import all_to_one_graph, bs, matrix_pick
 
@@ -401,7 +402,7 @@ def test_representative_profiles_match_brute_force(rates, slack, cap):
 def test_full_plan_table_matches_a_wide_reference(rates, slack, cap):
     # Plan rows are stored narrow, and array-on-array arithmetic wraps
     # silently: near a dtype's top a grid one size too small would corrupt
-    # bounds (past it, numpy refuses the slack).  The reference forms every
+    # bounds (past int64 keys the slack is refused).  The reference forms every
     # value as a Python int.
     n_a = rates[0]
     want = [(a + slack, b + slack, c + slack, max(ab - n_a + slack, 0),
@@ -414,6 +415,21 @@ def test_full_plan_table_matches_a_wide_reference(rates, slack, cap):
     for lead, (column, bounds) in table.groups.items():
         assert column.tolist() == [row[lead] for row in want]
         assert bounds.tolist() == sorted({row[lead] for row in want})
+
+
+def test_profile_search_names_a_slack_past_64_bit_keys():
+    # Signature fields span cap + slack + 1 values; four of them fill an
+    # int64 key up to a span of 55,108 (2^63 is about 55,109^4).
+    assert len(_representative_profiles(RateVector(1, 1, 1), 55_104, 3))
+    with pytest.raises(ConfigError, match="^slack 55105: "):
+        _representative_profiles(RateVector(1, 1, 1), 55_105, 3)
+    # A full decode searches profiles up to cap = n + slack: past 64-bit
+    # keys from a slack of about 27,500 at n = 4, refused before any grid.
+    config = experiments.ExperimentConfig.load(overrides={
+        "scenario": "collinear:q=2", "decoder": "full", "rates": "1,1,1",
+        "slack": "30000", "trials": "1"}, env={})
+    with pytest.raises(ConfigError, match="^slack 30000: "):
+        experiments.run_experiment(config)
 
 
 def _planted_set(n):

@@ -1,6 +1,8 @@
 import math
 from collections import Counter
 from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from richowner.bits import BitString
@@ -22,6 +24,7 @@ from helpers import (
     gf_mul,
     int_to_point,
     is_collinear,
+    loop_collinear_members,
     point_to_int,
     sample_collinear_triple,
 )
@@ -97,6 +100,24 @@ class TestCollinear:
 
     def test_q3_count_formula(self):
         assert len(collinear_members(3)) == collinear_counts(3)["total"] == 24192
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_members_match_loop_reference(self, q):
+        members, reference = collinear_members(q), loop_collinear_members(q)
+        assert members.dtype == reference.dtype
+        assert np.array_equal(members, reference)
+
+    def test_q4_members_sorted_distinct_and_collinear(self):
+        members = collinear_members(4)
+        assert len(members) == collinear_counts(4)["total"] == 913_920
+        assert members.min() >= 0 and members.max() < 256
+        packed = (members[:, 0] << 16) | (members[:, 1] << 8) | members[:, 2]
+        assert (np.diff(packed) > 0).all()  # (a, b, c) order, no repeated row
+        sample = np.random.default_rng(4).choice(len(members), 300, replace=False)
+        for row in members[sample].tolist():
+            a, b, c = (int_to_point(v, 4) for v in row)
+            assert is_collinear(a, b, c)
+            assert len(set(row)) == 3
 
     def test_sampling_close_to_uniform(self):
         members = {tuple(r) for r in collinear_members(2).tolist()}

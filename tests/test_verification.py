@@ -479,6 +479,20 @@ def test_certificate_over_table_cap_is_refused_before_reading_rows(monkeypatch):
         _richness_by_certificate(WEAK_BOUND_GRAPH, family, 2, Fraction(1, 2), 1820)
 
 
+@pytest.mark.parametrize("family", [BFamily.default_for(18, 16, seed=1),
+                                    BFamily(mode="all-of-size", size=1 << 16)],
+                         ids=["sampled", "all-of-size"])
+def test_extractor_over_table_cap_is_refused_before_drawing_the_family(monkeypatch,
+                                                                       family):
+    # 2^18 x 2^16 endpoint counts pass the cap whatever the family names.
+    monkeypatch.setattr(verification, "_member_rows",
+                        lambda *args: pytest.fail("drew the family"))
+    g = SeededGraph(18, 16, 2, seed=1)
+    with pytest.raises(GraphError, match=r"^endpoint-count table of 2\^18 x 2\^16 cells "
+                                         "exceeds the table cap$"):
+        check_prefix_extractor(g, Fraction(1, 2), family)
+
+
 # -- the edge-density kernel against the per-set loop --------------------------
 
 def reference_prefix_extractor(g, epsilon, family):
