@@ -23,10 +23,8 @@ from .experiments import (
     _resolve_rates,
     build_graph,
     decode_triple,
-    emit_report,
     report_text,
     run_experiment,
-    trials_csv_text,
     validate_report,
 )
 from .graphs import LabeledBipartiteGraph, load_graph, save_graph
@@ -50,6 +48,15 @@ def _write_json(obj, path: str | None) -> None:
     _write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", path)
 
 
+def _read_json(path: str, what: str):
+    """The parsed JSON of an input file; text that is not JSON names the file."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{what} {path}: not JSON ({exc})") from None
+
+
 def _fraction(flag: str, text: str) -> Fraction:
     """The rational value of a CLI flag; a malformed one names the flag."""
     try:
@@ -62,11 +69,16 @@ def _load_graph_any(path: str) -> LabeledBipartiteGraph:
     """Load a binary graph file or rebuild one from a JSON descriptor."""
     if not path.endswith(".json"):
         return load_graph(path)
-    with open(path) as fh:
-        desc = json.load(fh)
+    desc = _read_json(path, "graph descriptor")
+    if not isinstance(desc, dict):
+        raise ConfigError(f"graph descriptor {path}: expected an object")
     missing = [k for k in ("kind", "n", "k", "seed") if k not in desc]
     if missing:
         raise ConfigError(f"graph descriptor {path}: missing key {missing[0]!r}")
+    for key in ("n", "k", "seed", "max_retries"):
+        if key in desc and type(desc[key]) is not int:
+            raise ConfigError(f"graph descriptor {path}: key {key!r} must be an integer, "
+                              f"got {desc[key]!r}")
     # the remaining keys, except max_retries, are the kind's GRAPHS arguments
     raw = {k: v for k, v in desc.items()
            if k not in ("kind", "n", "k", "seed", "max_retries")}
@@ -185,9 +197,28 @@ def _cmd_encode(args) -> int:
     return 0
 
 
+def _load_codewords(path: str) -> list[Codeword]:
+    """The codewords of a JSON list; a malformed entry names the path, and
+    the key when one is missing."""
+    entries = _read_json(path, "codewords")
+    if not isinstance(entries, list):
+        raise ConfigError(f"codewords {path}: expected a list of codewords")
+    codewords = []
+    for i, entry in enumerate(entries):
+        where = f"codewords {path}: entry {i}"
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{where} is not an object")
+        try:
+            codewords.append(Codeword.from_json(entry))
+        except KeyError as exc:
+            raise ConfigError(f"{where} missing key {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+    return codewords
+
+
 def _cmd_decode(args) -> int:
-    with open(args.codewords) as fh:
-        codewords = [Codeword.from_json(obj) for obj in json.load(fh)]
+    codewords = _load_codewords(args.codewords)
     graphs = [_load_graph_any(p) for p in args.graphs.split(",")]
     S = named_correlation_set(args.scenario)
     oracle = rates = profile = None
@@ -212,11 +243,9 @@ def _cmd_experiment(args) -> int:
     overrides = key_values(args.set or [], "--set")
     config = ExperimentConfig.load(args.config, overrides)
     report = run_experiment(config)
+    _write_text(report_text(report.to_json(), args.format), args.out)
     if args.out:
-        emit_report(report, args.format, args.out)
         print(f"wrote {args.format} report -> {args.out}")
-    else:
-        sys.stdout.write(report_text(report, args.format))
     agg = report.aggregates
     print(f"trials={agg['trials']} successes={agg['successes']} "
           f"success_rate={agg['success_rate']}", file=sys.stderr)
@@ -224,17 +253,13 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    with open(args.input) as fh:
-        obj = json.load(fh)
+    obj = _read_json(args.input, "report")
     problems = validate_report(obj)
     if problems:
         for p in problems:
             print(f"schema violation: {p}", file=sys.stderr)
         return 1
-    if args.format == "json":
-        _write_json(obj, args.out)
-    else:
-        _write_text(trials_csv_text(obj["trials"]), args.out)
+    _write_text(report_text(obj, args.format), args.out)
     return 0
 
 

@@ -11,7 +11,7 @@ feasible time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -114,21 +114,10 @@ class ConstructionReport:
     attempts: list = field(default_factory=list)
 
     def as_record(self) -> str:
-        """Flat key=value record, one field per line."""
-        worst = "" if self.worst_violation is None else str(self.worst_violation)
-        fields = {
-            "n": self.n,
-            "k": self.k,
-            "delta": self.delta,
-            "epsilon": self.epsilon,
-            "D": self.D,
-            "ell": self.ell,
-            "gamma": self.gamma,
-            "retries": self.retries,
-            "verified_B_count": self.verified_B_count,
-            "worst_violation": worst,
-        }
-        return "\n".join(f"{k}={v}" for k, v in fields.items())
+        """Flat key=value record, one field per line, attempts left out and
+        None written as an empty value."""
+        values = ((f.name, getattr(self, f.name)) for f in fields(self) if f.name != "attempts")
+        return "\n".join(f"{name}={'' if value is None else value}" for name, value in values)
 
 
 def construct_rich_owner_graph(

@@ -112,6 +112,37 @@ TRIAL_COLUMNS = [f.name for f in fields(TrialRow)]
 
 
 @dataclass
+class Aggregates:
+    """Totals over a run's trial rows; the means are None without trials,
+    and mean_survivors is None unless the decoder counts survivors."""
+
+    trials: int
+    successes: int
+    wrong_answers: int
+    failures: int
+    success_rate: Optional[float]
+    mean_steps: Optional[float]
+    mean_survivors: Optional[float]
+    payload_bits: list
+
+    @classmethod
+    def of(cls, rows: list[TrialRow], payload_bits: set,
+           counts_survivors: bool) -> "Aggregates":
+        trials = len(rows)
+        successes = sum(r.correct for r in rows)
+        failures = sum(r.status != "ok" for r in rows)
+        return cls(
+            trials=trials, successes=successes,
+            wrong_answers=trials - successes - failures, failures=failures,
+            success_rate=(successes / trials) if trials else None,
+            mean_steps=(sum(r.steps for r in rows) / trials) if trials else None,
+            mean_survivors=(sum(r.survivors or 0 for r in rows) / trials)
+            if trials and counts_survivors else None,
+            payload_bits=sorted(list(b) for b in payload_bits),
+        )
+
+
+@dataclass
 class ExperimentReport:
     config: ExperimentConfig
     aggregates: dict
@@ -185,18 +216,25 @@ def _resolve_rates(spec: str, oracle, triple, n: int,
     `profile`, when given, is oracle.profile(triple), already computed.
     """
     if spec.startswith("profile+"):
-        slack = int(spec.removeprefix("profile+"))
+        slack = _rate_int(spec, spec.removeprefix("profile+"))
         conds = conditional_profile(oracle, triple, profile)
         width = triple[0].width if triple else n
         return rates_from_profile(conds, slack=slack, cap=width + slack)
     if spec.startswith("total-"):
-        deficit = int(spec.removeprefix("total-"))
+        deficit = _rate_int(spec, spec.removeprefix("total-"))
         conds = conditional_profile(oracle, triple, profile)
         return rates_violating_total(conds, deficit)
     parts = spec.split(",")
     if len(parts) == 3:
-        return RateVector(*(int(p) for p in parts))
+        return RateVector(*(_rate_int(spec, p) for p in parts))
     raise ConfigError(f"cannot parse rates {spec!r}")
+
+
+def _rate_int(spec: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"cannot parse rates {spec!r}") from None
 
 
 def build_graph(kind: str, n: int, k: int, seed: int, params: dict,
@@ -283,9 +321,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     scheme = HashScheme(scenario.n, 3, Fraction(1, scenario.n * scenario.n)) if staged else None
 
     rows: list[TrialRow] = []
-    successes = wrong = failures = 0
-    steps_total = 0
-    survivors_total = 0
     payload_bits: set = set()
     for t in range(config.trials):
         trial_seed = derive_seed(config.seed, "trial", t)
@@ -301,36 +336,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         payload_bits.add(tuple(cw.payload.width for cw in codewords))
         result = decode_triple(config.decoder, codewords, graphs, scenario.S, oracle,
                                rates, profile, config.slack, config.step_budget)
-        correct = bool(result.ok and result.triple == tuple(triple))
-        if correct:
-            successes += 1
-        elif result.ok:
-            wrong += 1
-        else:
-            failures += 1
-        steps_total += result.steps
-        if result.survivors is not None:
-            survivors_total += result.survivors
         rows.append(TrialRow(
             trial=t, seed=trial_seed, rates=",".join(str(r) for r in rates),
-            status=result.status, correct=correct, steps=result.steps,
-            survivors=result.survivors,
+            status=result.status, correct=bool(result.ok and result.triple == tuple(triple)),
+            steps=result.steps, survivors=result.survivors,
         ))
 
-    trials = config.trials
-    aggregates = {
-        "trials": trials,
-        "successes": successes,
-        "wrong_answers": wrong,
-        "failures": failures,
-        "success_rate": (successes / trials) if trials else None,
-        "mean_steps": (steps_total / trials) if trials else None,
-        "mean_survivors": (survivors_total / trials)
-        if trials and config.decoder == "membership" else None,
-        "payload_bits": sorted(list(b) for b in payload_bits),
-    }
+    aggregates = Aggregates.of(rows, payload_bits, config.decoder == "membership")
     return ExperimentReport(
-        config=config, aggregates=aggregates,
+        config=config, aggregates=asdict(aggregates),
         graph_summaries=sorted(bank.summaries, key=lambda s: (s["sender"], s["k"])),
         rows=rows,
     )
@@ -338,91 +352,54 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 # -- emission ----------------------------------------------------------------------
 
-def report_json_text(report: ExperimentReport) -> str:
-    return json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
-
-
-def trials_csv_text(trials: list[dict]) -> str:
-    """One CSV row per trial record (as in a JSON report), booleans as 0/1."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TRIAL_COLUMNS)
-    for t in trials:
-        writer.writerow([int(t[c]) if c == "correct" else t[c] for c in TRIAL_COLUMNS])
-    return buf.getvalue()
-
-
-def report_text(report: ExperimentReport, fmt: str) -> str:
-    """The report as JSON (with aggregates) or as CSV (one row per trial)."""
+def report_text(obj: dict, fmt: str) -> str:
+    """A report's JSON form (ExperimentReport.to_json) as JSON, or as CSV
+    with one row per trial and booleans as 0/1."""
     if fmt == "json":
-        return report_json_text(report)
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
-        return trials_csv_text(report.to_json()["trials"])
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(TRIAL_COLUMNS)
+        for t in obj["trials"]:
+            writer.writerow([int(t[c]) if c == "correct" else t[c] for c in TRIAL_COLUMNS])
+        return buf.getvalue()
     raise ConfigError(f"unknown report format {fmt!r}")
 
 
-def emit_report(report: ExperimentReport, fmt: str, path: str) -> None:
-    """Write the report_text of the given format to path."""
-    text = report_text(report, fmt)
-    try:
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write report to {path}: {exc}") from exc
+def report_json_text(report: ExperimentReport) -> str:
+    return report_text(report.to_json(), "json")
 
 
-# -- schema -------------------------------------------------------------------------
+# -- validation ---------------------------------------------------------------------
 
-REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["version", "config", "aggregates", "graphs", "trials"],
-    "properties": {
-        "version": {"type": "string"},
-        "config": {
-            "type": "object",
-            "required": sorted(f.name for f in fields(ExperimentConfig)),
-        },
-        "aggregates": {
-            "type": "object",
-            "required": [
-                "trials", "successes", "wrong_answers", "failures",
-                "success_rate", "mean_steps", "mean_survivors", "payload_bits",
-            ],
-        },
-        "graphs": {"type": "array"},
-        "trials": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": TRIAL_COLUMNS,
-            },
-        },
-    },
-}
+_JSON_TYPES = {dict: "object", list: "array", str: "string"}
 
-_TYPES = {"object": dict, "array": list, "string": str}
+
+def _shape_problems(path: str, node, kind: type, required) -> list[str]:
+    """A node that is not of the kind, or else the required keys it lacks."""
+    if not isinstance(node, kind):
+        return [f"{path}: expected {_JSON_TYPES[kind]}"]
+    return [f"{path}: missing key {key!r}" for key in required if key not in node]
 
 
 def validate_report(obj: dict) -> list[str]:
-    """Minimal structural validation against REPORT_SCHEMA; returns a list
-    of problems (empty = ok)."""
-    problems: list[str] = []
-
-    def walk(node, spec, path):
-        expected = _TYPES.get(spec.get("type"))
-        if expected and not isinstance(node, expected):
-            problems.append(f"{path}: expected {spec['type']}")
-            return
-        if spec.get("type") == "object":
-            for key in spec.get("required", []):
-                if key not in node:
-                    problems.append(f"{path}: missing key {key!r}")
-            for key, sub in spec.get("properties", {}).items():
-                if key in node:
-                    walk(node[key], sub, f"{path}.{key}")
-        if spec.get("type") == "array" and "items" in spec:
-            for i, item in enumerate(node):
-                walk(item, spec["items"], f"{path}[{i}]")
-
-    walk(obj, REPORT_SCHEMA, "$")
+    """Structural check of a report's JSON form: the keys and types that
+    ExperimentReport.to_json writes.  Returns the problems (empty = ok)."""
+    parts = {
+        "version": (str, ()),
+        "config": (dict, sorted(f.name for f in fields(ExperimentConfig))),
+        "aggregates": (dict, [f.name for f in fields(Aggregates)]),
+        "graphs": (list, ()),
+        "trials": (list, ()),
+    }
+    problems = _shape_problems("$", obj, dict, parts)
+    if not isinstance(obj, dict):
+        return problems
+    for key, (kind, required) in parts.items():
+        if key in obj:
+            problems += _shape_problems(f"$.{key}", obj[key], kind, required)
+    if isinstance(obj.get("trials"), list):
+        for i, trial in enumerate(obj["trials"]):
+            problems += _shape_problems(f"$.trials[{i}]", trial, dict, TRIAL_COLUMNS)
     return problems

@@ -152,12 +152,6 @@ def _as_components(side) -> tuple[Component, ...]:
     return tuple((s.width, s.value) for s in side)
 
 
-def _as_target(target) -> tuple[Component, ...]:
-    if isinstance(target, BitString):
-        return ((target.width, target.value),)
-    return tuple((t.width, t.value) for t in target)
-
-
 class ToyOracle:
     """Shortest-program search under (L, T) budgets, one output table per
     side input, built on first use."""
@@ -177,7 +171,7 @@ class ToyOracle:
 
     def complexity(self, target, side=None) -> Optional[int]:
         """Min program length printing the target, or None beyond budgets."""
-        return self.output_table(_as_components(side)).get(_as_target(target))
+        return self.output_table(_as_components(side)).get(_as_components(target))
 
     def profile(self, triple: Sequence[BitString]) -> ComplexityProfile:
         values = []
@@ -309,18 +303,29 @@ class CorrelationSet:
             packed = (packed << self.n) | rows[:, coord]
         return packed
 
-    def payload_mask(self, coord: int, graph, payload) -> np.ndarray:
-        """Rows whose coordinate's string owns the payload in the graph.
+    def row_mask(self, known: Mapping[int, BitString], payload_conds: Sequence) -> np.ndarray:
+        """Rows that agree with the known strings and whose coordinates' strings
+        own the payloads of payload_conds ((coord, payload, graph) triples),
+        checked in that order; once no row is left, no further payload is
+        checked.
 
-        One check per distinct value of the column; its distinct values and
-        row -> value index are computed on first use.
+        One payload check per distinct value of the column; its distinct
+        values and row -> value index are computed on first use.
         """
-        column = self._columns.get(coord)
-        if column is None:
-            column = np.unique(self.members[:, coord], return_inverse=True)
-            self._columns[coord] = column
-        values, inverse = column
-        return graph.payload_consistent_bulk(values, payload)[inverse]
+        mask = np.ones(len(self.members), dtype=bool)
+        for coord, value in known.items():
+            mask &= self.members[:, coord] == value.value
+        for i, (coord, payload, graph) in enumerate(payload_conds):
+            # tested only where it can save a payload check, never on the full mask
+            if (i or known) and not mask.any():
+                break
+            column = self._columns.get(coord)
+            if column is None:
+                column = np.unique(self.members[:, coord], return_inverse=True)
+                self._columns[coord] = column
+            values, inverse = column
+            mask &= graph.payload_consistent_bulk(values, payload)[inverse]
+        return mask
 
     def proj_count(self, subset) -> int:
         subset = subset_key(subset)
@@ -409,11 +414,7 @@ class CountingOracle:
         empty whenever that exceeds the bound.  The set fixes the width, so
         `n` is unused.
         """
-        mask = np.ones(len(self.S.members), dtype=bool)
-        for coord, value in known.items():
-            mask &= self.S.members[:, coord] == value.value
-        for coord, payload, graph in payload_conds:
-            mask &= self.S.payload_mask(coord, graph, payload)
+        mask = self.S.row_mask(known, payload_conds)
         values = _distinct(self.S.members[mask, target])
         if max(len(values) - 1, 0).bit_length() > bound:
             return values[:0]

@@ -505,13 +505,10 @@ def decode_membership(codewords: Sequence[Codeword], S: CorrelationSet,
 
     Survivor counting is exact; tags, when present, are applied as an extra
     filter before counting.  Payloads are checked once per distinct value
-    of each coordinate (CorrelationSet.payload_mask).
+    of each coordinate (CorrelationSet.row_mask).
     """
-    mask = np.ones(len(S.members), dtype=bool)
-    for coord in range(3):
-        mask &= S.payload_mask(coord, graphs[coord], codewords[coord].payload)
-        if not mask.any():
-            break
+    mask = S.row_mask({}, [(coord, codewords[coord].payload, graphs[coord])
+                           for coord in range(3)])
     if mask.any():
         for coord in range(3):
             tag = codewords[coord].tag

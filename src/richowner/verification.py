@@ -28,7 +28,7 @@ All pass/fail decisions use exact rational arithmetic; no floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, combinations, islice
@@ -177,23 +177,13 @@ class VerificationReport:
         return self.graph.graph_id()
 
     def to_json(self) -> dict:
-        return {
-            "graph_id": self.graph_id,
-            "kind": self.kind,
-            "k": self.k,
-            "delta": None if self.delta is None else str(self.delta),
-            "epsilon": None if self.epsilon is None else str(self.epsilon),
-            "mode": self.mode,
-            "checked": self.checked,
-            "passed": self.passed,
-            "worst_error": None if self.worst_error is None else str(self.worst_error),
-            "min_rich_fraction": (
-                None if self.min_rich_fraction is None else str(self.min_rich_fraction)
-            ),
-            "certified": self.certified,
-            "failures": self.failures,
-            "notes": self.notes,
-        }
+        """Every field, the graph as its id and Fractions as strings."""
+        out = {"graph_id": self.graph_id}
+        for f in fields(self):
+            if f.name != "graph":
+                value = getattr(self, f.name)
+                out[f.name] = str(value) if isinstance(value, Fraction) else value
+        return out
 
 
 def _refuse_endpoint_table_past_cap(g: LabeledBipartiteGraph) -> None:

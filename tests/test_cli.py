@@ -4,7 +4,7 @@ import pytest
 
 from richowner.bits import BitString
 from richowner.cli import main
-from richowner.experiments import ExperimentConfig, emit_report, run_experiment
+from richowner.experiments import ExperimentConfig, report_text, run_experiment
 from richowner.graphs import load_graph
 from richowner.protocol import encode
 
@@ -13,7 +13,83 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+# Audit and construction artifacts as written before their serializers were
+# derived from the report dataclasses; the bytes must not change.
+EXTRACTOR_AUDIT = """\
+{
+  "certified": false,
+  "checked": 6,
+  "delta": null,
+  "epsilon": "1/4",
+  "failures": [
+    {
+      "B_descriptor": "0,8,9,13",
+      "k_prime": 1,
+      "worst_error": "1/2"
+    },
+    {
+      "B_descriptor": "0,8,9,13",
+      "k_prime": 2,
+      "worst_error": "1/2"
+    }
+  ],
+  "graph_id": "abfc878ff0581e64",
+  "k": 3,
+  "kind": "prefix-extractor",
+  "min_rich_fraction": null,
+  "mode": "sampled",
+  "notes": [],
+  "passed": false,
+  "worst_error": "1/2"
+}
+"""
+
+RICHNESS_AUDIT = """\
+{
+  "certified": false,
+  "checked": 3,
+  "delta": "1/2",
+  "epsilon": null,
+  "failures": [],
+  "graph_id": "abfc878ff0581e64",
+  "k": 2,
+  "kind": "rich-owner",
+  "min_rich_fraction": "1/2",
+  "mode": "sampled",
+  "notes": [],
+  "passed": true,
+  "worst_error": null
+}
+"""
+
+BUILD_RECORD = """\
+n=4
+k=2
+delta=7/10
+epsilon=49/200
+D=512
+ell=11943
+gamma=18
+retries=0
+verified_B_count=130358
+worst_violation=21/512
+"""
+
+
 class TestBuildAndVerify:
+    @pytest.mark.parametrize("check, flags, code, golden", [
+        ("extractor", ["--epsilon", "1/4"], 1, EXTRACTOR_AUDIT),
+        ("richness", ["--k", "2", "--delta", "1/2"], 0, RICHNESS_AUDIT),
+    ])
+    def test_audit_json_bytes(self, check, flags, code, golden, tmp_path):
+        g = tmp_path / "g.bin"
+        assert run_cli("build-graph", "--kind", "binning", "--n", "4", "--k", "3",
+                       "--seed", "7", "--out", str(g)) == 0
+        out = tmp_path / "audit.json"
+        assert run_cli("verify-graph", "--graph", str(g), "--check", check, *flags,
+                       "--family", "sampled:size=4,count=3", "--out", str(out)) == code
+        assert out.read_text() == golden
+
     def test_random_graph_build_and_extractor_check(self, tmp_path):
         out = tmp_path / "g.bin"
         assert run_cli("build-graph", "--kind", "random", "--n", "4", "--k", "2",
@@ -36,7 +112,7 @@ class TestBuildAndVerify:
         assert run_cli("build-graph", "--kind", "pipeline", "--n", "4", "--k", "2",
                        "--delta", "7/10", "--seed", "5", "--out", str(out),
                        "--report", str(rec)) == 0
-        assert "gamma=" in rec.read_text()
+        assert rec.read_text() == BUILD_RECORD
         report = tmp_path / "rich.json"
         code = run_cli("verify-graph", "--graph", str(out), "--check", "richness",
                        "--delta", "7/10", "--k", "2",
@@ -202,8 +278,21 @@ def decode_inputs(tmp_path):
         encode(graph, BitString(4, v), None, seed=v, sender="ABC"[v]).to_json()
         for v in range(3)
     ]))
+    no_sender = tmp_path / "no_sender.json"
+    no_sender.write_text(json.dumps([
+        {k: v for k, v in json.loads(cws3.read_text())[0].items() if k != "sender"}]))
+    cws_object = tmp_path / "cws_object.json"
+    cws_object.write_text('{"A": "1"}')
+    text_bits = tmp_path / "text_bits.json"
+    text_bits.write_text('[{"sender": "A", "payload_hex": "3", "payload_bits": "3"}]')
+    not_json = tmp_path / "not_json.json"
+    not_json.write_text("not json")
+    desc_str_n = tmp_path / "desc_str_n.json"
+    desc_str_n.write_text('{"kind": "binning", "n": "6", "k": 2, "seed": 1}')
     return {"g": str(g), "cws": str(cws), "desc": str(desc), "cws3": str(cws3),
-            "out": str(tmp_path / "out.json")}
+            "out": str(tmp_path / "out.json"), "no_sender": str(no_sender),
+            "cws_object": str(cws_object), "desc_str_n": str(desc_str_n),
+            "text_bits": str(text_bits), "not_json": str(not_json)}
 
 
 @pytest.mark.parametrize("argv, key", [
@@ -259,6 +348,21 @@ def decode_inputs(tmp_path):
       "--family", "sampled:size=4,count=3"], "got delta=1/2 k=-1"),
     (["verify-graph", "--graph", "{g}", "--check", "extractor", "--epsilon", "-1",
       "--family", "sampled:size=4,count=3"], "epsilon must be >= 0"),
+    (["decode", "--codewords", "{no_sender}", "--graphs", "{g},{g},{g}",
+      "--scenario", "collinear:q=2"], "codewords {no_sender}: entry 0 missing key 'sender'"),
+    (["decode", "--codewords", "{cws_object}", "--graphs", "{g},{g},{g}",
+      "--scenario", "collinear:q=2"], "codewords {cws_object}: expected a list"),
+    (["decode", "--codewords", "{text_bits}", "--graphs", "{g},{g},{g}",
+      "--scenario", "collinear:q=2"], "codewords {text_bits}: entry 0:"),
+    (["decode", "--codewords", "{not_json}", "--graphs", "{g},{g},{g}",
+      "--scenario", "collinear:q=2"], "codewords {not_json}: not JSON"),
+    (["encode", "--graph", "{not_json}", "--input", "a", "--width", "4"],
+     "graph descriptor {not_json}: not JSON"),
+    (["report", "--input", "{not_json}"], "report {not_json}: not JSON"),
+    (["encode", "--graph", "{desc_str_n}", "--input", "a", "--width", "4"],
+     "graph descriptor {desc_str_n}: key 'n' must be an integer"),
+    (["experiment", "--set", "rates=profile+x"], "cannot parse rates 'profile+x'"),
+    (["experiment", "--set", "rates=1,x,2"], "cannot parse rates '1,x,2'"),
 ], ids=["profile-scenario", "experiment-scenario", "family-sampled",
         "family-all-of-size", "family-negative-size", "family-negative-count", "decode-rates", "graphs-typo", "descriptor-kind",
         "decode-codeword-count", "decode-graph-count", "decode-graph-width",
@@ -268,12 +372,15 @@ def decode_inputs(tmp_path):
         "hash-audit-zero-denominator", "build-zero-denominator",
         "encode-scheme-zero-denominator", "encode-scheme-two-fields",
         "encode-scheme-non-integer", "richness-zero-delta", "richness-negative-delta",
-        "richness-negative-k", "extractor-negative-epsilon"])
+        "richness-negative-k", "extractor-negative-epsilon", "codeword-missing-key",
+        "codewords-not-a-list", "codeword-text-width", "codewords-not-json",
+        "descriptor-not-json", "report-not-json", "descriptor-string-width", "rates-profile-slack",
+        "rates-explicit-part"])
 def test_bad_spec_is_a_clean_error(argv, key, decode_inputs, capsys):
     capsys.readouterr()
     assert run_cli(*(a.format(**decode_inputs) for a in argv)) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and key in err
+    assert err.startswith("error:") and key.format(**decode_inputs) in err
 
 
 @pytest.mark.parametrize("family", [
@@ -294,24 +401,35 @@ def test_family_without_sets_is_refused(family, check, tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
-def test_report_csv_matches_experiment_csv(tmp_path):
+def _experiment_and_report_bytes(tmp_path, fmt: str) -> tuple[bytes, bytes]:
+    """One config written by `experiment --format fmt` and converted from its
+    JSON report by `report --format fmt`."""
     config = ["--set", "scenario=collinear:q=2", "--set", "graphs=binning",
               "--set", "trials=4", "--set", "seed=5"]
-    report, direct, converted = (tmp_path / name for name in ("r.json", "e.csv", "r.csv"))
+    report, direct, converted = (tmp_path / name for name in ("r.json", "e.out", "r.out"))
     assert run_cli("experiment", *config, "--out", str(report)) == 0
-    assert run_cli("experiment", *config, "--format", "csv", "--out", str(direct)) == 0
-    assert run_cli("report", "--input", str(report), "--format", "csv",
+    assert run_cli("experiment", *config, "--format", fmt, "--out", str(direct)) == 0
+    assert run_cli("report", "--input", str(report), "--format", fmt,
                    "--out", str(converted)) == 0
-    assert converted.read_bytes() == direct.read_bytes()
+    return direct.read_bytes(), converted.read_bytes()
 
 
-def test_experiment_csv_without_out_goes_to_stdout(tmp_path, capsys):
+def test_report_csv_matches_experiment_csv(tmp_path):
+    direct, converted = _experiment_and_report_bytes(tmp_path, "csv")
+    assert converted == direct
+
+
+def test_report_json_matches_experiment_json(tmp_path):
+    direct, converted = _experiment_and_report_bytes(tmp_path, "json")
+    assert converted == direct
+
+
+def test_experiment_csv_without_out_goes_to_stdout(capsys):
     overrides = {"scenario": "collinear:q=2", "graphs": "binning", "trials": "4",
                  "seed": "5"}
     capsys.readouterr()
     assert run_cli("experiment", *(f"--set={k}={v}" for k, v in overrides.items()),
                    "--format", "csv") == 0
     printed = capsys.readouterr().out
-    path = tmp_path / "e.csv"
-    emit_report(run_experiment(ExperimentConfig.load(None, overrides)), "csv", str(path))
-    assert printed.encode() == path.read_bytes()
+    report = run_experiment(ExperimentConfig.load(None, overrides))
+    assert printed == report_text(report.to_json(), "csv")

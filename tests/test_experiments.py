@@ -10,11 +10,12 @@ import pytest
 
 import richowner
 
+from richowner.cli import main
 from richowner.experiments import (
     ConfigError,
     ExperimentConfig,
-    emit_report,
     report_json_text,
+    report_text,
     run_experiment,
     validate_report,
 )
@@ -156,16 +157,12 @@ class TestRunExperiment:
 
 
 class TestEmission:
-    def test_json_round_trip(self, small_report, tmp_path):
-        path = tmp_path / "report.json"
-        emit_report(small_report, "json", str(path))
-        reparsed = json.loads(path.read_text())
+    def test_json_round_trip(self, small_report):
+        reparsed = json.loads(report_text(small_report.to_json(), "json"))
         assert reparsed == small_report.to_json()
 
-    def test_csv_row_count(self, small_report, tmp_path):
-        path = tmp_path / "report.csv"
-        emit_report(small_report, "csv", str(path))
-        lines = path.read_text().strip().splitlines()
+    def test_csv_row_count(self, small_report):
+        lines = report_text(small_report.to_json(), "csv").strip().splitlines()
         assert len(lines) == 1 + small_report.aggregates["trials"]
         assert lines[0].startswith("trial,seed,rates,status")
 
@@ -175,11 +172,32 @@ class TestEmission:
     def test_schema_catches_missing_keys(self, small_report):
         broken = small_report.to_json()
         del broken["aggregates"]
-        assert validate_report(broken)
+        assert validate_report(broken) == ["$: missing key 'aggregates'"]
 
-    def test_bad_path_surfaces_filename(self, small_report):
-        with pytest.raises(OSError, match="no/such/dir"):
-            emit_report(small_report, "json", "/no/such/dir/report.json")
+    @pytest.mark.parametrize("break_report, problems", [
+        (lambda r: r.update(version=1), ["$.version: expected string"]),
+        (lambda r: r.update(graphs={}), ["$.graphs: expected array"]),
+        (lambda r: r["trials"][1].pop("correct"), ["$.trials[1]: missing key 'correct'"]),
+        (lambda r: r["trials"].__setitem__(0, 5), ["$.trials[0]: expected object"]),
+        (lambda r: r.update(config=[]), ["$.config: expected object"]),
+        (lambda r: (r.pop("config"), r["aggregates"].pop("mean_steps"),
+                    r.update(trials="x")),
+         ["$: missing key 'config'", "$.aggregates: missing key 'mean_steps'",
+          "$.trials: expected array"]),
+    ], ids=["version-type", "graphs-type",
+            "trial-without-correct", "trial-type", "config-type", "in-order"])
+    def test_schema_names_each_fault(self, small_report, break_report, problems):
+        broken = small_report.to_json()
+        break_report(broken)
+        assert validate_report(broken) == problems
+
+    def test_schema_needs_an_object(self):
+        assert validate_report([]) == ["$: expected object"]
+
+    def test_bad_path_surfaces_filename(self, capsys):
+        assert main(["experiment", "--set", "trials=0",
+                     "--out", "/no/such/dir/report.json"]) == 2
+        assert "no/such/dir" in capsys.readouterr().err
 
 
 WATCHED = ("_hashlib", "numpy.ma")
