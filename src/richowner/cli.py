@@ -28,11 +28,11 @@ from .experiments import (
     validate_report,
 )
 from .graphs import LabeledBipartiteGraph, load_graph, save_graph
-from .oracles import CountingOracle, named_correlation_set
+from .oracles import SUBSET_NAMES, CountingOracle, named_correlation_set
 from .protocol import Codeword, encode as protocol_encode
 from .rng import SeedStream, derive_seed
 from .scenarios import SourceDistribution, entropy_profile
-from .specs import FAMILIES, GRAPHS, SCENARIOS, key_values, parse_spec, spec_args
+from .specs import FAMILIES, GRAPHS, SCENARIOS, comma_fields, key_values, parse_spec, spec_args
 from .verification import BFamily, check_prefix_extractor, rich_owner_fraction
 
 
@@ -82,7 +82,7 @@ def _load_graph_any(path: str) -> LabeledBipartiteGraph:
     # the remaining keys, except max_retries, are the kind's GRAPHS arguments
     raw = {k: v for k, v in desc.items()
            if k not in ("kind", "n", "k", "seed", "max_retries")}
-    params = spec_args(GRAPHS, desc["kind"], raw, path)
+    params = spec_args(GRAPHS, desc["kind"], raw, f"graph descriptor {path}")
     g, _, _ = build_graph(desc["kind"], desc["n"], desc["k"], desc["seed"], params,
                           desc.get("max_retries", 10))
     return g
@@ -92,6 +92,9 @@ def _cmd_build_graph(args) -> int:
     if args.kind != "pipeline" and args.out.endswith(".json"):
         raise ConfigError(f"--out {args.out}: a {args.kind} graph is written in binary "
                           "form, but a .json path is read back as a descriptor")
+    if args.kind == "pipeline" and not args.out.endswith(".json"):
+        raise ConfigError(f"--out {args.out}: a pipeline graph is written as a JSON "
+                          "descriptor, but only a .json path is read back as one")
     params = {"delta": _fraction("--delta", args.delta),
               "epsilon": _fraction("--epsilon", args.epsilon), "c": args.c}
     g, summary, report = build_graph(args.kind, args.n, args.k, args.seed, params,
@@ -159,13 +162,11 @@ def _cmd_hash_audit(args) -> int:
 def _cmd_profile(args) -> int:
     kind, params = parse_spec(args.scenario, SCENARIOS)
     if kind == "dms":
-        values = entropy_profile(SourceDistribution.from_mapping(params), args.n)
+        # the grammar lists p000..p111 in the order SourceDistribution indexes them
+        values = entropy_profile(SourceDistribution(tuple(params.values())), args.n)
         _write_json({
             "scenario": args.scenario,
-            "entropy_profile": {
-                name: v for name, v in zip(
-                    ("A", "B", "C", "AB", "AC", "BC", "ABC"), values)
-            },
+            "entropy_profile": dict(zip(SUBSET_NAMES, values)),
         }, args.out)
         return 0
     S = named_correlation_set(args.scenario)
@@ -185,12 +186,7 @@ def _cmd_encode(args) -> int:
     x = BitString.from_hex(args.input, args.width)
     scheme = None
     if args.scheme:
-        try:
-            n, s, eps = args.scheme.split(",")
-            n, s = int(n), int(s)
-        except ValueError:
-            raise ConfigError(f"--scheme {args.scheme}: expected n,s,epsilon "
-                              "with integer n and s") from None
+        n, s, eps = comma_fields(args.scheme, (int, int, str), f"--scheme {args.scheme}")
         scheme = HashScheme(n, s, _fraction("--scheme", eps))
     cw = protocol_encode(g, x, scheme, args.seed, sender=args.sender)
     _write_json(cw.to_json(), args.out)

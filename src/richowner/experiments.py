@@ -15,7 +15,7 @@ import json
 import os
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 from . import __version__
 from .bits import BitString
@@ -41,7 +41,9 @@ from .protocol import (
     rates_violating_total,
 )
 from .rng import SeedStream, derive_seed
-from .specs import GRAPHS, ORACLES, SCENARIOS, ConfigError, key_values, parse_spec
+from .specs import (
+    GRAPHS, ORACLES, SCENARIOS, ConfigError, comma_fields, key_values, parse_spec, spec_args,
+)
 
 SEED_ENV_VAR = "RICHOWNER_SEED"
 
@@ -65,7 +67,8 @@ class ExperimentConfig:
         """Flat key=value file plus command-line overrides.
 
         The RICHOWNER_SEED environment variable, when set, overrides the
-        master seed from both sources.
+        master seed from both sources.  Keys and values are read by
+        `specs.spec_args`, so their errors read as a spec's do.
         """
         values: dict = {}
         if path:
@@ -79,17 +82,10 @@ class ExperimentConfig:
         env = os.environ if env is None else env
         if env.get(SEED_ENV_VAR):
             values["seed"] = env[SEED_ENV_VAR]
-        types = {f.name: type(f.default) for f in fields(cls)}
-        unknown = set(values) - set(types)
-        if unknown:
-            raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-        for key, val in values.items():
-            try:
-                values[key] = types[key](val)
-            except ValueError:
-                raise ConfigError(f"config key {key!r}: cannot parse {val!r}") from None
+        keys = {f.name: (type(f.default), f.default) for f in fields(cls)}
+        values = spec_args({"config": keys}, "config", values, "config")
         for key in ("trials", "max_retries", "step_budget"):
-            if values.get(key, 0) < 0:
+            if values[key] < 0:
                 raise ConfigError(f"config key {key!r}: must be >= 0, got {values[key]}")
         return cls(**values)
 
@@ -215,26 +211,17 @@ def _resolve_rates(spec: str, oracle, triple, n: int,
     The width is the triple's when a triple is given, otherwise n.
     `profile`, when given, is oracle.profile(triple), already computed.
     """
+    where = f"cannot parse rates {spec!r}"
     if spec.startswith("profile+"):
-        slack = _rate_int(spec, spec.removeprefix("profile+"))
+        (slack,) = comma_fields(spec.removeprefix("profile+"), (int,), where)
         conds = conditional_profile(oracle, triple, profile)
         width = triple[0].width if triple else n
         return rates_from_profile(conds, slack=slack, cap=width + slack)
     if spec.startswith("total-"):
-        deficit = _rate_int(spec, spec.removeprefix("total-"))
+        (deficit,) = comma_fields(spec.removeprefix("total-"), (int,), where)
         conds = conditional_profile(oracle, triple, profile)
         return rates_violating_total(conds, deficit)
-    parts = spec.split(",")
-    if len(parts) == 3:
-        return RateVector(*(_rate_int(spec, p) for p in parts))
-    raise ConfigError(f"cannot parse rates {spec!r}")
-
-
-def _rate_int(spec: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"cannot parse rates {spec!r}") from None
+    return RateVector(*comma_fields(spec, (int, int, int), where))
 
 
 def build_graph(kind: str, n: int, k: int, seed: int, params: dict,
@@ -246,22 +233,20 @@ def build_graph(kind: str, n: int, k: int, seed: int, params: dict,
     `params` holds the kind's spec arguments (delta and c for pipeline,
     epsilon and c for random); max_retries bounds pipeline verification.
     """
+    report = None
     if kind == "pipeline":
         g, report = construct_rich_owner_graph(
             n, k, params["delta"], seed=seed, max_retries=max_retries, c=params["c"],
         )
-        return g, {
-            "kind": kind, "k": k, "m": g.m, "gamma": report.gamma, "D": report.D,
-            "ell": report.ell, "retries": report.retries,
-        }, report
-    if kind == "binning":
+    elif kind == "binning":
         g = SeededGraph(n, k, 0, seed)
     else:
         g = build_random_graph(n, k, params["epsilon"], params["c"], seed)
+    ell, retries = (report.ell, report.retries) if report else (1, 0)
     return g, {
-        "kind": kind, "k": k, "m": g.m, "gamma": 0, "D": g.degree, "ell": 1,
-        "retries": 0,
-    }, None
+        "kind": kind, "k": k, "m": g.m, "gamma": g.m - k, "D": g.degree // ell,
+        "ell": ell, "retries": retries,
+    }, report
 
 
 class _GraphBank:
@@ -373,7 +358,11 @@ def report_json_text(report: ExperimentReport) -> str:
 
 # -- validation ---------------------------------------------------------------------
 
-_JSON_TYPES = {dict: "object", list: "array", str: "string"}
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer",
+               bool: "boolean", type(None): "null"}
+# the exact types each trial value may have, from TrialRow's annotations
+_TRIAL_TYPES = {name: get_args(hint) or (hint,)
+                for name, hint in get_type_hints(TrialRow).items()}
 
 
 def _shape_problems(path: str, node, kind: type, required) -> list[str]:
@@ -385,7 +374,9 @@ def _shape_problems(path: str, node, kind: type, required) -> list[str]:
 
 def validate_report(obj: dict) -> list[str]:
     """Structural check of a report's JSON form: the keys and types that
-    ExperimentReport.to_json writes.  Returns the problems (empty = ok)."""
+    ExperimentReport.to_json writes, and each trial value's TrialRow type
+    (a bool is not an integer here, nor an integer a bool).  Returns the
+    problems (empty = ok)."""
     parts = {
         "version": (str, ()),
         "config": (dict, sorted(f.name for f in fields(ExperimentConfig))),
@@ -401,5 +392,12 @@ def validate_report(obj: dict) -> list[str]:
             problems += _shape_problems(f"$.{key}", obj[key], kind, required)
     if isinstance(obj.get("trials"), list):
         for i, trial in enumerate(obj["trials"]):
-            problems += _shape_problems(f"$.trials[{i}]", trial, dict, TRIAL_COLUMNS)
+            path = f"$.trials[{i}]"
+            problems += _shape_problems(path, trial, dict, TRIAL_COLUMNS)
+            if isinstance(trial, dict):
+                problems += [
+                    f"{path}.{key}: expected {' or '.join(_JSON_TYPES[t] for t in kinds)}, "
+                    f"got {trial[key]!r}"
+                    for key, kinds in _TRIAL_TYPES.items()
+                    if key in trial and type(trial[key]) not in kinds]
     return problems

@@ -348,20 +348,21 @@ def save_graph(g: LabeledBipartiteGraph, path: str) -> None:
 
 def load_graph(path: str) -> LabeledBipartiteGraph:
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
-        if len(header) != 5:
-            raise GraphError(f"malformed graph header in {path}")
-        n, m, d = int(header[0]), int(header[1]), int(header[2])
-        kind, seed = header[3], int(header[4])
+        header = fh.readline().decode("ascii", errors="replace").split()
+        try:
+            n, m, d, kind, seed = header
+            n, m, d, seed = int(n), int(m), int(d), int(seed)
+        except ValueError:
+            raise GraphError(f"malformed graph header in {path}") from None
         if kind == "seeded":
             return SeededGraph(n, m, d, seed)
         if kind != "table":
-            raise GraphError(f"unknown graph kind {kind!r}")
+            raise GraphError(f"graph {path}: unknown graph kind {kind!r}")
         width_bytes = (m + 7) // 8
         expected = (1 << (n + d)) * width_bytes
         size = os.fstat(fh.fileno()).st_size - fh.tell()
         if size != expected:
-            raise GraphError(f"expected {expected} payload bytes, got {size}")
+            raise GraphError(f"graph {path}: expected {expected} payload bytes, got {size}")
         dtype = _right_dtype(m).newbyteorder("<")
         table = np.empty((1 << n, 1 << d), dtype=_right_dtype(m))
         step = _label_step(n)

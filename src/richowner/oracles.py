@@ -35,7 +35,7 @@ from .bits import BitString
 from .specs import SCENARIOS, ConfigError, parse_spec
 
 SUBSETS = ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2))
-COORD_NAMES = "ABC"
+SUBSET_NAMES = ("A", "B", "C", "AB", "AC", "BC", "ABC")  # one per entry of SUBSETS
 
 
 def subset_key(subset) -> tuple[int, ...]:
@@ -84,10 +84,7 @@ class ComplexityProfile:
                 for i, V in enumerate(SUBSETS)}
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "".join(COORD_NAMES[i] for i in s): v
-            for s, v in zip(SUBSETS, self.values)
-        }
+        return dict(zip(SUBSET_NAMES, self.values))
 
 
 # -- toy universal machine ----------------------------------------------------
@@ -333,17 +330,29 @@ class CorrelationSet:
 
     @classmethod
     def from_file(cls, path: str, n: Optional[int]) -> "CorrelationSet":
-        """Hex triples, one per line; n=None takes the width of the widest value."""
+        """Hex triples, one per line; n=None takes the width of the widest value.
+
+        A malformed line names the file and its line number."""
         rows = []
         with open(path) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
+                where = f"scenario file {path}, line {lineno}"
                 parts = line.split()
                 if len(parts) != 3:
-                    raise ValueError(f"expected 3 hex fields per line, got {line!r}")
-                rows.append([int(p, 16) for p in parts])
+                    raise ConfigError(f"{where}: expected 3 hex fields, got {line!r}")
+                try:
+                    row = [int(p, 16) for p in parts]
+                except ValueError:
+                    raise ConfigError(f"{where}: not a hex field in {line!r}") from None
+                if min(row) < 0:
+                    raise ConfigError(f"{where}: negative field in {line!r}")
+                if n is not None and max(row) >> n:
+                    raise ConfigError(f"{where}: {line!r} holds a value out of range "
+                                      f"for n={n}")
+                rows.append(row)
         if n is None:
             n = max(1, max((v for row in rows for v in row), default=0).bit_length())
         return cls(n, rows)

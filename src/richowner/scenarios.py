@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -95,16 +95,6 @@ class SourceDistribution:
             raise ValueError("probabilities must be nonnegative")
         if sum(self.probs) != 1:
             raise ValueError(f"probabilities sum to {sum(self.probs)}, not 1")
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Union[Fraction, str]]) -> "SourceDistribution":
-        probs = [Fraction(0)] * 8
-        for key, value in mapping.items():
-            key = key.lower().removeprefix("p")
-            if len(key) != 3 or set(key) - {"0", "1"}:
-                raise ValueError(f"bad outcome key {key!r}")
-            probs[int(key, 2)] = Fraction(value)
-        return cls(tuple(probs))
 
     def marginal(self, coords: Sequence[int]) -> dict[tuple, Fraction]:
         out: dict[tuple, Fraction] = {}

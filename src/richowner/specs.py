@@ -10,7 +10,7 @@ colon (`file:<path>`).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 
 class ConfigError(ValueError):
@@ -54,28 +54,44 @@ def key_values(items: Iterable[str], where: str) -> dict[str, str]:
     return out
 
 
-def spec_args(grammar: Mapping[str, dict], kind: str, raw: Mapping, spec: str) -> dict:
-    """Convert raw arguments of one kind, filling defaults; `spec` names them in errors."""
+def spec_args(grammar: Mapping[str, dict], kind: str, raw: Mapping, where: str) -> dict:
+    """Convert raw arguments of one kind, filling defaults; `where` is the
+    phrase that begins each error message, such as `spec '<text>'`."""
     keys = grammar.get(kind)
     if keys is None:
-        raise ConfigError(f"spec {spec!r}: unknown kind {kind!r} "
+        raise ConfigError(f"{where}: unknown kind {kind!r} "
                           f"(expected one of: {', '.join(grammar)})")
     unknown = sorted(set(raw) - set(keys))
     if unknown:
-        raise ConfigError(f"spec {spec!r}: unknown key {unknown[0]!r} "
+        raise ConfigError(f"{where}: unknown key {unknown[0]!r} "
                           f"(allowed: {', '.join(keys) or 'none'})")
     out = {}
     for key, (convert, default) in keys.items():
         if key not in raw:
             if default is REQUIRED:
-                raise ConfigError(f"spec {spec!r}: missing key {key!r}")
+                raise ConfigError(f"{where}: missing key {key!r}")
             out[key] = default
             continue
         try:
             out[key] = convert(raw[key])
         except (ValueError, TypeError, ZeroDivisionError):
-            raise ConfigError(
-                f"spec {spec!r}: cannot parse {key}={raw[key]!r}") from None
+            raise ConfigError(f"{where}: cannot parse {key}={raw[key]!r}") from None
+    return out
+
+
+def comma_fields(text: str, converters: Sequence[Callable], where: str) -> list:
+    """The comma-separated fields of `text`, one per converter and each
+    converted by it; `where` is the phrase that begins each error message."""
+    parts = text.split(",")
+    if len(parts) != len(converters):
+        raise ConfigError(f"{where}: expected {len(converters)} comma-separated "
+                          f"field(s), got {len(parts)}")
+    out = []
+    for convert, part in zip(converters, parts):
+        try:
+            out.append(convert(part))
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(f"{where}: bad field {part!r}") from None
     return out
 
 
@@ -86,4 +102,4 @@ def parse_spec(spec: str, grammar: Mapping[str, dict]) -> tuple[str, dict]:
         raw = {"path": rest}
     else:
         raw = key_values(rest.split(",") if rest else [], f"spec {spec!r}")
-    return kind, spec_args(grammar, kind, raw, spec)
+    return kind, spec_args(grammar, kind, raw, f"spec {spec!r}")

@@ -289,7 +289,18 @@ def decode_inputs(tmp_path):
     not_json.write_text("not json")
     desc_str_n = tmp_path / "desc_str_n.json"
     desc_str_n.write_text('{"kind": "binning", "n": "6", "k": 2, "seed": 1}')
-    return {"g": str(g), "cws": str(cws), "desc": str(desc), "cws3": str(cws3),
+    g5 = tmp_path / "g5.bin"
+    assert run_cli("build-graph", "--kind", "binning", "--n", "5", "--k", "2",
+                   "--seed", "7", "--out", str(g5)) == 0
+    bad_files = {
+        "hex_zz": "0 1 2\nzz 1 2\n", "two_fields": "0 1 2\n1 2\n",
+        "wide_value": "0 1 2\n1 2 ff\n", "bad_header": "a b c d e\n",
+        "truncated": "3 2 1 table 1\n\x00\x00",
+    }
+    for name, text in bad_files.items():
+        (tmp_path / name).write_text(text)
+    return {**{name: str(tmp_path / name) for name in bad_files},
+            "out_bin": str(tmp_path / "out.bin"), "g": str(g), "g5": str(g5), "cws": str(cws), "desc": str(desc), "cws3": str(cws3),
             "out": str(tmp_path / "out.json"), "no_sender": str(no_sender),
             "cws_object": str(cws_object), "desc_str_n": str(desc_str_n),
             "text_bits": str(text_bits), "not_json": str(not_json)}
@@ -363,6 +374,28 @@ def decode_inputs(tmp_path):
      "graph descriptor {desc_str_n}: key 'n' must be an integer"),
     (["experiment", "--set", "rates=profile+x"], "cannot parse rates 'profile+x'"),
     (["experiment", "--set", "rates=1,x,2"], "cannot parse rates '1,x,2'"),
+    (["experiment", "--set", "trials=x"], ("trials", "'x'")),
+    (["experiment", "--set", "trials"], "expected key=value, got 'trials'"),
+    (["experiment", "--set", "scenario=foo:q=2"], "unknown kind 'foo'"),
+    (["experiment", "--set", "graphs=pipeline:delta=x", "--set", "trials=1"],
+     "delta='x'"),
+    (["profile", "--scenario", "dms:p008=1/2"], "unknown key 'p008'"),
+    (["experiment", "--set", "scenario=dms:p000=1"],
+     "'dms:p000=1' has no explicit member set"),
+    (["verify-graph", "--graph", "{g5}", "--check", "richness", "--k", "2",
+      "--family", "all-of-size:size=8"], "certified audit only covers the small regime"),
+    (["build-graph", "--kind", "pipeline", "--n", "4", "--k", "2", "--out", "{out_bin}"],
+     "--out {out_bin}: a pipeline graph is written as a JSON descriptor"),
+    (["profile", "--scenario", "file:{hex_zz}"],
+     "scenario file {hex_zz}, line 2: not a hex field in 'zz 1 2'"),
+    (["profile", "--scenario", "file:{two_fields}"],
+     "scenario file {two_fields}, line 2: expected 3 hex fields, got '1 2'"),
+    (["profile", "--scenario", "file:path={wide_value},n=4"],
+     "scenario file {wide_value}, line 2: '1 2 ff' holds a value out of range for n=4"),
+    (["encode", "--graph", "{bad_header}", "--input", "a", "--width", "4"],
+     "malformed graph header in {bad_header}"),
+    (["encode", "--graph", "{truncated}", "--input", "a", "--width", "3"],
+     "graph {truncated}: expected 16 payload bytes, got 2"),
 ], ids=["profile-scenario", "experiment-scenario", "family-sampled",
         "family-all-of-size", "family-negative-size", "family-negative-count", "decode-rates", "graphs-typo", "descriptor-kind",
         "decode-codeword-count", "decode-graph-count", "decode-graph-width",
@@ -375,12 +408,51 @@ def decode_inputs(tmp_path):
         "richness-negative-k", "extractor-negative-epsilon", "codeword-missing-key",
         "codewords-not-a-list", "codeword-text-width", "codewords-not-json",
         "descriptor-not-json", "report-not-json", "descriptor-string-width", "rates-profile-slack",
-        "rates-explicit-part"])
+        "rates-explicit-part", "config-non-integer", "set-without-equals",
+        "unknown-spec-kind", "graphs-bad-fraction", "dms-unknown-key",
+        "dms-without-member-set", "certificate-large-regime", "pipeline-binary-out",
+        "scenario-file-bad-hex", "scenario-file-two-fields", "scenario-file-wide-value",
+        "graph-bad-header", "graph-truncated-payload"])
 def test_bad_spec_is_a_clean_error(argv, key, decode_inputs, capsys):
+    """`key` is the text the message must hold, or a tuple of such texts."""
     capsys.readouterr()
     assert run_cli(*(a.format(**decode_inputs) for a in argv)) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and key.format(**decode_inputs) in err
+    assert err.startswith("error:")
+    for text in key if isinstance(key, tuple) else (key,):
+        assert text.format(**decode_inputs) in err
+
+
+@pytest.mark.parametrize("value", ["yes", "no"])
+def test_report_with_mistyped_value_exits_1(value, tmp_path, capsys):
+    report = tmp_path / "r.json"
+    assert run_cli("experiment", "--set", "graphs=binning", "--set", "trials=2",
+                   "--out", str(report)) == 0
+    obj = json.loads(report.read_text())
+    obj["trials"][0]["correct"] = value
+    report.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run_cli("report", "--input", str(report), "--format", "csv") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"schema violation: $.trials[0].correct: expected boolean, "
+                            f"got {value!r}\n")
+
+
+def test_empty_plan_table_fails_every_trial(decode_inputs, tmp_path):
+    # With slack -1, profile search admits no candidate profile for 0,3,3.
+    full = ["--decoder", "full", "--rates", "0,3,3", "--slack", "-1"]
+    out = tmp_path / "decoded.json"
+    assert run_cli("decode", "--codewords", decode_inputs["cws3"],
+                   "--graphs", ",".join([decode_inputs["g"]] * 3),
+                   "--scenario", "collinear:q=2", *full, "--out", str(out)) == 1
+    assert json.loads(out.read_text())["reason"] == "no admissible candidate profile"
+    report = tmp_path / "r.json"
+    assert run_cli("experiment", "--set", "decoder=full", "--set", "rates=0,3,3",
+                   "--set", "slack=-1", "--set", "graphs=binning", "--set", "trials=2",
+                   "--out", str(report)) == 0
+    aggregates = json.loads(report.read_text())["aggregates"]
+    assert aggregates["failures"] == aggregates["trials"] == 2
 
 
 @pytest.mark.parametrize("family", [

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import os
@@ -184,10 +185,19 @@ class TestEmission:
                     r.update(trials="x")),
          ["$: missing key 'config'", "$.aggregates: missing key 'mean_steps'",
           "$.trials: expected array"]),
+        (lambda r: r["trials"][0].update(correct="yes"),
+         ["$.trials[0].correct: expected boolean, got 'yes'"]),
+        (lambda r: r["trials"][0].update(correct=1),
+         ["$.trials[0].correct: expected boolean, got 1"]),
+        (lambda r: r["trials"][1].update(steps=True, survivors="2"),
+         ["$.trials[1].steps: expected integer, got True",
+          "$.trials[1].survivors: expected integer or null, got '2'"]),
     ], ids=["version-type", "graphs-type",
-            "trial-without-correct", "trial-type", "config-type", "in-order"])
+            "trial-without-correct", "trial-type", "config-type", "in-order",
+            "trial-text-bool", "trial-int-bool", "trial-bool-int"])
     def test_schema_names_each_fault(self, small_report, break_report, problems):
-        broken = small_report.to_json()
+        # a deep copy: to_json shares the aggregates dict with the module's report
+        broken = copy.deepcopy(small_report.to_json())
         break_report(broken)
         assert validate_report(broken) == problems
 

@@ -159,14 +159,12 @@ class TestCollinear:
 class TestDms:
     def test_probabilities_validated(self):
         with pytest.raises(ValueError):
-            SourceDistribution.from_mapping({"000": Fraction(1, 2)})
+            SourceDistribution((Fraction(1, 2),) + (Fraction(0),) * 7)
 
 
 class TestEntropyProfile:
     def test_perfect_correlation_profile(self):
-        dist = SourceDistribution.from_mapping(
-            {"000": Fraction(1, 2), "111": Fraction(1, 2)}
-        )
+        dist = SourceDistribution((Fraction(1, 2),) + (Fraction(0),) * 6 + (Fraction(1, 2),))
         n = 7
         values = entropy_profile(dist, n)
         assert values == (n,) * 7
@@ -180,9 +178,9 @@ class TestEntropyProfile:
         assert values[6] == 15
 
     def test_against_direct_summation(self):
-        dist = SourceDistribution.from_mapping(
-            {"000": Fraction(1, 2), "011": Fraction(1, 4), "101": Fraction(1, 4)}
-        )
+        # outcomes 000, 011 and 101, indexed by 4a + 2b + c
+        half, quarter, zero = Fraction(1, 2), Fraction(1, 4), Fraction(0)
+        dist = SourceDistribution((half, zero, zero, quarter, zero, quarter, zero, zero))
         values = entropy_profile(dist, 1)
 
         def direct(coords):
