@@ -17,8 +17,6 @@ from .graphs import (
     SeededGraph,
     SplitGraph,
     TableGraph,
-    load_graph,
-    save_graph,
 )
 from .construction import (
     ConstructionError,

@@ -27,7 +27,7 @@ from .experiments import (
     run_experiment,
     validate_report,
 )
-from .graphs import LabeledBipartiteGraph, load_graph, save_graph
+from .graphs import LabeledBipartiteGraph
 from .oracles import SUBSET_NAMES, CountingOracle, named_correlation_set
 from .protocol import Codeword, encode as protocol_encode
 from .rng import SeedStream, derive_seed
@@ -65,23 +65,26 @@ def _fraction(flag: str, text: str) -> Fraction:
         raise ConfigError(f"{flag} {text}: not a rational with a nonzero denominator") from None
 
 
+# The keys of a graph descriptor besides the kind's GRAPHS arguments, with
+# their JSON types.
+_DESCRIPTOR_KEYS = {"kind": (str, "a string"), "n": (int, "an integer"),
+                    "k": (int, "an integer"), "seed": (int, "an integer"),
+                    "max_retries": (int, "an integer")}
+
+
 def _load_graph_any(path: str) -> LabeledBipartiteGraph:
-    """Load a binary graph file or rebuild one from a JSON descriptor."""
-    if not path.endswith(".json"):
-        return load_graph(path)
+    """Rebuild a graph from the JSON descriptor that build-graph writes."""
     desc = _read_json(path, "graph descriptor")
     if not isinstance(desc, dict):
         raise ConfigError(f"graph descriptor {path}: expected an object")
     missing = [k for k in ("kind", "n", "k", "seed") if k not in desc]
     if missing:
         raise ConfigError(f"graph descriptor {path}: missing key {missing[0]!r}")
-    for key in ("n", "k", "seed", "max_retries"):
-        if key in desc and type(desc[key]) is not int:
-            raise ConfigError(f"graph descriptor {path}: key {key!r} must be an integer, "
+    for key, (kind, name) in _DESCRIPTOR_KEYS.items():
+        if key in desc and type(desc[key]) is not kind:
+            raise ConfigError(f"graph descriptor {path}: key {key!r} must be {name}, "
                               f"got {desc[key]!r}")
-    # the remaining keys, except max_retries, are the kind's GRAPHS arguments
-    raw = {k: v for k, v in desc.items()
-           if k not in ("kind", "n", "k", "seed", "max_retries")}
+    raw = {k: v for k, v in desc.items() if k not in _DESCRIPTOR_KEYS}
     params = spec_args(GRAPHS, desc["kind"], raw, f"graph descriptor {path}")
     g, _, _ = build_graph(desc["kind"], desc["n"], desc["k"], desc["seed"], params,
                           desc.get("max_retries", 10))
@@ -89,26 +92,16 @@ def _load_graph_any(path: str) -> LabeledBipartiteGraph:
 
 
 def _cmd_build_graph(args) -> int:
-    if args.kind != "pipeline" and args.out.endswith(".json"):
-        raise ConfigError(f"--out {args.out}: a {args.kind} graph is written in binary "
-                          "form, but a .json path is read back as a descriptor")
-    if args.kind == "pipeline" and not args.out.endswith(".json"):
-        raise ConfigError(f"--out {args.out}: a pipeline graph is written as a JSON "
-                          "descriptor, but only a .json path is read back as one")
     params = {"delta": _fraction("--delta", args.delta),
               "epsilon": _fraction("--epsilon", args.epsilon), "c": args.c}
     g, summary, report = build_graph(args.kind, args.n, args.k, args.seed, params,
                                      args.max_retries)
-    if report is None:
-        save_graph(g, args.out)
-    else:
-        # A verified split graph has no binary form; store its rebuild recipe.
-        _write_json({
-            "kind": args.kind, "n": args.n, "k": args.k, "delta": args.delta,
-            "seed": args.seed, "c": args.c, "max_retries": args.max_retries,
-        }, args.out)
-        if args.report:
-            _write_text(report.as_record() + "\n", args.report)
+    # the graph's rebuild descriptor: the kind's GRAPHS arguments as given
+    _write_json({"kind": args.kind, "n": args.n, "k": args.k, "seed": args.seed,
+                 "max_retries": args.max_retries,
+                 **{key: getattr(args, key) for key in GRAPHS[args.kind]}}, args.out)
+    if report is not None and args.report:
+        _write_text(report.as_record() + "\n", args.report)
     fields = " ".join(f"{key}={summary[key]}" for key in ("k", "m", "D", "gamma", "retries"))
     print(f"built {args.kind} graph n={g.n} {fields} -> {args.out}")
     return 0
@@ -267,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build-graph", help="build a graph and write it out")
+    p = sub.add_parser("build-graph", help="build a graph and write its rebuild descriptor")
     p.add_argument("--kind", choices=tuple(GRAPHS), default="pipeline")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)

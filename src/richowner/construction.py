@@ -65,7 +65,7 @@ def build_random_graph(n: int, k: int, epsilon, c: int, seed: int) -> LabeledBip
     D = required_left_degree(n, epsilon, c)
     g = SeededGraph(n, k, D.bit_length() - 1, seed)
     table = g.edge_table()
-    return g if table is None else TableGraph(n, k, table, seed=seed)
+    return g if table is None else TableGraph(n, k, table)
 
 
 def split_count(n: int, s: int, delta: Fraction) -> int:

@@ -9,6 +9,7 @@ JSON.
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import json
@@ -110,7 +111,8 @@ TRIAL_COLUMNS = [f.name for f in fields(TrialRow)]
 @dataclass
 class Aggregates:
     """Totals over a run's trial rows; the means are None without trials,
-    and mean_survivors is None unless the decoder counts survivors."""
+    and mean_survivors is None unless the rows carry survivor counts (as
+    membership decoding's do)."""
 
     trials: int
     successes: int
@@ -122,18 +124,17 @@ class Aggregates:
     payload_bits: list
 
     @classmethod
-    def of(cls, rows: list[TrialRow], payload_bits: set,
-           counts_survivors: bool) -> "Aggregates":
+    def of(cls, rows: list[TrialRow], payload_bits: set) -> "Aggregates":
         trials = len(rows)
         successes = sum(r.correct for r in rows)
         failures = sum(r.status != "ok" for r in rows)
+        survivors = [r.survivors for r in rows if r.survivors is not None]
         return cls(
             trials=trials, successes=successes,
             wrong_answers=trials - successes - failures, failures=failures,
             success_rate=(successes / trials) if trials else None,
             mean_steps=(sum(r.steps for r in rows) / trials) if trials else None,
-            mean_survivors=(sum(r.survivors or 0 for r in rows) / trials)
-            if trials and counts_survivors else None,
+            mean_survivors=(sum(survivors) / trials) if survivors else None,
             payload_bits=sorted(list(b) for b in payload_bits),
         )
 
@@ -146,11 +147,12 @@ class ExperimentReport:
     rows: list = field(default_factory=list)
 
     def to_json(self) -> dict:
+        """A new JSON object: editing it leaves the report as it is."""
         return {
             "version": __version__,
             "config": self.config.as_dict(),
-            "aggregates": self.aggregates,
-            "graphs": self.graph_summaries,
+            "aggregates": copy.deepcopy(self.aggregates),
+            "graphs": copy.deepcopy(self.graph_summaries),
             "trials": [asdict(r) for r in self.rows],
         }
 
@@ -327,7 +329,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             steps=result.steps, survivors=result.survivors,
         ))
 
-    aggregates = Aggregates.of(rows, payload_bits, config.decoder == "membership")
+    aggregates = Aggregates.of(rows, payload_bits)
     return ExperimentReport(
         config=config, aggregates=asdict(aggregates),
         graph_summaries=sorted(bank.summaries, key=lambda s: (s["sender"], s["k"])),

@@ -19,7 +19,6 @@ across workers.
 
 from __future__ import annotations
 
-import os
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -172,8 +171,7 @@ class TableGraph(LabeledBipartiteGraph):
     """Graph backed by an explicit (2^n, D) edge table, stored at the
     narrowest unsigned dtype that holds m bits."""
 
-    def __init__(self, n: int, m: int, table: np.ndarray,
-                 seed: int = 0):
+    def __init__(self, n: int, m: int, table: np.ndarray):
         table = np.asarray(table)
         if table.dtype.kind != "u":  # negative entries wrap past any width
             table = table.astype(np.uint64)
@@ -183,7 +181,6 @@ class TableGraph(LabeledBipartiteGraph):
             raise GraphError("table entry exceeds right width")
         super().__init__(n, m, int(table.shape[1]))
         self.table = table.astype(_right_dtype(m), copy=False)
-        self.seed = seed
 
     def neighbor_int(self, x: int, label: int) -> int:
         return int(self.table[x, label])
@@ -311,65 +308,3 @@ class SplitGraph(LabeledBipartiteGraph):
     def describe(self) -> str:
         return f"split(ell={self.ell},base={self.base.describe()})"
 
-
-# -- serialization -----------------------------------------------------------
-#
-# Format: ASCII header line "n m d kind seed", then for kind=table the
-# 2^(n+d) right-node values in label-major order as little-endian records
-# of ceil(m/8) bytes each.  Round-trips are bit-exact.  Tables are written
-# and read at their stored dtype, a block of labels at a time.
-
-def _label_step(n: int) -> int:
-    """Labels per serialization block: about 2^16 entries."""
-    return max(1, (1 << 16) >> n)
-
-
-def save_graph(g: LabeledBipartiteGraph, path: str) -> None:
-    if isinstance(g, TableGraph):
-        kind, seed = "table", g.seed
-    elif isinstance(g, SeededGraph):
-        kind, seed = "seeded", g.seed
-    else:
-        raise GraphError(f"cannot serialize graph kind {type(g).__name__}")
-    if g.d is None:
-        raise GraphError("serialization requires a power-of-two degree")
-    header = f"{g.n} {g.m} {g.d} {kind} {seed}\n".encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        if kind == "table":
-            width_bytes = (g.m + 7) // 8
-            dtype = g.table.dtype.newbyteorder("<")
-            step = _label_step(g.n)
-            for lo in range(0, g.degree, step):
-                block = np.ascontiguousarray(g.table[:, lo:lo + step].T, dtype=dtype)
-                fh.write(block.view(np.uint8).reshape(-1, dtype.itemsize)[:, :width_bytes]
-                         .tobytes())
-
-
-def load_graph(path: str) -> LabeledBipartiteGraph:
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii", errors="replace").split()
-        try:
-            n, m, d, kind, seed = header
-            n, m, d, seed = int(n), int(m), int(d), int(seed)
-        except ValueError:
-            raise GraphError(f"malformed graph header in {path}") from None
-        if kind == "seeded":
-            return SeededGraph(n, m, d, seed)
-        if kind != "table":
-            raise GraphError(f"graph {path}: unknown graph kind {kind!r}")
-        width_bytes = (m + 7) // 8
-        expected = (1 << (n + d)) * width_bytes
-        size = os.fstat(fh.fileno()).st_size - fh.tell()
-        if size != expected:
-            raise GraphError(f"graph {path}: expected {expected} payload bytes, got {size}")
-        dtype = _right_dtype(m).newbyteorder("<")
-        table = np.empty((1 << n, 1 << d), dtype=_right_dtype(m))
-        step = _label_step(n)
-        for lo in range(0, 1 << d, step):
-            block = table[:, lo:lo + step].T  # a view: filled in place
-            records = np.zeros((block.size, dtype.itemsize), dtype=np.uint8)
-            records[:, :width_bytes] = np.frombuffer(
-                fh.read(block.size * width_bytes), dtype=np.uint8).reshape(-1, width_bytes)
-            block[...] = records.view(dtype).reshape(block.shape)
-    return TableGraph(n, m, table, seed=seed)

@@ -1,12 +1,15 @@
 import json
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from richowner.bits import BitString
-from richowner.cli import main
-from richowner.experiments import ExperimentConfig, report_text, run_experiment
-from richowner.graphs import load_graph
+from richowner.cli import _load_graph_any, main
+from richowner.experiments import ExperimentConfig, build_graph, report_text, run_experiment
+from richowner.graphs import SplitGraph
 from richowner.protocol import encode
+from richowner.specs import GRAPHS
 
 
 def run_cli(*argv):
@@ -75,6 +78,20 @@ verified_B_count=130358
 worst_violation=21/512
 """
 
+# `build-graph --kind pipeline --n 4 --k 2 --out PATH`, as written before
+# every graph kind was saved as a descriptor; the bytes must not change.
+PIPELINE_DESCRIPTOR = """\
+{
+  "c": 4,
+  "delta": "1/2",
+  "k": 2,
+  "kind": "pipeline",
+  "max_retries": 10,
+  "n": 4,
+  "seed": 1
+}
+"""
+
 
 class TestBuildAndVerify:
     @pytest.mark.parametrize("check, flags, code, golden", [
@@ -82,7 +99,7 @@ class TestBuildAndVerify:
         ("richness", ["--k", "2", "--delta", "1/2"], 0, RICHNESS_AUDIT),
     ])
     def test_audit_json_bytes(self, check, flags, code, golden, tmp_path):
-        g = tmp_path / "g.bin"
+        g = tmp_path / "g.json"
         assert run_cli("build-graph", "--kind", "binning", "--n", "4", "--k", "3",
                        "--seed", "7", "--out", str(g)) == 0
         out = tmp_path / "audit.json"
@@ -91,10 +108,10 @@ class TestBuildAndVerify:
         assert out.read_text() == golden
 
     def test_random_graph_build_and_extractor_check(self, tmp_path):
-        out = tmp_path / "g.bin"
+        out = tmp_path / "g.json"
         assert run_cli("build-graph", "--kind", "random", "--n", "4", "--k", "2",
                        "--epsilon", "1/4", "--seed", "3", "--out", str(out)) == 0
-        g = load_graph(str(out))
+        g = _load_graph_any(str(out))
         assert g.n == 4 and g.m == 2 and g.degree == 256
         report = tmp_path / "check.json"
         code = run_cli("verify-graph", "--graph", str(out), "--check", "extractor",
@@ -105,6 +122,27 @@ class TestBuildAndVerify:
         assert obj["passed"] and obj["checked"] == 100
         # recorded while edge tables were stored as uint64
         assert obj["graph_id"] == "789921a6ef5fa8d9"
+
+    @pytest.mark.parametrize("kind", list(GRAPHS))
+    def test_every_kind_is_saved_as_its_descriptor(self, kind, tmp_path):
+        out = tmp_path / "g.graph"  # any --out path holds a descriptor
+        assert run_cli("build-graph", "--kind", kind, "--n", "4", "--k", "2",
+                       "--out", str(out)) == 0
+        desc = json.loads(out.read_text())
+        assert set(desc) == {"kind", "n", "k", "seed", "max_retries", *GRAPHS[kind]}
+        if kind == "pipeline":
+            assert out.read_text() == PIPELINE_DESCRIPTOR
+        cli_defaults = {"delta": Fraction(1, 2), "epsilon": Fraction(1, 4), "c": 4}
+        direct, _, _ = build_graph(kind, 4, 2, 1, cli_defaults, 10)
+        loaded = _load_graph_any(str(out))
+        assert type(loaded) is type(direct)
+        assert loaded.graph_id() == direct.graph_id()
+        # A split's rows are its base rows fanned out by ell primes, and its
+        # id names ell and the base: equal base rows give equal rows.
+        if isinstance(direct, SplitGraph):
+            loaded, direct = loaded.base, direct.base
+        xs = np.arange(16)
+        assert np.array_equal(loaded.rows(xs), direct.rows(xs))
 
     def test_pipeline_descriptor_and_richness(self, tmp_path):
         out = tmp_path / "g.json"
@@ -124,9 +162,6 @@ class TestBuildAndVerify:
         # A split graph whose union bound is too weak while no witness set
         # fails; a lowered enumeration cap sends its size-4 family through
         # the certificate.
-        import numpy as np
-        from fractions import Fraction
-
         from richowner import cli, verification
         from richowner.construction import split_edges
         from richowner.graphs import TableGraph
@@ -196,7 +231,6 @@ class TestEncodeDecode:
                            "--k", k, "--delta", "1/2", "--seed", f"1{k}",
                            "--out", str(p)) == 0
             paths[sender] = p
-        from richowner.cli import _load_graph_any
         from richowner.oracles import named_correlation_set
         from richowner.protocol import encode
         from richowner.rng import derive_seed
@@ -223,7 +257,7 @@ class TestEncodeDecode:
         assert obj["triple_hex"] == [x.hex() for x in triple]
 
     def test_encode_writes_codeword(self, tmp_path):
-        g = tmp_path / "g.bin"
+        g = tmp_path / "g.json"
         run_cli("build-graph", "--kind", "binning", "--n", "4", "--k", "3",
                 "--seed", "7", "--out", str(g))
         out = tmp_path / "cw.json"
@@ -265,7 +299,7 @@ class TestExperimentAndReport:
 
 @pytest.fixture
 def decode_inputs(tmp_path):
-    g = tmp_path / "g.bin"
+    g = tmp_path / "g.json"
     assert run_cli("build-graph", "--kind", "binning", "--n", "4", "--k", "3",
                    "--seed", "7", "--out", str(g)) == 0
     cws = tmp_path / "cws.json"
@@ -273,7 +307,7 @@ def decode_inputs(tmp_path):
     desc = tmp_path / "desc.json"
     desc.write_text('{"n": 4, "k": 2, "seed": 1}')
     cws3 = tmp_path / "cws3.json"
-    graph = load_graph(str(g))
+    graph = _load_graph_any(str(g))
     cws3.write_text(json.dumps([
         encode(graph, BitString(4, v), None, seed=v, sender="ABC"[v]).to_json()
         for v in range(3)
@@ -289,20 +323,25 @@ def decode_inputs(tmp_path):
     not_json.write_text("not json")
     desc_str_n = tmp_path / "desc_str_n.json"
     desc_str_n.write_text('{"kind": "binning", "n": "6", "k": 2, "seed": 1}')
-    g5 = tmp_path / "g5.bin"
+    desc_list_kind = tmp_path / "desc_list_kind.json"
+    desc_list_kind.write_text('{"kind": ["x"], "n": 4, "k": 2, "seed": 1}')
+    g5 = tmp_path / "g5.json"
     assert run_cli("build-graph", "--kind", "binning", "--n", "5", "--k", "2",
                    "--seed", "7", "--out", str(g5)) == 0
     bad_files = {
         "hex_zz": "0 1 2\nzz 1 2\n", "two_fields": "0 1 2\n1 2\n",
-        "wide_value": "0 1 2\n1 2 ff\n", "bad_header": "a b c d e\n",
-        "truncated": "3 2 1 table 1\n\x00\x00",
+        "wide_value": "0 1 2\n1 2 ff\n",
+        # what `build-graph --kind binning --n 4 --k 3 --seed 7` wrote before
+        # every graph file was a descriptor
+        "binary_graph": "4 3 0 seeded 7\n",
     }
     for name, text in bad_files.items():
         (tmp_path / name).write_text(text)
     return {**{name: str(tmp_path / name) for name in bad_files},
-            "out_bin": str(tmp_path / "out.bin"), "g": str(g), "g5": str(g5), "cws": str(cws), "desc": str(desc), "cws3": str(cws3),
+            "g": str(g), "g5": str(g5), "cws": str(cws), "desc": str(desc), "cws3": str(cws3),
             "out": str(tmp_path / "out.json"), "no_sender": str(no_sender),
             "cws_object": str(cws_object), "desc_str_n": str(desc_str_n),
+            "desc_list_kind": str(desc_list_kind),
             "text_bits": str(text_bits), "not_json": str(not_json)}
 
 
@@ -329,8 +368,6 @@ def decode_inputs(tmp_path):
       "--scenario", "collinear:q=2", "--decoder", "full"], "3 graphs, got 2"),
     (["decode", "--codewords", "{cws3}", "--graphs", "{g},{g},{g}",
       "--scenario", "collinear:q=3"], "left width 4"),
-    (["build-graph", "--kind", "binning", "--n", "4", "--k", "3", "--out", "{out}"],
-     ".json path"),
     (["hash-audit", "--n", "1", "--s", "5"], "--s 5"),
     (["hash-audit", "--n", "4", "--s", "2", "--trials", "-3"], "--trials -3"),
     (["build-graph", "--kind", "pipeline", "--n", "4", "--k", "2", "--max-retries", "-1",
@@ -372,6 +409,8 @@ def decode_inputs(tmp_path):
     (["report", "--input", "{not_json}"], "report {not_json}: not JSON"),
     (["encode", "--graph", "{desc_str_n}", "--input", "a", "--width", "4"],
      "graph descriptor {desc_str_n}: key 'n' must be an integer"),
+    (["encode", "--graph", "{desc_list_kind}", "--input", "a", "--width", "4"],
+     "graph descriptor {desc_list_kind}: key 'kind' must be a string"),
     (["experiment", "--set", "rates=profile+x"], "cannot parse rates 'profile+x'"),
     (["experiment", "--set", "rates=1,x,2"], "cannot parse rates '1,x,2'"),
     (["experiment", "--set", "trials=x"], ("trials", "'x'")),
@@ -384,22 +423,18 @@ def decode_inputs(tmp_path):
      "'dms:p000=1' has no explicit member set"),
     (["verify-graph", "--graph", "{g5}", "--check", "richness", "--k", "2",
       "--family", "all-of-size:size=8"], "certified audit only covers the small regime"),
-    (["build-graph", "--kind", "pipeline", "--n", "4", "--k", "2", "--out", "{out_bin}"],
-     "--out {out_bin}: a pipeline graph is written as a JSON descriptor"),
     (["profile", "--scenario", "file:{hex_zz}"],
      "scenario file {hex_zz}, line 2: not a hex field in 'zz 1 2'"),
     (["profile", "--scenario", "file:{two_fields}"],
      "scenario file {two_fields}, line 2: expected 3 hex fields, got '1 2'"),
     (["profile", "--scenario", "file:path={wide_value},n=4"],
      "scenario file {wide_value}, line 2: '1 2 ff' holds a value out of range for n=4"),
-    (["encode", "--graph", "{bad_header}", "--input", "a", "--width", "4"],
-     "malformed graph header in {bad_header}"),
-    (["encode", "--graph", "{truncated}", "--input", "a", "--width", "3"],
-     "graph {truncated}: expected 16 payload bytes, got 2"),
+    (["encode", "--graph", "{binary_graph}", "--input", "a", "--width", "4"],
+     "graph descriptor {binary_graph}: not JSON"),
 ], ids=["profile-scenario", "experiment-scenario", "family-sampled",
         "family-all-of-size", "family-negative-size", "family-negative-count", "decode-rates", "graphs-typo", "descriptor-kind",
         "decode-codeword-count", "decode-graph-count", "decode-graph-width",
-        "binning-json-out", "hash-audit-distractors", "hash-audit-negative-trials",
+        "hash-audit-distractors", "hash-audit-negative-trials",
         "build-negative-retries", "experiment-negative-trials",
         "collinear-unknown-field", "toy-negative-length", "toy-negative-steps",
         "hash-audit-zero-denominator", "build-zero-denominator",
@@ -407,12 +442,13 @@ def decode_inputs(tmp_path):
         "encode-scheme-non-integer", "richness-zero-delta", "richness-negative-delta",
         "richness-negative-k", "extractor-negative-epsilon", "codeword-missing-key",
         "codewords-not-a-list", "codeword-text-width", "codewords-not-json",
-        "descriptor-not-json", "report-not-json", "descriptor-string-width", "rates-profile-slack",
+        "descriptor-not-json", "report-not-json", "descriptor-string-width",
+        "descriptor-list-kind", "rates-profile-slack",
         "rates-explicit-part", "config-non-integer", "set-without-equals",
         "unknown-spec-kind", "graphs-bad-fraction", "dms-unknown-key",
-        "dms-without-member-set", "certificate-large-regime", "pipeline-binary-out",
+        "dms-without-member-set", "certificate-large-regime",
         "scenario-file-bad-hex", "scenario-file-two-fields", "scenario-file-wide-value",
-        "graph-bad-header", "graph-truncated-payload"])
+        "old-binary-graph-file"])
 def test_bad_spec_is_a_clean_error(argv, key, decode_inputs, capsys):
     """`key` is the text the message must hold, or a tuple of such texts."""
     capsys.readouterr()
@@ -462,7 +498,7 @@ def test_empty_plan_table_fails_every_trial(decode_inputs, tmp_path):
 @pytest.mark.parametrize("check", ["extractor", "richness"])
 def test_family_without_sets_is_refused(family, check, tmp_path, capsys):
     # An n = 3 graph has 8 left nodes: none of these families names a set.
-    g = tmp_path / "g.bin"
+    g = tmp_path / "g.json"
     assert run_cli("build-graph", "--kind", "binning", "--n", "3", "--k", "2",
                    "--seed", "7", "--out", str(g)) == 0
     capsys.readouterr()

@@ -196,10 +196,18 @@ class TestEmission:
             "trial-without-correct", "trial-type", "config-type", "in-order",
             "trial-text-bool", "trial-int-bool", "trial-bool-int"])
     def test_schema_names_each_fault(self, small_report, break_report, problems):
-        # a deep copy: to_json shares the aggregates dict with the module's report
-        broken = copy.deepcopy(small_report.to_json())
+        broken = small_report.to_json()
         break_report(broken)
         assert validate_report(broken) == problems
+
+    def test_to_json_returns_a_copy(self, small_report):
+        first = small_report.to_json()
+        expected = copy.deepcopy(first)
+        first["aggregates"].pop("mean_steps")
+        first["aggregates"]["payload_bits"].clear()
+        first["graphs"][0].clear()
+        first["graphs"].clear()
+        assert small_report.to_json() == expected
 
     def test_schema_needs_an_object(self):
         assert validate_report([]) == ["$: expected object"]

@@ -16,8 +16,6 @@ from richowner.graphs import (
     SeededGraph,
     SplitGraph,
     TableGraph,
-    load_graph,
-    save_graph,
 )
 from richowner.verification import _damage, _good_slots
 
@@ -122,81 +120,6 @@ class TestParams:
             build_random_graph(2, 4, Fraction(1, 2), 1, seed=0)  # k > n
         with pytest.raises(GraphError):
             construct_rich_owner_graph(2, 2, 2, seed=0)  # delta > 1
-
-
-class TestSerialization:
-    @pytest.mark.parametrize("m", [2, 7, 8, 9, 12, 17, 20, 33])
-    def test_table_round_trip_bit_exact(self, tmp_path, m):
-        dtype = {2: np.uint8, 7: np.uint8, 8: np.uint8, 9: np.uint16, 12: np.uint16,
-                 17: np.uint32, 20: np.uint32, 33: np.uint64}[m]
-        g = random_table_graph(3, m, 2, seed=m)
-        path = tmp_path / "g.bin"
-        save_graph(g, str(path))
-        loaded = load_graph(str(path))
-        assert isinstance(loaded, TableGraph)
-        assert loaded.n == g.n and loaded.m == g.m and loaded.degree == g.degree
-        assert loaded.table.dtype == g.table.dtype == dtype  # stored at m bits
-        assert loaded.table.tobytes() == g.table.tobytes()
-        assert loaded.describe() == g.describe()
-
-    @pytest.mark.parametrize("m", [8, 12, 20, 33])
-    def test_table_bytes_are_the_uint64_records_cut_to_width(self, tmp_path, m):
-        # 2^12 nodes x 32 labels are written and read in two blocks of labels.
-        g = random_table_graph(12, m, 5, seed=m)
-        path = tmp_path / "g.bin"
-        save_graph(g, str(path))
-        _, payload = path.read_bytes().split(b"\n", 1)
-        records = g.table.T.astype("<u8").reshape(-1, 1).view(np.uint8)
-        assert payload == records[:, :(m + 7) // 8].tobytes()
-        loaded = load_graph(str(path))
-        assert loaded.table.dtype == g.table.dtype
-        assert np.array_equal(loaded.table, g.table)
-
-    def test_table_save_and_load_stay_within_twice_the_table(self, tmp_path):
-        # Both went through a full 8-byte copy of the table: tracemalloc read
-        # 5.2 MB for the save and 9.4 MB for the load of this 0.5 MB table.
-        g = build_random_graph(8, 8, Fraction(1, 8), 4, seed=11)
-        path = str(tmp_path / "g.bin")
-        assert g.table.dtype == np.uint8
-        tracemalloc.start()
-        try:
-            save_graph(g, path)
-            save_peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            loaded = load_graph(path)
-            load_peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert save_peak < 2 * g.table.nbytes and load_peak < 2 * g.table.nbytes
-        assert loaded.describe() == g.describe()
-
-    def test_seeded_round_trip(self, tmp_path):
-        g = SeededGraph(5, 9, 3, seed=77)
-        path = tmp_path / "g.bin"
-        save_graph(g, str(path))
-        loaded = load_graph(str(path))
-        assert isinstance(loaded, SeededGraph) and loaded.seed == 77
-        assert loaded.neighbor_int(19, 5) == g.neighbor_int(19, 5)
-
-    def test_label_major_layout(self, tmp_path):
-        # n=1, m=8, d=1: records are single bytes; label-major means
-        # [x0y0, x1y0, x0y1, x1y1].
-        table = np.array([[10, 20], [30, 40]], dtype=np.uint64)
-        g = TableGraph(1, 8, table)
-        path = tmp_path / "g.bin"
-        save_graph(g, str(path))
-        raw = path.read_bytes()
-        header, payload = raw.split(b"\n", 1)
-        assert header == b"1 8 1 table 0"
-        assert list(payload) == [10, 30, 20, 40]
-
-    def test_header_and_payload_size(self, tmp_path):
-        g = random_table_graph(2, 9, 1, seed=3)
-        path = tmp_path / "g.bin"
-        save_graph(g, str(path))
-        raw = path.read_bytes()
-        _, payload = raw.split(b"\n", 1)
-        assert len(payload) == (1 << (2 + 1)) * 2  # ceil(9/8) = 2 bytes each
 
 
 class TestSplitGraph:
@@ -340,6 +263,15 @@ def test_table_graph_ids_do_not_depend_on_the_stored_dtype():
     table = np.random.default_rng(5).integers(0, 1 << 17, size=(8, 4), dtype=np.uint64)
     assert TableGraph(3, 17, table).graph_id() == "69d4c9083def693e"
     assert TableGraph(3, 17, table.astype(np.int64)).graph_id() == "69d4c9083def693e"
+
+
+def test_table_graph_stores_entries_at_the_width_of_m():
+    for m, dtype in ((2, np.uint8), (8, np.uint8), (9, np.uint16), (17, np.uint32),
+                     (33, np.uint64)):
+        table = np.random.default_rng(m).integers(0, 1 << m, size=(8, 4), dtype=np.uint64)
+        g = TableGraph(3, m, table)
+        assert g.table.dtype == dtype
+        assert np.array_equal(g.rows(np.arange(8)), table)
 
 
 def test_table_graph_refuses_entries_outside_the_right_width():
