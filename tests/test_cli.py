@@ -334,6 +334,9 @@ def decode_inputs(tmp_path):
         # what `build-graph --kind binning --n 4 --k 3 --seed 7` wrote before
         # every graph file was a descriptor
         "binary_graph": "4 3 0 seeded 7\n",
+        "bad_header": "a b c d e\n",
+        # a descriptor cut off part way through
+        "truncated": '{"kind": "binning", "n": 4, "k": 3, "se',
     }
     for name, text in bad_files.items():
         (tmp_path / name).write_text(text)
@@ -431,6 +434,10 @@ def decode_inputs(tmp_path):
      "scenario file {wide_value}, line 2: '1 2 ff' holds a value out of range for n=4"),
     (["encode", "--graph", "{binary_graph}", "--input", "a", "--width", "4"],
      "graph descriptor {binary_graph}: not JSON"),
+    (["encode", "--graph", "{bad_header}", "--input", "a", "--width", "4"],
+     "graph descriptor {bad_header}: not JSON"),
+    (["encode", "--graph", "{truncated}", "--input", "a", "--width", "4"],
+     "graph descriptor {truncated}: not JSON"),
 ], ids=["profile-scenario", "experiment-scenario", "family-sampled",
         "family-all-of-size", "family-negative-size", "family-negative-count", "decode-rates", "graphs-typo", "descriptor-kind",
         "decode-codeword-count", "decode-graph-count", "decode-graph-width",
@@ -448,7 +455,7 @@ def decode_inputs(tmp_path):
         "unknown-spec-kind", "graphs-bad-fraction", "dms-unknown-key",
         "dms-without-member-set", "certificate-large-regime",
         "scenario-file-bad-hex", "scenario-file-two-fields", "scenario-file-wide-value",
-        "old-binary-graph-file"])
+        "old-binary-graph-file", "graph-bad-header", "graph-truncated-payload"])
 def test_bad_spec_is_a_clean_error(argv, key, decode_inputs, capsys):
     """`key` is the text the message must hold, or a tuple of such texts."""
     capsys.readouterr()
