@@ -55,9 +55,7 @@ from .scenarios import (
 )
 from .verification import (
     BFamily,
-    OwnerClassification,
     VerificationReport,
     check_prefix_extractor,
-    classify_owner,
     rich_owner_fraction,
 )

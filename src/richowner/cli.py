@@ -32,7 +32,8 @@ from .oracles import SUBSET_NAMES, CountingOracle, named_correlation_set
 from .protocol import Codeword, encode as protocol_encode
 from .rng import SeedStream, derive_seed
 from .scenarios import SourceDistribution, entropy_profile
-from .specs import FAMILIES, GRAPHS, SCENARIOS, comma_fields, key_values, parse_spec, spec_args
+from .specs import (CHECKS, FAMILIES, GRAPHS, SCENARIOS, comma_fields, key_values, parse_spec,
+                    spec_args)
 from .verification import BFamily, check_prefix_extractor, rich_owner_fraction
 
 
@@ -66,10 +67,12 @@ def _fraction(flag: str, text: str) -> Fraction:
 
 
 # The keys of a graph descriptor besides the kind's GRAPHS arguments, with
-# their JSON types.
-_DESCRIPTOR_KEYS = {"kind": (str, "a string"), "n": (int, "an integer"),
-                    "k": (int, "an integer"), "seed": (int, "an integer"),
-                    "max_retries": (int, "an integer")}
+# their JSON types.  A GRAPHS argument is a string or an integer, so that no
+# JSON float or boolean is read as a rational or an integer.
+_DESCRIPTOR_KEYS = {"kind": ((str,), "a string"), "n": ((int,), "an integer"),
+                    "k": ((int,), "an integer"), "seed": ((int,), "an integer"),
+                    "max_retries": ((int,), "an integer")}
+_GRAPH_ARGUMENT = ((str, int), "a string or an integer")
 
 
 def _load_graph_any(path: str) -> LabeledBipartiteGraph:
@@ -80,10 +83,11 @@ def _load_graph_any(path: str) -> LabeledBipartiteGraph:
     missing = [k for k in ("kind", "n", "k", "seed") if k not in desc]
     if missing:
         raise ConfigError(f"graph descriptor {path}: missing key {missing[0]!r}")
-    for key, (kind, name) in _DESCRIPTOR_KEYS.items():
-        if key in desc and type(desc[key]) is not kind:
+    for key, value in desc.items():
+        types, name = _DESCRIPTOR_KEYS.get(key, _GRAPH_ARGUMENT)
+        if type(value) not in types:
             raise ConfigError(f"graph descriptor {path}: key {key!r} must be {name}, "
-                              f"got {desc[key]!r}")
+                              f"got {value!r}")
     raw = {k: v for k, v in desc.items() if k not in _DESCRIPTOR_KEYS}
     params = spec_args(GRAPHS, desc["kind"], raw, f"graph descriptor {path}")
     g, _, _ = build_graph(desc["kind"], desc["n"], desc["k"], desc["seed"], params,
@@ -92,18 +96,18 @@ def _load_graph_any(path: str) -> LabeledBipartiteGraph:
 
 
 def _cmd_build_graph(args) -> int:
-    params = {"delta": _fraction("--delta", args.delta),
-              "epsilon": _fraction("--epsilon", args.epsilon), "c": args.c}
-    g, summary, report = build_graph(args.kind, args.n, args.k, args.seed, params,
-                                     args.max_retries)
-    # the graph's rebuild descriptor: the kind's GRAPHS arguments as given
-    _write_json({"kind": args.kind, "n": args.n, "k": args.k, "seed": args.seed,
+    kind, params = parse_spec(args.graph, GRAPHS)
+    g, summary, report = build_graph(kind, args.n, args.k, args.seed, params, args.max_retries)
+    if args.report and report is None:
+        raise ConfigError(f"--report {args.report}: a {kind} graph has no construction report")
+    _write_json({"kind": kind, "n": args.n, "k": args.k, "seed": args.seed,
                  "max_retries": args.max_retries,
-                 **{key: getattr(args, key) for key in GRAPHS[args.kind]}}, args.out)
-    if report is not None and args.report:
+                 **{key: str(value) if isinstance(value, Fraction) else value
+                    for key, value in params.items()}}, args.out)
+    if args.report:
         _write_text(report.as_record() + "\n", args.report)
     fields = " ".join(f"{key}={summary[key]}" for key in ("k", "m", "D", "gamma", "retries"))
-    print(f"built {args.kind} graph n={g.n} {fields} -> {args.out}")
+    print(f"built {kind} graph n={g.n} {fields} -> {args.out}")
     return 0
 
 
@@ -112,11 +116,11 @@ def _cmd_verify_graph(args) -> int:
     if "seed" in params and params["seed"] is None:  # sampled families default to --seed
         params["seed"] = args.seed
     family = BFamily(mode=mode, **params)
+    check, check_params = parse_spec(args.check, CHECKS)
     g = _load_graph_any(args.graph)
-    if args.check == "extractor":
-        report = check_prefix_extractor(g, _fraction("--epsilon", args.epsilon), family)
-    else:
-        report = rich_owner_fraction(g, family, args.k, _fraction("--delta", args.delta))
+    # the CHECKS keys are the audits' own argument names
+    audit = check_prefix_extractor if check == "extractor" else rich_owner_fraction
+    report = audit(g, family=family, **check_params)
     _write_json(report.to_json(), args.out)
     if report.passed is None:  # inconclusive certificate
         return 3
@@ -261,12 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build-graph", help="build a graph and write its rebuild descriptor")
-    p.add_argument("--kind", choices=tuple(GRAPHS), default="pipeline")
+    p.add_argument("--graph", default=ExperimentConfig.graphs, help="graph spec")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--delta", default="1/2")
-    p.add_argument("--epsilon", default="1/4")
-    p.add_argument("--c", type=int, default=4)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--max-retries", type=int, default=10)
     p.add_argument("--out", required=True)
@@ -277,10 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
                        description="Exit status: 0 pass, 1 fail, 2 error, "
                                    "3 inconclusive rich-owner certificate.")
     p.add_argument("--graph", required=True)
-    p.add_argument("--check", choices=("extractor", "richness"), required=True)
-    p.add_argument("--epsilon", default="1/4")
-    p.add_argument("--delta", default="1/2")
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--check", required=True, help="audit spec")
     p.add_argument("--family", default="exhaustive")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out")

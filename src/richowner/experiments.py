@@ -232,8 +232,8 @@ def build_graph(kind: str, n: int, k: int, seed: int, params: dict,
     """One graph of a GRAPHS kind, its summary record, and for a verified
     pipeline graph its construction report (None for the other kinds).
 
-    `params` holds the kind's spec arguments (delta and c for pipeline,
-    epsilon and c for random); max_retries bounds pipeline verification.
+    `params` holds the kind's GRAPHS arguments; max_retries bounds pipeline
+    verification.
     """
     report = None
     if kind == "pipeline":

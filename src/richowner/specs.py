@@ -41,6 +41,10 @@ FAMILIES = {
     "all-of-size": {"size": (int, REQUIRED)},
     "sampled": {"size": (int, REQUIRED), "count": (int, 100), "seed": (int, None)},
 }
+CHECKS = {
+    "extractor": {"epsilon": (Fraction, Fraction(1, 4))},
+    "richness": {"k": (int, 2), "delta": (Fraction, Fraction(1, 2))},
+}
 
 
 def key_values(items: Iterable[str], where: str) -> dict[str, str]:

@@ -32,11 +32,10 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, combinations, islice
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .bits import BitString
 from .graphs import TABLE_CAP, GraphError, LabeledBipartiteGraph, SplitGraph, _as_left_int
 from .oracles import _distinct
 from .rng import derive_seed, raw_block
@@ -377,39 +376,8 @@ def _descr(B: Sequence[int]) -> str:
 
 # -- rich-owner classification ----------------------------------------------
 
-@dataclass(frozen=True)
-class OwnerClassification:
-    node: BitString
-    regime: str  # 'small' | 'large'
-    rich: bool
-    owned_fraction: Fraction
-    threshold_used: int
-
-
 def large_regime_threshold(delta: Fraction, b_size: int, degree: int, k: int) -> int:
     return math.ceil(Fraction(2) / (Fraction(delta) ** 2) * b_size * degree / (1 << k))
-
-
-def classify_owner(g: LabeledBipartiteGraph, B: Iterable, x, k: int,
-                   delta) -> OwnerClassification:
-    """Classify x within B: small regime counts exclusively-owned neighbors,
-    large regime counts neighbors whose congestion stays under threshold.
-
-    The owned (or well-behaved) fraction is computed exactly over all
-    degree-many edge slots of x.
-    """
-    delta = _check_regime(k, delta)
-    members = sorted({_as_left_int(g, v) for v in B})
-    xi = _as_left_int(g, x)
-    if xi not in members:
-        raise GraphError(f"node {xi} not a member of B")
-    small, threshold = _set_regime(g, len(members), k, delta)
-    good = _good_slots(g, members, small, threshold)[members.index(xi)]
-    frac = Fraction(int(good), g.degree)
-    return OwnerClassification(
-        node=BitString(g.n, xi), regime="small" if small else "large",
-        rich=frac >= 1 - delta, owned_fraction=frac, threshold_used=threshold,
-    )
 
 
 def _check_regime(k: int, delta) -> Fraction:

@@ -10,8 +10,10 @@ output tables of `richowner.oracles` are checked against, and the two
 references of the extractor audit in `richowner.verification`: sampled
 sets drawn one `SeedStream.randrange` at a time, and the member-array x
 set-incidence product that scored exhaustive families before the
-subset-sum kernel, and the plan x branch matrix form of the staged
-decoders' selection rule that `richowner.protocol._pick` is checked against.
+subset-sum kernel, and one node's rich-owner classification within a set,
+read from the set-level kernel `_good_slots`, and the plan x branch matrix
+form of the staged decoders' selection rule that `richowner.protocol._pick`
+is checked against.
 Also the checks that only tests run: an oracle's chain-rule slack, the
 collinear set's projection counts by formula, and the pigeonhole converse
 audit of explicit encoder/decoder tables.
@@ -23,17 +25,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from richowner.bits import BitString
-from richowner.graphs import TableGraph
+from richowner.graphs import GraphError, LabeledBipartiteGraph, TableGraph, _as_left_int
 from richowner.oracles import SUBSETS, Component, subset_key
 from richowner.protocol import _CATALOG
 from richowner.rng import SeedStream, derive_seed
 from richowner.scenarios import IRREDUCIBLE, mul_table
-from richowner.verification import _descr
+from richowner.verification import _check_regime, _descr, _good_slots, _set_regime
 
 
 def bs(bits: str) -> BitString:
@@ -311,6 +313,37 @@ def incidence_prefix_extractor(g, family, epsilons):
                                  "worst_error": str(err)})
         results[epsilon] = (checked, passed, worst, failures)
     return results
+
+
+@dataclass(frozen=True)
+class OwnerClassification:
+    node: BitString
+    regime: str  # 'small' | 'large'
+    rich: bool
+    owned_fraction: Fraction
+    threshold_used: int
+
+
+def classify_owner(g: LabeledBipartiteGraph, B: Iterable, x, k: int,
+                   delta) -> OwnerClassification:
+    """Classify x within B: small regime counts exclusively-owned neighbors,
+    large regime counts neighbors whose congestion stays under threshold.
+
+    The owned (or well-behaved) fraction is computed exactly over all
+    degree-many edge slots of x.
+    """
+    delta = _check_regime(k, delta)
+    members = sorted({_as_left_int(g, v) for v in B})
+    xi = _as_left_int(g, x)
+    if xi not in members:
+        raise GraphError(f"node {xi} not a member of B")
+    small, threshold = _set_regime(g, len(members), k, delta)
+    good = _good_slots(g, members, small, threshold)[members.index(xi)]
+    frac = Fraction(int(good), g.degree)
+    return OwnerClassification(
+        node=BitString(g.n, xi), regime="small" if small else "large",
+        rich=frac >= 1 - delta, owned_fraction=frac, threshold_used=threshold,
+    )
 
 
 # -- selection rule reference ---------------------------------------------------------

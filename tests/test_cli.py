@@ -1,3 +1,4 @@
+import argparse
 import json
 from fractions import Fraction
 
@@ -5,11 +6,11 @@ import numpy as np
 import pytest
 
 from richowner.bits import BitString
-from richowner.cli import _load_graph_any, main
+from richowner.cli import _load_graph_any, build_parser, main
 from richowner.experiments import ExperimentConfig, build_graph, report_text, run_experiment
 from richowner.graphs import SplitGraph
 from richowner.protocol import encode
-from richowner.specs import GRAPHS
+from richowner.specs import GRAPHS, parse_spec
 
 
 def run_cli(*argv):
@@ -78,7 +79,7 @@ verified_B_count=130358
 worst_violation=21/512
 """
 
-# `build-graph --kind pipeline --n 4 --k 2 --out PATH`, as written before
+# `build-graph --graph pipeline --n 4 --k 2 --out PATH`, as written before
 # every graph kind was saved as a descriptor; the bytes must not change.
 PIPELINE_DESCRIPTOR = """\
 {
@@ -95,27 +96,28 @@ PIPELINE_DESCRIPTOR = """\
 
 class TestBuildAndVerify:
     @pytest.mark.parametrize("check, flags, code, golden", [
-        ("extractor", ["--epsilon", "1/4"], 1, EXTRACTOR_AUDIT),
-        ("richness", ["--k", "2", "--delta", "1/2"], 0, RICHNESS_AUDIT),
+        ("extractor", ["epsilon=1/4"], 1, EXTRACTOR_AUDIT),
+        ("richness", ["k=2", "delta=1/2"], 0, RICHNESS_AUDIT),
     ])
     def test_audit_json_bytes(self, check, flags, code, golden, tmp_path):
         g = tmp_path / "g.json"
-        assert run_cli("build-graph", "--kind", "binning", "--n", "4", "--k", "3",
+        assert run_cli("build-graph", "--graph", "binning", "--n", "4", "--k", "3",
                        "--seed", "7", "--out", str(g)) == 0
         out = tmp_path / "audit.json"
-        assert run_cli("verify-graph", "--graph", str(g), "--check", check, *flags,
+        assert run_cli("verify-graph", "--graph", str(g), "--check",
+                       f"{check}:{','.join(flags)}",
                        "--family", "sampled:size=4,count=3", "--out", str(out)) == code
         assert out.read_text() == golden
 
     def test_random_graph_build_and_extractor_check(self, tmp_path):
         out = tmp_path / "g.json"
-        assert run_cli("build-graph", "--kind", "random", "--n", "4", "--k", "2",
-                       "--epsilon", "1/4", "--seed", "3", "--out", str(out)) == 0
+        assert run_cli("build-graph", "--graph", "random:epsilon=1/4", "--n", "4", "--k", "2",
+                       "--seed", "3", "--out", str(out)) == 0
         g = _load_graph_any(str(out))
         assert g.n == 4 and g.m == 2 and g.degree == 256
         report = tmp_path / "check.json"
-        code = run_cli("verify-graph", "--graph", str(out), "--check", "extractor",
-                       "--epsilon", "1/4", "--family", "sampled:size=4,count=50",
+        code = run_cli("verify-graph", "--graph", str(out), "--check", "extractor:epsilon=1/4",
+                       "--family", "sampled:size=4,count=50",
                        "--out", str(report))
         assert code == 0
         obj = json.loads(report.read_text())
@@ -123,17 +125,17 @@ class TestBuildAndVerify:
         # recorded while edge tables were stored as uint64
         assert obj["graph_id"] == "789921a6ef5fa8d9"
 
-    @pytest.mark.parametrize("kind", list(GRAPHS))
-    def test_every_kind_is_saved_as_its_descriptor(self, kind, tmp_path):
+    @pytest.mark.parametrize("spec", [*GRAPHS, "random:epsilon=1/8,c=2", "pipeline:delta=0.5"])
+    def test_every_kind_is_saved_as_its_descriptor(self, spec, tmp_path):
         out = tmp_path / "g.graph"  # any --out path holds a descriptor
-        assert run_cli("build-graph", "--kind", kind, "--n", "4", "--k", "2",
+        assert run_cli("build-graph", "--graph", spec, "--n", "4", "--k", "2",
                        "--out", str(out)) == 0
+        kind, params = parse_spec(spec, GRAPHS)
         desc = json.loads(out.read_text())
         assert set(desc) == {"kind", "n", "k", "seed", "max_retries", *GRAPHS[kind]}
-        if kind == "pipeline":
+        if kind == "pipeline":  # delta=0.5 is written as "1/2"
             assert out.read_text() == PIPELINE_DESCRIPTOR
-        cli_defaults = {"delta": Fraction(1, 2), "epsilon": Fraction(1, 4), "c": 4}
-        direct, _, _ = build_graph(kind, 4, 2, 1, cli_defaults, 10)
+        direct, _, _ = build_graph(kind, 4, 2, 1, params, 10)
         loaded = _load_graph_any(str(out))
         assert type(loaded) is type(direct)
         assert loaded.graph_id() == direct.graph_id()
@@ -147,13 +149,12 @@ class TestBuildAndVerify:
     def test_pipeline_descriptor_and_richness(self, tmp_path):
         out = tmp_path / "g.json"
         rec = tmp_path / "build.txt"
-        assert run_cli("build-graph", "--kind", "pipeline", "--n", "4", "--k", "2",
-                       "--delta", "7/10", "--seed", "5", "--out", str(out),
+        assert run_cli("build-graph", "--graph", "pipeline:delta=7/10", "--n", "4", "--k", "2",
+                       "--seed", "5", "--out", str(out),
                        "--report", str(rec)) == 0
         assert rec.read_text() == BUILD_RECORD
         report = tmp_path / "rich.json"
-        code = run_cli("verify-graph", "--graph", str(out), "--check", "richness",
-                       "--delta", "7/10", "--k", "2",
+        code = run_cli("verify-graph", "--graph", str(out), "--check", "richness:delta=7/10,k=2",
                        "--family", "all-of-size:size=4", "--out", str(report))
         assert code == 0
         assert json.loads(report.read_text())["passed"]
@@ -171,19 +172,24 @@ class TestBuildAndVerify:
         monkeypatch.setattr(cli, "_load_graph_any", lambda path: g)
         monkeypatch.setattr(verification, "ENUM_CAP", 1000)
         report = tmp_path / "rich.json"
-        code = run_cli("verify-graph", "--graph", "split", "--check", "richness",
-                       "--delta", "1/2", "--k", "2",
+        code = run_cli("verify-graph", "--graph", "split", "--check", "richness:delta=1/2,k=2",
                        "--family", "all-of-size:size=4", "--out", str(report))
         assert code == 3
         obj = json.loads(report.read_text())
         assert obj["passed"] is None and obj["min_rich_fraction"] is None
         assert obj["mode"] == "all-of-size:certified"
 
+    def test_report_without_construction_report_writes_nothing(self, tmp_path):
+        # the error row build-report-without-construction-report pins the message
+        out, rec = tmp_path / "g.json", tmp_path / "build.txt"
+        assert run_cli("build-graph", "--graph", "binning", "--n", "4", "--k", "2",
+                       "--out", str(out), "--report", str(rec)) == 2
+        assert not out.exists() and not rec.exists()
 
     def test_split_over_cap_exits_2(self, tmp_path, capsys):
         out = tmp_path / "g.json"
-        assert run_cli("build-graph", "--kind", "pipeline", "--n", "5", "--k", "3",
-                       "--delta", "1/4", "--seed", "1", "--out", str(out)) == 2
+        assert run_cli("build-graph", "--graph", "pipeline:delta=1/4", "--n", "5", "--k", "3",
+                       "--seed", "1", "--out", str(out)) == 2
         assert "ell=20971520" in capsys.readouterr().err
         assert not out.exists()
 
@@ -196,10 +202,25 @@ class TestBuildAndVerify:
 
         monkeypatch.setattr(verification, "check_prefix_extractor", lambda *a: Failed())
         out = tmp_path / "g.json"
-        assert run_cli("build-graph", "--kind", "pipeline", "--n", "4", "--k", "2",
+        assert run_cli("build-graph", "--graph", "pipeline", "--n", "4", "--k", "2",
                        "--max-retries", "1", "--out", str(out)) == 2
         assert capsys.readouterr().err.startswith("error: verification failed on 2 attempts")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command, options", [
+    ("build-graph", {"--graph", "--n", "--k", "--seed", "--max-retries", "--out", "--report"}),
+    ("verify-graph", {"--graph", "--check", "--family", "--seed", "--out"}),
+])
+def test_graph_commands_take_each_choice_as_one_spec(command, options):
+    """A graph's or an audit's arguments go in its spec, never in a flag of
+    their own such as --delta."""
+    (commands,) = [action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    actions = commands.choices[command]._actions
+    assert {flag for action in actions for flag in action.option_strings} == {
+        "-h", "--help", *options}
+
 
 class TestHashAuditAndProfile:
     def test_hash_audit(self, tmp_path):
@@ -227,8 +248,8 @@ class TestEncodeDecode:
         paths = {}
         for sender, k in (("A", "3"), ("B", "4"), ("C", "4")):
             p = tmp_path / f"g{sender}.json"
-            assert run_cli("build-graph", "--kind", "pipeline", "--n", "4",
-                           "--k", k, "--delta", "1/2", "--seed", f"1{k}",
+            assert run_cli("build-graph", "--graph", "pipeline:delta=1/2", "--n", "4",
+                           "--k", k, "--seed", f"1{k}",
                            "--out", str(p)) == 0
             paths[sender] = p
         from richowner.oracles import named_correlation_set
@@ -258,7 +279,7 @@ class TestEncodeDecode:
 
     def test_encode_writes_codeword(self, tmp_path):
         g = tmp_path / "g.json"
-        run_cli("build-graph", "--kind", "binning", "--n", "4", "--k", "3",
+        run_cli("build-graph", "--graph", "binning", "--n", "4", "--k", "3",
                 "--seed", "7", "--out", str(g))
         out = tmp_path / "cw.json"
         assert run_cli("encode", "--graph", str(g), "--input", "a", "--width", "4",
@@ -300,7 +321,7 @@ class TestExperimentAndReport:
 @pytest.fixture
 def decode_inputs(tmp_path):
     g = tmp_path / "g.json"
-    assert run_cli("build-graph", "--kind", "binning", "--n", "4", "--k", "3",
+    assert run_cli("build-graph", "--graph", "binning", "--n", "4", "--k", "3",
                    "--seed", "7", "--out", str(g)) == 0
     cws = tmp_path / "cws.json"
     cws.write_text("[]")
@@ -325,8 +346,13 @@ def decode_inputs(tmp_path):
     desc_str_n.write_text('{"kind": "binning", "n": "6", "k": 2, "seed": 1}')
     desc_list_kind = tmp_path / "desc_list_kind.json"
     desc_list_kind.write_text('{"kind": ["x"], "n": 4, "k": 2, "seed": 1}')
+    mistyped = {"desc_float_delta": '"delta": 0.3', "desc_float_c": '"c": 4.7',
+                "desc_bool_c": '"c": true'}
+    for name, entry in mistyped.items():
+        (tmp_path / f"{name}.json").write_text(
+            f'{{"kind": "pipeline", "n": 4, "k": 2, "seed": 1, {entry}}}')
     g5 = tmp_path / "g5.json"
-    assert run_cli("build-graph", "--kind", "binning", "--n", "5", "--k", "2",
+    assert run_cli("build-graph", "--graph", "binning", "--n", "5", "--k", "2",
                    "--seed", "7", "--out", str(g5)) == 0
     bad_files = {
         "hex_zz": "0 1 2\nzz 1 2\n", "two_fields": "0 1 2\n1 2\n",
@@ -345,6 +371,8 @@ def decode_inputs(tmp_path):
             "out": str(tmp_path / "out.json"), "no_sender": str(no_sender),
             "cws_object": str(cws_object), "desc_str_n": str(desc_str_n),
             "desc_list_kind": str(desc_list_kind),
+            **{name: str(tmp_path / f"{name}.json") for name in mistyped},
+            "report": str(tmp_path / "report.txt"),
             "text_bits": str(text_bits), "not_json": str(not_json)}
 
 
@@ -355,9 +383,9 @@ def decode_inputs(tmp_path):
       "--family", "sampled:count=3"], "'size'"),
     (["verify-graph", "--graph", "{g}", "--check", "extractor",
       "--family", "all-of-size"], "'size'"),
-    (["verify-graph", "--graph", "{g}", "--check", "richness", "--k", "2",
+    (["verify-graph", "--graph", "{g}", "--check", "richness:k=2",
       "--family", "sampled:size=-2,count=3"], "positive size"),
-    (["verify-graph", "--graph", "{g}", "--check", "richness", "--k", "2",
+    (["verify-graph", "--graph", "{g}", "--check", "richness:k=2",
       "--family", "sampled:size=2,count=-1"], "positive count"),
     (["decode", "--codewords", "{cws}", "--graphs", "{g},{g},{g}",
       "--scenario", "collinear:q=2", "--decoder", "known-profile",
@@ -373,7 +401,7 @@ def decode_inputs(tmp_path):
       "--scenario", "collinear:q=3"], "left width 4"),
     (["hash-audit", "--n", "1", "--s", "5"], "--s 5"),
     (["hash-audit", "--n", "4", "--s", "2", "--trials", "-3"], "--trials -3"),
-    (["build-graph", "--kind", "pipeline", "--n", "4", "--k", "2", "--max-retries", "-1",
+    (["build-graph", "--graph", "pipeline", "--n", "4", "--k", "2", "--max-retries", "-1",
       "--out", "{out}"], "max_retries"),
     (["experiment", "--set", "trials=-2"], "'trials'"),
     (["profile", "--scenario", "collinear:q=5"],
@@ -383,22 +411,32 @@ def decode_inputs(tmp_path):
     (["experiment", "--set", "scenario=planted:n=4", "--set", "decoder=full",
       "--set", "oracle=toy:T=-5"], "'T'"),
     (["hash-audit", "--epsilon", "1/0"], "--epsilon 1/0"),
-    (["build-graph", "--n", "4", "--k", "2", "--delta", "1/0", "--out", "{out}"],
-     "--delta 1/0"),
+    (["build-graph", "--graph", "pipeline:delta=1/0", "--n", "4", "--k", "2",
+      "--out", "{out}"], "delta='1/0'"),
+    (["build-graph", "--graph", "binning", "--n", "4", "--k", "2", "--out", "{out}",
+      "--report", "{report}"], "--report {report}: a binning graph has no construction report"),
+    (["build-graph", "--graph", "binning:delta=1/2", "--n", "4", "--k", "2",
+      "--out", "{out}"], "unknown key 'delta' (allowed: none)"),
     (["encode", "--graph", "{g}", "--input", "a", "--width", "4", "--scheme", "4,3,1/0"],
      "--scheme 1/0"),
     (["encode", "--graph", "{g}", "--input", "a", "--width", "4", "--scheme", "6,3"],
      "--scheme 6,3:"),
     (["encode", "--graph", "{g}", "--input", "a", "--width", "4", "--scheme", "6,x,1/2"],
      "--scheme 6,x,1/2:"),
-    (["verify-graph", "--graph", "{g}", "--check", "richness", "--k", "1", "--delta", "0",
+    (["verify-graph", "--graph", "{g}", "--check", "richness:k=1,delta=0",
       "--family", "sampled:size=4,count=3"], "got delta=0 k=1"),
-    (["verify-graph", "--graph", "{g}", "--check", "richness", "--delta", "-1",
+    (["verify-graph", "--graph", "{g}", "--check", "richness:delta=-1",
       "--family", "sampled:size=4,count=3"], "got delta=-1 k=2"),
-    (["verify-graph", "--graph", "{g}", "--check", "richness", "--k", "-1",
+    (["verify-graph", "--graph", "{g}", "--check", "richness:k=-1",
       "--family", "sampled:size=4,count=3"], "got delta=1/2 k=-1"),
-    (["verify-graph", "--graph", "{g}", "--check", "extractor", "--epsilon", "-1",
+    (["verify-graph", "--graph", "{g}", "--check", "extractor:epsilon=-1",
       "--family", "sampled:size=4,count=3"], "epsilon must be >= 0"),
+    (["verify-graph", "--graph", "{g}", "--check", "extractor:k=3",
+      "--family", "sampled:size=4,count=3"], "unknown key 'k'"),
+    (["verify-graph", "--graph", "{g}", "--check", "richness:epsilon=1/4",
+      "--family", "sampled:size=4,count=3"], "unknown key 'epsilon'"),
+    (["verify-graph", "--graph", "{g}", "--check", "bogus",
+      "--family", "sampled:size=4,count=3"], "unknown kind 'bogus'"),
     (["decode", "--codewords", "{no_sender}", "--graphs", "{g},{g},{g}",
       "--scenario", "collinear:q=2"], "codewords {no_sender}: entry 0 missing key 'sender'"),
     (["decode", "--codewords", "{cws_object}", "--graphs", "{g},{g},{g}",
@@ -414,6 +452,13 @@ def decode_inputs(tmp_path):
      "graph descriptor {desc_str_n}: key 'n' must be an integer"),
     (["encode", "--graph", "{desc_list_kind}", "--input", "a", "--width", "4"],
      "graph descriptor {desc_list_kind}: key 'kind' must be a string"),
+    (["encode", "--graph", "{desc_float_delta}", "--input", "a", "--width", "4"],
+     "graph descriptor {desc_float_delta}: key 'delta' must be a string or an integer, "
+     "got 0.3"),
+    (["encode", "--graph", "{desc_float_c}", "--input", "a", "--width", "4"],
+     "graph descriptor {desc_float_c}: key 'c' must be a string or an integer, got 4.7"),
+    (["encode", "--graph", "{desc_bool_c}", "--input", "a", "--width", "4"],
+     "graph descriptor {desc_bool_c}: key 'c' must be a string or an integer, got True"),
     (["experiment", "--set", "rates=profile+x"], "cannot parse rates 'profile+x'"),
     (["experiment", "--set", "rates=1,x,2"], "cannot parse rates '1,x,2'"),
     (["experiment", "--set", "trials=x"], ("trials", "'x'")),
@@ -424,7 +469,7 @@ def decode_inputs(tmp_path):
     (["profile", "--scenario", "dms:p008=1/2"], "unknown key 'p008'"),
     (["experiment", "--set", "scenario=dms:p000=1"],
      "'dms:p000=1' has no explicit member set"),
-    (["verify-graph", "--graph", "{g5}", "--check", "richness", "--k", "2",
+    (["verify-graph", "--graph", "{g5}", "--check", "richness:k=2",
       "--family", "all-of-size:size=8"], "certified audit only covers the small regime"),
     (["profile", "--scenario", "file:{hex_zz}"],
      "scenario file {hex_zz}, line 2: not a hex field in 'zz 1 2'"),
@@ -445,12 +490,15 @@ def decode_inputs(tmp_path):
         "build-negative-retries", "experiment-negative-trials",
         "collinear-unknown-field", "toy-negative-length", "toy-negative-steps",
         "hash-audit-zero-denominator", "build-zero-denominator",
+        "build-report-without-construction-report", "build-graph-unknown-key",
         "encode-scheme-zero-denominator", "encode-scheme-two-fields",
         "encode-scheme-non-integer", "richness-zero-delta", "richness-negative-delta",
-        "richness-negative-k", "extractor-negative-epsilon", "codeword-missing-key",
+        "richness-negative-k", "extractor-negative-epsilon", "extractor-unknown-key",
+        "richness-unknown-key", "unknown-check-kind", "codeword-missing-key",
         "codewords-not-a-list", "codeword-text-width", "codewords-not-json",
         "descriptor-not-json", "report-not-json", "descriptor-string-width",
-        "descriptor-list-kind", "rates-profile-slack",
+        "descriptor-list-kind", "descriptor-float-delta", "descriptor-float-c",
+        "descriptor-bool-c", "rates-profile-slack",
         "rates-explicit-part", "config-non-integer", "set-without-equals",
         "unknown-spec-kind", "graphs-bad-fraction", "dms-unknown-key",
         "dms-without-member-set", "certificate-large-regime",
@@ -506,10 +554,10 @@ def test_empty_plan_table_fails_every_trial(decode_inputs, tmp_path):
 def test_family_without_sets_is_refused(family, check, tmp_path, capsys):
     # An n = 3 graph has 8 left nodes: none of these families names a set.
     g = tmp_path / "g.json"
-    assert run_cli("build-graph", "--kind", "binning", "--n", "3", "--k", "2",
+    assert run_cli("build-graph", "--graph", "binning", "--n", "3", "--k", "2",
                    "--seed", "7", "--out", str(g)) == 0
     capsys.readouterr()
-    assert run_cli("verify-graph", "--graph", str(g), "--check", check, "--k", "2",
+    assert run_cli("verify-graph", "--graph", str(g), "--check", check,
                    "--family", family, "--out", str(tmp_path / "r.json")) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: family ") and "names no set" in err and "n=3" in err

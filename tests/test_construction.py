@@ -20,9 +20,9 @@ from richowner.graphs import (
     TableGraph,
 )
 from richowner.rng import derive_seed
-from richowner.verification import BFamily, classify_owner, rich_owner_fraction
+from richowner.verification import BFamily, rich_owner_fraction
 
-from helpers import all_to_one_graph, b_degree
+from helpers import all_to_one_graph, b_degree, classify_owner
 
 
 class TestBuildRandomGraph:

@@ -26,7 +26,6 @@ from richowner.verification import (
     _descr,
     _richness_by_certificate,
     check_prefix_extractor,
-    classify_owner,
     large_regime_threshold,
     rich_owner_fraction,
 )
@@ -34,6 +33,7 @@ from richowner.verification import (
 from helpers import (
     all_to_one_graph,
     b_degree,
+    classify_owner,
     complete_graph,
     incidence_prefix_extractor,
     listed_sizes,
