@@ -32,7 +32,6 @@ from .oracles import (
     CountingOracle,
     ToyMachineConfig,
     ToyOracle,
-    named_correlation_set,
 )
 from .protocol import (
     Codeword,
@@ -52,6 +51,7 @@ from .scenarios import (
     SourceDistribution,
     collinear_members,
     entropy_profile,
+    named_correlation_set,
 )
 from .verification import (
     BFamily,

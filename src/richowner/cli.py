@@ -28,10 +28,10 @@ from .experiments import (
     validate_report,
 )
 from .graphs import LabeledBipartiteGraph
-from .oracles import SUBSET_NAMES, CountingOracle, named_correlation_set
+from .oracles import SUBSET_NAMES, CountingOracle
 from .protocol import Codeword, encode as protocol_encode
 from .rng import SeedStream, derive_seed
-from .scenarios import SourceDistribution, entropy_profile
+from .scenarios import SourceDistribution, entropy_profile, named_correlation_set
 from .specs import (CHECKS, FAMILIES, GRAPHS, SCENARIOS, comma_fields, key_values, parse_spec,
                     spec_args)
 from .verification import BFamily, check_prefix_extractor, rich_owner_fraction

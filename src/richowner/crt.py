@@ -29,21 +29,17 @@ def primes_first(t: int, below: Optional[int] = None) -> np.ndarray:
     bound for p_t: one read-only int64 array per (t, below), shared by
     every caller."""
     t = max(t, 0)
-    # p_t < t (ln t + ln ln t) for t >= 6; pad the small cases.
+    # p_t < t (ln t + ln ln t) for t >= 6 (Rosser); the pad covers t < 6.
     bound = 15 if t < 6 else int(t * (math.log(t) + math.log(math.log(t)))) + 10
-    while True:
-        top = bound if below is None else max(min(bound, below - 1), 1)
-        sieve = np.ones(top + 1, dtype=bool)
-        sieve[:2] = False
-        for p in range(2, int(top ** 0.5) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = False
-        found = np.flatnonzero(sieve).astype(np.int64, copy=False)
-        if len(found) >= t or top < bound:  # enough, or every prime below `below`
-            primes = found[:t]
-            primes.flags.writeable = False
-            return primes
-        bound *= 2
+    top = bound if below is None else max(min(bound, below - 1), 1)
+    sieve = np.ones(top + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, int(top ** 0.5) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    primes = np.flatnonzero(sieve).astype(np.int64, copy=False)[:t]
+    primes.flags.writeable = False
+    return primes
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ from .oracles import (
     CountingOracle,
     ToyMachineConfig,
     ToyOracle,
-    named_correlation_set,
 )
 from .protocol import (
     RateVector,
@@ -42,6 +41,7 @@ from .protocol import (
     rates_violating_total,
 )
 from .rng import SeedStream, derive_seed
+from .scenarios import named_correlation_set
 from .specs import (
     GRAPHS, ORACLES, SCENARIOS, ConfigError, comma_fields, key_values, parse_spec, spec_args,
 )

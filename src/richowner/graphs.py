@@ -81,12 +81,6 @@ class LabeledBipartiteGraph:
         self.m = m
         self.degree = degree
 
-    @property
-    def d(self) -> Optional[int]:
-        """Label width in bits when the degree is a power of two."""
-        d = self.degree.bit_length() - 1
-        return d if (1 << d) == self.degree else None
-
     # -- core lookup ------------------------------------------------------
 
     def neighbor_int(self, x: int, label: int) -> int:

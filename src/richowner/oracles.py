@@ -9,6 +9,8 @@ oracle assigns log-cardinalities of projections and fibers of an explicit
 correlation set; its profile is computed once per set, on first use.  Both
 expose the same surface: seven-value profiles, conditionals, and candidate
 sets as int64 arrays of string values, from one `candidates` signature.
+This module answers queries only: the named sets that scenario specs
+describe are built in `richowner.scenarios`.
 
 The toy machine's instruction stream (big-endian bits):
 
@@ -26,13 +28,12 @@ encoding.  Literal overhead is 6 bits (opcode + length nibble).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .bits import BitString
-from .specs import SCENARIOS, ConfigError, parse_spec
+from .specs import ConfigError
 
 SUBSETS = ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2))
 SUBSET_NAMES = ("A", "B", "C", "AB", "AC", "BC", "ABC")  # one per entry of SUBSETS
@@ -156,7 +157,7 @@ class ToyOracle:
     def __init__(self, cfg: ToyMachineConfig = ToyMachineConfig()):
         self.cfg = cfg
         self._tables: dict[tuple, dict] = {}
-        self._strings: dict[tuple, Mapping[BitString, int]] = {}
+        self._sorted: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def output_table(self, side: tuple[Component, ...]) -> Mapping[tuple, int]:
         """Minimal program length per producible output tuple."""
@@ -192,16 +193,17 @@ class ToyOracle:
     def conditionals(self, triple: Sequence[BitString],
                      profile: Optional[ComplexityProfile] = None) -> dict[tuple[int, ...], int]:
         """C(x_V | x_complement) for every non-empty V: each proper one
-        measured with the complement strings as side input, C(ABC) read
-        from the profile (self.profile(triple) unless given)."""
+        measured with the complement strings as side input, C(ABC) read off
+        the profile (self.profile(triple) unless given)."""
         out = {V: self.conditional(V, SUBSETS[5 - i], triple)
                for i, V in enumerate(SUBSETS[:6])}
         out[SUBSETS[6]] = (profile or self.profile(triple)).values[6]
         return out
 
-    def string_set(self, width: int, side=()) -> Mapping[BitString, int]:
-        """All width-bit strings producible as single-component outputs,
-        with their minimal program lengths; built once per (side, width).
+    def _strings(self, width: int, side) -> tuple[np.ndarray, np.ndarray]:
+        """Program lengths and values of all width-bit strings producible
+        as single-component outputs, as two read-only int64 arrays in
+        (program length, value) order; built once per (side, width).
 
         Side components wider than the target width can never appear inside
         a single short output, so they are dropped before the enumeration;
@@ -209,19 +211,20 @@ class ToyOracle:
         their width under renumbering).
         """
         comps = tuple(c for c in _as_components(side) if c[0] <= width)
-        found = self._strings.get((comps, width))
+        found = self._sorted.get((comps, width))
         if found is None:
-            found = MappingProxyType({
-                BitString(width, tup[0][1]): ln
-                for tup, ln in self.output_table(comps).items()
-                if len(tup) == 1 and tup[0][0] == width})
-            self._strings[(comps, width)] = found
+            pairs = sorted((ln, tup[0][1]) for tup, ln in self.output_table(comps).items()
+                           if len(tup) == 1 and tup[0][0] == width)
+            table = np.array(pairs, dtype=np.int64).reshape(-1, 2).T.copy()
+            table.flags.writeable = False
+            found = self._sorted[(comps, width)] = (table[0], table[1])
         return found
 
     def candidates(self, n: int, target: int, known: Mapping[int, BitString],
                    payload_conds: Sequence, bound: int) -> np.ndarray:
         """Values of the width-n strings x with C(x | side) <= bound, ordered
-        by (program length, value) and capped at 2^(bound+1).
+        by (program length, value) and capped at 2^(bound+1), as a read-only
+        view of the cached strings.
 
         The side is the known strings, then the payloads, in the order
         given; the machine knows no coordinates, so `target` is unused.
@@ -229,9 +232,8 @@ class ToyOracle:
         if bound < 0:
             return np.empty(0, dtype=np.int64)
         side = tuple(known.values()) + tuple(p for _, p, _ in payload_conds)
-        found = self.string_set(n, side)
-        items = sorted((c, x.value) for x, c in found.items() if c <= bound)
-        return np.array([v for _, v in items[: 1 << (bound + 1)]], dtype=np.int64)
+        lengths, values = self._strings(n, side)
+        return values[: min(np.searchsorted(lengths, bound, side="right"), 1 << (bound + 1))]
 
 
 # -- counting oracle over explicit correlation sets ----------------------------
@@ -328,68 +330,13 @@ class CorrelationSet:
         subset = subset_key(subset)
         return len(_distinct(self._pack_proj(self.members, subset)))
 
-    @classmethod
-    def from_file(cls, path: str, n: Optional[int]) -> "CorrelationSet":
-        """Hex triples, one per line; n=None takes the width of the widest value.
-
-        A malformed line names the file and its line number."""
-        rows = []
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                where = f"scenario file {path}, line {lineno}"
-                parts = line.split()
-                if len(parts) != 3:
-                    raise ConfigError(f"{where}: expected 3 hex fields, got {line!r}")
-                try:
-                    row = [int(p, 16) for p in parts]
-                except ValueError:
-                    raise ConfigError(f"{where}: not a hex field in {line!r}") from None
-                if min(row) < 0:
-                    raise ConfigError(f"{where}: negative field in {line!r}")
-                if n is not None and max(row) >> n:
-                    raise ConfigError(f"{where}: {line!r} holds a value out of range "
-                                      f"for n={n}")
-                rows.append(row)
-        if n is None:
-            n = max(1, max((v for row in rows for v in row), default=0).bit_length())
-        return cls(n, rows)
-
-    @classmethod
-    def diagonal(cls, n: int) -> "CorrelationSet":
-        xs = np.arange(1 << n, dtype=np.int64)
-        return cls(n, np.stack([xs, xs, xs], axis=1))
-
-    @classmethod
-    def cube(cls, n: int) -> "CorrelationSet":
-        if n > 5:
-            raise ValueError("full cube is materialized only up to n=5")
-        return cls(n, _unpack(n, np.arange(1 << (3 * n), dtype=np.int64)))
-
-
-def named_correlation_set(spec: str) -> CorrelationSet:
-    """Sets by spec: collinear:q=Q, diagonal:n=N, cube:n=N, file:<path>."""
-    kind, args = parse_spec(spec, SCENARIOS)
-    if kind == "collinear":
-        from .scenarios import collinear_members
-        return CorrelationSet(2 * args["q"], collinear_members(args["q"]))
-    if kind == "diagonal":
-        return CorrelationSet.diagonal(args["n"])
-    if kind == "cube":
-        return CorrelationSet.cube(args["n"])
-    if kind == "file":
-        return CorrelationSet.from_file(args["path"], args["n"])
-    raise ConfigError(f"scenario {spec!r} has no explicit member set")
-
 
 class CountingOracle:
     """Log-cardinality oracle over an explicit correlation set.
 
     The profile is a property of the set, shared by all member triples, so
-    it is computed once per set, on the first call; conditionals derive
-    from the profile by subtraction, so the chain rule holds exactly.
+    it is computed once per set, on the first call; conditionals are
+    profile differences, so the chain rule holds exactly.
     """
 
     def __init__(self, S: CorrelationSet):

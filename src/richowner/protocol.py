@@ -409,8 +409,8 @@ def _representative_profiles(rates: RateVector, slack: int, cap: int) -> np.ndar
     rank order of their plans.
 
     Every inequality on C(ABC) is an upper bound, so C(ABC) may take its
-    least value max(AB, AC, BC); the two bounds involving BC then bound BC
-    from below, which leaves a filter over the grid of (A, B, C, AB, AC).
+    least value max(AB, AC, BC); the two bounds involving BC then are lower
+    bounds on BC, which leaves a filter over the grid of (A, B, C, AB, AC).
     The grid is filtered one A-slice at a time; a signature starts with
     A + slack, so no two slices share one and each slice is deduplicated
     on its own.

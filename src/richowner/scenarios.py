@@ -1,7 +1,8 @@
 """Input generators and information-theoretic baselines.
 
-Collinear point triples over GF(2^q), discrete memoryless bit-triple
-sources and their entropy profiles.
+The named correlation sets that scenario specs build (collinear point
+triples over GF(2^q), diagonal, cube and hex-file sets), discrete
+memoryless bit-triple sources and their entropy profiles.
 """
 
 from __future__ import annotations
@@ -9,11 +10,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import lru_cache
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .oracles import SUBSETS
+from .oracles import SUBSETS, CorrelationSet
+from .specs import SCENARIOS, ConfigError, parse_spec
 
 # Fixed irreducible polynomials so every field computation is reproducible.
 IRREDUCIBLE = {
@@ -24,29 +27,26 @@ IRREDUCIBLE = {
 }
 
 
-_MUL_TABLES: dict[int, np.ndarray] = {}
-
-
+@lru_cache(maxsize=None)
 def mul_table(q: int) -> np.ndarray:
-    """Full Q x Q multiplication table of GF(2^q) for vectorized geometry.
+    """Full Q x Q multiplication table of GF(2^q) for vectorized geometry,
+    one read-only array per q.
 
     Carry-less products reduced by the fixed irreducible polynomial, one
     shift-and-xor round per bit of the right factor.
     """
-    table = _MUL_TABLES.get(q)
-    if table is None:
-        poly = IRREDUCIBLE.get(q)
-        if poly is None:
-            raise ValueError(f"no fixed irreducible polynomial for q={q}")
-        Q = 1 << q
-        x = np.arange(Q, dtype=np.int64)[:, None]
-        y = np.arange(Q, dtype=np.int64)[None, :]
-        table = np.zeros((Q, Q), dtype=np.int64)
-        for bit in range(q):
-            table ^= x * ((y >> bit) & 1)
-            x = x << 1
-            x ^= np.where(x & Q, poly, 0)
-        _MUL_TABLES[q] = table
+    poly = IRREDUCIBLE.get(q)
+    if poly is None:
+        raise ValueError(f"no fixed irreducible polynomial for q={q}")
+    Q = 1 << q
+    x = np.arange(Q, dtype=np.int64)[:, None]
+    y = np.arange(Q, dtype=np.int64)[None, :]
+    table = np.zeros((Q, Q), dtype=np.int64)
+    for bit in range(q):
+        table ^= x * ((y >> bit) & 1)
+        x = x << 1
+        x ^= np.where(x & Q, poly, 0)
+    table.flags.writeable = False
     return table
 
 
@@ -75,6 +75,56 @@ def collinear_members(q: int) -> np.ndarray:
     members = np.empty((len(c), Q - 2, 3), dtype=np.int64)
     members[..., 0], members[..., 1], members[..., 2] = a, b, c
     return members.reshape(-1, 3)
+
+
+# -- named correlation sets ---------------------------------------------------
+
+def _read_set_file(path: str, n: Optional[int]) -> CorrelationSet:
+    """Hex triples, one per line; n=None takes the width of the widest value.
+
+    A malformed line names the file and its line number."""
+    rows = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            where = f"scenario file {path}, line {lineno}"
+            parts = line.split()
+            if len(parts) != 3:
+                raise ConfigError(f"{where}: expected 3 hex fields, got {line!r}")
+            try:
+                row = [int(p, 16) for p in parts]
+            except ValueError:
+                raise ConfigError(f"{where}: not a hex field in {line!r}") from None
+            if min(row) < 0:
+                raise ConfigError(f"{where}: negative field in {line!r}")
+            if n is not None and max(row) >> n:
+                raise ConfigError(f"{where}: {line!r} holds a value out of range "
+                                  f"for n={n}")
+            rows.append(row)
+    if n is None:
+        n = max(1, max((v for row in rows for v in row), default=0).bit_length())
+    return CorrelationSet(n, rows)
+
+
+def named_correlation_set(spec: str) -> CorrelationSet:
+    """Sets by spec: collinear:q=Q, diagonal:n=N, cube:n=N (n <= 5),
+    file:<path>."""
+    kind, args = parse_spec(spec, SCENARIOS)
+    if kind == "collinear":
+        return CorrelationSet(2 * args["q"], collinear_members(args["q"]))
+    if kind == "diagonal":
+        xs = np.arange(1 << args["n"], dtype=np.int64)
+        return CorrelationSet(args["n"], np.stack([xs, xs, xs], axis=1))
+    if kind == "cube":
+        if args["n"] > 5:
+            raise ValueError("full cube is materialized only up to n=5")
+        Q = 1 << args["n"]
+        return CorrelationSet(args["n"], np.indices((Q, Q, Q)).reshape(3, -1).T)
+    if kind == "file":
+        return _read_set_file(args["path"], args["n"])
+    raise ConfigError(f"scenario {spec!r} has no explicit member set")
 
 
 # -- memoryless bit-triple sources --------------------------------------------

@@ -19,7 +19,6 @@ from richowner.oracles import (
     CountingOracle,
     ToyMachineConfig,
     ToyOracle,
-    named_correlation_set,
 )
 from richowner.protocol import (
     conditional_profile,
@@ -30,7 +29,7 @@ from richowner.protocol import (
     rates_from_profile,
 )
 from richowner.rng import SeedStream, derive_seed
-from richowner.scenarios import collinear_members
+from richowner.scenarios import collinear_members, named_correlation_set
 from richowner.verification import BFamily, check_prefix_extractor, rich_owner_fraction
 
 from helpers import (

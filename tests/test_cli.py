@@ -252,7 +252,7 @@ class TestEncodeDecode:
                            "--k", k, "--seed", f"1{k}",
                            "--out", str(p)) == 0
             paths[sender] = p
-        from richowner.oracles import named_correlation_set
+        from richowner.scenarios import named_correlation_set
         from richowner.protocol import encode
         from richowner.rng import derive_seed
 
@@ -338,6 +338,10 @@ def decode_inputs(tmp_path):
         {k: v for k, v in json.loads(cws3.read_text())[0].items() if k != "sender"}]))
     cws_object = tmp_path / "cws_object.json"
     cws_object.write_text('{"A": "1"}')
+    cws_number = tmp_path / "cws_number.json"
+    cws_number.write_text("[1, 2, 3]")
+    desc_list = tmp_path / "desc_list.json"
+    desc_list.write_text('["binning", 4, 2, 1]')
     text_bits = tmp_path / "text_bits.json"
     text_bits.write_text('[{"sender": "A", "payload_hex": "3", "payload_bits": "3"}]')
     not_json = tmp_path / "not_json.json"
@@ -369,7 +373,8 @@ def decode_inputs(tmp_path):
     return {**{name: str(tmp_path / name) for name in bad_files},
             "g": str(g), "g5": str(g5), "cws": str(cws), "desc": str(desc), "cws3": str(cws3),
             "out": str(tmp_path / "out.json"), "no_sender": str(no_sender),
-            "cws_object": str(cws_object), "desc_str_n": str(desc_str_n),
+            "cws_object": str(cws_object), "cws_number": str(cws_number),
+            "desc_list": str(desc_list), "desc_str_n": str(desc_str_n),
             "desc_list_kind": str(desc_list_kind),
             **{name: str(tmp_path / f"{name}.json") for name in mistyped},
             "report": str(tmp_path / "report.txt"),
@@ -483,6 +488,14 @@ def decode_inputs(tmp_path):
      "graph descriptor {bad_header}: not JSON"),
     (["encode", "--graph", "{truncated}", "--input", "a", "--width", "4"],
      "graph descriptor {truncated}: not JSON"),
+    (["experiment", "--set", "scenario=planted:n=7", "--set", "oracle=toy",
+      "--set", "decoder=full"], "planted scenario needs an even width"),
+    (["experiment", "--set", "scenario=planted:n=8", "--set", "oracle=counting"],
+     "counting oracle needs an enumerable scenario"),
+    (["encode", "--graph", "{desc_list}", "--input", "a", "--width", "4"],
+     "graph descriptor {desc_list}: expected an object"),
+    (["decode", "--codewords", "{cws_number}", "--graphs", "{g},{g},{g}",
+      "--scenario", "collinear:q=2"], "codewords {cws_number}: entry 0 is not an object"),
 ], ids=["profile-scenario", "experiment-scenario", "family-sampled",
         "family-all-of-size", "family-negative-size", "family-negative-count", "decode-rates", "graphs-typo", "descriptor-kind",
         "decode-codeword-count", "decode-graph-count", "decode-graph-width",
@@ -503,7 +516,9 @@ def decode_inputs(tmp_path):
         "unknown-spec-kind", "graphs-bad-fraction", "dms-unknown-key",
         "dms-without-member-set", "certificate-large-regime",
         "scenario-file-bad-hex", "scenario-file-two-fields", "scenario-file-wide-value",
-        "old-binary-graph-file", "graph-bad-header", "graph-truncated-payload"])
+        "old-binary-graph-file", "graph-bad-header", "graph-truncated-payload",
+        "planted-odd-width", "counting-without-member-set", "descriptor-not-an-object",
+        "codeword-not-an-object"])
 def test_bad_spec_is_a_clean_error(argv, key, decode_inputs, capsys):
     """`key` is the text the message must hold, or a tuple of such texts."""
     capsys.readouterr()

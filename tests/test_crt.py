@@ -32,6 +32,24 @@ def test_primes_first_below(t, below):
     assert primes.dtype == np.int64 and not primes.flags.writeable
 
 
+def test_primes_first_matches_trial_division():
+    """One sieve holds p_t for every t up to 3000: Rosser's bound for
+    t >= 6, the pad for t < 6.  Below `below` = t, p_t or p_t + 1 the
+    result is the reference's prefix under `below`."""
+    reference = []
+    candidate = 2
+    while len(reference) < 3000:
+        if all(candidate % p for p in reference if p * p <= candidate):
+            reference.append(candidate)
+        candidate += 1
+    sieve = primes_first.__wrapped__  # uncached: 12,000 arrays would stay alive
+    for t in range(3001):
+        assert sieve(t).tolist() == reference[:t]
+        p_t = reference[t - 1] if t else 2
+        for below in (t, p_t, p_t + 1):
+            assert sieve(t, below).tolist() == [p for p in reference[:t] if p < below]
+
+
 class TestCrtHash:
     def test_examples(self):
         assert crt_hash(13, 7) == HashTag(7, 6)

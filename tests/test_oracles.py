@@ -12,8 +12,8 @@ from richowner.oracles import (
     SUBSETS,
     ToyMachineConfig,
     ToyOracle,
-    named_correlation_set,
 )
+from richowner.scenarios import named_correlation_set
 
 from helpers import (
     brute_force_toy_table,
@@ -85,6 +85,14 @@ def reference_string_set(width, cfg, side=()):
     return found
 
 
+def reference_candidates(found, bound):
+    """What `candidates` must return at `bound` for the reference strings
+    `found`: those of program length <= bound, by (length, value), capped
+    at 2^(bound+1)."""
+    items = sorted((c, x.value) for x, c in found.items() if c <= bound)
+    return [v for _, v in items[: 1 << (bound + 1)]]
+
+
 class TestToyMachine:
     def test_literal_upper_bound(self):
         cfg = ToyMachineConfig(max_len=14, step_budget=100)
@@ -123,25 +131,25 @@ class TestToyMachine:
             assert c is not None and c <= base
 
     def test_matches_reference_interpreter(self):
-        # Spec-scale cross-check: L=10, T=100, bound=6 over widths 0..6.
+        # Spec-scale cross-check: L=10, T=100, bounds 0..6 over widths 0..6.
+        # Each string enters the candidates at the bound of its program
+        # length, so the sweep also checks every length up to 6.
         cfg = ToyMachineConfig(max_len=10, step_budget=100)
         oracle = ToyOracle(cfg)
         for width in range(7):
-            ours = {
-                x: c for x, c in oracle.string_set(width).items() if c <= 6
-            }
-            theirs = {
-                x: c for x, c in reference_string_set(width, cfg).items() if c <= 6
-            }
-            assert ours == theirs
+            found = reference_string_set(width, cfg)
+            for bound in range(7):
+                ours = oracle.candidates(width, 0, {}, [], bound).tolist()
+                assert ours == reference_candidates(found, bound)
 
     def test_matches_reference_with_side_input(self):
         cfg = ToyMachineConfig(max_len=10, step_budget=100)
         oracle = ToyOracle(cfg)
-        side = (bs("0110"),)
-        ours = oracle.string_set(4, side)
-        theirs = reference_string_set(4, cfg, side)
-        assert ours == theirs
+        side = bs("0110")
+        found = reference_string_set(4, cfg, (side,))
+        for bound in range(cfg.max_len + 1):
+            ours = oracle.candidates(4, 0, {1: side}, [], bound).tolist()
+            assert ours == reference_candidates(found, bound)
 
     def test_run_program_multi_component(self):
         # LIT(1,'1') END LIT(1,'0') -> ("1", "0")
@@ -192,18 +200,26 @@ class TestToyProfilesAndSets:
             items = oracle.candidates(4, 0, {}, [], bound)
             assert len(items) <= (1 << (bound + 1))
 
-    def test_enumerate_matches_string_set(self):
+    def test_enumerate_negative_bound(self):
+        cfg = ToyMachineConfig(max_len=10, step_budget=100)
+        items = ToyOracle(cfg).candidates(4, 0, {}, [], -1)
+        assert items.dtype == np.int64 and items.tolist() == []
+
+    def test_enumerate_matches_output_table(self):
         cfg = ToyMachineConfig(max_len=12, step_budget=200)
         oracle = ToyOracle(cfg)
         items = oracle.candidates(8, 0, {}, [], 12)
-        assert set(items.tolist()) == {x.value for x in oracle.string_set(8)}
+        assert set(items.tolist()) == {
+            out[0][1] for out in oracle.output_table(()) if len(out) == 1 and out[0][0] == 8}
         assert len(items) == 16  # the half-period strings
+        assert items.dtype == np.int64 and not items.flags.writeable  # a view of the cache
 
     def test_wide_side_components_cannot_help(self):
         cfg = ToyMachineConfig(max_len=12, step_budget=200)
         oracle = ToyOracle(cfg)
         wide = BitString(34, 12345)
-        assert oracle.string_set(8, (wide,)) is oracle.string_set(8)  # one cached set
+        alone = oracle.candidates(8, 0, {}, [], 12)
+        assert np.shares_memory(oracle.candidates(8, 0, {0: wide}, [], 12), alone)  # one cache entry
 
 
 class TestCountingOracle:
@@ -217,13 +233,13 @@ class TestCountingOracle:
                 assert oracle.conditional(V, W, S.triple_at(0)) == 0
 
     def test_full_cube_marginal(self):
-        S = CorrelationSet.cube(3)
+        S = named_correlation_set("cube:n=3")
         oracle = CountingOracle(S)
         assert oracle.conditional((0,), ()) == 3
         assert oracle.profile().values == (3, 3, 3, 6, 6, 6, 9)
 
     def test_diagonal_profile(self):
-        oracle = CountingOracle(CorrelationSet.diagonal(4))
+        oracle = CountingOracle(named_correlation_set("diagonal:n=4"))
         assert oracle.profile().values == (4,) * 7
 
     def test_collinear_fiber(self):
@@ -247,7 +263,7 @@ class TestCountingOracle:
         assert len(full) == 16
 
     def test_enumerate_full_cube(self):
-        S = CorrelationSet.cube(3)
+        S = named_correlation_set("cube:n=3")
         items = CountingOracle(S).candidates(S.n, 0, {}, [], 3)
         assert items.tolist() == list(range(8))  # the whole fiber
 
@@ -301,7 +317,7 @@ class TestCorrelationSet:
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "set.txt"
         path.write_text("# demo\n01 02 03\n0a 0b 0c\n")
-        S = CorrelationSet.from_file(str(path), 4)
+        S = named_correlation_set(f"file:path={path},n=4")
         assert len(S) == 2
         assert S.contains((1, 2, 3))
         assert not S.contains((1, 2, 4))
@@ -348,7 +364,7 @@ class TestCorrelationSet:
             oracle.profile((BitString(2, 0), BitString(2, 0), BitString(2, 0)))
 
     def test_profile_of_helper(self):
-        S = CorrelationSet.diagonal(3)
+        S = named_correlation_set("diagonal:n=3")
         assert CountingOracle(S).profile(None).values == (3,) * 7
 
 

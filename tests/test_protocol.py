@@ -18,7 +18,6 @@ from richowner.oracles import (
     CountingOracle,
     ToyMachineConfig,
     ToyOracle,
-    named_correlation_set,
 )
 from richowner.protocol import (
     Codeword,
@@ -43,6 +42,7 @@ from richowner.protocol import (
     _tags_match,
 )
 from richowner.rng import SeedStream, derive_seed
+from richowner.scenarios import named_correlation_set
 from richowner.specs import ConfigError
 
 from helpers import all_to_one_graph, bs, matrix_pick

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from richowner.bits import BitString
-from richowner.oracles import SUBSETS, ComplexityProfile, CountingOracle, named_correlation_set
+from richowner.oracles import SUBSETS, ComplexityProfile, CountingOracle
 from richowner.protocol import check_rate_feasibility
 from richowner.scenarios import (
     IRREDUCIBLE,
@@ -14,6 +14,7 @@ from richowner.scenarios import (
     collinear_members,
     entropy_profile,
     mul_table,
+    named_correlation_set,
 )
 from richowner.rng import SeedStream
 
