@@ -58,12 +58,10 @@ def _read_json(path: str, what: str):
             raise ConfigError(f"{what} {path}: not JSON ({exc})") from None
 
 
-def _fraction(flag: str, text: str) -> Fraction:
-    """The rational value of a CLI flag; a malformed one names the flag."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"{flag} {text}: not a rational with a nonzero denominator") from None
+def _scheme(text: str, n: int) -> HashScheme:
+    """The tag scheme `--scheme s,epsilon` for n-bit strings."""
+    s, epsilon = comma_fields(text, (int, Fraction), f"--scheme {text}")
+    return HashScheme(n, s, epsilon)
 
 
 # The keys of a graph descriptor besides the kind's GRAPHS arguments, with
@@ -113,8 +111,6 @@ def _cmd_build_graph(args) -> int:
 
 def _cmd_verify_graph(args) -> int:
     mode, params = parse_spec(args.family, FAMILIES)
-    if "seed" in params and params["seed"] is None:  # sampled families default to --seed
-        params["seed"] = args.seed
     family = BFamily(mode=mode, **params)
     check, check_params = parse_spec(args.check, CHECKS)
     g = _load_graph_any(args.graph)
@@ -128,19 +124,19 @@ def _cmd_verify_graph(args) -> int:
 
 
 def _cmd_hash_audit(args) -> int:
-    scheme = HashScheme(args.n, args.s, _fraction("--epsilon", args.epsilon))
+    scheme = _scheme(args.scheme, args.n)
     if args.trials < 0:
         raise ConfigError(f"--trials {args.trials}: must be >= 0")
-    if args.s > (1 << args.n):
-        raise ConfigError(f"--s {args.s}: needs {args.s - 1} distinct distractors, but only "
-                          f"{(1 << args.n) - 1} {args.n}-bit strings differ from u1")
+    if scheme.s > (1 << args.n):
+        raise ConfigError(f"--scheme {args.scheme}: needs {scheme.s - 1} distinct distractors, "
+                          f"but only {(1 << args.n) - 1} {args.n}-bit strings differ from u1")
     stream = SeedStream(derive_seed(args.seed, "hash-audit"))
     worst = Fraction(1)
     below = 0
     for _ in range(args.trials):
         u1 = stream.bits(args.n)
         distractors = set()
-        while len(distractors) < args.s - 1:
+        while len(distractors) < scheme.s - 1:
             v = stream.bits(args.n)
             if v != u1:
                 distractors.add(v)
@@ -149,7 +145,7 @@ def _cmd_hash_audit(args) -> int:
         if p < 1 - scheme.epsilon:
             below += 1
     _write_json({
-        "n": args.n, "s": args.s, "epsilon": str(scheme.epsilon), "t": scheme.t,
+        "n": args.n, "s": scheme.s, "epsilon": str(scheme.epsilon), "t": scheme.t,
         "trials": args.trials, "worst_isolation": str(worst),
         "below_target": below,
     }, args.out)
@@ -159,32 +155,23 @@ def _cmd_hash_audit(args) -> int:
 def _cmd_profile(args) -> int:
     kind, params = parse_spec(args.scenario, SCENARIOS)
     if kind == "dms":
+        n = params.pop("n")
+        if n < 1:
+            raise ConfigError(f"spec {args.scenario!r}: draw count n={n} must be >= 1")
         # the grammar lists p000..p111 in the order SourceDistribution indexes them
-        values = entropy_profile(SourceDistribution(tuple(params.values())), args.n)
-        _write_json({
-            "scenario": args.scenario,
-            "entropy_profile": dict(zip(SUBSET_NAMES, values)),
-        }, args.out)
-        return 0
-    S = named_correlation_set(args.scenario)
-    oracle = CountingOracle(S)
-    profile = oracle.profile()
-    _write_json({
-        "scenario": args.scenario,
-        "n": S.n,
-        "members": len(S),
-        "profile": profile.as_dict(),
-    }, args.out)
+        values = entropy_profile(SourceDistribution(tuple(params.values())), n)
+        record = {"entropy_profile": dict(zip(SUBSET_NAMES, values))}
+    else:
+        S = named_correlation_set(args.scenario)
+        record = {"n": S.n, "members": len(S), "profile": CountingOracle(S).profile().as_dict()}
+    _write_json({"scenario": args.scenario, **record}, args.out)
     return 0
 
 
 def _cmd_encode(args) -> int:
     g = _load_graph_any(args.graph)
-    x = BitString.from_hex(args.input, args.width)
-    scheme = None
-    if args.scheme:
-        n, s, eps = comma_fields(args.scheme, (int, int, str), f"--scheme {args.scheme}")
-        scheme = HashScheme(n, s, _fraction("--scheme", eps))
+    x = BitString.from_hex(args.input, g.n)
+    scheme = _scheme(args.scheme, g.n) if args.scheme else None
     cw = protocol_encode(g, x, scheme, args.seed, sender=args.sender)
     _write_json(cw.to_json(), args.out)
     return 0
@@ -280,14 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--check", required=True, help="audit spec")
     p.add_argument("--family", default="exhaustive")
-    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify_graph)
 
     p = sub.add_parser("hash-audit", help="isolation statistics for a scheme")
-    p.add_argument("--n", type=int, default=16)
-    p.add_argument("--s", type=int, default=3)
-    p.add_argument("--epsilon", default="1/10")
+    p.add_argument("--n", type=int, default=16, help="width of the strings and the scheme")
+    p.add_argument("--scheme", default="3,1/10", help="tag scheme as s,epsilon")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out")
@@ -295,15 +280,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="profile of a scenario")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--n", type=int, default=8, help="draw count for dms scenarios")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser("encode", help="encode one input through a graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--input", required=True, help="hex value of the source string")
-    p.add_argument("--width", type=int, required=True)
-    p.add_argument("--scheme", help="tag scheme as n,s,epsilon")
+    p.add_argument("--scheme", help="tag scheme as s,epsilon")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--sender", default="A")
     p.add_argument("--out")

@@ -163,7 +163,6 @@ class ExperimentReport:
 class _Scenario:
     n: int
     S: Optional[CorrelationSet] = None
-    planted_width: int = 0
 
     def triple(self, trial_seed: int):
         if self.S is not None:
@@ -172,12 +171,12 @@ class _Scenario:
         # planted low-complexity triples: two seeded half-period strings
         # shared among coordinates according to a seeded pattern.
         stream = SeedStream(derive_seed(trial_seed, "plant"))
-        half = self.planted_width // 2
+        half = self.n // 2
         first = stream.bits(half)
         second = stream.bits(half)
         base = [
-            BitString(self.planted_width, (first << half) | first),
-            BitString(self.planted_width, (second << half) | second),
+            BitString(self.n, (first << half) | first),
+            BitString(self.n, (second << half) | second),
         ]
         pattern = (
             (0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 0),
@@ -190,7 +189,7 @@ def _resolve_scenario(spec: str) -> _Scenario:
     if kind == "planted":
         if args["n"] % 2:
             raise ConfigError("planted scenario needs an even width")
-        return _Scenario(n=args["n"], planted_width=args["n"])
+        return _Scenario(n=args["n"])
     S = named_correlation_set(spec)
     return _Scenario(n=S.n, S=S)
 

@@ -254,6 +254,13 @@ def _unpack(n: int, packed: np.ndarray) -> np.ndarray:
     return np.stack([packed >> (2 * n), (packed >> n) & mask, packed & mask], axis=1)
 
 
+def check_width(n: int, where: str) -> None:
+    """Refuse an explicit set's width outside 1..21, the widths whose triples
+    pack into one int64 (3n <= 63 bits); `where` begins the message."""
+    if not 1 <= n <= 21:
+        raise ConfigError(f"{where}: width n={n} outside 1..21 (triples pack into 63 bits)")
+
+
 class CorrelationSet:
     """Explicit S subset of ({0,1}^n)^3 with exact count and fiber queries."""
 
@@ -261,8 +268,7 @@ class CorrelationSet:
         members = np.asarray(members, dtype=np.int64).reshape(-1, 3)
         if members.size == 0:
             raise ValueError("correlation set must be nonempty")
-        if 3 * n > 63:
-            raise ValueError(f"width n={n} too large: triples pack into 63 bits (n <= 21)")
+        check_width(n, "correlation set")
         if members.min() < 0 or members.max() >= (1 << n):
             raise ValueError(f"member coordinate out of range for n={n}")
         self.n = n

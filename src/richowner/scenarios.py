@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .oracles import SUBSETS, CorrelationSet
+from .oracles import SUBSETS, CorrelationSet, check_width
 from .specs import SCENARIOS, ConfigError, parse_spec
 
 # Fixed irreducible polynomials so every field computation is reproducible.
@@ -25,6 +25,16 @@ IRREDUCIBLE = {
     4: 0b10011,        # x^4 + x + 1
     8: 0b100011011,    # x^8 + x^4 + x^3 + x + 1
 }
+# Most rows a named set may have: diagonal:n=21 is the largest measured to build.
+MAX_MEMBERS = 1 << 21
+
+
+def _irreducible(q: int) -> int:
+    """The fixed irreducible polynomial of GF(2^q)."""
+    poly = IRREDUCIBLE.get(q)
+    if poly is None:
+        raise ValueError(f"no fixed irreducible polynomial for q={q}")
+    return poly
 
 
 @lru_cache(maxsize=None)
@@ -35,9 +45,7 @@ def mul_table(q: int) -> np.ndarray:
     Carry-less products reduced by the fixed irreducible polynomial, one
     shift-and-xor round per bit of the right factor.
     """
-    poly = IRREDUCIBLE.get(q)
-    if poly is None:
-        raise ValueError(f"no fixed irreducible polynomial for q={q}")
+    poly = _irreducible(q)
     Q = 1 << q
     x = np.arange(Q, dtype=np.int64)[:, None]
     y = np.arange(Q, dtype=np.int64)[None, :]
@@ -61,10 +69,8 @@ def collinear_members(q: int) -> np.ndarray:
     One broadcast pass: for every ordered pair (a, b) of distinct points,
     the third points a + t (b - a), t in GF(2^q) minus {0, 1}, sorted.
     """
-    if q < 2:
-        raise ValueError("need q >= 2")
+    mul = mul_table(q)  # refuses a q without a fixed polynomial, so every q < 2
     Q = 1 << q
-    mul = mul_table(q)
     a, b = np.nonzero(~np.eye(Q * Q, dtype=bool))  # a-major, then b
     a, b = a[:, None], b[:, None]
     d, t = a ^ b, np.arange(2, Q)
@@ -110,21 +116,31 @@ def _read_set_file(path: str, n: Optional[int]) -> CorrelationSet:
 
 def named_correlation_set(spec: str) -> CorrelationSet:
     """Sets by spec: collinear:q=Q, diagonal:n=N, cube:n=N (n <= 5),
-    file:<path>."""
+    file:<path>.  A width or member count past its cap is refused unbuilt."""
     kind, args = parse_spec(spec, SCENARIOS)
-    if kind == "collinear":
-        return CorrelationSet(2 * args["q"], collinear_members(args["q"]))
-    if kind == "diagonal":
-        xs = np.arange(1 << args["n"], dtype=np.int64)
-        return CorrelationSet(args["n"], np.stack([xs, xs, xs], axis=1))
-    if kind == "cube":
-        if args["n"] > 5:
-            raise ValueError("full cube is materialized only up to n=5")
-        Q = 1 << args["n"]
-        return CorrelationSet(args["n"], np.indices((Q, Q, Q)).reshape(3, -1).T)
+    if kind not in ("collinear", "diagonal", "cube", "file"):
+        raise ConfigError(f"scenario {spec!r} has no explicit member set")
+    n = 2 * args["q"] if kind == "collinear" else args["n"]
+    if n is not None:  # a file without n takes the width of its widest value
+        check_width(n, f"spec {spec!r}")
     if kind == "file":
-        return _read_set_file(args["path"], args["n"])
-    raise ConfigError(f"scenario {spec!r} has no explicit member set")
+        return _read_set_file(args["path"], n)
+    if kind == "collinear":
+        _irreducible(args["q"])
+    N = 1 << n  # points of the plane GF(2^q)^2 for collinear
+    count = {"collinear": N * (N - 1) * ((1 << n // 2) - 2), "diagonal": N,
+             "cube": N ** 3}[kind]
+    if count > MAX_MEMBERS:
+        raise ConfigError(f"spec {spec!r}: {count} members exceed the cap of "
+                          f"{MAX_MEMBERS} rows")
+    if kind == "collinear":
+        return CorrelationSet(n, collinear_members(args["q"]))
+    if kind == "diagonal":
+        xs = np.arange(N, dtype=np.int64)
+        return CorrelationSet(n, np.stack([xs, xs, xs], axis=1))
+    if n > 5:
+        raise ValueError("full cube is materialized only up to n=5")
+    return CorrelationSet(n, np.indices((N, N, N)).reshape(3, -1).T)
 
 
 # -- memoryless bit-triple sources --------------------------------------------

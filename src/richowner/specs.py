@@ -25,7 +25,7 @@ SCENARIOS = {
     "cube": {"n": (int, REQUIRED)},
     "file": {"path": (str, REQUIRED), "n": (int, None)},
     "planted": {"n": (int, 8)},
-    "dms": {f"p{i:03b}": (Fraction, Fraction(0)) for i in range(8)},
+    "dms": {**{f"p{i:03b}": (Fraction, Fraction(0)) for i in range(8)}, "n": (int, 8)},
 }
 ORACLES = {
     "counting": {},
@@ -39,7 +39,7 @@ GRAPHS = {
 FAMILIES = {
     "exhaustive": {"min_size": (int, 1), "max_size": (int, None)},
     "all-of-size": {"size": (int, REQUIRED)},
-    "sampled": {"size": (int, REQUIRED), "count": (int, 100), "seed": (int, None)},
+    "sampled": {"size": (int, REQUIRED), "count": (int, 100), "seed": (int, 1)},
 }
 CHECKS = {
     "extractor": {"epsilon": (Fraction, Fraction(1, 4))},

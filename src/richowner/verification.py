@@ -81,8 +81,9 @@ class BFamily:
         size = 1 << k
         if n <= 4:
             return cls(mode="exhaustive")
-        if math.comb(1 << n, size) <= ENUM_CAP:
-            return cls(mode="all-of-size", size=size)
+        family = cls(mode="all-of-size", size=size)
+        if not family.beyond_enumeration(n):
+            return family
         return cls(mode="sampled", size=size, count=128, seed=seed)
 
     def __str__(self) -> str:
@@ -96,6 +97,10 @@ class BFamily:
         if self.mode == "all-of-size":
             return math.comb(1 << n, self.size)
         return self.count
+
+    def beyond_enumeration(self, n: int) -> bool:
+        """Whether an all-of-size family has more than ENUM_CAP sets at width n."""
+        return self.mode == "all-of-size" and self.set_count(n) > ENUM_CAP
 
     def sizes(self, n: int) -> range:
         """The set sizes of the family at width n.  Refuses a family that
@@ -112,7 +117,7 @@ class BFamily:
         if not sizes or sizes[-1] > N:
             raise GraphError(f"family {self} names no set of the {N} left nodes "
                              f"at width n={n}")
-        if self.mode == "all-of-size" and math.comb(N, self.size) > ENUM_CAP:
+        if self.beyond_enumeration(n):
             raise GraphError(
                 f"all-of-size family with C({N},{self.size}) sets cannot be "
                 "enumerated; use the certified richness audit"
@@ -448,10 +453,7 @@ def rich_owner_fraction(g: LabeledBipartiteGraph, family: BFamily, k: int,
     """
     delta = _check_regime(k, delta)
     total = family.set_count(g.n)
-    enumerable = not (
-        family.mode == "all-of-size" and math.comb(1 << g.n, family.size) > ENUM_CAP
-    )
-    if enumerable:
+    if not family.beyond_enumeration(g.n):
         return _richness_by_enumeration(g, family, k, delta)
     if family.size > (1 << k):
         raise GraphError("certified audit only covers the small regime")

@@ -208,15 +208,27 @@ class TestBuildAndVerify:
         assert not out.exists()
 
 
-@pytest.mark.parametrize("command, options", [
-    ("build-graph", {"--graph", "--n", "--k", "--seed", "--max-retries", "--out", "--report"}),
-    ("verify-graph", {"--graph", "--check", "--family", "--seed", "--out"}),
-])
+SUBCOMMAND_OPTIONS = {
+    "build-graph": {"--graph", "--n", "--k", "--seed", "--max-retries", "--out", "--report"},
+    "verify-graph": {"--graph", "--check", "--family", "--out"},
+    "hash-audit": {"--n", "--scheme", "--trials", "--seed", "--out"},
+    "profile": {"--scenario", "--out"},
+    "encode": {"--graph", "--input", "--scheme", "--seed", "--sender", "--out"},
+    "decode": {"--codewords", "--graphs", "--scenario", "--decoder", "--rates", "--slack",
+               "--out"},
+    "experiment": {"--config", "--set", "--format", "--out"},
+    "report": {"--input", "--format", "--out"},
+}
+
+
+@pytest.mark.parametrize("command, options", SUBCOMMAND_OPTIONS.items())
 def test_graph_commands_take_each_choice_as_one_spec(command, options):
-    """A graph's or an audit's arguments go in its spec, never in a flag of
-    their own such as --delta."""
+    """Each CLI value has one source: a graph's, an audit's or a scenario's
+    arguments go in its spec (never a flag of their own such as --delta or
+    --seed), and a width that the graph fixes is never a flag."""
     (commands,) = [action for action in build_parser()._actions
                    if isinstance(action, argparse._SubParsersAction)]
+    assert set(commands.choices) == set(SUBCOMMAND_OPTIONS)
     actions = commands.choices[command]._actions
     assert {flag for action in actions for flag in action.option_strings} == {
         "-h", "--help", *options}
@@ -225,7 +237,7 @@ def test_graph_commands_take_each_choice_as_one_spec(command, options):
 class TestHashAuditAndProfile:
     def test_hash_audit(self, tmp_path):
         out = tmp_path / "audit.json"
-        assert run_cli("hash-audit", "--n", "16", "--s", "3", "--epsilon", "1/10",
+        assert run_cli("hash-audit", "--n", "16", "--scheme", "3,1/10",
                        "--trials", "100", "--seed", "2", "--out", str(out)) == 0
         obj = json.loads(out.read_text())
         assert obj["t"] == 480 and obj["below_target"] == 0
@@ -237,8 +249,7 @@ class TestHashAuditAndProfile:
         assert obj["profile"]["ABC"] == 9
 
     def test_profile_dms(self, capsys):
-        assert run_cli("profile", "--scenario", "dms:p000=1/2,p111=1/2",
-                       "--n", "4") == 0
+        assert run_cli("profile", "--scenario", "dms:p000=1/2,p111=1/2,n=4") == 0
         obj = json.loads(capsys.readouterr().out)
         assert obj["entropy_profile"]["ABC"] == 4.0
 
@@ -282,8 +293,8 @@ class TestEncodeDecode:
         run_cli("build-graph", "--graph", "binning", "--n", "4", "--k", "3",
                 "--seed", "7", "--out", str(g))
         out = tmp_path / "cw.json"
-        assert run_cli("encode", "--graph", str(g), "--input", "a", "--width", "4",
-                       "--seed", "9", "--scheme", "4,3,1/16",
+        assert run_cli("encode", "--graph", str(g), "--input", "a",
+                       "--seed", "9", "--scheme", "3,1/16",
                        "--out", str(out)) == 0
         obj = json.loads(out.read_text())
         assert obj["payload_bits"] == 3
@@ -397,15 +408,15 @@ def decode_inputs(tmp_path):
       "--rates", "1,2"], "rates '1,2'"),
     (["experiment", "--set", "graphs=pipeline:detla=1/2", "--set", "trials=1"],
      "'detla'"),
-    (["encode", "--graph", "{desc}", "--input", "a", "--width", "4"], "'kind'"),
+    (["encode", "--graph", "{desc}", "--input", "a"], "'kind'"),
     (["decode", "--codewords", "{cws}", "--graphs", "{g},{g},{g}",
       "--scenario", "collinear:q=2"], "3 codewords, got 0"),
     (["decode", "--codewords", "{cws3}", "--graphs", "{g},{g}",
       "--scenario", "collinear:q=2", "--decoder", "full"], "3 graphs, got 2"),
     (["decode", "--codewords", "{cws3}", "--graphs", "{g},{g},{g}",
       "--scenario", "collinear:q=3"], "left width 4"),
-    (["hash-audit", "--n", "1", "--s", "5"], "--s 5"),
-    (["hash-audit", "--n", "4", "--s", "2", "--trials", "-3"], "--trials -3"),
+    (["hash-audit", "--n", "1", "--scheme", "5,1/10"], "--scheme 5,1/10: needs 4 distinct"),
+    (["hash-audit", "--n", "4", "--scheme", "2,1/10", "--trials", "-3"], "--trials -3"),
     (["build-graph", "--graph", "pipeline", "--n", "4", "--k", "2", "--max-retries", "-1",
       "--out", "{out}"], "max_retries"),
     (["experiment", "--set", "trials=-2"], "'trials'"),
@@ -415,19 +426,19 @@ def decode_inputs(tmp_path):
       "--set", "oracle=toy:L=-3"], "'L'"),
     (["experiment", "--set", "scenario=planted:n=4", "--set", "decoder=full",
       "--set", "oracle=toy:T=-5"], "'T'"),
-    (["hash-audit", "--epsilon", "1/0"], "--epsilon 1/0"),
+    (["hash-audit", "--scheme", "3,1/0"], "--scheme 3,1/0: bad field '1/0'"),
     (["build-graph", "--graph", "pipeline:delta=1/0", "--n", "4", "--k", "2",
       "--out", "{out}"], "delta='1/0'"),
     (["build-graph", "--graph", "binning", "--n", "4", "--k", "2", "--out", "{out}",
       "--report", "{report}"], "--report {report}: a binning graph has no construction report"),
     (["build-graph", "--graph", "binning:delta=1/2", "--n", "4", "--k", "2",
       "--out", "{out}"], "unknown key 'delta' (allowed: none)"),
-    (["encode", "--graph", "{g}", "--input", "a", "--width", "4", "--scheme", "4,3,1/0"],
-     "--scheme 1/0"),
-    (["encode", "--graph", "{g}", "--input", "a", "--width", "4", "--scheme", "6,3"],
-     "--scheme 6,3:"),
-    (["encode", "--graph", "{g}", "--input", "a", "--width", "4", "--scheme", "6,x,1/2"],
-     "--scheme 6,x,1/2:"),
+    (["encode", "--graph", "{g}", "--input", "a", "--scheme", "3,1/0"],
+     "--scheme 3,1/0: bad field '1/0'"),
+    (["encode", "--graph", "{g}", "--input", "a", "--scheme", "6"],
+     "--scheme 6: expected 2 comma-separated field(s), got 1"),
+    (["encode", "--graph", "{g}", "--input", "a", "--scheme", "x,1/2"],
+     "--scheme x,1/2: bad field 'x'"),
     (["verify-graph", "--graph", "{g}", "--check", "richness:k=1,delta=0",
       "--family", "sampled:size=4,count=3"], "got delta=0 k=1"),
     (["verify-graph", "--graph", "{g}", "--check", "richness:delta=-1",
@@ -450,19 +461,19 @@ def decode_inputs(tmp_path):
       "--scenario", "collinear:q=2"], "codewords {text_bits}: entry 0:"),
     (["decode", "--codewords", "{not_json}", "--graphs", "{g},{g},{g}",
       "--scenario", "collinear:q=2"], "codewords {not_json}: not JSON"),
-    (["encode", "--graph", "{not_json}", "--input", "a", "--width", "4"],
+    (["encode", "--graph", "{not_json}", "--input", "a"],
      "graph descriptor {not_json}: not JSON"),
     (["report", "--input", "{not_json}"], "report {not_json}: not JSON"),
-    (["encode", "--graph", "{desc_str_n}", "--input", "a", "--width", "4"],
+    (["encode", "--graph", "{desc_str_n}", "--input", "a"],
      "graph descriptor {desc_str_n}: key 'n' must be an integer"),
-    (["encode", "--graph", "{desc_list_kind}", "--input", "a", "--width", "4"],
+    (["encode", "--graph", "{desc_list_kind}", "--input", "a"],
      "graph descriptor {desc_list_kind}: key 'kind' must be a string"),
-    (["encode", "--graph", "{desc_float_delta}", "--input", "a", "--width", "4"],
+    (["encode", "--graph", "{desc_float_delta}", "--input", "a"],
      "graph descriptor {desc_float_delta}: key 'delta' must be a string or an integer, "
      "got 0.3"),
-    (["encode", "--graph", "{desc_float_c}", "--input", "a", "--width", "4"],
+    (["encode", "--graph", "{desc_float_c}", "--input", "a"],
      "graph descriptor {desc_float_c}: key 'c' must be a string or an integer, got 4.7"),
-    (["encode", "--graph", "{desc_bool_c}", "--input", "a", "--width", "4"],
+    (["encode", "--graph", "{desc_bool_c}", "--input", "a"],
      "graph descriptor {desc_bool_c}: key 'c' must be a string or an integer, got True"),
     (["experiment", "--set", "rates=profile+x"], "cannot parse rates 'profile+x'"),
     (["experiment", "--set", "rates=1,x,2"], "cannot parse rates '1,x,2'"),
@@ -482,20 +493,43 @@ def decode_inputs(tmp_path):
      "scenario file {two_fields}, line 2: expected 3 hex fields, got '1 2'"),
     (["profile", "--scenario", "file:path={wide_value},n=4"],
      "scenario file {wide_value}, line 2: '1 2 ff' holds a value out of range for n=4"),
-    (["encode", "--graph", "{binary_graph}", "--input", "a", "--width", "4"],
+    (["encode", "--graph", "{binary_graph}", "--input", "a"],
      "graph descriptor {binary_graph}: not JSON"),
-    (["encode", "--graph", "{bad_header}", "--input", "a", "--width", "4"],
+    (["encode", "--graph", "{bad_header}", "--input", "a"],
      "graph descriptor {bad_header}: not JSON"),
-    (["encode", "--graph", "{truncated}", "--input", "a", "--width", "4"],
+    (["encode", "--graph", "{truncated}", "--input", "a"],
      "graph descriptor {truncated}: not JSON"),
     (["experiment", "--set", "scenario=planted:n=7", "--set", "oracle=toy",
       "--set", "decoder=full"], "planted scenario needs an even width"),
     (["experiment", "--set", "scenario=planted:n=8", "--set", "oracle=counting"],
      "counting oracle needs an enumerable scenario"),
-    (["encode", "--graph", "{desc_list}", "--input", "a", "--width", "4"],
+    (["encode", "--graph", "{desc_list}", "--input", "a"],
      "graph descriptor {desc_list}: expected an object"),
     (["decode", "--codewords", "{cws_number}", "--graphs", "{g},{g},{g}",
       "--scenario", "collinear:q=2"], "codewords {cws_number}: entry 0 is not an object"),
+    (["profile", "--scenario", "dms:p000=1,n=0"],
+     "spec 'dms:p000=1,n=0': draw count n=0 must be >= 1"),
+    (["profile", "--scenario", "dms:p000=1/2,p111=1/2,n=-3"],
+     "spec 'dms:p000=1/2,p111=1/2,n=-3': draw count n=-3 must be >= 1"),
+    (["hash-audit", "--scheme", "3"], "--scheme 3: expected 2 comma-separated field(s), got 1"),
+    (["encode", "--graph", "{g}", "--input", "a", "--scheme", "4,3,1/16"],
+     "--scheme 4,3,1/16: expected 2 comma-separated field(s), got 3"),
+    (["profile", "--scenario", "diagonal:n=22"],
+     "spec 'diagonal:n=22': width n=22 outside 1..21"),
+    (["profile", "--scenario", "diagonal:n=0"], "spec 'diagonal:n=0': width n=0 outside 1..21"),
+    (["profile", "--scenario", "diagonal:n=-1"],
+     "spec 'diagonal:n=-1': width n=-1 outside 1..21"),
+    (["profile", "--scenario", "cube:n=0"], "spec 'cube:n=0': width n=0 outside 1..21"),
+    (["profile", "--scenario", "cube:n=-1"], "spec 'cube:n=-1': width n=-1 outside 1..21"),
+    (["profile", "--scenario", "file:path={hex_zz},n=-1"],
+     "spec 'file:path={hex_zz},n=-1': width n=-1 outside 1..21"),
+    (["profile", "--scenario", "collinear:q=11"],
+     "spec 'collinear:q=11': width n=22 outside 1..21"),
+    (["profile", "--scenario", "collinear:q=8"],
+     "spec 'collinear:q=8': 1090905047040 members exceed the cap of 2097152 rows"),
+    (["profile", "--scenario", "cube:n=8"],
+     "spec 'cube:n=8': 16777216 members exceed the cap of 2097152 rows"),
+    (["profile", "--scenario", "cube:n=6"], "full cube is materialized only up to n=5"),
 ], ids=["profile-scenario", "experiment-scenario", "family-sampled",
         "family-all-of-size", "family-negative-size", "family-negative-count", "decode-rates", "graphs-typo", "descriptor-kind",
         "decode-codeword-count", "decode-graph-count", "decode-graph-width",
@@ -504,7 +538,7 @@ def decode_inputs(tmp_path):
         "collinear-unknown-field", "toy-negative-length", "toy-negative-steps",
         "hash-audit-zero-denominator", "build-zero-denominator",
         "build-report-without-construction-report", "build-graph-unknown-key",
-        "encode-scheme-zero-denominator", "encode-scheme-two-fields",
+        "encode-scheme-zero-denominator", "encode-scheme-one-field",
         "encode-scheme-non-integer", "richness-zero-delta", "richness-negative-delta",
         "richness-negative-k", "extractor-negative-epsilon", "extractor-unknown-key",
         "richness-unknown-key", "unknown-check-kind", "codeword-missing-key",
@@ -518,7 +552,12 @@ def decode_inputs(tmp_path):
         "scenario-file-bad-hex", "scenario-file-two-fields", "scenario-file-wide-value",
         "old-binary-graph-file", "graph-bad-header", "graph-truncated-payload",
         "planted-odd-width", "counting-without-member-set", "descriptor-not-an-object",
-        "codeword-not-an-object"])
+        "codeword-not-an-object",
+        "dms-zero-draws", "dms-negative-draws", "hash-audit-scheme-one-field",
+        "encode-scheme-three-fields", "diagonal-too-wide", "diagonal-zero-width",
+        "diagonal-negative-width", "cube-zero-width", "cube-negative-width",
+        "scenario-file-negative-width", "collinear-too-wide", "collinear-over-member-cap",
+        "cube-over-member-cap", "cube-past-n5"])
 def test_bad_spec_is_a_clean_error(argv, key, decode_inputs, capsys):
     """`key` is the text the message must hold, or a tuple of such texts."""
     capsys.readouterr()

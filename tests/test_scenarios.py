@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from richowner import scenarios
 from richowner.bits import BitString
 from richowner.oracles import SUBSETS, ComplexityProfile, CountingOracle
 from richowner.protocol import check_rate_feasibility
@@ -17,6 +19,7 @@ from richowner.scenarios import (
     named_correlation_set,
 )
 from richowner.rng import SeedStream
+from richowner.specs import ConfigError
 
 from helpers import (
     FieldElement,
@@ -155,6 +158,29 @@ class TestCollinear:
                         gf_mul(m10, p[0]) + gf_mul(m11, p[1]) + t1)
 
             assert is_collinear(apply(a), apply(b), apply(c))
+
+
+class TestNamedSets:
+    def test_refuses_a_wide_set_before_building_it(self):
+        # diagonal:n=22 would hold 2^22 rows of three int64s (96 MB).
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=r"'diagonal:n=22': width n=22 outside 1\.\.21"):
+                named_correlation_set("diagonal:n=22")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("spec", ["collinear:q=2", "collinear:q=3", "diagonal:n=5",
+                                      "cube:n=2"])
+    def test_member_cap_counts_the_rows_it_would_build(self, spec, monkeypatch):
+        rows = len(named_correlation_set(spec))
+        monkeypatch.setattr(scenarios, "MAX_MEMBERS", rows)
+        assert len(named_correlation_set(spec)) == rows
+        monkeypatch.setattr(scenarios, "MAX_MEMBERS", rows - 1)
+        with pytest.raises(ConfigError, match=f"{rows} members exceed the cap of {rows - 1} "):
+            named_correlation_set(spec)
 
 
 class TestDms:
