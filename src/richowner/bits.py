@@ -34,20 +34,6 @@ class BitString:
         nibbles = (self.width + 3) // 4
         return format(self.value, f"0{nibbles}x") if self.width else ""
 
-    def __len__(self) -> int:
-        return self.width
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.width:
-            raise IndexError(i)
-        return (self.value >> (self.width - 1 - i)) & 1
-
-    def prefix(self, m: int) -> "BitString":
-        """First m bits of the big-endian rendering."""
-        if not 0 <= m <= self.width:
-            raise ValueError(f"prefix length {m} out of range for width {self.width}")
-        return BitString(m, self.value >> (self.width - m))
-
     def __repr__(self) -> str:
         return f"BitString({self.width}, 0b{self.bits()})" if self.width else "BitString(0)"
 

@@ -170,7 +170,10 @@ def _cmd_profile(args) -> int:
 
 def _cmd_encode(args) -> int:
     g = _load_graph_any(args.graph)
-    x = BitString.from_hex(args.input, g.n)
+    try:
+        x = BitString.from_hex(args.input, g.n)
+    except ValueError:
+        raise ConfigError(f"--input {args.input}: not a hex value of width n={g.n}") from None
     scheme = _scheme(args.scheme, g.n) if args.scheme else None
     cw = protocol_encode(g, x, scheme, args.seed, sender=args.sender)
     _write_json(cw.to_json(), args.out)

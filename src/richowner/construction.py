@@ -73,11 +73,6 @@ def split_count(n: int, s: int, delta: Fraction) -> int:
     return math.ceil(Fraction(s * n) / Fraction(delta))
 
 
-def _split_threshold(delta: Fraction, D: int) -> int:
-    """s = ceil((2/delta^2) * D), the worst in-regime congestion at degree D."""
-    return math.ceil(Fraction(2) / (delta * delta) * D)
-
-
 def _check_split_count(ell: int) -> None:
     if ell > TABLE_CAP:
         raise GraphError(f"split count ell={ell} exceeds the cap of {TABLE_CAP} primes")
@@ -127,7 +122,6 @@ def construct_rich_owner_graph(
     seed: int,
     max_retries: int = 10,
     c: int = 4,
-    family=None,
     builder: Optional[Callable] = None,
 ) -> tuple[SplitGraph, ConstructionReport]:
     """Full pipeline: random graph at width k, verify, retry, then split.
@@ -151,11 +145,10 @@ def construct_rich_owner_graph(
     epsilon = delta * delta / 2
     if builder is None:  # the degree, hence the split count, is known up front
         D = required_left_degree(n, epsilon, c)
-        _check_split_count(split_count(n, _split_threshold(delta, D), delta))
+        s = verification.large_regime_threshold(delta, 1 << k, D, k)  # |B| = 2^k
+        _check_split_count(split_count(n, s, delta))
     build = builder or build_random_graph
-    if family is None:
-        family = verification.BFamily.default_for(
-            n, k, seed=derive_seed(seed, "verify-family"))
+    family = verification.BFamily.default_for(n, k, seed=derive_seed(seed, "verify-family"))
 
     worst = None
     attempts = []
@@ -166,7 +159,7 @@ def construct_rich_owner_graph(
         attempts.append((attempt, report.passed, report.worst_error))
         if report.passed:
             D = g.degree
-            split = split_edges(g, _split_threshold(delta, D), delta)
+            split = split_edges(g, verification.large_regime_threshold(delta, 1 << k, D, k), delta)
             return split, ConstructionReport(
                 n=n, k=k, delta=delta, epsilon=epsilon, D=D, ell=split.ell,
                 gamma=split.m - k, retries=attempt, verified_B_count=report.checked,

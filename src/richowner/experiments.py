@@ -187,8 +187,8 @@ class _Scenario:
 def _resolve_scenario(spec: str) -> _Scenario:
     kind, args = parse_spec(spec, SCENARIOS)
     if kind == "planted":
-        if args["n"] % 2:
-            raise ConfigError("planted scenario needs an even width")
+        if args["n"] < 2 or args["n"] % 2:
+            raise ConfigError(f"spec {spec!r}: width n={args['n']} must be even and >= 2")
         return _Scenario(n=args["n"])
     S = named_correlation_set(spec)
     return _Scenario(n=S.n, S=S)

@@ -120,13 +120,14 @@ class LabeledBipartiteGraph:
     # -- payload membership (decoder-facing) -------------------------------
 
     def payload_consistent(self, x, payload) -> bool:
-        """True when the payload occurs in x's neighbor multiset."""
-        xi = _as_left_int(self, x)
-        zi = _as_right_int(self, payload)
-        return zi in self.neighbor_values(xi)
+        """True when the payload occurs in x's neighbor multiset: the bulk
+        check of one node."""
+        xs = np.array([_as_left_int(self, x)])
+        return bool(self.payload_consistent_bulk(xs, payload)[0])
 
     def payload_consistent_bulk(self, xs: np.ndarray, payload) -> np.ndarray:
-        """payload_consistent for every left node in xs.
+        """Whether the payload occurs in the neighbor multiset of each left
+        node in xs.
 
         Reads the cached adjacency matrix when there is one, and otherwise
         the rows of just the given nodes, block by block.
@@ -200,6 +201,9 @@ class SeededGraph(LabeledBipartiteGraph):
     def __init__(self, n: int, m: int, d: int, seed: int):
         if m > 63:
             raise GraphError("seeded graphs support right width up to 63 bits")
+        if n + d > 64:  # distinct (x, label) pairs would share a stream index
+            raise GraphError(f"seeded graph n={n}, D={1 << d}: n + log2 D = {n + d} "
+                             f"exceeds the 64-bit stream index x*D + label")
         super().__init__(n, m, 1 << d)
         self.seed = seed
 
@@ -240,12 +244,10 @@ class SplitGraph(LabeledBipartiteGraph):
                 primes, primes_first(ell, 1 << base.n))):
             raise GraphError(f"{len(primes)} primes are neither the first ell={ell} "
                              f"nor those of them below 2^{base.n}")
-        idx_bits = (ell - 1).bit_length()
-        m = idx_bits + base.n + base.m
+        m = (ell - 1).bit_length() + base.n + base.m
         super().__init__(base.n, m, base.degree * ell)
         self.base = base
         self.ell = ell
-        self.idx_bits = idx_bits
         self.primes = np.asarray(primes, dtype=np.int64)
 
     @property
@@ -283,13 +285,6 @@ class SplitGraph(LabeledBipartiteGraph):
         fields |= np.arange(self.ell, dtype=np.uint64) << np.uint64(self.n + self.k)
         fanned = self.base.rows(xs)[:, :, None] | fields[:, None, :]
         return fanned.reshape(len(xs), self.degree)
-
-    def payload_consistent(self, x, payload) -> bool:
-        xi = _as_left_int(self, x)
-        i, residue, z = self.parse_payload(payload)
-        if i >= self.ell:
-            return False
-        return self._residue(xi, i) == residue and z in self.base.neighbor_values(xi)
 
     def payload_consistent_bulk(self, xs: np.ndarray, payload) -> np.ndarray:
         i, residue, z = self.parse_payload(payload)

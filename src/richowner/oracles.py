@@ -52,12 +52,11 @@ def subset_key(subset) -> tuple[int, ...]:
 class ComplexityProfile:
     """Seven joint values, one per non-empty coordinate subset.
 
-    Censored subsets are those whose true value exceeded the oracle budget;
-    they carry the budget floor (max_len + 1) so arithmetic stays total.
+    A subset whose true value exceeded the oracle budget carries the budget
+    floor (max_len + 1), so arithmetic stays total.
     """
 
     values: tuple[int, ...]
-    censored: frozenset = frozenset()
 
     def __post_init__(self):
         if len(self.values) != 7:
@@ -172,15 +171,8 @@ class ToyOracle:
         return self.output_table(_as_components(side)).get(_as_components(target))
 
     def profile(self, triple: Sequence[BitString]) -> ComplexityProfile:
-        values = []
-        censored = set()
-        for subset in SUBSETS:
-            c = self.complexity(tuple(triple[i] for i in subset))
-            if c is None:
-                censored.add(subset)
-                c = self.cfg.max_len + 1
-            values.append(c)
-        return ComplexityProfile(tuple(values), frozenset(censored))
+        values = (self.complexity(tuple(triple[i] for i in subset)) for subset in SUBSETS)
+        return ComplexityProfile(tuple(self.cfg.max_len + 1 if c is None else c for c in values))
 
     def conditional(self, V, W, triple: Sequence[BitString]) -> int:
         """Direct conditional: shortest program given the W strings as side."""

@@ -67,9 +67,6 @@ class RateVector:
     def __getitem__(self, i: int) -> int:
         return (self.n_a, self.n_b, self.n_c)[i]
 
-    def total(self) -> int:
-        return self.n_a + self.n_b + self.n_c
-
 
 def conditional_profile(oracle, triple,
                         profile: Optional[ComplexityProfile] = None) -> dict[tuple[int, ...], int]:

@@ -500,7 +500,7 @@ def decode_inputs(tmp_path):
     (["encode", "--graph", "{truncated}", "--input", "a"],
      "graph descriptor {truncated}: not JSON"),
     (["experiment", "--set", "scenario=planted:n=7", "--set", "oracle=toy",
-      "--set", "decoder=full"], "planted scenario needs an even width"),
+      "--set", "decoder=full"], "spec 'planted:n=7': width n=7 must be even and >= 2"),
     (["experiment", "--set", "scenario=planted:n=8", "--set", "oracle=counting"],
      "counting oracle needs an enumerable scenario"),
     (["encode", "--graph", "{desc_list}", "--input", "a"],
@@ -530,6 +530,20 @@ def decode_inputs(tmp_path):
     (["profile", "--scenario", "cube:n=8"],
      "spec 'cube:n=8': 16777216 members exceed the cap of 2097152 rows"),
     (["profile", "--scenario", "cube:n=6"], "full cube is materialized only up to n=5"),
+    (["experiment", "--set", "scenario=planted:n=0", "--set", "oracle=toy",
+      "--set", "decoder=full", "--set", "graphs=binning", "--set", "trials=1"],
+     "spec 'planted:n=0': width n=0 must be even and >= 2"),
+    (["experiment", "--set", "scenario=planted:n=-2", "--set", "oracle=toy",
+      "--set", "decoder=full", "--set", "graphs=binning", "--set", "trials=1"],
+     "spec 'planted:n=-2': width n=-2 must be even and >= 2"),
+    (["build-graph", "--graph", "random", "--n", "60", "--k", "4", "--out", "{out}"],
+     "seeded graph n=60, D=4096: n + log2 D = 72 exceeds the 64-bit stream index"),
+    (["experiment", "--set", "scenario=planted:n=66", "--set", "oracle=toy",
+      "--set", "decoder=full", "--set", "graphs=binning", "--set", "trials=1"],
+     "seeded graph n=66, D=1: n + log2 D = 66 exceeds the 64-bit stream index"),
+    (["encode", "--graph", "{g}", "--input", "zz"], "--input zz: not a hex value of width n=4"),
+    (["encode", "--graph", "{g}", "--input", "1ff"],
+     "--input 1ff: not a hex value of width n=4"),
 ], ids=["profile-scenario", "experiment-scenario", "family-sampled",
         "family-all-of-size", "family-negative-size", "family-negative-count", "decode-rates", "graphs-typo", "descriptor-kind",
         "decode-codeword-count", "decode-graph-count", "decode-graph-width",
@@ -557,7 +571,9 @@ def decode_inputs(tmp_path):
         "encode-scheme-three-fields", "diagonal-too-wide", "diagonal-zero-width",
         "diagonal-negative-width", "cube-zero-width", "cube-negative-width",
         "scenario-file-negative-width", "collinear-too-wide", "collinear-over-member-cap",
-        "cube-over-member-cap", "cube-past-n5"])
+        "cube-over-member-cap", "cube-past-n5", "planted-zero-width",
+        "planted-negative-width", "random-stream-index-past-64-bits",
+        "binning-stream-index-past-64-bits", "encode-input-not-hex", "encode-input-too-wide"])
 def test_bad_spec_is_a_clean_error(argv, key, decode_inputs, capsys):
     """`key` is the text the message must hold, or a tuple of such texts."""
     capsys.readouterr()

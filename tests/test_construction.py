@@ -169,7 +169,7 @@ class TestPipeline:
         assert wins >= 9
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
-    def test_full_width_default_family_is_the_one_full_set(self, n):
+    def test_full_width_default_family_is_the_one_full_set(self, n, monkeypatch):
         family = BFamily.default_for(n, n, seed=3)
         assert list(family.iter_sets(n)) == [tuple(range(1 << n))]
         # 128 seeded draws of a size-2^n set all give the one full set, so
@@ -178,8 +178,8 @@ class TestPipeline:
         sampled = BFamily(mode="sampled", size=1 << n, count=128,
                           seed=derive_seed(seed, "verify-family"))
         _, default = construct_rich_owner_graph(n, n, Fraction(1, 2), seed=seed)
-        _, explicit = construct_rich_owner_graph(n, n, Fraction(1, 2), seed=seed,
-                                                 family=sampled)
+        monkeypatch.setattr(BFamily, "default_for", lambda *args, **kwargs: sampled)
+        _, explicit = construct_rich_owner_graph(n, n, Fraction(1, 2), seed=seed)
         assert default.verified_B_count == explicit.verified_B_count == n
         assert default.retries == explicit.retries
 

@@ -189,8 +189,7 @@ class TestSplitGraph:
         xs = np.arange(16, dtype=np.int64)
         payload = g.neighbor_int(7, 3)
         bulk = g.payload_consistent_bulk(xs, payload)
-        scalar = [g.payload_consistent(int(x), payload) for x in xs]
-        assert bulk.tolist() == scalar
+        assert bulk.tolist() == [payload in g.neighbor_values(x) for x in xs]
 
     def test_bulk_from_edge_table_at_width_17(self):
         # 2^(17+7) cells: the adjacency matrix is filled from the edge table.
@@ -198,7 +197,7 @@ class TestSplitGraph:
         xs = np.random.default_rng(17).integers(0, 1 << 17, size=300)
         for payload in (g.neighbor_int(5, 0), g.neighbor_int(99_999, 1), 0, 127):
             bulk = g.payload_consistent_bulk(xs, payload)
-            assert bulk.tolist() == [g.payload_consistent(int(x), payload) for x in xs]
+            assert bulk.tolist() == [payload in g.neighbor_values(x) for x in xs]
         assert g._has_right.shape == (1 << 17, 1 << 7)
 
     def test_bulk_without_edge_table_checks_only_given_nodes(self, monkeypatch):
@@ -210,7 +209,7 @@ class TestSplitGraph:
         xs = np.random.default_rng(14).integers(0, 1 << 14, size=12)
         payloads = (g.neighbor_int(int(xs[0]), 0), 0, 1023)
         fresh = SeededGraph(14, 10, 11, seed=5)
-        want = [[fresh.payload_consistent(int(x), z) for x in xs] for z in payloads]
+        want = [[z in fresh.neighbor_values(x) for x in xs] for z in payloads]
         read = []
         rows = SeededGraph.rows
 
@@ -231,7 +230,7 @@ class TestSplitGraph:
         xs = np.array([0, 5, 99_999, (1 << 17) - 1], dtype=np.int64)
         for payload in (g.neighbor_int(5, 0), g.neighbor_int(99_999, 1), 0):
             bulk = g.payload_consistent_bulk(xs, payload)
-            assert bulk.tolist() == [g.payload_consistent(int(x), payload) for x in xs]
+            assert bulk.tolist() == [payload in g.neighbor_values(x) for x in xs]
         assert g._has_right is None
 
 
@@ -310,7 +309,7 @@ def test_split_bulk_check_reads_only_residue_matches(data):
         i, residue, _ = g.parse_payload(payload)
         matches = [] if i >= ell else [x for x in xs.tolist() if x % full_primes[i] == residue]
         assert sorted(read) == sorted(matches)
-        assert bulk == [g.payload_consistent(int(x), payload) for x in xs]
+        assert bulk == [payload in g.neighbor_values(x) for x in xs]
 
 
 # -- primes below 2^n against the full prime list -----------------------------------
@@ -340,7 +339,7 @@ def test_primes_below_2n_match_full_prime_list(data):
     for payload in payloads:
         bulk = full.payload_consistent_bulk(xs, payload)
         assert short.payload_consistent_bulk(xs, payload).tolist() == bulk.tolist()
-        assert [short.payload_consistent(x, payload) for x in range(1 << n)] == bulk.tolist()
+        assert [payload in short.neighbor_values(x) for x in range(1 << n)] == bulk.tolist()
     members = sorted(data.draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1,
                                        max_size=5)))
     for small, threshold in ((True, 1), (False, 1), (False, 2)):
@@ -381,6 +380,19 @@ def test_split_rows_refuse_past_64_bits():
     assert g.m == 65 and g.neighbor_int(5, 7) >> 62 == 7
     with pytest.raises(GraphError, match="m=65"):
         g.rows(np.array([5]))
+
+
+def test_seeded_graph_refuses_a_stream_index_past_64_bits():
+    # at n=60, D=2^10 the uint64 index x*D + label wraps: nodes 3 and
+    # 3 + 2^54 would share every edge
+    with pytest.raises(GraphError, match=r"n=60, D=1024: n \+ log2 D = 70"):
+        SeededGraph(60, 4, 10, seed=1)
+    fits = SeededGraph(54, 4, 10, seed=1)  # n + log2 D = 64
+    rows = fits.rows(np.array([3, 3 + (1 << 53)], dtype=np.uint64))
+    assert rows[0].tolist() != rows[1].tolist()
+    binning = SeededGraph(64, 4, 0, seed=1)  # the widest binning graph
+    top = (1 << 64) - 1
+    assert binning.neighbor_values(top) == [binning.neighbor_int(top, 0)]
 
 
 def test_seeded_bulk_payload_check_makes_no_scalar_draws(monkeypatch):

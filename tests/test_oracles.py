@@ -98,7 +98,7 @@ class TestToyMachine:
         cfg = ToyMachineConfig(max_len=14, step_budget=100)
         for x in (bs("1"), bs("0110"), bs("10110100")):
             c = ToyOracle(cfg).complexity(x)
-            assert c is not None and c <= len(x) + 6
+            assert c is not None and c <= x.width + 6
 
     def test_repeat_beats_literal_on_32_zeros(self):
         cfg = ToyMachineConfig(max_len=17, step_budget=100)
@@ -186,7 +186,6 @@ class TestToyProfilesAndSets:
         profile = oracle.profile((x, x, x))
         assert profile.value((0,)) == 12
         assert profile.value((0, 1)) == 13  # beyond budget, reported at floor
-        assert (0, 1) in profile.censored
 
     def test_enumerate_bound_zero(self):
         cfg = ToyMachineConfig(max_len=10, step_budget=100)
