@@ -8,6 +8,7 @@ Widths are preserved by every operation that does not explicitly resize.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from string import hexdigits
 
 
 @dataclass(frozen=True, order=True)
@@ -25,6 +26,10 @@ class BitString:
 
     @classmethod
     def from_hex(cls, hex_str: str, width: int) -> "BitString":
+        """The string of hex digits only (no sign, prefix, space or
+        underscore); the empty string is read only at width 0."""
+        if set(hex_str) - set(hexdigits) or not (hex_str or width == 0):
+            raise ValueError(f"not a hex string of width {width}: {hex_str!r}")
         return cls(width, int(hex_str, 16) if hex_str else 0)
 
     def bits(self) -> str:

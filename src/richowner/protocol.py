@@ -5,9 +5,12 @@ graph, plus a residue fingerprint of the string itself.  The receiver runs
 a catalog of staged reconstruction pipelines (branches), held as plain
 data: each stage of a branch is a (target, known, payload_conds) triple
 that recovers one string.  A stage asks the oracle for its candidate
-values at a bound that _stage_bounds derives from a plan (a complexity
-profile plus the rates), checks them all against the observed payload
-with one bulk graph query, and keeps the unique candidate that owns it.
+values at a bound that _stage_bounds derives from a plan and the rates,
+checks them all against the observed payload with one bulk graph query,
+and keeps the unique candidate that owns it.  A plan is what a complexity
+profile sets in the catalog: the opener bounds C(t) + slack of the chains'
+first stages, t = A, B, C; every other stage is bounded by its target's
+rate plus slack.
 
 Both staged decoders are profile search over a table of plans, in rank
 order: the known-profile decoder over the one plan its profile gives, the
@@ -34,7 +37,7 @@ import numpy as np
 
 from .bits import BitString
 from .crt import HashScheme, HashTag, draw_hash_tag
-from .graphs import GraphError, LabeledBipartiteGraph
+from .graphs import TABLE_CAP, GraphError, LabeledBipartiteGraph
 from .oracles import SUBSETS, ComplexityProfile, CorrelationSet, _distinct
 from .rng import SeedStream, derive_seed
 from .specs import ConfigError
@@ -158,28 +161,17 @@ def encode(g: LabeledBipartiteGraph, x: BitString, scheme: Optional[HashScheme],
 
 # The branch catalog, as (name, lead, stages) with each stage given as
 # (target, known, payload_conds): the coordinate to recover, the recovered
-# side strings and the conditioning payloads.  `lead` indexes the plan
-# signature (_signature) for the first stage's bound, or is None.
+# side strings and the conditioning payloads.  `lead` is the plan signature
+# column, C(lead) + slack, that bounds a chain's first stage, or None when
+# rates bound every stage.  Branches that open on A's payload alone add no
+# tag-consistent triple that these miss (tests/helpers.py keeps them).
 _CATALOG = (
     *(("chain-" + "ABC"[i] + "ABC"[j] + "ABC"[k], i,
        ((i, (), ()), (j, (i,), ()), (k, tuple(sorted((i, j))), ())))
       for i, j, k in permutations((0, 1, 2))),
-    ("helper-B", None, ((1, (), (0,)), (0, (1,), ()), (2, (0, 1), ()))),
-    ("helper-C", None, ((2, (), (0,)), (0, (2,), ()), (1, (0, 2), ()))),
     ("joint-BC", None, ((1, (), (0, 2)), (2, (1,), (0,)), (0, (1, 2), ()))),
     ("joint-CB", None, ((2, (), (0, 1)), (1, (2,), (0,)), (0, (1, 2), ()))),
-    # Pair-arithmetic helpers: bound C(x_t | p_A) by C(A,t) - n_A + slack.
-    ("pair-arith-B", 3, ((1, (), (0,)), (0, (1,), ()), (2, (0, 1), ()))),
-    ("pair-arith-C", 4, ((2, (), (0,)), (0, (2,), ()), (1, (0, 2), ()))),
 )
-
-
-def _signature(a, b, c, ab, ac, n_a: int, slack: int) -> tuple:
-    """What a plan takes from its profile: the opener bounds C(t) + slack
-    for t = A, B, C and the pair-arithmetic bounds max(C(A,t) - n_A + slack, 0)
-    for t = B, C.  Elementwise on integers or numpy arrays."""
-    return (a + slack, b + slack, c + slack,
-            np.maximum(ab - n_a + slack, 0), np.maximum(ac - n_a + slack, 0))
 
 
 def _stage_bounds(idx: int, lead_bound: Optional[int], rates: RateVector,
@@ -274,19 +266,19 @@ def _tags_match(codewords: Sequence[Codeword], triple) -> bool:
 @dataclass(frozen=True)
 class _PlanTable:
     """The plans of one decode, in rank order, as _select reads them: each
-    plan's signature, and per signature column (a catalog lead) the group
-    (column, bounds): the plans' lead bounds and their distinct values,
-    ascending.  The arrays are read-only, so a table can be shared between
-    decodes."""
+    plan's signature, its three opener bounds C(t) + slack for t = A, B, C,
+    and per signature column (a catalog lead) the group (column, bounds):
+    the plans' lead bounds and their distinct values, ascending.  The arrays
+    are read-only, so a table can be shared between decodes."""
 
     signatures: np.ndarray
     groups: Mapping[int, tuple[np.ndarray, np.ndarray]]
 
 
-def _plan_table(profiles: np.ndarray, n_a: int, slack: int) -> _PlanTable:
+def _plan_table(profiles: np.ndarray, slack: int) -> _PlanTable:
     """The plan table of profile rows in rank order; plans share a lead's
     branches iff they share its lead bound."""
-    signatures = np.stack(_signature(*profiles.T[:5], n_a, slack), axis=1)
+    signatures = profiles[:, :3] + slack
     signatures.flags.writeable = False
     groups = {}
     for lead in range(signatures.shape[1]):
@@ -391,7 +383,7 @@ def decode_known_profile(
     violated = check_rate_feasibility(profile, rates, slack)
     if violated:
         raise InfeasibleRatesError(violated)
-    table = _plan_table(np.array([profile.values]), rates[0], slack)
+    table = _plan_table(np.array([profile.values]), slack)
     return _select(codewords, table, rates, oracle, graphs, slack, step_budget)
 
 
@@ -408,20 +400,22 @@ def _representative_profiles(rates: RateVector, slack: int, cap: int) -> np.ndar
     Every inequality on C(ABC) is an upper bound, so C(ABC) may take its
     least value max(AB, AC, BC); the two bounds involving BC then are lower
     bounds on BC, which leaves a filter over the grid of (A, B, C, AB, AC).
-    The grid is filtered one A-slice at a time; a signature starts with
-    A + slack, so no two slices share one and each slice is deduplicated
-    on its own.
+    The grid is filtered one A-slice at a time.  A signature is (A, B, C)
+    + slack, so each slice keeps the first admissible point of each (B, C):
+    np.nonzero lists points in lexicographic order, so the points of one
+    (B, C) are adjacent and the first of each is where B or C changes.
 
-    Rows are stored at the narrowest signed dtype that holds every value
-    the filter forms, each at most 3 (|cap| + |slack|) + sum(rates) in
-    size; the grid is built at that dtype, so no intermediate can wrap.
+    A slice's grid has (cap + 1)^4 cells; past TABLE_CAP the search is
+    refused, naming the slack, before any array is built.  Rows are stored
+    at the narrowest signed dtype that holds every value the filter forms,
+    each at most 3 (|cap| + |slack|) + sum(rates) in size; the grid is built
+    at that dtype, so no intermediate can wrap.
     """
     n_a, n_b, n_c = rates
     s = slack
-    span = cap + max(s, 0) + 1  # values per signature field
-    if span ** 4 > np.iinfo(np.int64).max:
-        raise ConfigError(f"slack {slack}: profile-search signatures span {span}^4 "
-                          "keys, past the int64 range")
+    if (cap + 1) ** 4 > TABLE_CAP:
+        raise ConfigError(f"slack {slack}: profile search over entries 0..{cap} filters "
+                          f"{cap + 1}^4 cells per slice, past the cap of {TABLE_CAP}")
     dtype = np.min_scalar_type(-1 - 3 * (abs(cap) + abs(s)) - sum(rates))
     b, c, ab, ac = np.ix_(*[np.arange(cap + 1, dtype=dtype)] * 4)
     top = np.maximum(ab, ac)
@@ -445,17 +439,10 @@ def _representative_profiles(rates: RateVector, slack: int, cap: int) -> np.ndar
             & (np.maximum(a, c) <= ac) & (ac <= a + c + s)
             & (top <= upper) & (least_bc <= np.minimum(b + c + s, upper))
         )
-        points = np.nonzero(admissible)  # lexicographic order
-        bc = np.broadcast_to(least_bc, admissible.shape)[points]
-        pb, pc, pab, pac = points
-        # One int64 key per signature within the slice, B + slack and
-        # C + slack read as B and C, in the lexicographic order of the rows,
-        # so a 1-D unique finds the same first occurrences as a unique of
-        # rows.  Every field lies in 0..cap + slack.
-        fields = (pb, pc, *_signature(a, pb, pc, pab, pac, n_a, s)[3:])
-        keys = np.ravel_multi_index(fields, (span,) * 4)
-        first = np.sort(np.unique(keys, return_index=True)[1])
-        pb, pc, pab, pac, bc = (v[first] for v in (pb, pc, pab, pac, bc))
+        pb, pc, pab, pac = np.nonzero(admissible)  # lexicographic order
+        first = np.flatnonzero(np.diff(pb, prepend=-1) | np.diff(pc, prepend=-1))
+        pb, pc, pab, pac = (v[first] for v in (pb, pc, pab, pac))
+        bc = least_bc[pb, pc, pab, pac]
         slices.append(np.stack([np.full(len(first), a), pb, pc, pab, pac, bc,
                                 np.maximum(np.maximum(pab, pac), bc)], axis=1,
                                dtype=dtype))
@@ -468,7 +455,7 @@ def _representative_profiles(rates: RateVector, slack: int, cap: int) -> np.ndar
 # bound keeps memory from growing with the number of distinct vectors.
 @lru_cache(maxsize=4)
 def _full_plan_table(rates: RateVector, slack: int, cap: int) -> _PlanTable:
-    return _plan_table(_representative_profiles(rates, slack, cap), rates[0], slack)
+    return _plan_table(_representative_profiles(rates, slack, cap), slack)
 
 
 def decode_full(
@@ -482,8 +469,9 @@ def decode_full(
     """Profile search: decode without the profile, under every admissible
     candidate profile with entries in {0..n+slack}, n the graphs' width.
 
-    Profiles that yield the same plan are grouped by signature and ranked
-    by the least one (_representative_profiles); _select picks the winner.
+    Profiles that yield the same plan, the same opener bounds C(t) + slack,
+    are grouped and ranked by the least one (_representative_profiles);
+    _select picks the winner.
     The plan table is built once per (rates, slack, width) among the most
     recent few (_full_plan_table).
     """

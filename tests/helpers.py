@@ -11,9 +11,11 @@ references of the extractor audit in `richowner.verification`: sampled
 sets drawn one `SeedStream.randrange` at a time, and the member-array x
 set-incidence product that scored exhaustive families before the
 subset-sum kernel, and one node's rich-owner classification within a set,
-read from the set-level kernel `_good_slots`, and the plan x branch matrix
+read from the set-level kernel `_good_slots`, the plan x branch matrix
 form of the staged decoders' selection rule that `richowner.protocol._pick`
-is checked against.
+is checked against, and the twelve-branch catalog that the staged decoders'
+eight branches were pruned from, run stage by stage, which the pruned
+catalog's coverage is checked against.
 Also the checks that only tests run: an oracle's chain-rule slack, the
 collinear set's projection counts by formula, and the pigeonhole converse
 audit of explicit encoder/decoder tables.
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, permutations
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -32,7 +34,7 @@ import numpy as np
 from richowner.bits import BitString
 from richowner.graphs import GraphError, LabeledBipartiteGraph, TableGraph, _as_left_int
 from richowner.oracles import SUBSETS, Component, subset_key
-from richowner.protocol import _CATALOG
+from richowner.protocol import _CATALOG, _recover
 from richowner.rng import SeedStream, derive_seed
 from richowner.scenarios import IRREDUCIBLE, mul_table
 from richowner.verification import _check_regime, _descr, _good_slots, _set_regime
@@ -367,6 +369,54 @@ def matrix_pick(signatures: np.ndarray, outcome, step_budget: int):
         return None, -1, int(plan_steps.max())
     rank = int(np.where(eligible, plan_steps, never).argmin())
     return rank, int(masked[rank].argmin()), int(plan_steps[rank])
+
+
+# -- the twelve-branch catalog --------------------------------------------------------
+
+# The staged decoders' catalog before it was pruned, in its order, as (name,
+# lead, stages) like protocol._CATALOG: the six chains, helper-B and
+# helper-C, joint-BC and joint-CB, and the pair-arithmetic helpers.  A lead
+# names the first stage's bound: "C(t)" is the opener bound C(t) + slack,
+# "C(A,t)" the pair-arithmetic bound max(C(A,t) - n_A + slack, 0), t the
+# stage's target; None leaves every stage at its target's rate plus slack.
+TWELVE_BRANCH_CATALOG = (
+    *(("chain-" + "ABC"[i] + "ABC"[j] + "ABC"[k], "C(t)",
+       ((i, (), ()), (j, (i,), ()), (k, tuple(sorted((i, j))), ())))
+      for i, j, k in permutations((0, 1, 2))),
+    ("helper-B", None, ((1, (), (0,)), (0, (1,), ()), (2, (0, 1), ()))),
+    ("helper-C", None, ((2, (), (0,)), (0, (2,), ()), (1, (0, 2), ()))),
+    ("joint-BC", None, ((1, (), (0, 2)), (2, (1,), (0,)), (0, (1, 2), ()))),
+    ("joint-CB", None, ((2, (), (0, 1)), (1, (2,), (0,)), (0, (1, 2), ()))),
+    ("pair-arith-B", "C(A,t)", ((1, (), (0,)), (0, (1,), ()), (2, (0, 1), ()))),
+    ("pair-arith-C", "C(A,t)", ((2, (), (0,)), (0, (2,), ()), (1, (0, 2), ()))),
+)
+
+
+def twelve_branch_outcomes(profile, rates, slack: int, codewords, oracle,
+                           graphs) -> dict[str, tuple[Optional[tuple], int]]:
+    """{name: (triple or None, steps)} of every twelve-branch catalog entry
+    under one profile's plan, each stage run through protocol._recover with
+    one memo; bounds clamp at 0."""
+    memo: dict = {}
+    outcomes = {}
+    for name, lead, stages in TWELVE_BRANCH_CATALOG:
+        t = stages[0][0]
+        bounds = [rates[target] + slack for target, _, _ in stages]
+        if lead == "C(t)":
+            bounds[0] = profile.value((t,)) + slack
+        elif lead == "C(A,t)":
+            bounds[0] = profile.value((0, t)) - rates[0] + slack
+        recovered, steps = {}, 0
+        for stage, bound in zip(stages, bounds):
+            x, cost = _recover(*stage, max(bound, 0), recovered, codewords, oracle,
+                               graphs, memo)
+            steps += cost
+            if x is None:
+                break
+            recovered[stage[0]] = x
+        triple = (recovered[0], recovered[1], recovered[2]) if len(recovered) == 3 else None
+        outcomes[name] = (triple, steps)
+    return outcomes
 
 
 # -- checks only the tests run ----------------------------------------------------------

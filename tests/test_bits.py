@@ -34,3 +34,16 @@ def test_value_round_trip(width, raw):
     x = BitString(width, value)
     assert bs(x.bits()) == x
     assert BitString.from_hex(x.hex(), width) == x
+
+
+@pytest.mark.parametrize("text, width", [
+    ("", 4), (" 0x_f", 4), ("0xf", 8), ("f_f", 8), ("-1", 4), ("+f", 4), (" f", 4),
+    ("f\n", 4), ("٣", 4), ("g", 4)])
+def test_from_hex_reads_hex_digits_only(text, width):
+    with pytest.raises(ValueError, match="not a hex string"):
+        BitString.from_hex(text, width)
+
+
+def test_from_hex_reads_the_empty_string_at_width_0_only():
+    assert BitString.from_hex("", 0) == BitString(0, 0)
+    assert BitString.from_hex("Fa", 8) == BitString(8, 0xFA)

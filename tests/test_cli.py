@@ -544,6 +544,9 @@ def decode_inputs(tmp_path):
     (["encode", "--graph", "{g}", "--input", "zz"], "--input zz: not a hex value of width n=4"),
     (["encode", "--graph", "{g}", "--input", "1ff"],
      "--input 1ff: not a hex value of width n=4"),
+    (["encode", "--graph", "{g}", "--input", ""], "--input : not a hex value of width n=4"),
+    (["encode", "--graph", "{g}", "--input", " 0x_f"],
+     "--input  0x_f: not a hex value of width n=4"),
 ], ids=["profile-scenario", "experiment-scenario", "family-sampled",
         "family-all-of-size", "family-negative-size", "family-negative-count", "decode-rates", "graphs-typo", "descriptor-kind",
         "decode-codeword-count", "decode-graph-count", "decode-graph-width",
@@ -573,7 +576,8 @@ def decode_inputs(tmp_path):
         "scenario-file-negative-width", "collinear-too-wide", "collinear-over-member-cap",
         "cube-over-member-cap", "cube-past-n5", "planted-zero-width",
         "planted-negative-width", "random-stream-index-past-64-bits",
-        "binning-stream-index-past-64-bits", "encode-input-not-hex", "encode-input-too-wide"])
+        "binning-stream-index-past-64-bits", "encode-input-not-hex", "encode-input-too-wide",
+        "encode-input-empty", "encode-input-prefixed"])
 def test_bad_spec_is_a_clean_error(argv, key, decode_inputs, capsys):
     """`key` is the text the message must hold, or a tuple of such texts."""
     capsys.readouterr()

@@ -37,7 +37,6 @@ from richowner.protocol import (
     _recover,
     _representative_profiles,
     _run_branch,
-    _signature,
     _stage_bounds,
     _tags_match,
 )
@@ -45,7 +44,7 @@ from richowner.rng import SeedStream, derive_seed
 from richowner.scenarios import named_correlation_set
 from richowner.specs import ConfigError
 
-from helpers import all_to_one_graph, bs, matrix_pick
+from helpers import all_to_one_graph, bs, matrix_pick, twelve_branch_outcomes
 
 SCHEME4 = HashScheme(4, 3, Fraction(1, 16))
 
@@ -156,32 +155,23 @@ class TestRates:
 
 
 def _plan_bounds(profile, rates, slack):
-    """Each catalog branch's stage bounds under one profile's plan, by name."""
-    signature = _signature(*profile.values[:5], rates[0], slack)
-    return {name: _stage_bounds(idx, None if lead is None else signature[lead], rates, slack)
+    """Each catalog branch's stage bounds under one profile's plan, by name:
+    a plan's signature is its opener bounds C(t) + slack, t = A, B, C."""
+    return {name: _stage_bounds(idx, None if lead is None else profile.values[lead] + slack,
+                                rates, slack)
             for idx, (name, lead, _) in enumerate(_CATALOG)}
 
 
 # Each lead's bound as the decoder derives it: C(t) + slack for the three
-# chain openers, C(A,t) - n_A + slack for the two pair-arithmetic helpers.
+# chain openers.
 LEAD_FORMULAS = {
     0: lambda p, r, s: p.value((0,)) + s,
     1: lambda p, r, s: p.value((1,)) + s,
     2: lambda p, r, s: p.value((2,)) + s,
-    3: lambda p, r, s: p.value((0, 1)) - r.n_a + s,
-    4: lambda p, r, s: p.value((0, 2)) - r.n_a + s,
 }
 
 
 class TestDerivePlan:
-    def test_pair_arithmetic_bound_example(self):
-        # C(A,B) = 14, n_A = 6, slack = 2 -> helper-set bound 14 - 6 + 2 = 10
-        profile = ComplexityProfile((6, 8, 8, 14, 14, 14, 14))
-        bounds = _plan_bounds(profile, RateVector(6, 8, 8), slack=2)
-        assert bounds["pair-arith-B"][0] == 10
-        pair_b = next(stages for name, _, stages in _CATALOG if name == "pair-arith-B")
-        assert pair_b[0][2] == (0,)  # conditioned on A's payload
-
     def test_diagonal_rates_n00_later_stages_slack_bounded(self):
         n = 5
         profile = ComplexityProfile((n,) * 7)
@@ -197,13 +187,9 @@ class TestDerivePlan:
         slack = 2
         bounds = _plan_bounds(profile, rates, slack)
         # independently expanded expectations
-        c_a, c_ab = profile.value((0,)), profile.value((0, 1))
-        c_ac = profile.value((0, 2))
+        c_a = profile.value((0,))
         assert bounds["chain-ABC"] == (c_a + slack, rates.n_b + slack, rates.n_c + slack)
-        assert bounds["helper-B"][0] == rates.n_b + slack
         assert bounds["joint-BC"][0] == rates.n_b + slack
-        assert bounds["pair-arith-B"][0] == c_ab - rates.n_a + slack
-        assert bounds["pair-arith-C"][0] == c_ac - rates.n_a + slack
 
     def test_eq2_violation_rejected_with_subset(self):
         profile = ComplexityProfile((4, 4, 4, 8, 8, 8, 9))
@@ -302,7 +288,7 @@ class TestDecodeKnownProfile:
         ]
         chain_abc = next(idx for idx, (name, _, _) in enumerate(_CATALOG)
                          if name == "chain-ABC")
-        lead_bound = _signature(*profile.values[:5], rates[0], 2)[0]
+        lead_bound = profile.values[0] + 2
         wins = 0
         for t in range(10):
             seed = derive_seed(77, t)
@@ -349,21 +335,17 @@ class TestDecodeFull:
 
 
 def _reference_profiles(rates, slack, cap):
-    """Least admissible profile per plan signature, by a 7-deep search.
+    """Least admissible profile per plan signature (A, B, C) + slack, by a
+    7-deep search.
 
     Loops run in lexicographic order, so the first admissible profile found
-    for a signature is its least; the result is sorted, i.e. in rank order.
+    for an (A, B, C) is its least, and the result is in rank order.
     """
     n_a, n_b, n_c = rates
-    reps = {}
-    span = range(cap + 1)
-    for a, b, c in product(span, repeat=3):
+
+    def least(a, b, c):
         for ab in range(max(a, b), min(a + b + slack, cap) + 1):
             for ac in range(max(a, c), min(a + c + slack, cap) + 1):
-                signature = (a + slack, b + slack, c + slack,
-                             max(ab - n_a + slack, 0), max(ac - n_a + slack, 0))
-                if signature in reps:
-                    continue
                 for bc in range(max(b, c), min(b + c + slack, cap) + 1):
                     top = min(ab + c, ac + b, bc + a) + slack
                     for abc in range(max(ab, ac, bc), min(top, cap) + 1):
@@ -374,11 +356,11 @@ def _reference_profiles(rates, slack, cap):
                                 and n_a + n_c >= abc - b - slack
                                 and n_b + n_c >= abc - a - slack
                                 and n_a + n_b + n_c >= abc - slack):
-                            reps[signature] = (a, b, c, ab, ac, bc, abc)
-                            break
-                    if signature in reps:
-                        break
-    return sorted(reps.values())
+                            return (a, b, c, ab, ac, bc, abc)
+        return None
+
+    found = (least(a, b, c) for a, b, c in product(range(cap + 1), repeat=3))
+    return [row for row in found if row is not None]
 
 
 @settings(max_examples=60, deadline=None)
@@ -402,12 +384,9 @@ def test_representative_profiles_match_brute_force(rates, slack, cap):
 def test_full_plan_table_matches_a_wide_reference(rates, slack, cap):
     # Plan rows are stored narrow, and array-on-array arithmetic wraps
     # silently: near a dtype's top a grid one size too small would corrupt
-    # bounds (past int64 keys the slack is refused).  The reference forms every
-    # value as a Python int.
-    n_a = rates[0]
-    want = [(a + slack, b + slack, c + slack, max(ab - n_a + slack, 0),
-             max(ac - n_a + slack, 0))
-            for a, b, c, ab, ac, _, _ in _reference_profiles(rates, slack, cap)]
+    # bounds.  The reference forms every value as a Python int.
+    want = [(a + slack, b + slack, c + slack)
+            for a, b, c, *_ in _reference_profiles(rates, slack, cap)]
     assert want
     protocol._full_plan_table.cache_clear()
     table = protocol._full_plan_table(RateVector(*rates), slack, cap)
@@ -417,14 +396,24 @@ def test_full_plan_table_matches_a_wide_reference(rates, slack, cap):
         assert bounds.tolist() == sorted({row[lead] for row in want})
 
 
-def test_profile_search_names_a_slack_past_64_bit_keys():
-    # Signature fields span cap + slack + 1 values; four of them fill an
-    # int64 key up to a span of 55,108 (2^63 is about 55,109^4).
-    assert len(_representative_profiles(RateVector(1, 1, 1), 55_104, 3))
-    with pytest.raises(ConfigError, match="^slack 55105: "):
-        _representative_profiles(RateVector(1, 1, 1), 55_105, 3)
-    # A full decode searches profiles up to cap = n + slack: past 64-bit
-    # keys from a slack of about 27,500 at n = 4, refused before any grid.
+@pytest.mark.parametrize("rates, slack, cap, plans", [
+    ((10, 10, 10), 4, 12, 2_197),  # toy-full-n8's rate vector
+    ((6, 8, 8), 2, 8, 729),
+])
+def test_plan_table_has_one_plan_per_opener_bounds(rates, slack, cap, plans):
+    reference = _reference_profiles(rates, slack, cap)
+    assert len({row[:3] for row in reference}) == len(reference) == plans
+    protocol._full_plan_table.cache_clear()
+    assert len(protocol._full_plan_table(RateVector(*rates), slack, cap).signatures) == plans
+
+
+def test_profile_search_names_a_slack_past_the_grid_cap():
+    # Each A-slice filters a (cap + 1)^4 grid: 64^4 = TABLE_CAP cells build,
+    # 65^4 are refused before any array is built.
+    assert len(_representative_profiles(RateVector(1, 1, 1), -2, 63)) == 0
+    with pytest.raises(ConfigError, match="^slack -1: .* 65\\^4 cells"):
+        _representative_profiles(RateVector(1, 1, 1), -1, 64)
+    # A full decode searches profiles up to cap = n + slack.
     config = experiments.ExperimentConfig.load(overrides={
         "scenario": "collinear:q=2", "decoder": "full", "rates": "1,1,1",
         "slack": "30000", "trials": "1"}, env={})
@@ -448,10 +437,9 @@ def _reference_known_profile(cws, profile, rates, oracle, graphs, slack,
     steps wins, ties to the lowest index, and is dropped above the one-plan
     cap step_budget + 1.  On failure, steps is the winner's when it was
     dropped, else the largest branch's."""
-    signature = _signature(*profile.values[:5], rates[0], slack)
     memo, best, max_steps = {}, None, 0
     for idx, (name, lead, _) in enumerate(_CATALOG):
-        lead_bound = None if lead is None else signature[lead]
+        lead_bound = None if lead is None else profile.values[lead] + slack
         triple, steps = _run_branch(idx, lead_bound, rates, slack, cws, oracle, graphs, memo)
         max_steps = max(max_steps, steps)
         if triple is not None and _tags_match(cws, triple) and (
@@ -621,8 +609,7 @@ def test_pick_matches_matrix_rule(data):
     plans = data.draw(st.integers(1, 12))
     rows = data.draw(st.lists(st.lists(st.integers(0, 5), min_size=7, max_size=7),
                               min_size=plans, max_size=plans))
-    table = protocol._plan_table(np.array(rows), data.draw(st.integers(0, 5)),
-                                 data.draw(st.integers(-2, 3)))
+    table = protocol._plan_table(np.array(rows), data.draw(st.integers(-2, 3)))
     match_rate = data.draw(st.sampled_from([0, 1, 4, 13]))
     most = data.draw(st.sampled_from([1, 4, 12]))
     outcomes, calls = {}, []
@@ -853,6 +840,62 @@ def test_recover_matches_scalar_reference(instance, toy, data):
     memo = {}
     assert _recover(*stage, recovered, cws, oracle, graphs, memo) == want
     assert _recover(*stage, recovered, cws, oracle, graphs, memo) == want  # a memo hit
+
+
+@st.composite
+def coverage_cases(draw):
+    """(profile, rates, slack, codewords, oracle, graphs): a member of a
+    small random correlation set under the counting oracle, or a triple of
+    repeated strings under the toy machine at L = 10, encoded with the
+    experiments' tag scheme at feasible rates (its profile's chain rates
+    plus up to 2 each) on seeded graphs of width min(max(rate, 1), n)."""
+    n = draw(st.sampled_from([3, 4]))
+    value = st.integers(0, (1 << n) - 1)
+    if draw(st.booleans()):
+        S = CorrelationSet(n, draw(st.lists(st.tuples(value, value, value),
+                                            min_size=1, max_size=40)))
+        oracle = CountingOracle(S)
+        triple = S.triple_at(draw(st.integers(0, len(S) - 1)))
+        profile = oracle.profile()
+    else:
+        strings = draw(st.lists(value, min_size=1, max_size=3))
+        triple = tuple(BitString(n, draw(st.sampled_from(strings))) for _ in range(3))
+        oracle = SMALL_TOY
+        profile = oracle.profile(triple)
+    slack = draw(st.integers(0, 2))
+    rates = RateVector(*(r + draw(st.integers(0, 2))
+                         for r in rates_from_profile(profile.conditionals(), 0)))
+    graphs = [SeededGraph(n, min(max(r, 1), n), draw(st.integers(0, 2)),
+                          draw(st.integers(0, 99))) for r in rates]
+    cws = _encode_triple(triple, graphs, HashScheme(n, 3, Fraction(1, n * n)),
+                         draw(st.integers(0, 99)))
+    return profile, rates, slack, cws, oracle, graphs
+
+
+@settings(max_examples=150, deadline=None)
+@given(coverage_cases())
+def test_pruned_catalog_covers_the_twelve_branch_catalog(case):
+    profile, rates, slack, cws, oracle, graphs = case
+    outcomes = twelve_branch_outcomes(profile, rates, slack, cws, oracle, graphs)
+    # the kept branches are the reference's, at the plan's bounds
+    for idx, (name, lead, _) in enumerate(_CATALOG):
+        lead_bound = None if lead is None else profile.values[lead] + slack
+        assert _run_branch(idx, lead_bound, rates, slack, cws, oracle, graphs, {}) \
+            == outcomes[name]
+    consistent = {name for name, (triple, _) in outcomes.items()
+                  if triple is not None and _tags_match(cws, triple)}
+    assert decode_known_profile(cws, profile, rates, oracle, graphs, slack=slack).ok \
+        == bool(consistent)
+    if isinstance(oracle, CountingOracle):
+        # joint-BC's stages hold helper-B's candidate sets or subsets of
+        # them, at the same bounds (and joint-CB helper-C's)
+        for helper, joint in (("helper-B", "joint-BC"), ("helper-C", "joint-CB")):
+            if outcomes[helper][0] is not None:
+                assert outcomes[joint][0] == outcomes[helper][0]
+                assert outcomes[joint][1] <= outcomes[helper][1]
+    removed = consistent - {name for name, _, _ in _CATALOG}
+    event("a removed branch is tag-consistent" if removed
+          else "tag-consistent" if consistent else "no tag-consistent branch")
 
 
 def test_payload_checks_run_once_per_distinct_value(monkeypatch):
