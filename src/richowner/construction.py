@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from . import verification
 from .crt import primes_first
@@ -122,7 +122,6 @@ def construct_rich_owner_graph(
     seed: int,
     max_retries: int = 10,
     c: int = 4,
-    builder: Optional[Callable] = None,
 ) -> tuple[SplitGraph, ConstructionReport]:
     """Full pipeline: random graph at width k, verify, retry, then split.
 
@@ -143,17 +142,17 @@ def construct_rich_owner_graph(
     if max_retries < 0:
         raise GraphError(f"max_retries must be >= 0, got {max_retries}")
     epsilon = delta * delta / 2
-    if builder is None:  # the degree, hence the split count, is known up front
-        D = required_left_degree(n, epsilon, c)
-        s = verification.large_regime_threshold(delta, 1 << k, D, k)  # |B| = 2^k
-        _check_split_count(split_count(n, s, delta))
-    build = builder or build_random_graph
+    # an over-cap split is refused before any build: the degree, hence the
+    # split count, is known up front
+    D = required_left_degree(n, epsilon, c)
+    s = verification.large_regime_threshold(delta, 1 << k, D, k)  # |B| = 2^k
+    _check_split_count(split_count(n, s, delta))
     family = verification.BFamily.default_for(n, k, seed=derive_seed(seed, "verify-family"))
 
     worst = None
     attempts = []
     for attempt in range(max_retries + 1):
-        g = build(n, k, epsilon, c, derive_seed(seed, "build", attempt))
+        g = build_random_graph(n, k, epsilon, c, derive_seed(seed, "build", attempt))
         # looked up on the module, so a wrapper installed there sees the call
         report = verification.check_prefix_extractor(g, epsilon, family)
         attempts.append((attempt, report.passed, report.worst_error))

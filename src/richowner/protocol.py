@@ -37,7 +37,7 @@ import numpy as np
 
 from .bits import BitString
 from .crt import HashScheme, HashTag, draw_hash_tag
-from .graphs import TABLE_CAP, GraphError, LabeledBipartiteGraph
+from .graphs import GraphError, LabeledBipartiteGraph
 from .oracles import SUBSETS, ComplexityProfile, CorrelationSet, _distinct
 from .rng import SeedStream, derive_seed
 from .specs import ConfigError
@@ -275,10 +275,11 @@ class _PlanTable:
     groups: Mapping[int, tuple[np.ndarray, np.ndarray]]
 
 
-def _plan_table(profiles: np.ndarray, slack: int) -> _PlanTable:
-    """The plan table of profile rows in rank order; plans share a lead's
-    branches iff they share its lead bound."""
-    signatures = profiles[:, :3] + slack
+def _plan_table(rows: np.ndarray, slack: int) -> _PlanTable:
+    """The plan table of rows that begin with opener values (A, B, C), in
+    rank order; plans share a lead's branches iff they share its lead
+    bound."""
+    signatures = rows[:, :3] + slack
     signatures.flags.writeable = False
     groups = {}
     for lead in range(signatures.shape[1]):
@@ -383,72 +384,49 @@ def decode_known_profile(
     violated = check_rate_feasibility(profile, rates, slack)
     if violated:
         raise InfeasibleRatesError(violated)
-    table = _plan_table(np.array([profile.values]), slack)
+    table = _plan_table(np.array([profile.values[:3]]), slack)
     return _select(codewords, table, rates, oracle, graphs, slack, step_budget)
 
 
 # -- profile search (decoder without the profile) --------------------------------
 
 def _representative_profiles(rates: RateVector, slack: int, cap: int) -> np.ndarray:
-    """One least admissible profile per plan signature, in rank order.
+    """The opener triples (A, B, C) of the admissible profiles, as (P, 3)
+    int64 rows in lexicographic order, which is the rank order of their
+    plans.
 
     Admissible profiles have entries in {0..cap}, are monotone and
-    subadditive up to slack, and meet the rate region up to slack.  Rows
-    (A, B, C, AB, AC, BC, ABC) come sorted lexicographically, which is the
-    rank order of their plans.
+    subadditive up to slack, and meet the rate region up to slack.  With
+    C(ABC) = T fixed, every inequality either bounds T alone or holds one
+    pair entry to an interval that depends on T alone, e.g. AB in
+    [max(A, B, T - min(C, n_C) - s), min(A + B + s, cap, T)].  So (A, B, C)
+    is admissible iff some T >= max(A, B, C) meets the bounds on T and
+    leaves every interval non-empty: the two tests below, over the
+    (cap + 1)^3 grid.
 
-    Every inequality on C(ABC) is an upper bound, so C(ABC) may take its
-    least value max(AB, AC, BC); the two bounds involving BC then are lower
-    bounds on BC, which leaves a filter over the grid of (A, B, C, AB, AC).
-    The grid is filtered one A-slice at a time.  A signature is (A, B, C)
-    + slack, so each slice keeps the first admissible point of each (B, C):
-    np.nonzero lists points in lexicographic order, so the points of one
-    (B, C) are adjacent and the first of each is where B or C changes.
-
-    A slice's grid has (cap + 1)^4 cells; past TABLE_CAP the search is
-    refused, naming the slack, before any array is built.  Rows are stored
-    at the narrowest signed dtype that holds every value the filter forms,
-    each at most 3 (|cap| + |slack|) + sum(rates) in size; the grid is built
-    at that dtype, so no intermediate can wrap.
+    Past 2^18 triples the search is refused, naming the slack, before any
+    array is built: the arrays grow with the cube of the grid side, and
+    added 11 MB of peak RSS at 64^3 triples and 80 MB at 128^3.  A grid
+    side below -64 is refused alike, which keeps a slack far below 0 out
+    of int64 arithmetic.  Each rate is clamped to cap + |slack| first: a
+    rate that large meets every bound it appears in, so the clamp is exact
+    and every value fits in int64.
     """
-    n_a, n_b, n_c = rates
     s = slack
-    if (cap + 1) ** 4 > TABLE_CAP:
-        raise ConfigError(f"slack {slack}: profile search over entries 0..{cap} filters "
-                          f"{cap + 1}^4 cells per slice, past the cap of {TABLE_CAP}")
-    dtype = np.min_scalar_type(-1 - 3 * (abs(cap) + abs(s)) - sum(rates))
-    b, c, ab, ac = np.ix_(*[np.arange(cap + 1, dtype=dtype)] * 4)
-    top = np.maximum(ab, ac)
-    # bounds on C(ABC) without a or bc: subadditivity over AB+C and AC+B,
-    # the cap, and the rate-region inequalities for B, C, AB, AC and ABC
-    upper_ab = reduce(np.minimum, (ab + c + s, ac + b + s, cap, n_b + ac + s,
-                                   n_c + ab + s, n_a + n_b + c + s, n_a + n_c + b + s,
-                                   n_a + n_b + n_c + s))
-    least_bc_free = np.maximum(b, c)
-    slices = []
-    for a in range(cap + 1):
-        # the rate-region inequality for BC
-        upper = np.minimum(upper_ab, n_b + n_c + a + s)
-        # C(ABC) <= bc + a + s (subadditivity) and C(ABC) <= bc + n_a + s (rate of A)
-        gap = min(a, n_a) + s
-        if gap < 0:
-            continue
-        least_bc = np.maximum(least_bc_free, top - gap)
-        admissible = (
-            (np.maximum(a, b) <= ab) & (ab <= a + b + s)
-            & (np.maximum(a, c) <= ac) & (ac <= a + c + s)
-            & (top <= upper) & (least_bc <= np.minimum(b + c + s, upper))
-        )
-        pb, pc, pab, pac = np.nonzero(admissible)  # lexicographic order
-        first = np.flatnonzero(np.diff(pb, prepend=-1) | np.diff(pc, prepend=-1))
-        pb, pc, pab, pac = (v[first] for v in (pb, pc, pab, pac))
-        bc = least_bc[pb, pc, pab, pac]
-        slices.append(np.stack([np.full(len(first), a), pb, pc, pab, pac, bc,
-                                np.maximum(np.maximum(pab, pac), bc)], axis=1,
-                               dtype=dtype))
-    if not slices:
-        return np.zeros((0, 7), dtype=dtype)
-    return np.concatenate(slices)
+    if abs(cap + 1) > 64:
+        raise ConfigError(f"slack {slack}: profile search over entries 0..{cap} spans "
+                          f"{cap + 1}^3 opener triples, past 2^18 = 64^3 plans")
+    n_a, n_b, n_c = (min(rate, cap + abs(s)) for rate in rates)
+    a, b, c = np.ix_(*[np.arange(cap + 1, dtype=np.int64)] * 3)
+    ma, mb, mc = np.minimum(a, n_a), np.minimum(b, n_b), np.minimum(c, n_c)
+    # upper bounds on T: subadditivity through each pair's interval, the cap
+    # and the rate-region inequalities for AB, AC, BC and ABC
+    upper = reduce(np.minimum, (a + b + mc + 2 * s, a + c + mb + 2 * s, b + c + ma + 2 * s,
+                                n_a + n_b + c + s, n_a + n_c + b + s, n_b + n_c + a + s,
+                                cap, n_a + n_b + n_c + s))
+    admissible = ((reduce(np.minimum, (ma, mb, mc)) + s >= 0)
+                  & (reduce(np.maximum, (a, b, c)) <= upper))
+    return np.argwhere(admissible)
 
 
 # Plan tables of recent rate vectors: a full decode builds each once.  The
@@ -469,9 +447,9 @@ def decode_full(
     """Profile search: decode without the profile, under every admissible
     candidate profile with entries in {0..n+slack}, n the graphs' width.
 
-    Profiles that yield the same plan, the same opener bounds C(t) + slack,
-    are grouped and ranked by the least one (_representative_profiles);
-    _select picks the winner.
+    A plan is a profile's opener bounds C(t) + slack, so the plans are the
+    admissible opener triples (A, B, C) (_representative_profiles), ranked
+    lexicographically; _select picks the winner.
     The plan table is built once per (rates, slack, width) among the most
     recent few (_full_plan_table).
     """

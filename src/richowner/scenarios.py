@@ -15,6 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .bits import BitString
 from .oracles import SUBSETS, CorrelationSet, check_width
 from .specs import SCENARIOS, ConfigError, parse_spec
 
@@ -99,12 +100,10 @@ def _read_set_file(path: str, n: Optional[int]) -> CorrelationSet:
             parts = line.split()
             if len(parts) != 3:
                 raise ConfigError(f"{where}: expected 3 hex fields, got {line!r}")
-            try:
-                row = [int(p, 16) for p in parts]
+            try:  # hex digits only, as BitString.from_hex reads them
+                row = [BitString.from_hex(p, 4 * len(p)).value for p in parts]
             except ValueError:
                 raise ConfigError(f"{where}: not a hex field in {line!r}") from None
-            if min(row) < 0:
-                raise ConfigError(f"{where}: negative field in {line!r}")
             if n is not None and max(row) >> n:
                 raise ConfigError(f"{where}: {line!r} holds a value out of range "
                                   f"for n={n}")

@@ -371,6 +371,8 @@ def decode_inputs(tmp_path):
                    "--seed", "7", "--out", str(g5)) == 0
     bad_files = {
         "hex_zz": "0 1 2\nzz 1 2\n", "two_fields": "0 1 2\n1 2\n",
+        "hex_prefix": "0 1 2\n0x1 2 3\n", "hex_underscore": "0 1 2\n1_0 1 2\n",
+        "hex_sign": "0 1 2\n+1 2 3\n",
         "wide_value": "0 1 2\n1 2 ff\n",
         # what `build-graph --kind binning --n 4 --k 3 --seed 7` wrote before
         # every graph file was a descriptor
@@ -489,6 +491,12 @@ def decode_inputs(tmp_path):
       "--family", "all-of-size:size=8"], "certified audit only covers the small regime"),
     (["profile", "--scenario", "file:{hex_zz}"],
      "scenario file {hex_zz}, line 2: not a hex field in 'zz 1 2'"),
+    (["profile", "--scenario", "file:{hex_prefix}"],
+     "scenario file {hex_prefix}, line 2: not a hex field in '0x1 2 3'"),
+    (["profile", "--scenario", "file:{hex_underscore}"],
+     "scenario file {hex_underscore}, line 2: not a hex field in '1_0 1 2'"),
+    (["profile", "--scenario", "file:{hex_sign}"],
+     "scenario file {hex_sign}, line 2: not a hex field in '+1 2 3'"),
     (["profile", "--scenario", "file:{two_fields}"],
      "scenario file {two_fields}, line 2: expected 3 hex fields, got '1 2'"),
     (["profile", "--scenario", "file:path={wide_value},n=4"],
@@ -566,7 +574,8 @@ def decode_inputs(tmp_path):
         "rates-explicit-part", "config-non-integer", "set-without-equals",
         "unknown-spec-kind", "graphs-bad-fraction", "dms-unknown-key",
         "dms-without-member-set", "certificate-large-regime",
-        "scenario-file-bad-hex", "scenario-file-two-fields", "scenario-file-wide-value",
+        "scenario-file-bad-hex", "scenario-file-hex-prefix", "scenario-file-hex-underscore",
+        "scenario-file-hex-sign", "scenario-file-two-fields", "scenario-file-wide-value",
         "old-binary-graph-file", "graph-bad-header", "graph-truncated-payload",
         "planted-odd-width", "counting-without-member-set", "descriptor-not-an-object",
         "codeword-not-an-object",

@@ -141,14 +141,12 @@ class TestPipeline:
         assert "gamma=" in record and "worst_violation=" in record
         assert f"D={report.D}" in record
 
-    def test_forced_failure_path(self):
-        def bad_builder(n, k, epsilon, c, seed):
-            return all_to_one_graph(n, k, 4)
-
+    def test_forced_failure_path(self, monkeypatch):
+        # looked up on the module at call time, so the patch reaches the pipeline
+        monkeypatch.setattr(construction, "build_random_graph",
+                            lambda n, k, epsilon, c, seed: all_to_one_graph(n, k, 4))
         with pytest.raises(ConstructionError) as exc:
-            construct_rich_owner_graph(
-                4, 2, Fraction(1, 2), seed=0, max_retries=0, builder=bad_builder
-            )
+            construct_rich_owner_graph(4, 2, Fraction(1, 2), seed=0, max_retries=0)
         assert exc.value.worst_violation is not None
 
     def test_negative_max_retries_rejected(self):

@@ -132,6 +132,12 @@ class TestRunExperiment:
         assert all(g["kind"] == "binning" and g["D"] == 1
                    for g in report.graph_summaries)
 
+    def test_full_decoder_takes_a_rate_past_int64(self):
+        # Profile search clamps each rate before it meets an array.
+        cfg = ExperimentConfig(**{**BASE, "decoder": "full", "rates": f"{10**20},1,1",
+                                  "trials": 3})
+        assert run_experiment(cfg).aggregates["successes"] == 3
+
     @pytest.mark.parametrize("decoder", ["known-profile", "full"])
     def test_staged_decoders_past_width_16(self, decoder, tmp_path):
         rng = random.Random(5)

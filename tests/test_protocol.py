@@ -364,13 +364,14 @@ def _reference_profiles(rates, slack, cap):
 
 
 @settings(max_examples=60, deadline=None)
-@given(rates=st.tuples(*[st.integers(0, 6)] * 3), slack=st.integers(0, 3),
-       cap=st.integers(0, 7))
+@given(rates=st.tuples(*[st.integers(0, 6)] * 3), slack=st.integers(-3, 3),
+       cap=st.integers(-1, 7))
 def test_representative_profiles_match_brute_force(rates, slack, cap):
     got = [tuple(row) for row in
            _representative_profiles(RateVector(*rates), slack, cap).tolist()]
-    assert got == _reference_profiles(rates, slack, cap)
-    for values in got:
+    reference = _reference_profiles(rates, slack, cap)
+    assert got == [values[:3] for values in reference]
+    for values in reference:
         assert check_rate_feasibility(ComplexityProfile(values), rates, slack) == []
 
 
@@ -380,11 +381,13 @@ def test_representative_profiles_match_brute_force(rates, slack, cap):
     ((0, 0, 0), 40_000, 2),     # past int16
     ((4, 4, 4), -1, 4),
     ((10, 12, 10), -3, 6),
+    ((10**20, 1, 2), 1, 3),     # a rate past int64
 ])
 def test_full_plan_table_matches_a_wide_reference(rates, slack, cap):
-    # Plan rows are stored narrow, and array-on-array arithmetic wraps
-    # silently: near a dtype's top a grid one size too small would corrupt
-    # bounds.  The reference forms every value as a Python int.
+    # The grid is int64, and array-on-array arithmetic wraps silently: a
+    # rate or slack that overflowed it would corrupt bounds.  Rates are
+    # clamped before they meet an array; the reference forms every value
+    # as a Python int.
     want = [(a + slack, b + slack, c + slack)
             for a, b, c, *_ in _reference_profiles(rates, slack, cap)]
     assert want
@@ -408,11 +411,16 @@ def test_plan_table_has_one_plan_per_opener_bounds(rates, slack, cap, plans):
 
 
 def test_profile_search_names_a_slack_past_the_grid_cap():
-    # Each A-slice filters a (cap + 1)^4 grid: 64^4 = TABLE_CAP cells build,
-    # 65^4 are refused before any array is built.
+    # The search tests a (cap + 1)^3 grid of opener triples: 64^3 build,
+    # 65^3 are refused before any array is built.
     assert len(_representative_profiles(RateVector(1, 1, 1), -2, 63)) == 0
-    with pytest.raises(ConfigError, match="^slack -1: .* 65\\^4 cells"):
+    assert _representative_profiles(RateVector(1, 1, 1), 2, 63).shape[1] == 3
+    with pytest.raises(ConfigError, match="^slack -1: .* 65\\^3 opener triples"):
         _representative_profiles(RateVector(1, 1, 1), -1, 64)
+    # A negative cap admits no triple; past a grid side of -64 it is refused.
+    assert len(_representative_profiles(RateVector(1, 1, 1), -69, -65)) == 0
+    with pytest.raises(ConfigError, match="^slack -70: "):
+        _representative_profiles(RateVector(1, 1, 1), -70, -66)
     # A full decode searches profiles up to cap = n + slack.
     config = experiments.ExperimentConfig.load(overrides={
         "scenario": "collinear:q=2", "decoder": "full", "rates": "1,1,1",
