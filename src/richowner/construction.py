@@ -143,7 +143,8 @@ def construct_rich_owner_graph(
         raise GraphError(f"max_retries must be >= 0, got {max_retries}")
     epsilon = delta * delta / 2
     # an over-cap split is refused before any build: the degree, hence the
-    # split count, is known up front
+    # split threshold and count, is known up front (build_random_graph
+    # draws every attempt at this degree)
     D = required_left_degree(n, epsilon, c)
     s = verification.large_regime_threshold(delta, 1 << k, D, k)  # |B| = 2^k
     _check_split_count(split_count(n, s, delta))
@@ -157,8 +158,7 @@ def construct_rich_owner_graph(
         report = verification.check_prefix_extractor(g, epsilon, family)
         attempts.append((attempt, report.passed, report.worst_error))
         if report.passed:
-            D = g.degree
-            split = split_edges(g, verification.large_regime_threshold(delta, 1 << k, D, k), delta)
+            split = split_edges(g, s, delta)
             return split, ConstructionReport(
                 n=n, k=k, delta=delta, epsilon=epsilon, D=D, ell=split.ell,
                 gamma=split.m - k, retries=attempt, verified_B_count=report.checked,

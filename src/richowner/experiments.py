@@ -215,14 +215,22 @@ def _resolve_rates(spec: str, oracle, triple, n: int,
     where = f"cannot parse rates {spec!r}"
     if spec.startswith("profile+"):
         (slack,) = comma_fields(spec.removeprefix("profile+"), (int,), where)
-        conds = conditional_profile(oracle, triple, profile)
         width = triple[0].width if triple else n
+        if width + slack < 0:
+            raise ConfigError(f"rates {spec!r}: width {width} + slack {slack} caps "
+                              f"every rate below 0")
+        conds = conditional_profile(oracle, triple, profile)
         return rates_from_profile(conds, slack=slack, cap=width + slack)
     if spec.startswith("total-"):
         (deficit,) = comma_fields(spec.removeprefix("total-"), (int,), where)
         conds = conditional_profile(oracle, triple, profile)
-        return rates_violating_total(conds, deficit)
-    return RateVector(*comma_fields(spec, (int, int, int), where))
+        make, args = rates_violating_total, (conds, deficit)
+    else:
+        make, args = RateVector, comma_fields(spec, (int, int, int), where)
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ConfigError(f"rates {spec!r}: {exc}") from None
 
 
 def build_graph(kind: str, n: int, k: int, seed: int, params: dict,

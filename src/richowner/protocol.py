@@ -12,9 +12,9 @@ profile sets in the catalog: the opener bounds C(t) + slack of the chains'
 first stages, t = A, B, C; every other stage is bounded by its target's
 rate plus slack.
 
-Both staged decoders are profile search over a table of plans, in rank
-order: the known-profile decoder over the one plan its profile gives, the
-full decoder over every admissible profile.  One selection rule serves
+Both staged decoders are profile search over plans, in rank order: the
+known-profile decoder over the one plan its profile gives, the full
+decoder over every admissible profile.  One selection rule serves
 both: per plan the tag-matching branch with the fewest steps wins, ties to
 the lowest branch index; across plans the fewest steps win, ties to the
 lowest rank, and plan winners over the cap step_budget // plans + 1 are
@@ -29,7 +29,7 @@ lead, so selection holds no plans x branches matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import permutations
 from typing import Mapping, Optional, Sequence
 
@@ -263,40 +263,15 @@ def _tags_match(codewords: Sequence[Codeword], triple) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class _PlanTable:
-    """The plans of one decode, in rank order, as _select reads them: each
-    plan's signature, its three opener bounds C(t) + slack for t = A, B, C,
-    and per signature column (a catalog lead) the group (column, bounds):
-    the plans' lead bounds and their distinct values, ascending.  The arrays
-    are read-only, so a table can be shared between decodes."""
-
-    signatures: np.ndarray
-    groups: Mapping[int, tuple[np.ndarray, np.ndarray]]
-
-
-def _plan_table(rows: np.ndarray, slack: int) -> _PlanTable:
-    """The plan table of rows that begin with opener values (A, B, C), in
-    rank order; plans share a lead's branches iff they share its lead
-    bound."""
-    signatures = rows[:, :3] + slack
-    signatures.flags.writeable = False
-    groups = {}
-    for lead in range(signatures.shape[1]):
-        column = signatures[:, lead]  # a view, read-only like its base
-        bounds = _distinct(column)
-        bounds.flags.writeable = False
-        groups[lead] = (column, bounds)
-    return _PlanTable(signatures, groups)
-
-
 # Catalog indices per lead, None for the rate-only branches.
 _LEAD_BRANCHES = {lead: [idx for idx, entry in enumerate(_CATALOG) if entry[1] == lead]
                   for lead in {entry[1] for entry in _CATALOG}}
 
 
-def _pick(table: _PlanTable, outcome, step_budget: int) -> tuple[Optional[int], int, int]:
-    """The selection rule of the module docstring over a plan table.
+def _pick(signatures: np.ndarray, outcome, step_budget: int) -> tuple[Optional[int], int, int]:
+    """The selection rule of the module docstring over the plans of
+    `signatures`: one row per plan, in rank order, holding its opener
+    bounds C(t) + slack for t = A, B, C.
 
     `outcome(idx, bound)` is (matched, steps) of catalog branch idx run at
     lead bound `bound` (None for a rate-only branch); it is called once per
@@ -319,16 +294,14 @@ def _pick(table: _PlanTable, outcome, step_budget: int) -> tuple[Optional[int], 
         return best, worst
 
     best, worst = reduce_lead(None, None)
-    plans = len(table.signatures)
+    plans = len(signatures)
     key = np.full(plans, best, dtype=np.int64)
     most = np.full(plans, worst, dtype=np.int64)
-    for lead, (column, bounds) in table.groups.items():
-        low = int(bounds[0])  # below 0 only at a negative slack
-        lead_key = np.full(int(bounds[-1]) - low + 1, never, dtype=np.int64)
-        lead_most = np.zeros(len(lead_key), dtype=np.int64)
-        for bound in bounds.tolist():
-            lead_key[bound - low], lead_most[bound - low] = reduce_lead(lead, bound)
-        at = column - low
+    for lead, column in enumerate(signatures.T):
+        bounds = _distinct(column)
+        lead_key, lead_most = np.array(
+            [reduce_lead(lead, bound) for bound in bounds.tolist()], dtype=np.int64).T
+        at = np.searchsorted(bounds, column)
         np.minimum(key, lead_key[at], out=key)
         np.maximum(most, lead_most[at], out=most)
     ok = key != never
@@ -340,13 +313,13 @@ def _pick(table: _PlanTable, outcome, step_budget: int) -> tuple[Optional[int], 
     return rank, int(key[rank] % width), int(plan_steps[rank])
 
 
-def _select(codewords: Sequence[Codeword], table: _PlanTable, rates: RateVector,
+def _select(codewords: Sequence[Codeword], signatures: np.ndarray, rates: RateVector,
             oracle, graphs: Sequence[LabeledBipartiteGraph], slack: int,
             step_budget: int) -> DecodeResult:
-    """Decode under each plan of the table and pick the winner by the rule
-    in the module docstring (_pick).  On failure, steps is the largest
-    per-plan step count, where a plan without a match counts its largest
-    branch."""
+    """Decode under each plan, a row of opener bounds in `signatures`, and
+    pick the winner by the rule in the module docstring (_pick).  On
+    failure, steps is the largest per-plan step count, where a plan without
+    a match counts its largest branch."""
     if any(cw.tag is None for cw in codewords):
         raise ValueError("staged decoding requires fingerprint tags")
     memo: dict = {}
@@ -358,12 +331,12 @@ def _select(codewords: Sequence[Codeword], table: _PlanTable, rates: RateVector,
         triple, steps = run(idx, bound)
         return triple is not None and _tags_match(codewords, triple), steps
 
-    rank, idx, steps = _pick(table, outcome, step_budget)
+    rank, idx, steps = _pick(signatures, outcome, step_budget)
     if rank is None:
         return DecodeResult(status="fail", steps=steps,
                             reason="no tag-consistent triple within the step cap")
     lead = _CATALOG[idx][1]
-    triple, _ = run(idx, None if lead is None else int(table.signatures[rank, lead]))
+    triple, _ = run(idx, None if lead is None else int(signatures[rank, lead]))
     return DecodeResult(status="ok", triple=triple, branch=_CATALOG[idx][0], steps=steps)
 
 
@@ -384,8 +357,8 @@ def decode_known_profile(
     violated = check_rate_feasibility(profile, rates, slack)
     if violated:
         raise InfeasibleRatesError(violated)
-    table = _plan_table(np.array([profile.values[:3]]), slack)
-    return _select(codewords, table, rates, oracle, graphs, slack, step_budget)
+    signatures = np.array([profile.values[:3]]) + slack
+    return _select(codewords, signatures, rates, oracle, graphs, slack, step_budget)
 
 
 # -- profile search (decoder without the profile) --------------------------------
@@ -406,14 +379,17 @@ def _representative_profiles(rates: RateVector, slack: int, cap: int) -> np.ndar
 
     Past 2^18 triples the search is refused, naming the slack, before any
     array is built: the arrays grow with the cube of the grid side, and
-    added 11 MB of peak RSS at 64^3 triples and 80 MB at 128^3.  A grid
-    side below -64 is refused alike, which keeps a slack far below 0 out
-    of int64 arithmetic.  Each rate is clamped to cap + |slack| first: a
-    rate that large meets every bound it appears in, so the clamp is exact
-    and every value fits in int64.
+    added 11 MB of peak RSS at 64^3 triples and 80 MB at 128^3.  A cap
+    below 0 admits no profile; below -65 it is refused as such, which keeps
+    a slack far below 0 out of int64 arithmetic.  Each rate is clamped to
+    cap + |slack| first: a rate that large meets every bound it appears in,
+    so the clamp is exact and every value fits in int64.
     """
     s = slack
-    if abs(cap + 1) > 64:
+    if cap < -65:
+        raise ConfigError(f"slack {slack}: no profile is admissible, as its entries "
+                          f"would lie in 0..{cap}")
+    if cap > 63:
         raise ConfigError(f"slack {slack}: profile search over entries 0..{cap} spans "
                           f"{cap + 1}^3 opener triples, past 2^18 = 64^3 plans")
     n_a, n_b, n_c = (min(rate, cap + abs(s)) for rate in rates)
@@ -429,13 +405,6 @@ def _representative_profiles(rates: RateVector, slack: int, cap: int) -> np.ndar
     return np.argwhere(admissible)
 
 
-# Plan tables of recent rate vectors: a full decode builds each once.  The
-# bound keeps memory from growing with the number of distinct vectors.
-@lru_cache(maxsize=4)
-def _full_plan_table(rates: RateVector, slack: int, cap: int) -> _PlanTable:
-    return _plan_table(_representative_profiles(rates, slack, cap), slack)
-
-
 def decode_full(
     codewords: Sequence[Codeword],
     rates: RateVector,
@@ -449,14 +418,13 @@ def decode_full(
 
     A plan is a profile's opener bounds C(t) + slack, so the plans are the
     admissible opener triples (A, B, C) (_representative_profiles), ranked
-    lexicographically; _select picks the winner.
-    The plan table is built once per (rates, slack, width) among the most
-    recent few (_full_plan_table).
+    lexicographically; _select picks the winner.  The plans are built on
+    each call, uncached.
     """
-    table = _full_plan_table(rates, slack, graphs[0].n + slack)
-    if not len(table.signatures):
+    signatures = _representative_profiles(rates, slack, graphs[0].n + slack) + slack
+    if not len(signatures):
         return DecodeResult(status="fail", reason="no admissible candidate profile")
-    return _select(codewords, table, rates, oracle, graphs, slack, step_budget)
+    return _select(codewords, signatures, rates, oracle, graphs, slack, step_budget)
 
 
 # -- membership decoding ---------------------------------------------------------

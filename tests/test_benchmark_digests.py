@@ -1,9 +1,10 @@
-"""Every benchmark workload still produces its recorded report.
+"""Every benchmark workload still produces its recorded reports.
 
-Runs the first pool entry of each workload in `benchmarks/digests.json`
-in-process and compares the sha256 of its JSON report, so a change that
-alters a report is caught without running the benchmark itself.  Reads
-only that file and `benchmarks/workloads.py`.
+Runs every pool entry of each workload in `benchmarks/digests.json`
+in-process, once with the workload's trials and once with none, and
+compares the sha256 of each JSON report with the entry's `digest` and
+`setup_digest`, so a change that alters a report is caught without running
+the benchmark itself.  Reads only that file and `benchmarks/workloads.py`.
 """
 
 import importlib.util
@@ -27,12 +28,16 @@ def _load_workloads():
 
 
 wl = _load_workloads()
+POOL = [(name, entry) for name in sorted(wl.WORKLOADS)
+        for entry in wl.load_pools()[name]["pool"]]
 
 
-@pytest.mark.parametrize("name", sorted(wl.WORKLOADS))
-def test_first_pool_entry_matches_recorded_digest(name):
+@pytest.mark.parametrize("digest", ["digest", "setup_digest"])
+@pytest.mark.parametrize("name, entry", POOL,
+                         ids=[f"{name}-seed{entry['seed']}" for name, entry in POOL])
+def test_pool_entry_matches_recorded_digests(name, entry, digest):
     workload = wl.WORKLOADS[name]
-    entry = wl.load_pools()[name]["pool"][0]
+    trials = workload.trials if digest == "digest" else 0
     config = ExperimentConfig.load(
-        overrides=wl.overrides(workload, entry["seed"], workload.trials), env={})
-    assert wl.report_digest(report_json_text(run_experiment(config))) == entry["digest"]
+        overrides=wl.overrides(workload, entry["seed"], trials), env={})
+    assert wl.report_digest(report_json_text(run_experiment(config))) == entry[digest]

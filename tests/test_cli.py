@@ -479,6 +479,12 @@ def decode_inputs(tmp_path):
      "graph descriptor {desc_bool_c}: key 'c' must be a string or an integer, got True"),
     (["experiment", "--set", "rates=profile+x"], "cannot parse rates 'profile+x'"),
     (["experiment", "--set", "rates=1,x,2"], "cannot parse rates '1,x,2'"),
+    (["decode", "--codewords", "{cws3}", "--graphs", "{g},{g},{g}",
+      "--scenario", "collinear:q=2", "--decoder", "full", "--rates", "profile+-9"],
+     "rates 'profile+-9': width 4 + slack -9 caps every rate below 0"),
+    (["experiment", "--set", "rates=-1,2,3"], "rates '-1,2,3': rates must be nonnegative"),
+    (["experiment", "--set", "rates=total-100"],
+     "rates 'total-100': deficit 100 exceeds the triple requirement"),
     (["experiment", "--set", "trials=x"], ("trials", "'x'")),
     (["experiment", "--set", "trials"], "expected key=value, got 'trials'"),
     (["experiment", "--set", "scenario=foo:q=2"], "unknown kind 'foo'"),
@@ -571,7 +577,8 @@ def decode_inputs(tmp_path):
         "descriptor-not-json", "report-not-json", "descriptor-string-width",
         "descriptor-list-kind", "descriptor-float-delta", "descriptor-float-c",
         "descriptor-bool-c", "rates-profile-slack",
-        "rates-explicit-part", "config-non-integer", "set-without-equals",
+        "rates-explicit-part", "rates-profile-below-zero", "rates-explicit-negative",
+        "rates-deficit-past-requirement", "config-non-integer", "set-without-equals",
         "unknown-spec-kind", "graphs-bad-fraction", "dms-unknown-key",
         "dms-without-member-set", "certificate-large-regime",
         "scenario-file-bad-hex", "scenario-file-hex-prefix", "scenario-file-hex-underscore",

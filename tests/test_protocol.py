@@ -391,12 +391,8 @@ def test_full_plan_table_matches_a_wide_reference(rates, slack, cap):
     want = [(a + slack, b + slack, c + slack)
             for a, b, c, *_ in _reference_profiles(rates, slack, cap)]
     assert want
-    protocol._full_plan_table.cache_clear()
-    table = protocol._full_plan_table(RateVector(*rates), slack, cap)
-    assert [tuple(row) for row in table.signatures.tolist()] == want
-    for lead, (column, bounds) in table.groups.items():
-        assert column.tolist() == [row[lead] for row in want]
-        assert bounds.tolist() == sorted({row[lead] for row in want})
+    signatures = _representative_profiles(RateVector(*rates), slack, cap) + slack
+    assert [tuple(row) for row in signatures.tolist()] == want
 
 
 @pytest.mark.parametrize("rates, slack, cap, plans", [
@@ -406,8 +402,7 @@ def test_full_plan_table_matches_a_wide_reference(rates, slack, cap):
 def test_plan_table_has_one_plan_per_opener_bounds(rates, slack, cap, plans):
     reference = _reference_profiles(rates, slack, cap)
     assert len({row[:3] for row in reference}) == len(reference) == plans
-    protocol._full_plan_table.cache_clear()
-    assert len(protocol._full_plan_table(RateVector(*rates), slack, cap).signatures) == plans
+    assert len(_representative_profiles(RateVector(*rates), slack, cap)) == plans
 
 
 def test_profile_search_names_a_slack_past_the_grid_cap():
@@ -417,9 +412,10 @@ def test_profile_search_names_a_slack_past_the_grid_cap():
     assert _representative_profiles(RateVector(1, 1, 1), 2, 63).shape[1] == 3
     with pytest.raises(ConfigError, match="^slack -1: .* 65\\^3 opener triples"):
         _representative_profiles(RateVector(1, 1, 1), -1, 64)
-    # A negative cap admits no triple; past a grid side of -64 it is refused.
+    # A negative cap admits no triple; below -65 it is refused as such.
     assert len(_representative_profiles(RateVector(1, 1, 1), -69, -65)) == 0
-    with pytest.raises(ConfigError, match="^slack -70: "):
+    with pytest.raises(ConfigError, match="^slack -70: no profile is admissible, as its "
+                                          "entries would lie in 0\\.\\.-66$"):
         _representative_profiles(RateVector(1, 1, 1), -70, -66)
     # A full decode searches profiles up to cap = n + slack.
     config = experiments.ExperimentConfig.load(overrides={
@@ -567,25 +563,6 @@ class TestDecodeFullMatchesPlanByPlan:
         for rates, triple, graphs, cws in self._cases(S, tamper=True):
             assert not self._both(cws, rates, oracle, graphs).ok
 
-    def test_plan_table_built_once_per_rate_vector(self, planted, monkeypatch):
-        S, oracle = planted
-        built = []
-        real = protocol._representative_profiles
-
-        def counted(*args):
-            built.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(protocol, "_representative_profiles", counted)
-        protocol._full_plan_table.cache_clear()
-        cases = list(self._cases(S))[:2]  # two triples at the first rate vector
-        for rates, triple, graphs, cws in cases:
-            self._both(cws, rates, oracle, graphs)
-        assert len(built) == 1
-        table = protocol._full_plan_table(cases[0][0], self.slack, self.n + self.slack)
-        arrays = [table.signatures, *(a for group in table.groups.values() for a in group)]
-        assert not any(a.flags.writeable for a in arrays)
-
     def test_budget_cap_drops_the_winner(self, planted):
         S, oracle = planted
         dropped = 0
@@ -617,7 +594,7 @@ def test_pick_matches_matrix_rule(data):
     plans = data.draw(st.integers(1, 12))
     rows = data.draw(st.lists(st.lists(st.integers(0, 5), min_size=7, max_size=7),
                               min_size=plans, max_size=plans))
-    table = protocol._plan_table(np.array(rows), data.draw(st.integers(-2, 3)))
+    signatures = np.array(rows)[:, :3] + data.draw(st.integers(-2, 3))
     match_rate = data.draw(st.sampled_from([0, 1, 4, 13]))
     most = data.draw(st.sampled_from([1, 4, 12]))
     outcomes, calls = {}, []
@@ -630,9 +607,9 @@ def test_pick_matches_matrix_rule(data):
         return outcomes[idx, bound]
 
     budget = data.draw(st.integers(0, 3 * plans))
-    got = protocol._pick(table, outcome, budget)
+    got = protocol._pick(signatures, outcome, budget)
     assert len(calls) == len(set(calls))  # one run per branch and distinct bound
-    want = matrix_pick(table.signatures, outcome, budget)
+    want = matrix_pick(signatures, outcome, budget)
     assert got == want
     if got[0] is None:
         event("fail, no match" if not any(m for m, _ in outcomes.values())
@@ -642,12 +619,12 @@ def test_pick_matches_matrix_rule(data):
 
 
 def test_plan_search_memory_stays_small():
-    """Traced peak of building the toy-full-n8 plan table for rates
-    (10, 10, 10), slack 4, cap 12, then one toy-full-n8 decode (pool seed
-    10, first trial) with cold toy tables.  It was 15.2 MB while profile
-    search filtered the whole 13^5 grid and selection built plans x
-    branches matrices, and is 4.5 MB with sliced filtering and per-bound
-    selection (numpy 2.4.6)."""
+    """Traced peak of one toy-full-n8 decode (pool seed 10, first trial)
+    with cold toy tables, its plans for rates (10, 10, 10), slack 4, cap 12
+    included.  It was 15.2 MB while profile search filtered the whole 13^5
+    grid and selection built plans x branches matrices, 4.5 MB with sliced
+    filtering and per-bound selection, and is 0.4 MB with the closed-form
+    search (numpy 2.4.6)."""
     config = experiments.ExperimentConfig(
         scenario="planted:n=8", oracle="toy:L=12,T=200", decoder="full",
         graphs="pipeline:delta=1/2", rates="profile+4", slack=4, seed=10)
@@ -663,10 +640,8 @@ def test_plan_search_memory_stays_small():
     graphs = [bank.for_rate(i, rates[i]) for i in range(3)]
     cws = [encode(g, x, scheme, derive_seed(seed, "enc", i), sender="ABC"[i])
            for i, (g, x) in enumerate(zip(graphs, triple))]
-    protocol._full_plan_table.cache_clear()
     tracemalloc.start()
     try:
-        protocol._full_plan_table(rates, 4, 12)
         result = decode_full(cws, rates, oracle, graphs, slack=4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
