@@ -89,7 +89,7 @@ def _load_graph_any(path: str) -> LabeledBipartiteGraph:
     raw = {k: v for k, v in desc.items() if k not in _DESCRIPTOR_KEYS}
     params = spec_args(GRAPHS, desc["kind"], raw, f"graph descriptor {path}")
     g, _, _ = build_graph(desc["kind"], desc["n"], desc["k"], desc["seed"], params,
-                          desc.get("max_retries", 10))
+                          desc.get("max_retries", ExperimentConfig.max_retries))
     return g
 
 
@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--max-retries", type=int, default=10)
+    p.add_argument("--max-retries", type=int, default=ExperimentConfig.max_retries)
     p.add_argument("--out", required=True)
     p.add_argument("--report")
     p.set_defaults(func=_cmd_build_graph)
@@ -300,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graphs", required=True, help="comma-separated graph paths")
     p.add_argument("--scenario", required=True)
     p.add_argument("--decoder", choices=DECODERS, default="membership")
-    p.add_argument("--rates", default="profile+2")
-    p.add_argument("--slack", type=int, default=2)
+    p.add_argument("--rates", default=ExperimentConfig.rates)
+    p.add_argument("--slack", type=int, default=ExperimentConfig.slack)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_decode)
 

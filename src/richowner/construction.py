@@ -150,7 +150,6 @@ def construct_rich_owner_graph(
     _check_split_count(split_count(n, s, delta))
     family = verification.BFamily.default_for(n, k, seed=derive_seed(seed, "verify-family"))
 
-    worst = None
     attempts = []
     for attempt in range(max_retries + 1):
         g = build_random_graph(n, k, epsilon, c, derive_seed(seed, "build", attempt))
@@ -164,8 +163,7 @@ def construct_rich_owner_graph(
                 gamma=split.m - k, retries=attempt, verified_B_count=report.checked,
                 worst_violation=report.worst_error, attempts=attempts,
             )
-        if worst is None or (report.worst_error is not None and report.worst_error > worst):
-            worst = report.worst_error
+    worst = max((error for _, _, error in attempts if error is not None), default=None)
     raise ConstructionError(
         f"verification failed on {max_retries + 1} attempts (worst violation {worst})",
         worst_violation=worst,

@@ -24,6 +24,7 @@ from .construction import ConstructionReport, build_random_graph, construct_rich
 from .crt import HashScheme
 from .graphs import LabeledBipartiteGraph, SeededGraph
 from .oracles import (
+    SENDERS,
     ComplexityProfile,
     CorrelationSet,
     CountingOracle,
@@ -276,7 +277,7 @@ class _GraphBank:
             seed = derive_seed(self.seed, "graph", sender, k)
             g, summary, _ = build_graph(self.kind, self.n, k, seed, self.params,
                                         self.max_retries)
-            self.summaries.append({"sender": "ABC"[sender], **summary})
+            self.summaries.append({"sender": SENDERS[sender], **summary})
             self.cache[key] = g
         return self.cache[key]
 
@@ -324,7 +325,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         graphs = [bank.for_rate(i, rates[i]) for i in range(3)]
         codewords = [
             encode(graphs[i], triple[i], scheme, derive_seed(trial_seed, "enc", i),
-                   sender="ABC"[i])
+                   sender=SENDERS[i])
             for i in range(3)
         ]
         payload_bits.add(tuple(cw.payload.width for cw in codewords))

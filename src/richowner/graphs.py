@@ -40,26 +40,18 @@ class GraphError(ValueError):
     """Raised for width mismatches and malformed graph inputs."""
 
 
-def _as_left_int(g: "LabeledBipartiteGraph", x) -> int:
-    if isinstance(x, BitString):
-        if x.width != g.n:
-            raise GraphError(f"left node width {x.width} != n={g.n}")
-        return x.value
-    x = int(x)
-    if not 0 <= x < (1 << g.n):
-        raise GraphError(f"left node {x} out of range for n={g.n}")
-    return x
-
-
-def _as_right_int(g: "LabeledBipartiteGraph", z) -> int:
-    if isinstance(z, BitString):
-        if z.width != g.m:
-            raise GraphError(f"right node width {z.width} != m={g.m}")
-        return z.value
-    z = int(z)
-    if not 0 <= z < (1 << g.m):
-        raise GraphError(f"right node {z} out of range for m={g.m}")
-    return z
+def _as_node(g: "LabeledBipartiteGraph", v, side: str = "left") -> int:
+    """v, an int or a BitString, as a node of g's left side ({0,1}^n) or
+    right side ({0,1}^m)."""
+    name, width = ("n", g.n) if side == "left" else ("m", g.m)
+    if isinstance(v, BitString):
+        if v.width != width:
+            raise GraphError(f"{side} node width {v.width} != {name}={width}")
+        return v.value
+    v = int(v)
+    if not 0 <= v < (1 << width):
+        raise GraphError(f"{side} node {v} out of range for {name}={width}")
+    return v
 
 
 def _right_dtype(m: int) -> np.dtype:
@@ -68,7 +60,8 @@ def _right_dtype(m: int) -> np.dtype:
 
 
 class LabeledBipartiteGraph:
-    """Common behavior; subclasses implement neighbor_int and rows."""
+    """Common behavior; subclasses implement neighbor_int, rows and
+    describe."""
 
     n: int
     m: int
@@ -102,7 +95,7 @@ class LabeledBipartiteGraph:
 
     def neighbor_values(self, x) -> list[int]:
         """x's right nodes by label, read as a block of one row."""
-        [(_, rows)] = self.row_blocks(np.array([_as_left_int(self, x)]))
+        [(_, rows)] = self.row_blocks(np.array([_as_node(self, x)]))
         return rows[0].tolist()
 
     def edge_table(self) -> Optional[np.ndarray]:
@@ -122,7 +115,7 @@ class LabeledBipartiteGraph:
     def payload_consistent(self, x, payload) -> bool:
         """True when the payload occurs in x's neighbor multiset: the bulk
         check of one node."""
-        xs = np.array([_as_left_int(self, x)])
+        xs = np.array([_as_node(self, x)])
         return bool(self.payload_consistent_bulk(xs, payload)[0])
 
     def payload_consistent_bulk(self, xs: np.ndarray, payload) -> np.ndarray:
@@ -132,7 +125,7 @@ class LabeledBipartiteGraph:
         Reads the cached adjacency matrix when there is one, and otherwise
         the rows of just the given nodes, block by block.
         """
-        zi = _as_right_int(self, payload)
+        zi = _as_node(self, payload, "right")
         if self._has_right is not None:
             return self._has_right[xs, zi]
         out = np.empty(len(xs), dtype=bool)
@@ -157,9 +150,6 @@ class LabeledBipartiteGraph:
     def graph_id(self) -> str:
         h = blake2b(self.describe().encode(), digest_size=8)
         return h.hexdigest()
-
-    def describe(self) -> str:
-        return f"{type(self).__name__}(n={self.n},m={self.m},D={self.degree})"
 
 
 class TableGraph(LabeledBipartiteGraph):
@@ -254,11 +244,13 @@ class SplitGraph(LabeledBipartiteGraph):
     def k(self) -> int:
         return self.base.m
 
-    def split_node(self, i: int, residue: int, z: int) -> int:
+    def split_node(self, i, residue, z):
+        """The right node of fields (i, residue, z), for ints or uint64
+        arrays alike."""
         return (i << (self.n + self.k)) | (residue << self.k) | z
 
     def parse_payload(self, payload) -> tuple[int, int, int]:
-        v = _as_right_int(self, payload)
+        v = _as_node(self, payload, "right")
         z = v & ((1 << self.k) - 1)
         residue = (v >> self.k) & ((1 << self.n) - 1)
         i = v >> (self.n + self.k)
@@ -274,16 +266,16 @@ class SplitGraph(LabeledBipartiteGraph):
         return self.split_node(i, self._residue(x, i), z)
 
     def rows(self, xs: np.ndarray) -> np.ndarray:
-        """The base rows, each entry fanned out over the (i, x mod p_i)
-        fields; p_i = 2^n past the stored primes leaves x itself."""
+        """The base rows, each entry fanned out through split_node over the
+        (i, x mod p_i) fields; p_i = 2^n past the stored primes leaves x
+        itself."""
         if self.m > 64:
             raise GraphError(f"right width m={self.m} does not fit 64-bit rows")
         moduli = np.full(self.ell, 1 << self.n, dtype=np.uint64)
         moduli[:len(self.primes)] = self.primes
-        fields = np.asarray(xs, dtype=np.uint64)[:, None] % moduli
-        fields <<= np.uint64(self.k)
-        fields |= np.arange(self.ell, dtype=np.uint64) << np.uint64(self.n + self.k)
-        fanned = self.base.rows(xs)[:, :, None] | fields[:, None, :]
+        residues = np.asarray(xs, dtype=np.uint64)[:, None, None] % moduli
+        fanned = self.split_node(np.arange(self.ell, dtype=np.uint64), residues,
+                                 self.base.rows(xs)[:, :, None])
         return fanned.reshape(len(xs), self.degree)
 
     def payload_consistent_bulk(self, xs: np.ndarray, payload) -> np.ndarray:

@@ -35,13 +35,14 @@ import numpy as np
 from .bits import BitString
 from .specs import ConfigError
 
+SENDERS = "ABC"  # one letter per coordinate
 SUBSETS = ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2))
-SUBSET_NAMES = ("A", "B", "C", "AB", "AC", "BC", "ABC")  # one per entry of SUBSETS
+# one per entry of SUBSETS: its name and its complement
+SUBSET_NAMES = tuple("".join(SENDERS[i] for i in V) for V in SUBSETS)
+COMPLEMENTS = tuple(tuple(i for i in range(3) if i not in V) for V in SUBSETS)
 
 
 def subset_key(subset) -> tuple[int, ...]:
-    if isinstance(subset, str):
-        subset = tuple("ABC".index(ch.upper()) for ch in subset)
     key = tuple(sorted(set(int(i) for i in subset)))
     if key not in SUBSETS:
         raise ValueError(f"not a coordinate subset: {subset!r}")
@@ -77,11 +78,9 @@ class ComplexityProfile:
 
     def conditionals(self) -> dict[tuple[int, ...], int]:
         """C(x_V | x_complement) = C(ABC) - C(complement) for every
-        non-empty V.  SUBSETS lists the complement of its i-th proper
-        subset at index 5 - i."""
-        full = self.values[6]
-        return {V: full - (self.values[5 - i] if i < 6 else 0)
-                for i, V in enumerate(SUBSETS)}
+        non-empty V, with C of the empty complement 0."""
+        values = {(): 0, **dict(zip(SUBSETS, self.values))}
+        return {V: self.values[6] - values[W] for V, W in zip(SUBSETS, COMPLEMENTS)}
 
     def as_dict(self) -> dict[str, int]:
         return dict(zip(SUBSET_NAMES, self.values))
@@ -187,8 +186,7 @@ class ToyOracle:
         """C(x_V | x_complement) for every non-empty V: each proper one
         measured with the complement strings as side input, C(ABC) read off
         the profile (self.profile(triple) unless given)."""
-        out = {V: self.conditional(V, SUBSETS[5 - i], triple)
-               for i, V in enumerate(SUBSETS[:6])}
+        out = {V: self.conditional(V, W, triple) for V, W in zip(SUBSETS, COMPLEMENTS) if W}
         out[SUBSETS[6]] = (profile or self.profile(triple)).values[6]
         return out
 
@@ -215,8 +213,9 @@ class ToyOracle:
     def candidates(self, n: int, target: int, known: Mapping[int, BitString],
                    payload_conds: Sequence, bound: int) -> np.ndarray:
         """Values of the width-n strings x with C(x | side) <= bound, ordered
-        by (program length, value) and capped at 2^(bound+1), as a read-only
-        view of the cached strings.
+        by (program length, value), as a read-only view of the cached
+        strings: at most 2^(bound+1) - 1 of them, as no more programs are
+        bound bits long or shorter.
 
         The side is the known strings, then the payloads, in the order
         given; the machine knows no coordinates, so `target` is unused.
@@ -225,7 +224,7 @@ class ToyOracle:
             return np.empty(0, dtype=np.int64)
         side = tuple(known.values()) + tuple(p for _, p, _ in payload_conds)
         lengths, values = self._strings(n, side)
-        return values[: min(np.searchsorted(lengths, bound, side="right"), 1 << (bound + 1))]
+        return values[:np.searchsorted(lengths, bound, side="right")]
 
 
 # -- counting oracle over explicit correlation sets ----------------------------

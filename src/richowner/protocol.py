@@ -38,18 +38,16 @@ import numpy as np
 from .bits import BitString
 from .crt import HashScheme, HashTag, draw_hash_tag
 from .graphs import GraphError, LabeledBipartiteGraph
-from .oracles import SUBSETS, ComplexityProfile, CorrelationSet, _distinct
+from .oracles import SENDERS, SUBSET_NAMES, SUBSETS, ComplexityProfile, CorrelationSet, _distinct
 from .rng import SeedStream, derive_seed
 from .specs import ConfigError
-
-SENDERS = ("A", "B", "C")
 
 
 class InfeasibleRatesError(ValueError):
     """Rates violate a subset inequality beyond the allowed slack."""
 
     def __init__(self, violated: list[tuple[int, ...]]):
-        names = ["".join(SENDERS[i] for i in V) for V in violated]
+        names = [SUBSET_NAMES[SUBSETS.index(V)] for V in violated]
         super().__init__(f"rates violate subset constraints: {', '.join(names)}")
         self.violated = violated
 
@@ -100,7 +98,10 @@ def rates_from_profile(conds: Mapping[tuple[int, ...], int], slack: int,
 
 
 def rates_violating_total(conds: Mapping[tuple[int, ...], int], deficit: int) -> RateVector:
-    """Balanced rates whose sum undercuts the full-triple constraint."""
+    """Balanced rates whose sum undercuts the full-triple constraint by a
+    deficit of at least 0."""
+    if deficit < 0:
+        raise ValueError(f"deficit {deficit} must be >= 0")
     total = conds[(0, 1, 2)] - deficit
     if total < 0:
         raise ValueError(f"deficit {deficit} exceeds the triple requirement")
@@ -166,7 +167,7 @@ def encode(g: LabeledBipartiteGraph, x: BitString, scheme: Optional[HashScheme],
 # rates bound every stage.  Branches that open on A's payload alone add no
 # tag-consistent triple that these miss (tests/helpers.py keeps them).
 _CATALOG = (
-    *(("chain-" + "ABC"[i] + "ABC"[j] + "ABC"[k], i,
+    *(("chain-" + SENDERS[i] + SENDERS[j] + SENDERS[k], i,
        ((i, (), ()), (j, (i,), ()), (k, tuple(sorted((i, j))), ())))
       for i, j, k in permutations((0, 1, 2))),
     ("joint-BC", None, ((1, (), (0, 2)), (2, (1,), (0,)), (0, (1, 2), ()))),

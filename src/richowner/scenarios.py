@@ -114,8 +114,8 @@ def _read_set_file(path: str, n: Optional[int]) -> CorrelationSet:
 
 
 def named_correlation_set(spec: str) -> CorrelationSet:
-    """Sets by spec: collinear:q=Q, diagonal:n=N, cube:n=N (n <= 5),
-    file:<path>.  A width or member count past its cap is refused unbuilt."""
+    """Sets by spec: collinear:q=Q, diagonal:n=N, cube:n=N, file:<path>.
+    A width or member count past its cap is refused unbuilt."""
     kind, args = parse_spec(spec, SCENARIOS)
     if kind not in ("collinear", "diagonal", "cube", "file"):
         raise ConfigError(f"scenario {spec!r} has no explicit member set")
@@ -137,8 +137,6 @@ def named_correlation_set(spec: str) -> CorrelationSet:
     if kind == "diagonal":
         xs = np.arange(N, dtype=np.int64)
         return CorrelationSet(n, np.stack([xs, xs, xs], axis=1))
-    if n > 5:
-        raise ValueError("full cube is materialized only up to n=5")
     return CorrelationSet(n, np.indices((N, N, N)).reshape(3, -1).T)
 
 
@@ -174,9 +172,7 @@ class SourceDistribution:
 
 def _entropy(probs: Iterable[Fraction]) -> float:
     h = 0.0
-    for p in probs:
-        if p == 0:
-            continue
+    for p in probs:  # marginal leaves out zero probabilities
         h -= float(p) * math.log2(p.numerator) - float(p) * math.log2(p.denominator)
     return h
 

@@ -36,7 +36,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .graphs import TABLE_CAP, GraphError, LabeledBipartiteGraph, SplitGraph, _as_left_int
+from .graphs import TABLE_CAP, GraphError, LabeledBipartiteGraph, SplitGraph, _as_node
 from .oracles import _distinct
 from .rng import derive_seed, raw_block
 from .specs import FAMILIES
@@ -461,7 +461,7 @@ def rich_owner_fraction(g: LabeledBipartiteGraph, family: BFamily, k: int,
 
 
 def _rich_fraction(g, B: Sequence[int], k: int, delta: Fraction) -> Fraction:
-    members = sorted({_as_left_int(g, v) for v in B})
+    members = sorted({_as_node(g, v) for v in B})
     good = _good_slots(g, members, *_set_regime(g, len(members), k, delta))
     # a member is rich when good / D >= 1 - delta, and good is an integer
     rich = np.count_nonzero(good >= math.ceil((1 - delta) * g.degree))

@@ -32,7 +32,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from richowner.bits import BitString
-from richowner.graphs import GraphError, LabeledBipartiteGraph, TableGraph, _as_left_int
+from richowner.graphs import GraphError, LabeledBipartiteGraph, TableGraph, _as_node
 from richowner.oracles import SUBSETS, Component, subset_key
 from richowner.protocol import _CATALOG, _recover
 from richowner.rng import SeedStream, derive_seed
@@ -335,8 +335,8 @@ def classify_owner(g: LabeledBipartiteGraph, B: Iterable, x, k: int,
     degree-many edge slots of x.
     """
     delta = _check_regime(k, delta)
-    members = sorted({_as_left_int(g, v) for v in B})
-    xi = _as_left_int(g, x)
+    members = sorted({_as_node(g, v) for v in B})
+    xi = _as_node(g, x)
     if xi not in members:
         raise GraphError(f"node {xi} not a member of B")
     small, threshold = _set_regime(g, len(members), k, delta)

@@ -253,6 +253,15 @@ class TestHashAuditAndProfile:
         obj = json.loads(capsys.readouterr().out)
         assert obj["entropy_profile"]["ABC"] == 4.0
 
+    def test_profile_cube_past_n5(self, capsys):
+        """The member cap is the only limit on a cube's width: cube:n=6
+        (2^18 members) profiles as every string is independent."""
+        assert run_cli("profile", "--scenario", "cube:n=6") == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert (obj["n"], obj["members"]) == (6, 1 << 18)
+        assert obj["profile"] == {"A": 6, "B": 6, "C": 6, "AB": 12, "AC": 12, "BC": 12,
+                                  "ABC": 18}
+
 
 class TestEncodeDecode:
     def test_round_trip(self, tmp_path):
@@ -485,6 +494,11 @@ def decode_inputs(tmp_path):
     (["experiment", "--set", "rates=-1,2,3"], "rates '-1,2,3': rates must be nonnegative"),
     (["experiment", "--set", "rates=total-100"],
      "rates 'total-100': deficit 100 exceeds the triple requirement"),
+    (["experiment", "--set", "scenario=collinear:q=2", "--set", "rates=total--1",
+      "--set", "trials=2"], "rates 'total--1': deficit -1 must be >= 0"),
+    (["decode", "--codewords", "{cws3}", "--graphs", "{g},{g},{g}",
+      "--scenario", "collinear:q=2", "--decoder", "full", "--rates", "total--1"],
+     "rates 'total--1': deficit -1 must be >= 0"),
     (["experiment", "--set", "trials=x"], ("trials", "'x'")),
     (["experiment", "--set", "trials"], "expected key=value, got 'trials'"),
     (["experiment", "--set", "scenario=foo:q=2"], "unknown kind 'foo'"),
@@ -543,7 +557,6 @@ def decode_inputs(tmp_path):
      "spec 'collinear:q=8': 1090905047040 members exceed the cap of 2097152 rows"),
     (["profile", "--scenario", "cube:n=8"],
      "spec 'cube:n=8': 16777216 members exceed the cap of 2097152 rows"),
-    (["profile", "--scenario", "cube:n=6"], "full cube is materialized only up to n=5"),
     (["experiment", "--set", "scenario=planted:n=0", "--set", "oracle=toy",
       "--set", "decoder=full", "--set", "graphs=binning", "--set", "trials=1"],
      "spec 'planted:n=0': width n=0 must be even and >= 2"),
@@ -578,7 +591,8 @@ def decode_inputs(tmp_path):
         "descriptor-list-kind", "descriptor-float-delta", "descriptor-float-c",
         "descriptor-bool-c", "rates-profile-slack",
         "rates-explicit-part", "rates-profile-below-zero", "rates-explicit-negative",
-        "rates-deficit-past-requirement", "config-non-integer", "set-without-equals",
+        "rates-deficit-past-requirement", "rates-negative-deficit",
+        "decode-rates-negative-deficit", "config-non-integer", "set-without-equals",
         "unknown-spec-kind", "graphs-bad-fraction", "dms-unknown-key",
         "dms-without-member-set", "certificate-large-regime",
         "scenario-file-bad-hex", "scenario-file-hex-prefix", "scenario-file-hex-underscore",
@@ -590,7 +604,7 @@ def decode_inputs(tmp_path):
         "encode-scheme-three-fields", "diagonal-too-wide", "diagonal-zero-width",
         "diagonal-negative-width", "cube-zero-width", "cube-negative-width",
         "scenario-file-negative-width", "collinear-too-wide", "collinear-over-member-cap",
-        "cube-over-member-cap", "cube-past-n5", "planted-zero-width",
+        "cube-over-member-cap", "planted-zero-width",
         "planted-negative-width", "random-stream-index-past-64-bits",
         "binning-stream-index-past-64-bits", "encode-input-not-hex", "encode-input-too-wide",
         "encode-input-empty", "encode-input-prefixed"])

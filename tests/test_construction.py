@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from types import SimpleNamespace
 
-from richowner import construction
+from richowner import construction, verification
 from richowner.construction import (
     ConstructionError,
     build_random_graph,
@@ -148,6 +149,15 @@ class TestPipeline:
         with pytest.raises(ConstructionError) as exc:
             construct_rich_owner_graph(4, 2, Fraction(1, 2), seed=0, max_retries=0)
         assert exc.value.worst_violation is not None
+
+    def test_forced_failure_names_the_worst_attempt(self, monkeypatch):
+        errors = iter([Fraction(1, 4), Fraction(1, 2), Fraction(1, 3)])
+        monkeypatch.setattr(verification, "check_prefix_extractor",
+                            lambda g, epsilon, family: SimpleNamespace(
+                                passed=False, worst_error=next(errors), checked=1))
+        with pytest.raises(ConstructionError, match=r"3 attempts \(worst violation 1/2\)") as exc:
+            construct_rich_owner_graph(4, 2, Fraction(1, 2), seed=0, max_retries=2)
+        assert exc.value.worst_violation == Fraction(1, 2)
 
     def test_negative_max_retries_rejected(self):
         with pytest.raises(GraphError, match="max_retries"):

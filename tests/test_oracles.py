@@ -178,6 +178,20 @@ def test_output_table_matches_brute_force(side, max_len, step_budget):
     assert oracle.output_table(side) == brute_force_toy_table(side, max_len, step_budget)
 
 
+@settings(max_examples=40, deadline=None)
+@given(side=st.lists(_side_component(), max_size=3),
+       max_len=st.integers(0, 12),
+       step_budget=st.one_of(st.integers(0, 24), st.integers(25, 400)),
+       width=st.integers(0, 10), bound=st.integers(-1, 14))
+def test_candidates_within_program_count(side, max_len, step_budget, width, bound):
+    """At most 2^(bound+1) - 1 programs are bound bits long or shorter, and
+    each prints one string, so no more candidates are listed: the paper's
+    enumeration bound, which candidates does not enforce by a cap."""
+    oracle = ToyOracle(ToyMachineConfig(max_len, step_budget))
+    known = {i: BitString(w, v) for i, (w, v) in enumerate(side)}
+    assert len(oracle.candidates(width, 0, known, [], bound)) <= (1 << (bound + 1)) - 1
+
+
 class TestToyProfilesAndSets:
     def test_profile_censoring(self):
         cfg = ToyMachineConfig(max_len=12, step_budget=200)

@@ -137,6 +137,18 @@ class TestCheckPrefixExtractor:
             "0,1", "0,1,2", "0,1,2,3", "0,1,3", "0,2", "0,2,3", "0,3", "1,2",
             "1,2,3", "1,3", "2,3"]
 
+    def test_failures_of_large_sets_are_described_by_size_and_head(self):
+        """A set of more than 16 members is named by its size and its first
+        eight members; each failing set shows at every prefix width."""
+        g = all_to_one_graph(6, 2, 1)
+        family = BFamily(mode="sampled", size=32, count=3, seed=4)
+        report = check_prefix_extractor(g, Fraction(0), family)
+        assert not report.passed
+        sets = sorted(set(seed_stream_sampled_sets(family, 6)))
+        assert [(f["k_prime"], f["B_descriptor"]) for f in report.failures] == [
+            (k_prime, "size=32,head=" + ",".join(str(x) for x in B[:8]) + ",...")
+            for k_prime in (1, 2) for B in sets]
+
     def test_epsilon_boundary_is_exact(self):
         g = build_random_graph(3, 2, Fraction(1, 2), 1, seed=7)
         family = BFamily(mode="exhaustive")
