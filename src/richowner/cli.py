@@ -111,7 +111,10 @@ def _cmd_build_graph(args) -> int:
 
 def _cmd_verify_graph(args) -> int:
     mode, params = parse_spec(args.family, FAMILIES)
-    family = BFamily(mode=mode, **params)
+    try:
+        family = BFamily(mode=mode, **params)
+    except ValueError as exc:
+        raise ConfigError(f"spec {args.family!r}: {exc}") from None
     check, check_params = parse_spec(args.check, CHECKS)
     g = _load_graph_any(args.graph)
     # the CHECKS keys are the audits' own argument names

@@ -305,11 +305,11 @@ def decode_triple(decoder: str, codewords, graphs, S: Optional[CorrelationSet], 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the configured trials; fully deterministic given the config."""
+    if config.decoder not in DECODERS:
+        raise ConfigError(f"unknown decoder {config.decoder!r}")
     scenario = _resolve_scenario(config.scenario)
     oracle = _resolve_oracle(config.oracle, scenario)
     staged = config.decoder in ("known-profile", "full")
-    if config.decoder not in DECODERS:
-        raise ConfigError(f"unknown decoder {config.decoder!r}")
     if config.decoder == "membership" and scenario.S is None:
         raise ConfigError("membership decoding needs an enumerable scenario")
     bank = _GraphBank(config.graphs, scenario.n, config.seed, config.max_retries)

@@ -31,8 +31,7 @@ from .rng import blake2b, raw_block, stream_value
 # Edge tables and adjacency matrices are built, and rows read in blocks, only
 # up to this many entries.
 TABLE_CAP = 1 << 24
-# row_blocks, and so neighbor_values, refuse to expand absurdly wide
-# multisets.
+# row_blocks refuses to expand absurdly wide multisets.
 MULTISET_CAP = 1 << 22
 
 
@@ -92,11 +91,6 @@ class LabeledBipartiteGraph:
             raise GraphError(f"degree {self.degree} too large to expand")
         step = max(1, min(TABLE_CAP, 1 << 16) // self.degree)
         return ((lo, self.rows(xs[lo:lo + step])) for lo in range(0, len(xs), step))
-
-    def neighbor_values(self, x) -> list[int]:
-        """x's right nodes by label, read as a block of one row."""
-        [(_, rows)] = self.row_blocks(np.array([_as_node(self, x)]))
-        return rows[0].tolist()
 
     def edge_table(self) -> Optional[np.ndarray]:
         """The (2^n, D) array of right-node values at the narrowest unsigned

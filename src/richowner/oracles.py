@@ -42,13 +42,6 @@ SUBSET_NAMES = tuple("".join(SENDERS[i] for i in V) for V in SUBSETS)
 COMPLEMENTS = tuple(tuple(i for i in range(3) if i not in V) for V in SUBSETS)
 
 
-def subset_key(subset) -> tuple[int, ...]:
-    key = tuple(sorted(set(int(i) for i in subset)))
-    if key not in SUBSETS:
-        raise ValueError(f"not a coordinate subset: {subset!r}")
-    return key
-
-
 @dataclass(frozen=True)
 class ComplexityProfile:
     """Seven joint values, one per non-empty coordinate subset.
@@ -62,19 +55,6 @@ class ComplexityProfile:
     def __post_init__(self):
         if len(self.values) != 7:
             raise ValueError("profile needs exactly 7 values")
-
-    def value(self, subset) -> int:
-        return self.values[SUBSETS.index(subset_key(subset))]
-
-    def conditional(self, V, W) -> int:
-        """C(x_V | x_W) by subtraction: C(V u W) - C(W)."""
-        V, W = subset_key(V), (subset_key(W) if W else ())
-        if set(V) & set(W):
-            raise ValueError("V and W must be disjoint")
-        if not W:
-            return self.value(V)
-        union = subset_key(tuple(V) + tuple(W))
-        return self.value(union) - self.value(W)
 
     def conditionals(self) -> dict[tuple[int, ...], int]:
         """C(x_V | x_complement) = C(ABC) - C(complement) for every
@@ -169,24 +149,21 @@ class ToyOracle:
         """Min program length printing the target, or None beyond budgets."""
         return self.output_table(_as_components(side)).get(_as_components(target))
 
-    def profile(self, triple: Sequence[BitString]) -> ComplexityProfile:
-        values = (self.complexity(tuple(triple[i] for i in subset)) for subset in SUBSETS)
-        return ComplexityProfile(tuple(self.cfg.max_len + 1 if c is None else c for c in values))
-
-    def conditional(self, V, W, triple: Sequence[BitString]) -> int:
-        """Direct conditional: shortest program given the W strings as side."""
-        V, W = subset_key(V), subset_key(W)
-        target = tuple(triple[i] for i in V)
-        side = tuple(triple[i] for i in W)
-        c = self.complexity(target, side)
+    def _censored(self, triple: Sequence[BitString], V, W=()) -> int:
+        """C(x_V | x_W), the W strings as side input, or the budget floor
+        L + 1 beyond the budgets."""
+        c = self.complexity(tuple(triple[i] for i in V), tuple(triple[i] for i in W))
         return self.cfg.max_len + 1 if c is None else c
+
+    def profile(self, triple: Sequence[BitString]) -> ComplexityProfile:
+        return ComplexityProfile(tuple(self._censored(triple, V) for V in SUBSETS))
 
     def conditionals(self, triple: Sequence[BitString],
                      profile: Optional[ComplexityProfile] = None) -> dict[tuple[int, ...], int]:
         """C(x_V | x_complement) for every non-empty V: each proper one
         measured with the complement strings as side input, C(ABC) read off
         the profile (self.profile(triple) unless given)."""
-        out = {V: self.conditional(V, W, triple) for V, W in zip(SUBSETS, COMPLEMENTS) if W}
+        out = {V: self._censored(triple, V, W) for V, W in zip(SUBSETS, COMPLEMENTS) if W}
         out[SUBSETS[6]] = (profile or self.profile(triple)).values[6]
         return out
 
@@ -323,8 +300,8 @@ class CorrelationSet:
             mask &= graph.payload_consistent_bulk(values, payload)[inverse]
         return mask
 
-    def proj_count(self, subset) -> int:
-        subset = subset_key(subset)
+    def proj_count(self, subset: tuple[int, ...]) -> int:
+        """Distinct projections of the members onto a SUBSETS entry."""
         return len(_distinct(self._pack_proj(self.members, subset)))
 
 
@@ -348,9 +325,6 @@ class CountingOracle:
                 tuple(max(self.S.proj_count(s) - 1, 0).bit_length() for s in SUBSETS)
             )
         return self._profile
-
-    def conditional(self, V, W, triple=None) -> int:
-        return self.profile(triple).conditional(V, W)
 
     def conditionals(self, triple=None,
                      profile: Optional[ComplexityProfile] = None) -> dict[tuple[int, ...], int]:

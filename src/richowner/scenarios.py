@@ -124,8 +124,8 @@ def named_correlation_set(spec: str) -> CorrelationSet:
         check_width(n, f"spec {spec!r}")
     if kind == "file":
         return _read_set_file(args["path"], n)
-    if kind == "collinear":
-        _irreducible(args["q"])
+    if kind == "collinear" and args["q"] not in IRREDUCIBLE:
+        raise ConfigError(f"spec {spec!r}: no fixed irreducible polynomial for q={args['q']}")
     N = 1 << n  # points of the plane GF(2^q)^2 for collinear
     count = {"collinear": N * (N - 1) * ((1 << n // 2) - 2), "diagonal": N,
              "cube": N ** 3}[kind]

@@ -1,6 +1,7 @@
 """Helpers shared by the tests.
 
-Small fixed graphs, a bit-string literal, the B-degree of a right node,
+Small fixed graphs, a bit-string literal, a left node's right nodes by
+label and the B-degree of a right node,
 a scalar GF(2^q) reference (field elements, the collinearity
 determinant, a collinear-triple sampler) and the per-pair loop that
 enumerated collinear triples, which the vectorised geometry in
@@ -16,9 +17,11 @@ form of the staged decoders' selection rule that `richowner.protocol._pick`
 is checked against, and the twelve-branch catalog that the staged decoders'
 eight branches were pruned from, run stage by stage, which the pruned
 catalog's coverage is checked against.
-Also the checks that only tests run: an oracle's chain-rule slack, the
-collinear set's projection counts by formula, and the pigeonhole converse
-audit of explicit encoder/decoder tables.
+Also the checks that only tests run: a profile's value of any subset and
+its C(V | W) by subtraction, the toy machine's C(V | W) measured directly,
+an oracle's chain-rule slack, the collinear set's projection counts by
+formula, and the pigeonhole converse audit of explicit encoder/decoder
+tables.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 
 from richowner.bits import BitString
 from richowner.graphs import GraphError, LabeledBipartiteGraph, TableGraph, _as_node
-from richowner.oracles import SUBSETS, Component, subset_key
+from richowner.oracles import SUBSETS, Component, ToyOracle
 from richowner.protocol import _CATALOG, _recover
 from richowner.rng import SeedStream, derive_seed
 from richowner.scenarios import IRREDUCIBLE, mul_table
@@ -62,9 +65,15 @@ def all_to_one_graph(n: int, m: int, d: int, hub: int = 0) -> TableGraph:
     return TableGraph(n, m, table)
 
 
+def neighbor_values(g: LabeledBipartiteGraph, x) -> list[int]:
+    """x's right nodes by label, read as a block of one row."""
+    [(_, rows)] = g.row_blocks(np.array([_as_node(g, x)]))
+    return rows[0].tolist()
+
+
 def b_degree(g, z: int, B) -> int:
     """Edges from members of B landing on z, counted with multiplicity."""
-    return sum(g.neighbor_values(x).count(z) for x in B)
+    return sum(neighbor_values(g, x).count(z) for x in B)
 
 
 # -- scalar GF(2^q) reference ---------------------------------------------------
@@ -283,7 +292,7 @@ def incidence_prefix_extractor(g, family, epsilons):
         members = np.fromiter(chain.from_iterable(combinations(range(N), size)),
                               dtype=np.int64)
         groups.append((size, members.reshape(-1, size)))
-    counts = np.array([np.bincount(g.neighbor_values(x), minlength=1 << g.m)
+    counts = np.array([np.bincount(neighbor_values(g, x), minlength=1 << g.m)
                        for x in range(N)], dtype=np.int64)
     scored = []  # (k', size, members, devs, den) per width and set size
     for k_prime in range(1, g.m + 1):
@@ -403,9 +412,9 @@ def twelve_branch_outcomes(profile, rates, slack: int, codewords, oracle,
         t = stages[0][0]
         bounds = [rates[target] + slack for target, _, _ in stages]
         if lead == "C(t)":
-            bounds[0] = profile.value((t,)) + slack
+            bounds[0] = profile_value(profile, (t,)) + slack
         elif lead == "C(A,t)":
-            bounds[0] = profile.value((0, t)) - rates[0] + slack
+            bounds[0] = profile_value(profile, (0, t)) - rates[0] + slack
         recovered, steps = {}, 0
         for stage, bound in zip(stages, bounds):
             x, cost = _recover(*stage, max(bound, 0), recovered, codewords, oracle,
@@ -421,11 +430,29 @@ def twelve_branch_outcomes(profile, rates, slack: int, codewords, oracle,
 
 # -- checks only the tests run ----------------------------------------------------------
 
+def profile_value(profile, subset) -> int:
+    """C(x_V) of a coordinate subset given in any order, read off a profile."""
+    return profile.values[SUBSETS.index(tuple(sorted(set(subset))))]
+
+
+def profile_conditional(profile, V: tuple, W: tuple) -> int:
+    """C(x_V | x_W) by subtraction for disjoint V and W: C(V u W) - C(W),
+    with C of the empty set 0."""
+    return profile_value(profile, V + W) - (profile_value(profile, W) if W else 0)
+
+
+def toy_conditional(oracle: ToyOracle, V, W, triple) -> int:
+    """C(x_V | x_W) measured directly: the shortest program printing the V
+    strings given the W strings as side input, or the floor L + 1."""
+    c = oracle.complexity(tuple(triple[i] for i in V), tuple(triple[i] for i in W))
+    return oracle.cfg.max_len + 1 if c is None else c
+
+
 def chain_rule_slack(oracle, triple) -> int:
     """Worst |C(V u W) - C(W) - C(x_V | x_W)| over disjoint non-empty V, W.
 
     Identically 0 for the counting oracle, whose conditionals are defined
-    by subtraction; measured for the toy machine.
+    by subtraction; measured directly for the toy machine.
     """
     profile = oracle.profile(triple)
     worst = 0
@@ -433,9 +460,11 @@ def chain_rule_slack(oracle, triple) -> int:
         for W in SUBSETS:
             if set(V) & set(W):
                 continue
-            union = subset_key(tuple(V) + tuple(W))
-            cond = oracle.conditional(V, W, triple)
-            gap = abs(profile.value(union) - profile.value(W) - cond)
+            if isinstance(oracle, ToyOracle):
+                cond = toy_conditional(oracle, V, W, triple)
+            else:
+                cond = profile_conditional(profile, V, W)
+            gap = abs(profile_value(profile, V + W) - profile_value(profile, W) - cond)
             worst = max(worst, gap)
     return worst
 

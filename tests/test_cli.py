@@ -413,7 +413,11 @@ def decode_inputs(tmp_path):
     (["verify-graph", "--graph", "{g}", "--check", "richness:k=2",
       "--family", "sampled:size=-2,count=3"], "positive size"),
     (["verify-graph", "--graph", "{g}", "--check", "richness:k=2",
-      "--family", "sampled:size=2,count=-1"], "positive count"),
+      "--family", "sampled:size=2,count=-1"],
+     "spec 'sampled:size=2,count=-1': sampled family needs a positive count and a seed"),
+    (["verify-graph", "--graph", "{g}", "--check", "extractor",
+      "--family", "all-of-size:size=0"],
+     "spec 'all-of-size:size=0': all-of-size family needs a positive size"),
     (["decode", "--codewords", "{cws}", "--graphs", "{g},{g},{g}",
       "--scenario", "collinear:q=2", "--decoder", "known-profile",
       "--rates", "1,2"], "rates '1,2'"),
@@ -432,7 +436,7 @@ def decode_inputs(tmp_path):
       "--out", "{out}"], "max_retries"),
     (["experiment", "--set", "trials=-2"], "'trials'"),
     (["profile", "--scenario", "collinear:q=5"],
-     "no fixed irreducible polynomial for q=5"),
+     "spec 'collinear:q=5': no fixed irreducible polynomial for q=5"),
     (["experiment", "--set", "scenario=planted:n=4", "--set", "decoder=full",
       "--set", "oracle=toy:L=-3"], "'L'"),
     (["experiment", "--set", "scenario=planted:n=4", "--set", "decoder=full",
@@ -575,7 +579,8 @@ def decode_inputs(tmp_path):
     (["encode", "--graph", "{g}", "--input", " 0x_f"],
      "--input  0x_f: not a hex value of width n=4"),
 ], ids=["profile-scenario", "experiment-scenario", "family-sampled",
-        "family-all-of-size", "family-negative-size", "family-negative-count", "decode-rates", "graphs-typo", "descriptor-kind",
+        "family-all-of-size", "family-negative-size", "family-negative-count", "family-zero-size",
+        "decode-rates", "graphs-typo", "descriptor-kind",
         "decode-codeword-count", "decode-graph-count", "decode-graph-width",
         "hash-audit-distractors", "hash-audit-negative-trials",
         "build-negative-retries", "experiment-negative-trials",

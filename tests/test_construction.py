@@ -23,7 +23,7 @@ from richowner.graphs import (
 from richowner.rng import derive_seed
 from richowner.verification import BFamily, rich_owner_fraction
 
-from helpers import all_to_one_graph, b_degree, classify_owner
+from helpers import all_to_one_graph, b_degree, classify_owner, neighbor_values
 
 
 class TestBuildRandomGraph:
@@ -68,7 +68,7 @@ class TestSplitEdges:
         for z in range(8):
             if b_degree(base, z, B) != 1:
                 continue
-            owner = next(x for x in B if z in base.neighbor_values(x))
+            owner = next(x for x in B if z in neighbor_values(base, x))
             for i in range(g.ell):
                 node = g.split_node(i, owner % int(g.primes[i]), z)
                 assert b_degree(g, node, B) == 1

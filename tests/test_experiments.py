@@ -11,6 +11,7 @@ import pytest
 
 import richowner
 
+from richowner import experiments
 from richowner.cli import main
 from richowner.experiments import (
     ConfigError,
@@ -152,8 +153,12 @@ class TestRunExperiment:
         assert aggregates["trials"] == 3 and aggregates["wrong_answers"] == 0
         assert aggregates["successes"] >= 1
 
-    def test_bad_decoder_rejected(self):
-        with pytest.raises(ConfigError):
+    def test_bad_decoder_rejected(self, monkeypatch):
+        def unbuilt(spec):
+            raise AssertionError(f"built {spec!r}")
+        # refused before the scenario's set is built
+        monkeypatch.setattr(experiments, "named_correlation_set", unbuilt)
+        with pytest.raises(ConfigError, match="unknown decoder 'wat'"):
             run_experiment(ExperimentConfig(**{**BASE, "decoder": "wat"}))
 
     def test_membership_needs_enumerable_scenario(self):

@@ -4,7 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from richowner import experiments, protocol
 from richowner.bits import BitString
@@ -12,6 +12,7 @@ from richowner.construction import construct_rich_owner_graph
 from richowner.crt import HashScheme, HashTag, primes_first
 from richowner.graphs import LabeledBipartiteGraph, SeededGraph, SplitGraph, TableGraph
 from richowner.oracles import (
+    COMPLEMENTS,
     SUBSETS,
     ComplexityProfile,
     CorrelationSet,
@@ -44,7 +45,16 @@ from richowner.rng import SeedStream, derive_seed
 from richowner.scenarios import named_correlation_set
 from richowner.specs import ConfigError
 
-from helpers import all_to_one_graph, bs, matrix_pick, twelve_branch_outcomes
+from helpers import (
+    all_to_one_graph,
+    brute_force_toy_table,
+    bs,
+    matrix_pick,
+    neighbor_values,
+    profile_conditional,
+    profile_value,
+    twelve_branch_outcomes,
+)
 
 SCHEME4 = HashScheme(4, 3, Fraction(1, 16))
 
@@ -119,7 +129,7 @@ class TestRates:
         p = profile()
         for V in SUBSETS:
             complement = tuple(i for i in range(3) if i not in V)
-            assert conds[V] == p.value((0, 1, 2)) - (p.value(complement) if complement else 0)
+            assert conds[V] == profile_conditional(p, V, complement)
 
     def test_cap_applied(self):
         conds = {(0,): 10, (1,): 10, (2,): 10, (0, 1): 20, (0, 2): 20,
@@ -139,18 +149,29 @@ class TestRates:
         profile = ComplexityProfile(tuple(values))
         full = (0, 1, 2)
         assert profile.conditionals() == {
-            V: profile.conditional(V, tuple(i for i in full if i not in V))
+            V: profile_conditional(profile, V, tuple(i for i in full if i not in V))
             for V in SUBSETS}
 
-    def test_toy_conditionals_measured_directly(self):
-        oracle = ToyOracle(ToyMachineConfig(max_len=10, step_budget=60))
-        triple = (bs("0101"), bs("0101"), bs("0011"))
-        profile = oracle.profile(triple)
-        want = {V: oracle.conditional(V, tuple(i for i in range(3) if i not in V), triple)
-                for V in SUBSETS[:6]}
-        want[(0, 1, 2)] = profile.value((0, 1, 2))
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 15)), min_size=3, max_size=3)
+           .map(lambda cs: tuple(BitString(w, v % (1 << w)) for w, v in cs)),
+           st.integers(0, 8), st.integers(0, 40))
+    @example(triple=(bs("0101"), bs("0101"), bs("0011")), max_len=8, step_budget=40)
+    @example(triple=(bs("0101"), bs("0101"), bs("0011")), max_len=10, step_budget=60)
+    def test_toy_conditionals_measured_directly(self, triple, max_len, step_budget):
+        """Each conditional is the brute-force machine's shortest program
+        printing the V strings given the complement strings as side input,
+        or the floor L + 1 beyond the budgets: at L = 8 the first example
+        has C(A | B, C) = 6 and C(C | A, B) at the floor 9."""
+        oracle = ToyOracle(ToyMachineConfig(max_len, step_budget))
+        want = {}
+        for V, W in zip(SUBSETS, COMPLEMENTS):
+            side = tuple((triple[i].width, triple[i].value) for i in W)
+            target = tuple((triple[i].width, triple[i].value) for i in V)
+            table = brute_force_toy_table(side, max_len, step_budget)
+            want[V] = table.get(target, max_len + 1)
         assert oracle.conditionals(triple) == want
-        assert oracle.conditionals(triple, profile) == want
+        assert oracle.conditionals(triple, oracle.profile(triple)) == want
         assert conditional_profile(oracle, triple) == want
 
 
@@ -165,9 +186,9 @@ def _plan_bounds(profile, rates, slack):
 # Each lead's bound as the decoder derives it: C(t) + slack for the three
 # chain openers.
 LEAD_FORMULAS = {
-    0: lambda p, r, s: p.value((0,)) + s,
-    1: lambda p, r, s: p.value((1,)) + s,
-    2: lambda p, r, s: p.value((2,)) + s,
+    0: lambda p, r, s: profile_value(p, (0,)) + s,
+    1: lambda p, r, s: profile_value(p, (1,)) + s,
+    2: lambda p, r, s: profile_value(p, (2,)) + s,
 }
 
 
@@ -187,7 +208,7 @@ class TestDerivePlan:
         slack = 2
         bounds = _plan_bounds(profile, rates, slack)
         # independently expanded expectations
-        c_a = profile.value((0,))
+        c_a = profile_value(profile, (0,))
         assert bounds["chain-ABC"] == (c_a + slack, rates.n_b + slack, rates.n_c + slack)
         assert bounds["joint-BC"][0] == rates.n_b + slack
 
@@ -751,7 +772,7 @@ def membership_instances(draw):
 
 def _owners(rows, graphs, coords, payloads):
     return [r for r in sorted(set(rows))
-            if all(payloads[c].value in graphs[c].neighbor_values(r[c]) for c in coords)]
+            if all(payloads[c].value in neighbor_values(graphs[c], r[c]) for c in coords)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -801,7 +822,7 @@ def _reference_recover(stage, recovered, cws, oracle, graphs):
         g.n, target, {c: recovered[c] for c in known},
         [(c, cws[c].payload, graphs[c]) for c in payload_conds], bound)
     owners = [BitString(g.n, int(v)) for v in values
-              if cws[target].payload.value in g.neighbor_values(int(v))]
+              if cws[target].payload.value in neighbor_values(g, int(v))]
     return (owners[0] if len(owners) == 1 else None), len(values)
 
 

@@ -37,6 +37,7 @@ from helpers import (
     complete_graph,
     incidence_prefix_extractor,
     listed_sizes,
+    neighbor_values,
     seed_stream_sampled_sets,
 )
 
@@ -51,7 +52,7 @@ def extractor_error(g, B, A):
     if not B:
         raise ValueError("B must be nonempty")
     a = set(A)
-    edges = sum(1 for x in B for v in g.neighbor_values(x) if v in a)
+    edges = sum(1 for x in B for v in neighbor_values(g, x) if v in a)
     return abs(Fraction(edges, len(B) * g.degree) - Fraction(len(a), 1 << g.m))
 
 
@@ -351,7 +352,7 @@ class TestInconclusiveCertificate:
 
 def reference_classification(g, B, x, k, delta):
     """(regime, rich, owned fraction, threshold) from expanded neighbor lists."""
-    values = {o: g.neighbor_values(o) for o in B}
+    values = {o: neighbor_values(g, o) for o in B}
     if len(B) <= 1 << k:
         threshold = 1
         good = sum(1 for z in values[x]
@@ -366,8 +367,8 @@ def reference_classification(g, B, x, k, delta):
 
 
 def reference_damage(g, x, other):
-    spoiled = set(g.neighbor_values(other))
-    return sum(1 for z in g.neighbor_values(x) if z in spoiled)
+    spoiled = set(neighbor_values(g, other))
+    return sum(1 for z in neighbor_values(g, x) if z in spoiled)
 
 
 SPLITS = [None, (1, Fraction(1)), (1, Fraction(1, 2)), (2, Fraction(1)), (2, Fraction(1, 2))]
@@ -511,7 +512,7 @@ def reference_prefix_extractor(g, epsilon, family):
     """(checked, passed, worst error, failures) from one Fraction per set
     and prefix width, merging right nodes by shifting their values."""
     sets = sorted(set(family.iter_sets(g.n)))
-    values = [g.neighbor_values(x) for x in range(1 << g.n)]
+    values = [neighbor_values(g, x) for x in range(1 << g.n)]
     checked, passed, worst, failures = 0, True, None, []
     for k_prime in range(1, g.m + 1):
         R, shift = 1 << k_prime, g.m - k_prime
