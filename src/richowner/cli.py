@@ -23,6 +23,7 @@ from .experiments import (
     _resolve_rates,
     build_graph,
     decode_triple,
+    read_rates,
     report_text,
     run_experiment,
     validate_report,
@@ -204,6 +205,7 @@ def _load_codewords(path: str) -> list[Codeword]:
 
 
 def _cmd_decode(args) -> int:
+    read_rates(args.rates)
     codewords = _load_codewords(args.codewords)
     graphs = [_load_graph_any(p) for p in args.graphs.split(",")]
     S = named_correlation_set(args.scenario)
@@ -229,10 +231,10 @@ def _cmd_experiment(args) -> int:
     overrides = key_values(args.set or [], "--set")
     config = ExperimentConfig.load(args.config, overrides)
     report = run_experiment(config)
-    _write_text(report_text(report.to_json(), args.format), args.out)
+    _write_text(report_text(report, args.format), args.out)
     if args.out:
         print(f"wrote {args.format} report -> {args.out}")
-    agg = report.aggregates
+    agg = report["aggregates"]
     print(f"trials={agg['trials']} successes={agg['successes']} "
           f"success_rate={agg['success_rate']}", file=sys.stderr)
     return 0

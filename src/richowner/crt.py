@@ -87,19 +87,13 @@ def _as_int(u: Union[int, BitString]) -> int:
     return u.value if isinstance(u, BitString) else int(u)
 
 
-def crt_hash(u: Union[int, BitString], prime: int) -> HashTag:
-    """Tag (prime, u mod prime)."""
-    if prime < 2:
-        raise ValueError(f"prime must be >= 2, got {prime}")
-    return HashTag(prime, _as_int(u) % prime)
-
-
 def draw_hash_tag(u: Union[int, BitString], scheme: HashScheme, seed: int) -> HashTag:
     """Tag u with a uniformly drawn prime from the scheme (seeded)."""
     if isinstance(u, BitString) and u.width != scheme.n:
         raise ValueError(f"value width {u.width} != scheme width {scheme.n}")
     idx = SeedStream(derive_seed(seed, "crt-tag")).randrange(scheme.t)
-    return crt_hash(u, int(scheme.primes[idx]))
+    prime = int(scheme.primes[idx])
+    return HashTag(prime, _as_int(u) % prime)
 
 
 def colliding_prime_indices(u1, u2, primes: Sequence[int]) -> list[int]:

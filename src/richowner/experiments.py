@@ -9,12 +9,11 @@ JSON.
 
 from __future__ import annotations
 
-import copy
 import csv
 import io
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import Optional, get_args, get_type_hints
 
@@ -70,7 +69,8 @@ class ExperimentConfig:
 
         The RICHOWNER_SEED environment variable, when set, overrides the
         master seed from both sources.  Keys and values are read by
-        `specs.spec_args`, so their errors read as a spec's do.
+        `specs.spec_args`, so their errors read as a spec's do; the rates
+        spec is also read by read_rates, before any trial.
         """
         values: dict = {}
         if path:
@@ -89,10 +89,8 @@ class ExperimentConfig:
         for key in ("trials", "max_retries", "step_budget"):
             if values[key] < 0:
                 raise ConfigError(f"config key {key!r}: must be >= 0, got {values[key]}")
+        read_rates(values["rates"])
         return cls(**values)
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -138,24 +136,6 @@ class Aggregates:
             mean_survivors=(sum(survivors) / trials) if survivors else None,
             payload_bits=sorted(list(b) for b in payload_bits),
         )
-
-
-@dataclass
-class ExperimentReport:
-    config: ExperimentConfig
-    aggregates: dict
-    graph_summaries: list
-    rows: list = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        """A new JSON object: editing it leaves the report as it is."""
-        return {
-            "version": __version__,
-            "config": self.config.as_dict(),
-            "aggregates": copy.deepcopy(self.aggregates),
-            "graphs": copy.deepcopy(self.graph_summaries),
-            "trials": [asdict(r) for r in self.rows],
-        }
 
 
 # -- scenario/oracle/graph resolution -------------------------------------------
@@ -204,34 +184,48 @@ def _resolve_oracle(spec: str, scenario: _Scenario):
     return CountingOracle(scenario.S)
 
 
+def read_rates(spec: str) -> tuple[str, object]:
+    """The form of a rates spec and what it fixes without a triple:
+    ("profile", S) for `profile+S`, ("total", D) for `total-D` with D >= 0,
+    or ("explicit", RateVector) for `a,b,c` with no rate below 0."""
+    where = f"cannot parse rates {spec!r}"
+    if spec.startswith("profile+"):
+        return "profile", comma_fields(spec.removeprefix("profile+"), (int,), where)[0]
+    if spec.startswith("total-"):
+        (deficit,) = comma_fields(spec.removeprefix("total-"), (int,), where)
+        if deficit < 0:
+            raise ConfigError(f"rates {spec!r}: deficit {deficit} must be >= 0")
+        return "total", deficit
+    rates = comma_fields(spec, (int, int, int), where)
+    try:
+        return "explicit", RateVector(*rates)
+    except ValueError as exc:
+        raise ConfigError(f"rates {spec!r}: {exc}") from None
+
+
 def _resolve_rates(spec: str, oracle, triple, n: int,
                    profile: Optional[ComplexityProfile] = None) -> RateVector:
     """Rates from `profile+S` (profile rates plus slack S, each capped at
     the string width plus S), `total-D` (balanced rates D short of the
-    triple requirement) or an explicit `a,b,c`.
+    triple requirement) or an explicit `a,b,c`, as read by read_rates.
 
     The width is the triple's when a triple is given, otherwise n.
     `profile`, when given, is oracle.profile(triple), already computed.
     """
-    where = f"cannot parse rates {spec!r}"
-    if spec.startswith("profile+"):
-        (slack,) = comma_fields(spec.removeprefix("profile+"), (int,), where)
-        width = triple[0].width if triple else n
-        if width + slack < 0:
-            raise ConfigError(f"rates {spec!r}: width {width} + slack {slack} caps "
-                              f"every rate below 0")
-        conds = conditional_profile(oracle, triple, profile)
-        return rates_from_profile(conds, slack=slack, cap=width + slack)
-    if spec.startswith("total-"):
-        (deficit,) = comma_fields(spec.removeprefix("total-"), (int,), where)
-        conds = conditional_profile(oracle, triple, profile)
-        make, args = rates_violating_total, (conds, deficit)
-    else:
-        make, args = RateVector, comma_fields(spec, (int, int, int), where)
-    try:
-        return make(*args)
-    except ValueError as exc:
-        raise ConfigError(f"rates {spec!r}: {exc}") from None
+    form, value = read_rates(spec)
+    if form == "explicit":
+        return value
+    conds = conditional_profile(oracle, triple, profile)
+    if form == "total":
+        try:
+            return rates_violating_total(conds, value)
+        except ValueError as exc:
+            raise ConfigError(f"rates {spec!r}: {exc}") from None
+    width = triple[0].width if triple else n
+    if width + value < 0:
+        raise ConfigError(f"rates {spec!r}: width {width} + slack {value} caps "
+                          f"every rate below 0")
+    return rates_from_profile(conds, slack=value, cap=width + value)
 
 
 def build_graph(kind: str, n: int, k: int, seed: int, params: dict,
@@ -303,8 +297,8 @@ def decode_triple(decoder: str, codewords, graphs, S: Optional[CorrelationSet], 
     raise ConfigError(f"unknown decoder {decoder!r}")
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Run the configured trials; fully deterministic given the config."""
+def run_experiment(config: ExperimentConfig) -> dict:
+    """Run the configured trials; the report's JSON object is a pure function of config."""
     if config.decoder not in DECODERS:
         raise ConfigError(f"unknown decoder {config.decoder!r}")
     scenario = _resolve_scenario(config.scenario)
@@ -337,19 +331,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             steps=result.steps, survivors=result.survivors,
         ))
 
-    aggregates = Aggregates.of(rows, payload_bits)
-    return ExperimentReport(
-        config=config, aggregates=asdict(aggregates),
-        graph_summaries=sorted(bank.summaries, key=lambda s: (s["sender"], s["k"])),
-        rows=rows,
-    )
+    return {
+        "version": __version__,
+        "config": asdict(config),
+        "aggregates": asdict(Aggregates.of(rows, payload_bits)),
+        "graphs": sorted(bank.summaries, key=lambda s: (s["sender"], s["k"])),
+        "trials": [asdict(r) for r in rows],
+    }
 
 
 # -- emission ----------------------------------------------------------------------
 
 def report_text(obj: dict, fmt: str) -> str:
-    """A report's JSON form (ExperimentReport.to_json) as JSON, or as CSV
-    with one row per trial and booleans as 0/1."""
+    """A report's JSON object (as run_experiment returns it) as JSON, or as
+    CSV with one row per trial and booleans as 0/1."""
     if fmt == "json":
         return json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
@@ -362,8 +357,8 @@ def report_text(obj: dict, fmt: str) -> str:
     raise ConfigError(f"unknown report format {fmt!r}")
 
 
-def report_json_text(report: ExperimentReport) -> str:
-    return report_text(report.to_json(), "json")
+def report_json_text(report: dict) -> str:
+    return report_text(report, "json")
 
 
 # -- validation ---------------------------------------------------------------------
@@ -383,8 +378,8 @@ def _shape_problems(path: str, node, kind: type, required) -> list[str]:
 
 
 def validate_report(obj: dict) -> list[str]:
-    """Structural check of a report's JSON form: the keys and types that
-    ExperimentReport.to_json writes, and each trial value's TrialRow type
+    """Structural check of a report's JSON object: the keys and types that
+    run_experiment writes, and each trial value's TrialRow type
     (a bool is not an integer here, nor an integer a bool).  Returns the
     problems (empty = ok)."""
     parts = {

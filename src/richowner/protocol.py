@@ -99,9 +99,7 @@ def rates_from_profile(conds: Mapping[tuple[int, ...], int], slack: int,
 
 def rates_violating_total(conds: Mapping[tuple[int, ...], int], deficit: int) -> RateVector:
     """Balanced rates whose sum undercuts the full-triple constraint by a
-    deficit of at least 0."""
-    if deficit < 0:
-        raise ValueError(f"deficit {deficit} must be >= 0")
+    deficit of at least 0 (experiments.read_rates refuses a negative one)."""
     total = conds[(0, 1, 2)] - deficit
     if total < 0:
         raise ValueError(f"deficit {deficit} exceeds the triple requirement")

@@ -294,8 +294,8 @@ def test_criterion_09_rate_region_necessity():
         rates="total-3", graphs="binning", trials=300, seed=9009,
     )
     report = run_experiment(config)
-    rate = report.aggregates["success_rate"]
-    assert report.rows[0].rates == "4,4,4"  # C(ABC)=15 minus 3, balanced
+    rate = report["aggregates"]["success_rate"]
+    assert report["trials"][0]["rates"] == "4,4,4"  # C(ABC)=15 minus 3, balanced
     assert rate <= 0.5
     _report(
         "9 (rate-region necessity)",

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from richowner import cli
 from richowner.bits import BitString
 from richowner.cli import _load_graph_any, build_parser, main
 from richowner.experiments import ExperimentConfig, build_graph, report_text, run_experiment
@@ -503,6 +504,15 @@ def decode_inputs(tmp_path):
     (["decode", "--codewords", "{cws3}", "--graphs", "{g},{g},{g}",
       "--scenario", "collinear:q=2", "--decoder", "full", "--rates", "total--1"],
      "rates 'total--1': deficit -1 must be >= 0"),
+    (["experiment", "--set", "scenario=collinear:q=2", "--set", "rates=bogus",
+      "--set", "trials=0"],
+     "cannot parse rates 'bogus': expected 3 comma-separated field(s), got 1"),
+    (["experiment", "--set", "scenario=collinear:q=2", "--set", "rates=-1,2,3",
+      "--set", "trials=0"], "rates '-1,2,3': rates must be nonnegative"),
+    (["experiment", "--set", "scenario=collinear:q=2", "--set", "rates=profile+x",
+      "--set", "trials=0"], "cannot parse rates 'profile+x': bad field 'x'"),
+    (["experiment", "--set", "scenario=collinear:q=2", "--set", "rates=total--1",
+      "--set", "trials=0"], "rates 'total--1': deficit -1 must be >= 0"),
     (["experiment", "--set", "trials=x"], ("trials", "'x'")),
     (["experiment", "--set", "trials"], "expected key=value, got 'trials'"),
     (["experiment", "--set", "scenario=foo:q=2"], "unknown kind 'foo'"),
@@ -597,7 +607,9 @@ def decode_inputs(tmp_path):
         "descriptor-bool-c", "rates-profile-slack",
         "rates-explicit-part", "rates-profile-below-zero", "rates-explicit-negative",
         "rates-deficit-past-requirement", "rates-negative-deficit",
-        "decode-rates-negative-deficit", "config-non-integer", "set-without-equals",
+        "decode-rates-negative-deficit", "rates-bogus-without-trials",
+        "rates-explicit-negative-without-trials", "rates-profile-slack-without-trials",
+        "rates-negative-deficit-without-trials", "config-non-integer", "set-without-equals",
         "unknown-spec-kind", "graphs-bad-fraction", "dms-unknown-key",
         "dms-without-member-set", "certificate-large-regime",
         "scenario-file-bad-hex", "scenario-file-hex-prefix", "scenario-file-hex-underscore",
@@ -621,6 +633,21 @@ def test_bad_spec_is_a_clean_error(argv, key, decode_inputs, capsys):
     assert err.startswith("error:")
     for text in key if isinstance(key, tuple) else (key,):
         assert text.format(**decode_inputs) in err
+
+
+@pytest.mark.parametrize("decoder", ["membership", "known-profile", "full"])
+def test_decode_reads_rates_before_rebuilding_a_graph(decoder, decode_inputs, monkeypatch,
+                                                      capsys):
+    def unbuilt(path):
+        raise AssertionError(f"rebuilt {path}")
+    monkeypatch.setattr(cli, "_load_graph_any", unbuilt)
+    capsys.readouterr()
+    assert run_cli("decode", "--codewords", decode_inputs["cws3"],
+                   "--graphs", ",".join([decode_inputs["g"]] * 3),
+                   "--scenario", "collinear:q=2", "--decoder", decoder,
+                   "--rates", "bogus") == 2
+    assert capsys.readouterr().err == ("error: cannot parse rates 'bogus': expected 3 "
+                                       "comma-separated field(s), got 1\n")
 
 
 @pytest.mark.parametrize("value", ["yes", "no"])
@@ -704,4 +731,4 @@ def test_experiment_csv_without_out_goes_to_stdout(capsys):
                    "--format", "csv") == 0
     printed = capsys.readouterr().out
     report = run_experiment(ExperimentConfig.load(None, overrides))
-    assert printed == report_text(report.to_json(), "csv")
+    assert printed == report_text(report, "csv")

@@ -9,7 +9,6 @@ from richowner.crt import (
     HashScheme,
     HashTag,
     colliding_prime_indices,
-    crt_hash,
     draw_hash_tag,
     isolation_probability,
     primes_first,
@@ -52,20 +51,25 @@ def test_primes_first_matches_trial_division():
 
 class TestCrtHash:
     def test_examples(self):
-        assert crt_hash(13, 7) == HashTag(7, 6)
-        assert crt_hash(0, 11) == HashTag(11, 0)
-        assert crt_hash(BitString(16, 2 ** 16 - 1), 65521) == HashTag(65521, 14)
+        assert HashTag(7, 6).matches(13) and not HashTag(7, 5).matches(13)
+        assert HashTag(11, 0).matches(0)
+        u = BitString(16, 2 ** 16 - 1)
+        assert HashTag(65521, 14).matches(u)
+        scheme = HashScheme(16, 3, Fraction(1, 10))
+        for seed in range(20):
+            tag = draw_hash_tag(u, scheme, seed)
+            assert tag.residue == u.value % tag.prime
 
     def test_rejects_non_prime_modulus_below_two(self):
-        with pytest.raises(ValueError):
-            crt_hash(5, 1)
+        with pytest.raises(ValueError, match="prime must be >= 2"):
+            HashTag(1, 0)
 
     def test_tag_wire_round_trip(self):
         tag = HashTag(101, 17)
         assert HashTag.from_wire(tag.wire()) == tag
 
     def test_tag_verification_soundness(self):
-        tag = crt_hash(173, 11)
+        tag = HashTag(11, 173 % 11)
         for u in range(256):
             assert tag.matches(u) == (u % 11 == 173 % 11)
 

@@ -1,8 +1,13 @@
-"""Invariants of the source tree itself, read with `ast` without importing it."""
+"""Invariants of the source tree itself, read with `ast` without importing
+it, and what importing one module of it loads."""
 
 import ast
+import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -49,3 +54,17 @@ def test_every_src_name_has_a_reader():
     unread = [f"{where} {name}" for where, name in defined
               if name not in read and name not in words]
     assert unread == []
+
+
+@pytest.mark.parametrize("module", ["richowner.specs", "richowner.bits"])
+def test_leaf_module_loads_nothing_else(module):
+    """A fresh interpreter that imports one pure-Python module has loaded
+    neither numpy nor any other richowner module: the package root imports
+    nothing."""
+    code = (f"import json, sys; import {module}; "
+            "print(json.dumps(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('numpy', 'richowner'))))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert json.loads(out) == ["richowner", module]
