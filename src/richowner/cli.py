@@ -62,7 +62,10 @@ def _read_json(path: str, what: str):
 def _scheme(text: str, n: int) -> HashScheme:
     """The tag scheme `--scheme s,epsilon` for n-bit strings."""
     s, epsilon = comma_fields(text, (int, Fraction), f"--scheme {text}")
-    return HashScheme(n, s, epsilon)
+    try:
+        return HashScheme(n, s, epsilon)
+    except ValueError as exc:
+        raise ConfigError(f"--scheme {text}: {exc}") from None
 
 
 # The keys of a graph descriptor besides the kind's GRAPHS arguments, with

@@ -16,9 +16,8 @@ from fractions import Fraction
 from typing import Optional
 
 from . import verification
-from .crt import primes_first
+from .crt import PRIME_CAP, primes_first
 from .graphs import (
-    TABLE_CAP,
     GraphError,
     LabeledBipartiteGraph,
     SeededGraph,
@@ -74,8 +73,8 @@ def split_count(n: int, s: int, delta: Fraction) -> int:
 
 
 def _check_split_count(ell: int) -> None:
-    if ell > TABLE_CAP:
-        raise GraphError(f"split count ell={ell} exceeds the cap of {TABLE_CAP} primes")
+    if ell > PRIME_CAP:
+        raise GraphError(f"split count ell={ell} exceeds the cap of {PRIME_CAP} primes")
 
 
 def split_edges(g: LabeledBipartiteGraph, s: int, delta) -> SplitGraph:

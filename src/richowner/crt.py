@@ -21,6 +21,9 @@ import numpy as np
 from .bits import BitString
 from .rng import SeedStream, derive_seed
 
+# Most primes a tag scheme or an edge split may take.
+PRIME_CAP = 1 << 24
+
 
 @lru_cache(maxsize=None)
 def primes_first(t: int, below: Optional[int] = None) -> np.ndarray:
@@ -61,9 +64,10 @@ class HashTag:
         p, r = text.split(":")
         return cls(int(p), int(r))
 
-    def matches(self, u: Union[int, BitString]) -> bool:
-        """Exact: True iff u is congruent to the residue mod the prime."""
-        return _as_int(u) % self.prime == self.residue
+    def matches(self, u: Union[int, BitString, np.ndarray]):
+        """Exact: whether u is congruent to the residue mod the prime, one
+        bool per value of an int64 array."""
+        return (u.value if isinstance(u, BitString) else u) % self.prime == self.residue
 
 
 class HashScheme:
@@ -77,6 +81,8 @@ class HashScheme:
         self.s = s
         self.epsilon = epsilon
         self.t = math.ceil(Fraction(s * n) / epsilon)
+        if self.t > PRIME_CAP:  # refused before the sieve
+            raise ValueError(f"scheme needs t={self.t} primes, past the cap of {PRIME_CAP}")
         self.primes = primes_first(self.t)
 
     def __repr__(self) -> str:

@@ -106,12 +106,6 @@ class LabeledBipartiteGraph:
 
     # -- payload membership (decoder-facing) -------------------------------
 
-    def payload_consistent(self, x, payload) -> bool:
-        """True when the payload occurs in x's neighbor multiset: the bulk
-        check of one node."""
-        xs = np.array([_as_node(self, x)])
-        return bool(self.payload_consistent_bulk(xs, payload)[0])
-
     def payload_consistent_bulk(self, xs: np.ndarray, payload) -> np.ndarray:
         """Whether the payload occurs in the neighbor multiset of each left
         node in xs.

@@ -443,7 +443,7 @@ def decode_membership(codewords: Sequence[Codeword], S: CorrelationSet,
         for coord in range(3):
             tag = codewords[coord].tag
             if tag is not None:
-                mask &= (S.members[:, coord] % tag.prime) == tag.residue
+                mask &= tag.matches(S.members[:, coord])
     survivors = int(mask.sum())
     if survivors == 1:
         row = S.members[mask][0]

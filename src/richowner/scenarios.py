@@ -89,7 +89,8 @@ def collinear_members(q: int) -> np.ndarray:
 def _read_set_file(path: str, n: Optional[int]) -> CorrelationSet:
     """Hex triples, one per line; n=None takes the width of the widest value.
 
-    A malformed line names the file and its line number."""
+    A malformed line, and the first row past MAX_MEMBERS, names the file
+    and its line number; a file without a row is refused."""
     rows = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -97,6 +98,8 @@ def _read_set_file(path: str, n: Optional[int]) -> CorrelationSet:
             if not line or line.startswith("#"):
                 continue
             where = f"scenario file {path}, line {lineno}"
+            if len(rows) == MAX_MEMBERS:
+                raise ConfigError(f"{where}: more rows than the cap of {MAX_MEMBERS}")
             parts = line.split()
             if len(parts) != 3:
                 raise ConfigError(f"{where}: expected 3 hex fields, got {line!r}")
@@ -108,8 +111,10 @@ def _read_set_file(path: str, n: Optional[int]) -> CorrelationSet:
                 raise ConfigError(f"{where}: {line!r} holds a value out of range "
                                   f"for n={n}")
             rows.append(row)
+    if not rows:
+        raise ConfigError(f"scenario file {path}: holds no triple")
     if n is None:
-        n = max(1, max((v for row in rows for v in row), default=0).bit_length())
+        n = max(1, max(v for row in rows for v in row).bit_length())
     return CorrelationSet(n, rows)
 
 

@@ -20,7 +20,8 @@ set fails; reports state which route was taken.
 Both regimes of rich ownership read one set-level kernel, _good_slots, over
 the members' endpoint-count arrays; the certificate reads one damage table
 over all left nodes.  These two are the only places here that read the
-layout of a split graph.
+layout of a split graph.  Enumerated families and the certificate's
+witness sets are scored by one loop, _score_sets.
 
 All pass/fail decisions use exact rational arithmetic; no floating point.
 """
@@ -104,8 +105,9 @@ class BFamily:
 
     def sizes(self, n: int) -> range:
         """The set sizes of the family at width n.  Refuses a family that
-        names no set, an exhaustive family at n > 4 and an all-of-size
-        family too large to list set by set."""
+        names no set, an exhaustive family at n > 4, an all-of-size
+        family too large to list set by set and a sampled family whose
+        draws would pass TABLE_CAP members."""
         N = 1 << n
         if self.mode == "exhaustive":
             if n > 4:
@@ -122,6 +124,9 @@ class BFamily:
                 f"all-of-size family with C({N},{self.size}) sets cannot be "
                 "enumerated; use the certified richness audit"
             )
+        if self.mode == "sampled" and self.count * self.size > TABLE_CAP:
+            raise GraphError(f"family {self} draws {self.count * self.size} members, "
+                             f"past the table cap of {TABLE_CAP}")
         return sizes
 
     def iter_sets(self, n: int) -> Iterator[tuple[int, ...]]:
@@ -454,7 +459,8 @@ def rich_owner_fraction(g: LabeledBipartiteGraph, family: BFamily, k: int,
     delta = _check_regime(k, delta)
     total = family.set_count(g.n)
     if not family.beyond_enumeration(g.n):
-        return _richness_by_enumeration(g, family, k, delta)
+        checked, least, failures = _score_sets(g, family.iter_sets(g.n), k, delta, 20)
+        return _rich_report(g, family.mode, k, delta, checked, not failures, least, failures)
     if family.size > (1 << k):
         raise GraphError("certified audit only covers the small regime")
     return _richness_by_certificate(g, family, k, delta, total)
@@ -468,26 +474,24 @@ def _rich_fraction(g, B: Sequence[int], k: int, delta: Fraction) -> Fraction:
     return Fraction(int(rich), len(members))
 
 
-def _richness_by_enumeration(g, family: BFamily, k: int,
-                             delta: Fraction) -> VerificationReport:
-    checked = 0
-    min_frac: Optional[Fraction] = None
-    failures = []
-    passed = True
-    for B in family.iter_sets(g.n):
+def _score_sets(g, sets, k: int, delta: Fraction, cap: int):
+    """Each set's rich fraction: the sets scored, the least fraction, and
+    a failure record for each of the first `cap` sets short of 1 - delta."""
+    checked, least, failures = 0, None, []
+    for B in sets:
         frac = _rich_fraction(g, B, k, delta)
         checked += 1
-        if min_frac is None or frac < min_frac:
-            min_frac = frac
-        if frac < 1 - delta:
-            passed = False
-            if len(failures) < 20:
-                failures.append({"B_descriptor": _descr(B), "rich_fraction": str(frac)})
-    return VerificationReport(
-        graph=g, kind="rich-owner", k=k, delta=delta, epsilon=None,
-        mode=family.mode, checked=checked, passed=passed,
-        min_rich_fraction=min_frac, failures=failures,
-    )
+        least = frac if least is None else min(least, frac)
+        if frac < 1 - delta and len(failures) < cap:
+            failures.append({"B_descriptor": _descr(B), "rich_fraction": str(frac)})
+    return checked, least, failures
+
+
+def _rich_report(g, mode: str, k: int, delta: Fraction, checked: int, passed: Optional[bool],
+                 least: Optional[Fraction], failures=(), **extra) -> VerificationReport:
+    return VerificationReport(graph=g, kind="rich-owner", k=k, delta=delta, epsilon=None,
+                              mode=mode, checked=checked, passed=passed,
+                              min_rich_fraction=least, failures=list(failures), **extra)
 
 
 def _damage(g: LabeledBipartiteGraph) -> np.ndarray:
@@ -525,7 +529,7 @@ def _richness_by_certificate(g: LabeledBipartiteGraph, family: BFamily, k: int,
     size = family.size
     slots = g.degree
     allowance = delta * slots
-    ranked_spoilers = {}
+    witnesses = []  # the worst set of each uncertified node
     worst_lb: Optional[Fraction] = None
     for xi, row in enumerate(_damage(g)):
         # damage descending, ties to the lower node
@@ -535,35 +539,19 @@ def _richness_by_certificate(g: LabeledBipartiteGraph, family: BFamily, k: int,
         if worst_lb is None or lb < worst_lb:
             worst_lb = lb
         if worst_damage > allowance:
-            ranked_spoilers[xi] = ranked.tolist()
-    if not ranked_spoilers:
-        return VerificationReport(
-            graph=g, kind="rich-owner", k=k, delta=delta,
-            epsilon=None, mode=f"{family.mode}:certified", checked=total,
-            passed=True, min_rich_fraction=Fraction(1), certified=True,
-            notes=[
-                f"union-bound certificate: every node keeps owned fraction >= "
-                f"{worst_lb} in every set of size {size}"
-            ],
-        )
+            witnesses.append(tuple(sorted([xi] + ranked.tolist())))
+    mode = f"{family.mode}:certified"
+    if not witnesses:
+        return _rich_report(g, mode, k, delta, total, True, Fraction(1), certified=True, notes=[
+            f"union-bound certificate: every node keeps owned fraction >= "
+            f"{worst_lb} in every set of size {size}"])
     # Certificate failed for some nodes; try to exhibit a concrete failing set.
-    failures, failing = [], []
-    for xi, ranked in list(ranked_spoilers.items())[:50]:
-        B = tuple(sorted([xi] + ranked))
-        frac = _rich_fraction(g, B, k, delta)
-        if frac < 1 - delta:
-            failing.append(frac)
-            failures.append({"B_descriptor": _descr(B), "rich_fraction": str(frac)})
-    return VerificationReport(
-        graph=g, kind="rich-owner", k=k, delta=delta, epsilon=None,
-        mode=f"{family.mode}:certified", checked=total,
-        passed=False if failures else None,
-        min_rich_fraction=min(failing, default=None), certified=False,
-        failures=failures,
-        notes=[
-            f"certificate inconclusive for {len(ranked_spoilers)} nodes; "
+    _, least, failures = _score_sets(g, witnesses[:50], k, delta, 50)
+    return _rich_report(
+        g, mode, k, delta, total, False if failures else None, least if failures else None,
+        failures, notes=[
+            f"certificate inconclusive for {len(witnesses)} nodes; "
             f"{len(failures)} adversarial witnesses confirmed",
             f"union bound: every node keeps owned fraction >= {worst_lb} "
             f"in every set of size {size}, short of the {1 - delta} required",
-        ],
-    )
+        ])

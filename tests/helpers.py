@@ -1,7 +1,7 @@
 """Helpers shared by the tests.
 
 Small fixed graphs, a bit-string literal, a left node's right nodes by
-label and the B-degree of a right node,
+label, the payload check of one left node and the B-degree of a right node,
 a scalar GF(2^q) reference (field elements, the collinearity
 determinant, a collinear-triple sampler) and the per-pair loop that
 enumerated collinear triples, which the vectorised geometry in
@@ -69,6 +69,12 @@ def neighbor_values(g: LabeledBipartiteGraph, x) -> list[int]:
     """x's right nodes by label, read as a block of one row."""
     [(_, rows)] = g.row_blocks(np.array([_as_node(g, x)]))
     return rows[0].tolist()
+
+
+def payload_consistent(g: LabeledBipartiteGraph, x, payload) -> bool:
+    """Whether the payload occurs in x's neighbor multiset: the bulk check
+    of one node."""
+    return bool(g.payload_consistent_bulk(np.array([_as_node(g, x)]), payload)[0])
 
 
 def b_degree(g, z: int, B) -> int:

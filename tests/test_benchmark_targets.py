@@ -8,10 +8,11 @@ not change the file.  The scripts' own imports (`benchmarks/*.py`, not
 the frozen sources under `benchmarks/reference/`) are read with `ast`,
 without running the scripts.
 
-Two targets name functions that profile search removed; their spans can
-only be re-aimed by a change to the benchmark itself, so they are listed
-here as known-dead, and a test fails once either resolves again or leaves
-the table, so that the list cannot go stale.
+Four targets name functions that the code no longer has: two that
+profile search removed and the scalar payload check, which moved into the
+tests.  Their spans can only be re-aimed by a change to the benchmark
+itself, so they are listed here as known-dead, and a test fails once any
+resolves again or leaves the table, so that the list cannot go stale.
 
 A target that resolves can still see no call, when the code calls around
 the wrapped name; its metrics would then read 0 as silently.  So each
@@ -38,15 +39,14 @@ WORKLOADS_PY = os.path.join(BENCHMARKS, "workloads.py")
 KNOWN_DEAD = {
     ("richowner.protocol", "_candidate_plans"),
     ("richowner.protocol", "derive_decoding_bounds"),
-}
-
-# Live targets that no workload calls: the scalar payload check (stages and
-# membership use the bulk one), `total-D` rates (no workload sets them) and
-# the protocol module's name of the known-profile decoder (experiments calls
-# the name it imports).
-UNREACHED = {
     ("richowner.graphs", "LabeledBipartiteGraph.payload_consistent"),
     ("richowner.graphs", "SplitGraph.payload_consistent"),
+}
+
+# Live targets that no workload calls: `total-D` rates (no workload sets
+# them) and the protocol module's name of the known-profile decoder
+# (experiments calls the name it imports).
+UNREACHED = {
     ("richowner.experiments", "rates_violating_total"),
     ("richowner.protocol", "decode_known_profile"),
 }

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from richowner import cli
+from richowner import cli, crt
 from richowner.bits import BitString
 from richowner.cli import _load_graph_any, build_parser, main
 from richowner.experiments import ExperimentConfig, build_graph, report_text, run_experiment
@@ -243,6 +243,17 @@ class TestHashAuditAndProfile:
         obj = json.loads(out.read_text())
         assert obj["t"] == 480 and obj["below_target"] == 0
 
+    def test_hash_audit_refuses_a_prime_count_past_the_cap_before_sieving(self, monkeypatch,
+                                                                           capsys):
+        # t = ceil(3 * 16 * 10^7) = 480,000,000 primes, past the 2^24 cap
+        def no_sieve(*args):
+            raise AssertionError("sieved")
+        monkeypatch.setattr(crt, "primes_first", no_sieve)
+        assert run_cli("hash-audit", "--n", "16", "--scheme", "3,1/10000000") == 2
+        assert capsys.readouterr().err == (
+            "error: --scheme 3,1/10000000: scheme needs t=480000000 primes, "
+            f"past the cap of {1 << 24}\n")
+
     def test_profile_collinear(self, capsys):
         assert run_cli("profile", "--scenario", "collinear:q=2") == 0
         obj = json.loads(capsys.readouterr().out)
@@ -384,6 +395,7 @@ def decode_inputs(tmp_path):
         "hex_prefix": "0 1 2\n0x1 2 3\n", "hex_underscore": "0 1 2\n1_0 1 2\n",
         "hex_sign": "0 1 2\n+1 2 3\n",
         "wide_value": "0 1 2\n1 2 ff\n",
+        "empty_set": "", "comments_only": "# no triple\n\n# nor here\n",
         # what `build-graph --kind binning --n 4 --k 3 --seed 7` wrote before
         # every graph file was a descriptor
         "binary_graph": "4 3 0 seeded 7\n",
@@ -535,6 +547,10 @@ def decode_inputs(tmp_path):
      "scenario file {two_fields}, line 2: expected 3 hex fields, got '1 2'"),
     (["profile", "--scenario", "file:path={wide_value},n=4"],
      "scenario file {wide_value}, line 2: '1 2 ff' holds a value out of range for n=4"),
+    (["profile", "--scenario", "file:{empty_set}"],
+     "scenario file {empty_set}: holds no triple"),
+    (["experiment", "--set", "scenario=file:{comments_only}", "--set", "trials=1"],
+     "scenario file {comments_only}: holds no triple"),
     (["encode", "--graph", "{binary_graph}", "--input", "a"],
      "graph descriptor {binary_graph}: not JSON"),
     (["encode", "--graph", "{bad_header}", "--input", "a"],
@@ -614,6 +630,7 @@ def decode_inputs(tmp_path):
         "dms-without-member-set", "certificate-large-regime",
         "scenario-file-bad-hex", "scenario-file-hex-prefix", "scenario-file-hex-underscore",
         "scenario-file-hex-sign", "scenario-file-two-fields", "scenario-file-wide-value",
+        "scenario-file-empty", "scenario-file-comments-only",
         "old-binary-graph-file", "graph-bad-header", "graph-truncated-payload",
         "planted-odd-width", "counting-without-member-set", "descriptor-not-an-object",
         "codeword-not-an-object",

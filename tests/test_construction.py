@@ -12,7 +12,7 @@ from richowner.construction import (
     split_count,
     split_edges,
 )
-from richowner.crt import primes_first
+from richowner.crt import HashScheme, primes_first
 from richowner.graphs import (
     TABLE_CAP,
     GraphError,
@@ -198,3 +198,46 @@ class TestPipeline:
                 cls = classify_owner(g, B, x, k=2, delta=Fraction(7, 10))
                 assert cls.regime == "small"
                 assert cls.rich
+
+
+# -- bits on the wire ------------------------------------------------------------
+
+# m - k of a pipeline payload by width, for (delta, c) = (1/2, 4), (1/2, 1) and
+# (3/4, 1): ceil(log2 ell) bits of prime index plus the n-bit residue field.
+PAYLOAD_OVERHEAD = {8: (26, 24, 21), 21: (43, 41, 37), 24: (46, 44, 40),
+                    32: (54, 52, 49), 40: (64, 62, 57), 48: (72, 70, 66)}
+OVERHEAD_SETTINGS = ((Fraction(1, 2), 4), (Fraction(1, 2), 1), (Fraction(3, 4), 1))
+
+
+def _payload_overhead(n: int, k: int, delta: Fraction, c: int) -> int:
+    """m - k of the pipeline's split graph, from its sizing rules alone."""
+    D = required_left_degree(n, delta * delta / 2, c)
+    s = verification.large_regime_threshold(delta, 1 << k, D, k)
+    return (split_count(n, s, delta) - 1).bit_length() + n
+
+
+@pytest.mark.parametrize("n", sorted(PAYLOAD_OVERHEAD))
+def test_pipeline_payload_overhead_at_every_width(n):
+    """The exact payload overhead, at widths where no graph can be built:
+    it does not depend on k, and at no listed width is a payload shorter
+    than the string it encodes."""
+    for (delta, c), overhead in zip(OVERHEAD_SETTINGS, PAYLOAD_OVERHEAD[n]):
+        assert {_payload_overhead(n, k, delta, c) for k in (1, n // 2, n)} == {overhead}
+        assert overhead >= n
+
+
+@pytest.mark.parametrize("delta, c", OVERHEAD_SETTINGS, ids=str)
+def test_payload_overhead_is_the_split_graphs(delta, c):
+    # at n = 8 the split's primes sieve below 2^8, so the graph is cheap
+    base = TableGraph(8, 1, np.zeros((256, 1), dtype=np.uint64))
+    D = required_left_degree(8, delta * delta / 2, c)
+    split = split_edges(base, verification.large_regime_threshold(delta, 2, D, 1), delta)
+    assert split.m - split.k == _payload_overhead(8, 1, delta, c)
+
+
+def test_staged_tag_bits_at_width_8():
+    """A staged sender's tag under the experiments' scheme s = 3, epsilon =
+    1/n^2: a prime index below t = 3n^3 and a residue below p_t."""
+    scheme = HashScheme(8, 3, Fraction(1, 64))
+    assert scheme.t == 1536
+    assert (scheme.t - 1).bit_length() + (int(scheme.primes[-1]) - 1).bit_length() == 25

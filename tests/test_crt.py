@@ -73,6 +73,12 @@ class TestCrtHash:
         for u in range(256):
             assert tag.matches(u) == (u % 11 == 173 % 11)
 
+    def test_array_matches_each_value(self):
+        # the membership decoder filters a column of int64 members at once
+        values = np.arange(2 ** 21 - 300, 2 ** 21, dtype=np.int64)
+        for tag in (HashTag(11, 7), HashTag(2, 0), HashTag(65521, 14)):
+            assert tag.matches(values).tolist() == [tag.matches(int(u)) for u in values]
+
 
 class TestScheme:
     def test_prime_count(self):

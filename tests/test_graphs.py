@@ -19,7 +19,8 @@ from richowner.graphs import (
 )
 from richowner.verification import _damage, _good_slots
 
-from helpers import all_to_one_graph, b_degree, bs, complete_graph, neighbor_values
+from helpers import (all_to_one_graph, b_degree, bs, complete_graph, neighbor_values,
+                     payload_consistent)
 
 
 def random_table_graph(n, m, d, seed):
@@ -54,9 +55,9 @@ class TestNeighbor:
         with pytest.raises(GraphError):
             neighbor_values(g, 4)
         with pytest.raises(GraphError):
-            g.payload_consistent(bs("01"), bs("011"))
+            payload_consistent(g, bs("01"), bs("011"))
         with pytest.raises(GraphError):
-            g.payload_consistent(bs("01"), 4)
+            payload_consistent(g, bs("01"), 4)
 
 
 def neighbors_multiset(g, x) -> Counter:
@@ -178,10 +179,10 @@ class TestSplitGraph:
         for x in range(16):
             values = set(neighbor_values(g, x))
             for payload in values:
-                assert g.payload_consistent(x, payload)
+                assert payload_consistent(g, x, payload)
             other = (set(range(1 << g.m)) - values)
             for payload in list(sorted(other))[:5]:
-                assert not g.payload_consistent(x, payload)
+                assert not payload_consistent(g, x, payload)
 
     def test_bulk_matches_scalar(self):
         base = random_table_graph(4, 2, 2, seed=13)

@@ -51,6 +51,7 @@ from helpers import (
     bs,
     matrix_pick,
     neighbor_values,
+    payload_consistent,
     profile_conditional,
     profile_value,
     twelve_branch_outcomes,
@@ -700,7 +701,7 @@ class TestDecodeMembership:
             brute = 0
             for row in S.members:
                 if all(
-                    graphs[i].payload_consistent(int(row[i]), cws[i].payload)
+                    payload_consistent(graphs[i], int(row[i]), cws[i].payload)
                     for i in range(3)
                 ):
                     brute += 1

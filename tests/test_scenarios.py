@@ -182,6 +182,21 @@ class TestNamedSets:
         with pytest.raises(ConfigError, match=f"{rows} members exceed the cap of {rows - 1} "):
             named_correlation_set(spec)
 
+    def test_set_file_stops_at_the_first_row_past_the_member_cap(self, tmp_path, monkeypatch):
+        # Under a cap of 2 rows the malformed fifth line is never read: the
+        # reader stops at line 4, the third row.
+        path = tmp_path / "rows.txt"
+        path.write_text("# three rows\n0 1 2\n1 2 3\n2 3 4\nzz\n")
+        monkeypatch.setattr(scenarios, "MAX_MEMBERS", 4)
+        with pytest.raises(ConfigError, match="line 5: expected 3 hex fields"):
+            named_correlation_set(f"file:{path}")
+        monkeypatch.setattr(scenarios, "MAX_MEMBERS", 2)
+        with pytest.raises(ConfigError) as err:
+            named_correlation_set(f"file:{path}")
+        assert str(err.value) == f"scenario file {path}, line 4: more rows than the cap of 2"
+        path.write_text("0 1 2\n\n1 2 3\n")
+        assert len(named_correlation_set(f"file:{path}")) == 2
+
 
 class TestDms:
     def test_probabilities_validated(self):

@@ -27,11 +27,24 @@ def test_no_import_inside_a_function(path):
     assert nested == []
 
 
+def _without_tracer_targets(path: pathlib.Path) -> str:
+    """The text of a benchmark script, less any module-level `TARGETS`
+    table: the tracer names its targets there only to wrap them."""
+    text = path.read_text()
+    lines = text.splitlines()
+    for node in reversed(ast.parse(text, str(path)).body):
+        if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "TARGETS" for target in node.targets):
+            del lines[node.lineno - 1:node.end_lineno]
+    return "\n".join(lines)
+
+
 def test_every_src_name_has_a_reader():
     """Every function, method and class defined in `src/richowner/`
     (dunders aside) is named somewhere else: elsewhere in `src/` as a name,
-    an attribute or an import, in the text of `benchmarks/*.py` (so the
-    tracer's dotted target strings count) or in README.md.
+    an attribute or an import, in the text of `benchmarks/*.py` outside
+    the tracer's `TARGETS` table (a span wraps a name, it does not read
+    it) or in README.md.
 
     The check matches by name, so a definition that shares its name with
     one that is read (two classes' methods of one name, say) is not caught.
@@ -48,7 +61,8 @@ def test_every_src_name_has_a_reader():
                 read.add(node.attr)
             elif isinstance(node, ast.alias):
                 read.add(node.name.rpartition(".")[2])
-    texts = [path.read_text() for path in sorted((ROOT / "benchmarks").glob("*.py"))]
+    texts = [_without_tracer_targets(path)
+             for path in sorted((ROOT / "benchmarks").glob("*.py"))]
     texts.append((ROOT / "README.md").read_text())
     words = set(re.findall(r"\w+", "\n".join(texts)))
     unread = [f"{where} {name}" for where, name in defined

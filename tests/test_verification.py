@@ -283,6 +283,22 @@ class TestRichOwnerFraction:
         assert richness.checked == extractor.checked == 5
         assert list(family.iter_sets(2)) == sorted(set(family._sampled_sets(2)))
 
+    @pytest.mark.parametrize("check", ["richness", "extractor"])
+    def test_sampled_family_past_the_table_cap_is_refused_before_drawing(self, check,
+                                                                          monkeypatch):
+        # 9 draws of 2 members pass a cap of 16; 8 do not
+        monkeypatch.setattr(verification, "TABLE_CAP", 16)
+        monkeypatch.setattr(BFamily, "_sampled_sets", lambda *args: pytest.fail("drew"))
+        g = TableGraph(2, 1, np.array([[0, 1]] * 4, dtype=np.uint64))
+        audit = {"richness": lambda family: rich_owner_fraction(g, family, 1, Fraction(1, 2)),
+                 "extractor": lambda family: check_prefix_extractor(g, Fraction(1, 2), family)}
+        with pytest.raises(GraphError) as err:
+            audit[check](BFamily(mode="sampled", size=2, count=9, seed=1))
+        assert str(err.value) == ("family sampled:size=2,count=9,seed=1 draws 18 members, "
+                                  "past the table cap of 16")
+        monkeypatch.undo()
+        assert audit[check](BFamily(mode="sampled", size=2, count=8, seed=1)).checked > 0
+
     def test_one_threshold_per_set(self, monkeypatch):
         # The large-regime threshold depends on the set, not the member.
         calls = []
